@@ -34,8 +34,8 @@ from .digital import (BscParams, effective_error_rates, mac_bounds_digital,
                       reconcile_and_amplify, reconcile_plan,
                       run_digital_episode, validate_bsc, xi_digital)
 from .codes import hexdump
-from .params import (ParamError, RateReport, SystemParams, read_config,
-                     validate)
+from .params import (_INT_FIELDS, ParamError, RateReport, SystemParams,
+                     read_config, validate)
 from .rates import (corollary1_capacity, theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
 from .seeds import subseed
@@ -43,8 +43,6 @@ from .verify import empirical_snr, run_oracle_suite
 
 __all__ = ["SweepSpec", "run_rates", "run_sweep", "emit_plotdata",
            "rows_to_csv", "main"]
-
-_INT_FIELDS = {"n_E", "m_A", "m_B"}
 
 
 # =====================================================================
@@ -136,7 +134,7 @@ class SweepSpec:
 
 
 def _sweep_value(spec: SweepSpec, value: float):
-    if spec.field_name in _INT_FIELDS or spec.field_name == "m_A":
+    if spec.field_name in _INT_FIELDS:
         ival = int(value)
         if ival != value:
             raise ParamError(f"field {spec.field_name} needs integer grid "
@@ -181,12 +179,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
 
 
 def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:
-    """Stable-column CSV; floats rendered with repr for reproducibility."""
+    """Stable-column CSV; floats rendered with repr for reproducibility.
+
+    Columns are field and value, then the union of every row's keys in
+    sorted order; a row without one of them leaves that cell empty.
+    """
     if not rows:
         raise ParamError("no rows to serialize")
-    lead = [c for c in ("field", "value") if c in rows[0]]
-    rest = sorted(k for k in rows[0] if k not in lead)
-    columns = lead + rest
+    keys = set().union(*rows)
+    lead = [c for c in ("field", "value") if c in keys]
+    columns = lead + sorted(keys.difference(lead))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

@@ -9,7 +9,10 @@ disclosure) is set by the caller from the target crossover rate.
 
 Privacy amplification is seeded binary Toeplitz hashing: key = T bits mod 2
 with T[i, j] = seed_bits[i - j + n - 1], a universal-hash family, applied
-identically by both sides from a public seed.
+identically by both sides from a public seed.  T is never formed: T bits is
+a slice of the convolution of seed_bits with bits, computed by FFT in
+O((n + out_len) log(n + out_len)) time and O(n + out_len) memory, and a
+guard checks that the float result rounds to exact integers.
 
 Serialized bit material uses one layout everywhere: a record is a 1-byte
 presence flag, and if present a little-endian uint32 bit count followed by
@@ -158,6 +161,11 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     key = T bits mod 2.  Same (bits, out_len, hash_seed) always gives the
     same key; over random seeds flipping any single input bit flips each
     output bit with probability 1/2.
+
+    T bits is computed as an FFT convolution in O((n + out_len) log(n +
+    out_len)) time and O(n + out_len) memory.  Raises FloatingPointError,
+    rather than return a key, if the float sums were not all within 0.25 of
+    an integer.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     n = bits.shape[0]
@@ -170,13 +178,21 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     if out_len > n:
         raise ParamError(f"hash must compress: out_len {out_len} exceeds "
                          f"input length {n}")
-    seed_bits = stream(hash_seed, "hash").integers(0, 2, size=n + out_len - 1,
+    n_seed = n + out_len - 1
+    seed_bits = stream(hash_seed, "hash").integers(0, 2, size=n_seed,
                                                    dtype=np.uint8)
-    # row i of T is seed_bits[i : i + n] reversed; build all rows as one
-    # strided window then take the parity of the weighted row sums
-    windows = np.lib.stride_tricks.sliding_window_view(seed_bits, n)[:out_len]
-    acc = windows[:, ::-1].astype(np.float64) @ bits.astype(np.float64)
-    return (acc.astype(np.int64) & 1).astype(np.uint8)
+    # (T bits)[i] = conv(seed_bits, bits)[i + n - 1].  A cyclic convolution
+    # of size >= n_seed wraps only terms past index n_seed - 1 onto indices
+    # below n - 1, so the slice taken here is the linear convolution.
+    size = 1 << (n_seed - 1).bit_length()
+    acc = np.fft.irfft(np.fft.rfft(seed_bits, size) * np.fft.rfft(bits, size),
+                       size)[n - 1:n_seed]
+    sums = np.rint(acc)
+    err = float(np.max(np.abs(acc - sums)))
+    if not err < 0.25:
+        raise FloatingPointError(f"FFT Toeplitz product is not exact: a sum is "
+                                 f"{err:.3g} from the nearest integer")
+    return (sums.astype(np.int64) & 1).astype(np.uint8)
 
 
 # =====================================================================

@@ -1,4 +1,5 @@
 """Harness behavior: subcommands, determinism, config, error handling."""
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,21 @@ def test_rows_to_csv_round_trip_precision():
     text = rows_to_csv(rows)
     cell = text.splitlines()[1].split(",")[2]
     assert float(cell) == 1 / 3  # repr floats survive the text round trip
+
+
+def test_sweep_csv_header_independent_of_row_order(capsys):
+    # the m_A = 0 row lacks the 16 echo metrics and the m_A = 4 row lacks
+    # C_key_one_way: whichever row comes first, the header is the union
+    headers = []
+    for grid in ("0,4", "4,0"):
+        code, text, _ = run_cli(capsys, "sweep", "--field", "m_A", "--grid",
+                                grid, "--m_B", "2", "--n-draws", "200")
+        assert code == 0
+        lines = text.splitlines()
+        headers.append(lines[0])
+        assert all(len(line.split(",")) == 35 for line in lines)
+    assert headers[0] == headers[1]
+    assert {"C_key_one_way", "theorem3_lower"} <= set(headers[0].split(","))
 
 
 # ---------------------------------------------------------------- CLI: rates
@@ -217,6 +233,17 @@ def test_cli_simulate_digital(tmp_path, capsys):
     back = DigitalEpisode.from_bytes(blob.read_bytes())
     assert back.key_A is not None
     assert np.array_equal(back.key_A, back.key_B)
+
+
+def test_cli_simulate_digital_transcript_pinned(tmp_path, capsys):
+    # bytes written by the dense-matrix Toeplitz hash; the FFT hash and any
+    # later change to the pipeline must reproduce them exactly
+    blob = tmp_path / "transcript.bin"
+    code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", "20000",
+                         "--seed", "11", "--transcript-out", str(blob))
+    assert code == 0
+    assert hashlib.sha256(blob.read_bytes()).hexdigest() == (
+        "e522f2f04977f80a32e13a67433f6184c9a9ffafb15e633173ededd43608f3c8")
 
 
 def test_cli_simulate_digital_explicit_target(capsys):

@@ -1,4 +1,6 @@
 """Parity-check codes, syndrome decoding, hashing, bit serialization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,57 @@ def test_toeplitz_hash_is_linear():
     y = rng.integers(0, 2, 300, dtype=np.uint8)
     t = lambda v: toeplitz_hash(v, 48, hash_seed=1)
     assert np.array_equal(t(x ^ y), t(x) ^ t(y))
+
+
+def _dense_toeplitz_hash(bits, out_len, hash_seed):
+    """The definition: T[i, j] = seed_bits[i - j + n - 1], key = T bits mod 2."""
+    n = bits.shape[0]
+    seed_bits = stream(hash_seed, "hash").integers(0, 2, n + out_len - 1,
+                                                   dtype=np.uint8)
+    i, j = np.indices((out_len, n), dtype=np.int32)
+    T = seed_bits[i - j + n - 1]
+    return ((T.astype(np.int64) @ bits.astype(np.int64)) % 2).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n, out_len", [
+    (1, 1), (2, 1), (7, 7), (64, 64), (300, 48),
+    # n and n + out_len - 1 just below, at and above a power of two
+    (4095, 1), (4096, 1), (4097, 1), (2048, 2048), (2049, 2048),
+    (4000, 96), (4000, 97), (4000, 98), (4097, 2049),
+])
+def test_toeplitz_hash_matches_definition(n, out_len):
+    rng = stream(n * 7919 + out_len, "ref")
+    for bits in (np.zeros(n, np.uint8), np.ones(n, np.uint8),
+                 rng.integers(0, 2, n, dtype=np.uint8)):
+        for hash_seed in (0, 1, 12345):
+            assert np.array_equal(toeplitz_hash(bits, out_len, hash_seed),
+                                  _dense_toeplitz_hash(bits, out_len, hash_seed))
+
+
+def test_toeplitz_hash_scales_in_linear_memory():
+    # the dense product at this size would take about 19 GB
+    bits = stream(4, "big").integers(0, 2, 200_000, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        key = toeplitz_hash(bits, 12_000, hash_seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert key.shape == (12_000,)
+    assert peak < 64 * 2**20
+    # spot-check rows against the definition
+    n = bits.shape[0]
+    seed_bits = stream(8, "hash").integers(0, 2, n + 12_000 - 1, dtype=np.uint8)
+    for i in (0, 1, 5_999, 11_999):
+        row = seed_bits[i:i + n][::-1].astype(np.int64)
+        assert key[i] == int(row @ bits) % 2
+
+
+def test_toeplitz_hash_guard_rejects_inexact_product(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(FloatingPointError, match="not exact"):
+        toeplitz_hash(np.ones(100, np.uint8), 10, hash_seed=0)
 
 
 def test_toeplitz_hash_rejects_expansion():
