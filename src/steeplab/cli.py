@@ -34,9 +34,10 @@ from .digital import (BscParams, effective_error_rates, mac_bounds_digital,
                       reconcile_and_amplify, reconcile_plan,
                       run_digital_episode, validate_bsc, xi_digital)
 from .codes import hexdump
-from .params import (_INT_FIELDS, ParamError, RateReport, SystemParams,
-                     read_config, validate)
-from .rates import (corollary1_capacity, theorem1_bounds, theorem1_draw_terms,
+from .params import (_INT_FIELDS, ChannelRealization, ParamError, RateReport,
+                     SystemParams, _coerce_value, read_config, validate)
+from .rates import (_drop_shared_terms, _mean_se, corollary1_capacity,
+                    power_budget, theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
 from .seeds import subseed
 from .verify import empirical_snr, run_oracle_suite
@@ -53,8 +54,10 @@ def run_rates(params: SystemParams, n_draws: int = 10_000,
               rng_seed: int = 0) -> RateReport:
     """Every rate the library computes, in one report.
 
-    Monte Carlo terms share one channel batch keyed by ``rng_seed``, so
-    quantities that coincide analytically coincide exactly here too.
+    Every Monte Carlo term reduces one channel batch, sampled once per call
+    (``rates.theorem1_draw_terms``), so quantities that coincide
+    analytically coincide exactly: ``xi_tilde`` is ``xi_BA_prime`` and
+    ``xi_steep_ac`` is ``xi_BA``, values and standard errors alike.
     """
     validate(params)
     report = theorem1_bounds(params, n_draws, rng_seed)
@@ -76,25 +79,20 @@ def run_rates(params: SystemParams, n_draws: int = 10_000,
             notes.append("eta-dependent lower bound skipped: needs "
                          "eps_A > 0 and eps_E > 0")
 
+        for name, same in (("xi_tilde", "xi_BA_prime"), ("xi_steep_ac", "xi_BA")):
+            values[name], stderr[name] = values[same], stderr[same]
         terms = theorem1_draw_terms(params, n_draws, rng_seed)
-        t = params.sigma_s2 / params.sigma_B2
-        phi_ba = terms["phi_BA"]
-        xi_tilde = np.log2(1.0 + phi_ba * t / (t + 1.0 + phi_ba))
-        snr_eb = t / (phi_ba + 1.0)
-        n = phi_ba.shape[0]
-        values["xi_tilde"] = float(np.mean(xi_tilde))
-        stderr["xi_tilde"] = float(np.std(xi_tilde, ddof=1) / math.sqrt(n))
-        values["xi_steep_ac"] = values["xi_BA"]
-        stderr["xi_steep_ac"] = stderr["xi_BA"]
-        values["snr_AB"] = float(t)
-        values["snr_EB"] = float(np.mean(snr_eb))
-        stderr["snr_EB"] = float(np.std(snr_eb, ddof=1) / math.sqrt(n))
-        # ensemble means under E|h_BA|^2 = 1
-        values["power_p_r_mean"] = params.p_A + params.sigma_B2 + params.sigma_s2
-        values["power_sigma_s2_reco_mean"] = params.p_A
+        values["snr_AB"] = float(terms["snr_AB"][0])
+        values["snr_EB"], stderr["snr_EB"] = _mean_se(terms["snr_EB"])
+        # p_r is linear in |h_BA|^2, so its mean is its value at E|h_BA|^2 = 1
+        unit = ChannelRealization(1.0, 1.0, np.zeros(params.n_E), np.zeros(params.n_E))
+        values["power_p_r_mean"], values["power_sigma_s2_reco_mean"] = \
+            power_budget(params, unit)
     else:
         notes.append("echo-phase metrics skipped: m_A = 0 means no probes "
                      "to echo")
+    # the report is done with the batch; kept, its terms would only hold memory
+    _drop_shared_terms()
     return report.check()
 
 
@@ -108,6 +106,8 @@ class SweepSpec:
 
     ``base`` may be analog ``SystemParams`` (rows carry every rate from
     ``run_rates``) or digital ``BscParams`` (rows carry the digital rates).
+    A digital point outside the secrecy formula's regime (P_E|B = 1/2)
+    keeps its row, with a ``status`` naming the reason and no rates.
     """
 
     base: SystemParams | BscParams
@@ -155,12 +155,17 @@ def _sweep_point(spec: SweepSpec, index: int) -> dict:
                     for k, v in sorted(report.stderr.items())})
     else:
         validate_bsc(point)
+        try:
+            xi = xi_digital(point, mode="exact")
+        except ParamError as exc:  # a valid point outside the formula's regime
+            row["status"] = str(exc)
+            return row
         p_ab, p_eb = effective_error_rates(point, mode="exact")
         xi_l, xi_u = mac_bounds_digital(point)
         row.update({
             "P_A_given_B": p_ab,
             "P_E_given_B": p_eb,
-            "xi_digital": xi_digital(point, mode="exact"),
+            "xi_digital": xi,
             "xi_lower": xi_l,
             "xi_upper": xi_u,
         })
@@ -233,25 +238,11 @@ def emit_plotdata(rows: list[dict], style: str,
 # Command line
 # =====================================================================
 
-def _complex_flag(text: str) -> complex:
-    try:
-        c = complex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse complex {text!r}") from exc
-    return c.real if c.imag == 0.0 else c
-
-
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="flat 'key = value' parameter file")
     for f in dataclasses.fields(SystemParams):
-        if f.name in _INT_FIELDS:
-            typ = int
-        elif f.name == "rho":
-            typ = _complex_flag
-        else:
-            typ = float
-        parser.add_argument(f"--{f.name}", type=typ, default=None,
+        parser.add_argument(f"--{f.name}", default=None,
                             help=f"override {f.name}")
 
 
@@ -261,7 +252,7 @@ def _build_params(args: argparse.Namespace) -> SystemParams:
     for f in dataclasses.fields(SystemParams):
         v = getattr(args, f.name, None)
         if v is not None:
-            overrides[f.name] = v
+            overrides[f.name] = _coerce_value(f.name, v)
     if overrides:
         params = dataclasses.replace(params, **overrides)
     return validate(params)
@@ -281,6 +272,8 @@ def _build_bsc(args: argparse.Namespace) -> BscParams:
     kwargs = {}
     for f in dataclasses.fields(BscParams):
         v = getattr(args, f.name, None)
+        if isinstance(v, str):  # sweep's --m_A is the analog, text-valued flag
+            v = _coerce_value(f.name, v)
         kwargs[f.name] = f.default if v is None else v
     return validate_bsc(BscParams(**kwargs))
 
@@ -327,13 +320,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         print(text, end="")
+    failed = [r for r in rows if "status" in r]
+    for r in failed:
+        print(f"error: {r['field']} = {r['value']!r}: {r['status']}",
+              file=sys.stderr)
     if args.plot_metric:
-        plot_text = emit_plotdata(rows, args.plot_metric, path=args.plot_out)
+        plot_text = emit_plotdata([r for r in rows if "status" not in r],
+                                  args.plot_metric, path=args.plot_out)
         if args.plot_out:
             print(f"wrote {args.plot_out}")
         else:
             print(plot_text, end="")
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_simulate_analog(args: argparse.Namespace) -> int:
@@ -342,8 +340,7 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
     if args.out:
         episode_to_csv(episode, args.out)
     realization = episode.realization
-    p_r = (abs(realization.h_BA) ** 2 * params.p_A
-           + params.sigma_B2 + params.sigma_s2)
+    p_r, _ = power_budget(params, realization)
     payload = {
         "m_A": params.m_A,
         "h_BA_abs2": abs(realization.h_BA) ** 2,

@@ -236,7 +236,7 @@ def _coerce_value(key: str, text: str):
             return c.real if c.imag == 0.0 else c
         return float(text)
     except ValueError as exc:
-        raise ParamError(f"config key '{key}': cannot parse value {text!r}") from exc
+        raise ParamError(f"parameter '{key}': cannot parse value {text!r}") from exc
 
 
 def format_config(params: SystemParams) -> str:

@@ -15,6 +15,14 @@ The A-from-B direction swaps every role.  Expectations over the channel
 ensemble are estimated by plain Monte Carlo over i.i.d. channel draws, with
 the standard error reported alongside each estimated term.
 
+One vectorized kernel, ``draw_terms``, holds every per-draw formula; the
+scalar functions run it on a single draw, and each bound below is a mean
+(with standard error) over its output.  ``theorem1_draw_terms`` keeps the
+terms of its last batch per thread, as sweep workers run points at once,
+so the bounds ``cli.run_rates`` asks for at one ``(params, n_draws,
+rng_seed)`` reduce one batch, sampled once, and terms that coincide
+analytically coincide to the last bit.  Callers done with it release it.
+
 Bounds computed here:
 
 * ``theorem1_bounds``  - secret-key capacity bracket for two-way probing
@@ -39,6 +47,7 @@ Bounds computed here:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +58,7 @@ from .seeds import stream
 
 __all__ = [
     "alpha",
+    "draw_terms",
     "phi",
     "PerRealizationRates",
     "per_realization_rates",
@@ -65,7 +75,7 @@ __all__ = [
 
 
 # =====================================================================
-# Per-realization building blocks
+# The draw-term kernel
 # =====================================================================
 
 def alpha(params: SystemParams) -> float:
@@ -77,60 +87,54 @@ def alpha(params: SystemParams) -> float:
     return float(-np.log2(1.0 - abs(complex(params.rho)) ** 2))
 
 
-def _strengths(params: SystemParams, habs2, gnorm2, direction: str):
-    """Main-channel and Eve probing SNRs for one probing direction.
+def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
+               xnorm2=None) -> dict[str, np.ndarray]:
+    """Every per-draw term of the bounds, for a batch of channel draws.
 
-    direction "BA": Alice's probes as seen by Bob vs Eve; habs2 = |h_BA|^2,
-    gnorm2 = ||g_A||^2.  direction "AB" swaps all roles.
+    Gains ``h_AB``, ``h_BA`` have the batch shape, (n,) or () for one
+    draw, and ``g_A``, ``g_B`` that shape plus (n_E,); only magnitudes
+    enter.  ``alpha_prime`` needs ``xnorm2``, the energy ||x_A||^2 of
+    Alice's probe sequence in each draw.  Returns arrays of the batch
+    shape; t = sigma_s2 / sigma_B2 and XY is a probing direction (BA:
+    Alice's probes at Bob and Eve; AB swaps every role):
+
+        main_XY, eve_XY  probing SNRs p_A |h_BA|^2 / sigma_B2 (Bob) and
+                         p_A ||g_A||^2 / sigma_EA2 (Eve)
+        phi_XY, xi_XY    main / (eve + 1), log2(1 + phi)
+        gamma_XY         log2((main + 1) / (eve + 1))
+        xi_BA_prime      log2(1 + phi_BA t / (1 + phi_BA + t)), the echo
+                         rate xi~ = log2(1 + snr_AB) - log2(1 + snr_EB)
+        xi_bar_BA        log2(1 + eta_s phi_BA), eta_s = t / (t + 1)
+        snr_AB, snr_EB   secret SNRs after the echo: t at Alice,
+                         t / (phi_BA + 1) at Eve
+        alpha_prime      log2((u + 1 / (1 - |rho|^2)) / (u + 1)),
+                         u = xnorm2 / (sigma_s2 + sigma_B2)
     """
-    if direction == "BA":
-        main = params.p_A * habs2 / params.sigma_B2
-        eve = params.p_A * gnorm2 / params.sigma_EA2
-    elif direction == "AB":
-        main = params.p_B * habs2 / params.sigma_A2
-        eve = params.p_B * gnorm2 / params.sigma_EB2
-    else:
-        raise ParamError(f"direction must be 'BA' or 'AB', got {direction!r}")
-    return main, eve
-
-
-def phi(params: SystemParams, realization: ChannelRealization,
-        direction: str = "BA") -> float:
-    """Eavesdropping-discounted probing SNR for one channel draw."""
-    if direction == "BA":
-        habs2 = abs(realization.h_BA) ** 2
-        gnorm2 = float(np.sum(np.abs(realization.g_A) ** 2))
-    elif direction == "AB":
-        habs2 = abs(realization.h_AB) ** 2
-        gnorm2 = float(np.sum(np.abs(realization.g_B) ** 2))
-    else:
-        raise ParamError(f"direction must be 'BA' or 'AB', got {direction!r}")
-    main, eve = _strengths(params, habs2, gnorm2, direction)
-    return float(main / (eve + 1.0))
-
-
-def _xi_term(main, eve):
-    return np.log2(1.0 + main / (eve + 1.0))
-
-
-def _gamma_term(main, eve):
-    return np.log2((main + 1.0) / (eve + 1.0))
-
-
-def _xi_prime_term(phi_ba, t):
-    # t = sigma_s2 / sigma_B2
-    return np.log2(1.0 + phi_ba * t / (1.0 + phi_ba + t))
-
-
-def _xi_bar_term(phi_ba, t):
-    eta_s = t / (t + 1.0)
-    return np.log2(1.0 + eta_s * phi_ba)
-
-
-def _alpha_prime_term(xnorm2, params: SystemParams):
-    u = xnorm2 / (params.sigma_s2 + params.sigma_B2)
-    leak = 1.0 / (1.0 - abs(complex(params.rho)) ** 2)
-    return np.log2((u + leak) / (u + 1.0))
+    sides = (
+        ("BA", params.p_A * np.abs(h_BA) ** 2 / params.sigma_B2,
+         params.p_A * (np.abs(g_A) ** 2).sum(axis=-1) / params.sigma_EA2),
+        ("AB", params.p_B * np.abs(h_AB) ** 2 / params.sigma_A2,
+         params.p_B * (np.abs(g_B) ** 2).sum(axis=-1) / params.sigma_EB2),
+    )
+    terms: dict[str, np.ndarray] = {}
+    for side, main, eve in sides:
+        phi_ = main / (eve + 1.0)
+        terms[f"main_{side}"] = main
+        terms[f"eve_{side}"] = eve
+        terms[f"phi_{side}"] = phi_
+        terms[f"xi_{side}"] = np.log2(1.0 + phi_)
+        terms[f"gamma_{side}"] = np.log2((main + 1.0) / (eve + 1.0))
+    phi_ba = terms["phi_BA"]
+    t = params.sigma_s2 / params.sigma_B2
+    terms["xi_BA_prime"] = np.log2(1.0 + phi_ba * t / (1.0 + phi_ba + t))
+    terms["xi_bar_BA"] = np.log2(1.0 + t / (t + 1.0) * phi_ba)
+    terms["snr_AB"] = np.full(np.shape(phi_ba), t)
+    terms["snr_EB"] = t / (phi_ba + 1.0)
+    if xnorm2 is not None:
+        u = xnorm2 / (params.sigma_s2 + params.sigma_B2)
+        leak = 1.0 / (1.0 - abs(complex(params.rho)) ** 2)
+        terms["alpha_prime"] = np.log2((u + leak) / (u + 1.0))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,11 @@ class PerRealizationRates:
     xi_prime_BA_term: float  # log2(1 + phi_BA t / (1 + phi_BA + t))
     snr_AB: float            # secret-to-noise ratio at Alice after echo
     snr_EB: float            # same at Eve, discounted by phi_BA + 1
-    xi_tilde: float          # log2(1 + snr_AB) - log2(1 + snr_EB)
+    xi_tilde: float          # log2(1 + snr_AB) - log2(1 + snr_EB) = xi'
+    main_BA: float           # probing SNRs of Alice's probes at Bob, at Eve
+    eve_BA: float
+    main_AB: float           # the same for Bob's probes, at Alice and at Eve
+    eve_AB: float
 
     def as_dict(self) -> dict[str, float]:
         return {k: float(getattr(self, k)) for k in self.__dataclass_fields__}
@@ -159,60 +167,78 @@ class PerRealizationRates:
 
 def per_realization_rates(params: SystemParams,
                           realization: ChannelRealization) -> PerRealizationRates:
-    """All closed-form log terms for one channel draw."""
+    """All closed-form log terms for one channel draw: ``draw_terms`` on a
+    single draw, the batch shape ()."""
     realization.check_for(params)
-    hba2 = abs(realization.h_BA) ** 2
-    hab2 = abs(realization.h_AB) ** 2
-    ga2 = float(np.sum(np.abs(realization.g_A) ** 2))
-    gb2 = float(np.sum(np.abs(realization.g_B) ** 2))
-    main_ba, eve_ba = _strengths(params, hba2, ga2, "BA")
-    main_ab, eve_ab = _strengths(params, hab2, gb2, "AB")
-    phi_ba = main_ba / (eve_ba + 1.0)
-    phi_ab = main_ab / (eve_ab + 1.0)
-    t = params.sigma_s2 / params.sigma_B2
-    snr_ab = t
-    snr_eb = t / (phi_ba + 1.0)
-    return PerRealizationRates(
-        phi_BA=float(phi_ba),
-        phi_AB=float(phi_ab),
-        xi_BA_term=float(_xi_term(main_ba, eve_ba)),
-        xi_AB_term=float(_xi_term(main_ab, eve_ab)),
-        gamma_BA_term=float(_gamma_term(main_ba, eve_ba)),
-        gamma_AB_term=float(_gamma_term(main_ab, eve_ab)),
-        xi_bar_BA_term=float(_xi_bar_term(phi_ba, t)),
-        xi_prime_BA_term=float(_xi_prime_term(phi_ba, t)),
-        snr_AB=float(snr_ab),
-        snr_EB=float(snr_eb),
-        xi_tilde=float(np.log2(1.0 + snr_ab) - np.log2(1.0 + snr_eb)),
-    )
+    # Python's abs gives the |h_BA|^2 that power_budget uses, to the last bit
+    terms = draw_terms(params, abs(realization.h_AB), abs(realization.h_BA),
+                       np.asarray(realization.g_A), np.asarray(realization.g_B))
+    # field names are the kernel's, with a "_term" suffix on the integrands
+    renamed = {"xi_prime_BA_term": "xi_BA_prime", "xi_tilde": "xi_BA_prime"}
+    return PerRealizationRates(**{
+        f: float(terms[renamed.get(f, f.removesuffix("_term"))])
+        for f in PerRealizationRates.__dataclass_fields__})
+
+
+def phi(params: SystemParams, realization: ChannelRealization,
+        direction: str = "BA") -> float:
+    """Eavesdropping-discounted probing SNR for one channel draw."""
+    if direction not in ("BA", "AB"):
+        raise ParamError(f"direction must be 'BA' or 'AB', got {direction!r}")
+    return getattr(per_realization_rates(params, realization), f"phi_{direction}")
 
 
 # =====================================================================
-# Two-way probing bracket (ideal public discussion)
+# One channel batch per thread, shared by every reduction
 # =====================================================================
+
+# what the reductions read, plus phi_BA for callers of theorem1_draw_terms
+_SHARED_TERMS = ("phi_BA", "xi_BA", "xi_AB", "gamma_BA", "gamma_AB",
+                 "xi_BA_prime", "snr_AB", "snr_EB", "alpha_prime")
+_shared = threading.local()
+
 
 def theorem1_draw_terms(params: SystemParams, n_draws: int,
                         rng_seed: int) -> dict[str, np.ndarray]:
-    """Per-draw integrand arrays underlying ``theorem1_bounds``.
+    """The ``draw_terms`` arrays every bound reduces, for one channel batch.
 
-    All four expectation terms are evaluated on the same channel batch, so
-    estimates that coincide analytically coincide to the last bit.
+    Entries: phi_BA, xi_BA, xi_AB, gamma_BA, gamma_AB, xi_BA_prime, snr_AB,
+    snr_EB and, when m_A >= 1, alpha_prime: the energy of m_A i.i.d.
+    CN(0, p_A) probes is (p_A / 2) chi^2 with 2 m_A degrees of freedom.
+    Each thread keeps the arrays (read-only) of its last ``(params,
+    n_draws, rng_seed)``, so repeat calls reuse the batch; a new key drops
+    them before sampling.  The dict is fresh on each call.
     """
-    h_AB, h_BA, g_A, g_B = sample_channel_batch(params, rng_seed, n_draws)
-    hba2 = np.abs(h_BA) ** 2
-    hab2 = np.abs(h_AB) ** 2
-    ga2 = np.sum(np.abs(g_A) ** 2, axis=1)
-    gb2 = np.sum(np.abs(g_B) ** 2, axis=1)
-    main_ba, eve_ba = _strengths(params, hba2, ga2, "BA")
-    main_ab, eve_ab = _strengths(params, hab2, gb2, "AB")
-    return {
-        "xi_BA": _xi_term(main_ba, eve_ba),
-        "xi_AB": _xi_term(main_ab, eve_ab),
-        "gamma_BA": _gamma_term(main_ba, eve_ba),
-        "gamma_AB": _gamma_term(main_ab, eve_ab),
-        "phi_BA": main_ba / (eve_ba + 1.0),
-        "phi_AB": main_ab / (eve_ab + 1.0),
-    }
+    key = (params, n_draws, rng_seed)
+    entry = getattr(_shared, "entry", None)
+    if entry is None or entry[0] != key:
+        _drop_shared_terms()
+        # magnitudes are all the kernel reads; the complex batch goes first
+        batch = [np.abs(a)
+                 for a in sample_channel_batch(params, rng_seed, n_draws)]
+        xnorm2 = None
+        if params.m_A >= 1:
+            xnorm2 = 0.5 * params.p_A * stream(rng_seed, "xnorm").chisquare(
+                2 * params.m_A, size=n_draws)
+        terms = draw_terms(params, *batch, xnorm2)
+        kept = {name: terms[name] for name in _SHARED_TERMS if name in terms}
+        for arr in kept.values():
+            arr.flags.writeable = False
+        entry = _shared.entry = (key, kept)
+    return dict(entry[1])
+
+
+def _drop_shared_terms() -> None:
+    _shared.entry = None
+
+
+def theorem2_draw_terms(params: SystemParams, n_draws: int,
+                        rng_seed: int) -> dict[str, np.ndarray]:
+    """``theorem1_draw_terms`` for the echo-protocol bounds, which need
+    Alice's probes: raises ParamError unless m_A >= 1."""
+    if params.m_A < 1:
+        raise ParamError("echo-protocol bounds need m_A >= 1")
+    return theorem1_draw_terms(params, n_draws, rng_seed)
 
 
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:
@@ -220,6 +246,10 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
     se = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(np.mean(arr)), se
 
+
+# =====================================================================
+# Two-way probing bracket (ideal public discussion)
+# =====================================================================
 
 def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
                     rng_seed: int = 0) -> RateReport:
@@ -283,32 +313,6 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
 # Echo-protocol lower bounds (no public-discussion idealization)
 # =====================================================================
 
-def theorem2_draw_terms(params: SystemParams, n_draws: int,
-                        rng_seed: int) -> dict[str, np.ndarray]:
-    """Per-draw terms for the echo-protocol lower bounds.
-
-    alpha' averages over the probe-sequence energy ||x_A||^2 jointly with
-    the channel draws; the energy of m_A i.i.d. CN(0, p_A) symbols is
-    (p_A / 2) chi^2 with 2 m_A degrees of freedom, sampled directly.
-    """
-    if params.m_A < 1:
-        raise ParamError("echo-protocol bounds need m_A >= 1")
-    _, h_BA, g_A, _ = sample_channel_batch(params, rng_seed, n_draws)
-    hba2 = np.abs(h_BA) ** 2
-    ga2 = np.sum(np.abs(g_A) ** 2, axis=1)
-    main_ba, eve_ba = _strengths(params, hba2, ga2, "BA")
-    phi_ba = main_ba / (eve_ba + 1.0)
-    t = params.sigma_s2 / params.sigma_B2
-    xnorm2 = 0.5 * params.p_A * stream(rng_seed, "xnorm").chisquare(
-        2 * params.m_A, size=n_draws)
-    return {
-        "alpha_prime": _alpha_prime_term(xnorm2, params),
-        "xi_BA_prime": _xi_prime_term(phi_ba, t),
-        "xi_bar_BA": _xi_bar_term(phi_ba, t),
-        "xi_BA": np.log2(1.0 + phi_ba),
-    }
-
-
 def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
                        with_eta: bool) -> RateReport:
     validate(params)
@@ -370,9 +374,8 @@ def effective_snrs(params: SystemParams,
     probes from her own observations, which costs her a factor phi_BA + 1:
     snr_EB = (sigma_s2 / sigma_B2) / (phi_BA + 1).
     """
-    t = params.sigma_s2 / params.sigma_B2
-    p = phi(params, realization, "BA")
-    return float(t), float(t / (p + 1.0))
+    terms = per_realization_rates(params, realization)
+    return terms.snr_AB, terms.snr_EB
 
 
 def xi_tilde_analog(params: SystemParams,
@@ -380,14 +383,12 @@ def xi_tilde_analog(params: SystemParams,
     """Per-symbol secrecy rate of the analog echo for one channel draw.
 
     log2(1 + snr_AB) - log2(1 + snr_EB)
-      = log2(1 + phi_BA t / (t + 1 + phi_BA)),  t = sigma_s2 / sigma_B2.
+      = log2(1 + phi_BA t / (1 + phi_BA + t)),  t = sigma_s2 / sigma_B2.
 
     Strictly positive whenever phi_BA > 0 and capped by log2(1 + phi_BA),
     which it approaches as t -> infinity.
     """
-    t = params.sigma_s2 / params.sigma_B2
-    p = phi(params, realization, "BA")
-    return float(np.log2(1.0 + p * t / (t + 1.0 + p)))
+    return per_realization_rates(params, realization).xi_tilde
 
 
 def power_budget(params: SystemParams,

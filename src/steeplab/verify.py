@@ -28,7 +28,8 @@ from .digital import (BscParams, binary_entropy, mac_bounds_digital,
                       xi_digital)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams, validate
-from .rates import per_realization_rates, theorem2_draw_terms
+from .rates import (_drop_shared_terms, per_realization_rates, power_budget,
+                    theorem2_draw_terms)
 from .seeds import subseed
 
 __all__ = [
@@ -216,13 +217,14 @@ def theorem1_term_oracles(params: SystemParams,
 
     sides = (
         ("BA", params.p_A, realization.h_BA, realization.g_A,
-         params.sigma_B2, params.sigma_EA2,
+         params.sigma_B2, params.sigma_EA2, terms.main_BA, terms.eve_BA,
          terms.xi_BA_term, terms.gamma_BA_term),
         ("AB", params.p_B, realization.h_AB, realization.g_B,
-         params.sigma_A2, params.sigma_EB2,
+         params.sigma_A2, params.sigma_EB2, terms.main_AB, terms.eve_AB,
          terms.xi_AB_term, terms.gamma_AB_term),
     )
-    for (side, p, h, g, var_main, var_eve, xi_term, gamma_term) in sides:
+    for (side, p, h, g, var_main, var_eve, main, eve, xi_term,
+         gamma_term) in sides:
         g = np.asarray(g)
         n_e = g.shape[0]
         cov = _probe_covariance(p, h, g, var_main, var_eve)
@@ -231,8 +233,6 @@ def theorem1_term_oracles(params: SystemParams,
         i_xe = _mi_of_groups(cov, [0], e_axes)
         i_x_ye = _mi_of_groups(cov, [0], [1] + e_axes)
 
-        main = p * abs(h) ** 2 / var_main
-        eve = p * float(np.sum(np.abs(g) ** 2)) / var_eve
         reports.append(OracleReport.build(
             f"main-channel MI integrand {side}", math.log2(1.0 + main), i_xy, tol))
         reports.append(OracleReport.build(
@@ -360,8 +360,7 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
             label, want, got, 0.03 * want, n_samples=snr_params.m_A))
 
     # --- echo power budget ---------------------------------------------
-    p_r = (abs(episode.realization.h_BA) ** 2 * snr_params.p_A
-           + snr_params.sigma_B2 + snr_params.sigma_s2)
+    p_r, _ = power_budget(snr_params, episode.realization)
     reports.append(OracleReport.build(
         "echo power identity", p_r, float(np.mean(np.abs(episode.r) ** 2)),
         0.02 * p_r, n_samples=snr_params.m_A))
@@ -371,6 +370,7 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     draws = theorem2_draw_terms(lim_params, 4000, subseed(rng_seed, "crn"))
     lim = float(np.mean(draws["xi_BA"]))
     got = float(np.mean(draws["xi_BA_prime"]))
+    _drop_shared_terms()  # no other check reads this batch
     reports.append(OracleReport.build(
         "high-secret-power limit of the echo rate", lim, got,
         0.005 * lim, n_samples=4000))

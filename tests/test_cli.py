@@ -1,6 +1,7 @@
 """Harness behavior: subcommands, determinism, config, error handling."""
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from steeplab import (BscParams, DigitalEpisode, ParamError, RateReport,
                       SweepSpec, SystemParams, emit_plotdata, run_rates,
                       run_sweep)
+from steeplab import rates
+from steeplab.channel import sample_channel_batch
 from steeplab.cli import main, rows_to_csv
 
 
@@ -20,15 +23,36 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------- run_rates
 
 def test_run_rates_merges_everything():
-    rep = run_rates(SystemParams(), n_draws=1500, rng_seed=0)
-    for key in ("alpha", "C_B", "C_key_one_way", "theorem2_lower",
-                "theorem3_lower", "xi_tilde", "snr_AB", "snr_EB",
-                "power_p_r_mean"):
-        assert key in rep.values, key
-    # shared channel batch: identical quantities agree exactly
-    assert rep.values["xi_steep_ac"] == rep.values["xi_BA"]
-    assert rep.values["xi_tilde"] == rep.values["xi_BA_prime"]
-    assert rep.values["C_key_one_way"] == rep.values["C_B"]
+    for seed in (0, 5, 22):
+        rep = run_rates(SystemParams(), n_draws=1500, rng_seed=seed)
+        for key in ("alpha", "C_B", "C_key_one_way", "theorem2_lower",
+                    "theorem3_lower", "xi_tilde", "snr_AB", "snr_EB",
+                    "power_p_r_mean"):
+            assert key in rep.values, key
+        # shared channel batch: identical quantities agree exactly
+        assert rep.values["xi_steep_ac"] == rep.values["xi_BA"]
+        assert rep.values["xi_tilde"] == rep.values["xi_BA_prime"], seed
+        assert rep.stderr["xi_tilde"] == rep.stderr["xi_BA_prime"], seed
+        assert rep.values["C_key_one_way"] == rep.values["C_B"]
+
+
+def test_run_rates_single_draw():
+    rep = run_rates(SystemParams(), n_draws=1, rng_seed=0)
+    assert all(math.isfinite(v) for v in rep.values.values())
+    assert set(rep.stderr.values()) == {0.0}
+
+
+def test_run_rates_samples_one_channel_batch(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_channel_batch(*args)
+
+    monkeypatch.setattr(rates, "sample_channel_batch", counting)
+    # a point no other test evaluates, so no batch of it is kept already
+    run_rates(SystemParams(rho=0.3, m_A=3), n_draws=700, rng_seed=41)
+    assert len(calls) == 1
 
 
 def test_run_rates_no_probes_skips_echo_metrics():
@@ -162,6 +186,13 @@ def test_cli_rejects_invalid_params(capsys):
     assert "|rho| must be < 1" in err
 
 
+@pytest.mark.parametrize("flag, text", [("--rho", "abc"), ("--m_A", "1.5")])
+def test_cli_rejects_malformed_flag(capsys, flag, text):
+    code, _, err = run_cli(capsys, "rates", flag, text, "--n-draws", "100")
+    assert code == 1
+    assert err == f"error: parameter '{flag[2:]}': cannot parse value '{text}'\n"
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_field = 2\n")
@@ -190,6 +221,31 @@ def test_cli_sweep_plot_output(tmp_path, capsys):
                          "xi_digital", "--plot-out", str(plot))
     assert code == 0
     assert plot.read_text().splitlines()[0] == "x,y,y_err"
+
+
+def test_cli_sweep_digital_keeps_rows_outside_regime(capsys):
+    # P_EA = 0.5 puts P_E|B at 1/2, where the secrecy formula does not hold
+    code, out, err = run_cli(capsys, "sweep", "--digital", "--field", "P_EA",
+                             "--grid", "0.2,0.5,0.3", "--m_A", "16")
+    assert code == 1
+    assert err == ("error: P_EA = 0.5: secrecy formula outside stated "
+                   "regime: P_E|B >= 1/2\n")
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 4 and "status" in header
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["value"] for r in rows] == ["0.2", "0.5", "0.3"]
+    assert rows[1]["status"].startswith("secrecy formula outside")
+    assert rows[1]["xi_digital"] == rows[1]["xi_lower"] == ""
+    assert rows[0]["status"] == rows[2]["status"] == ""
+    assert float(rows[0]["xi_digital"]) < float(rows[2]["xi_digital"])
+
+
+def test_cli_sweep_digital_rejects_grid_outside_unit_half(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--digital", "--field", "P_EA",
+                             "--grid", "0.2,0.6")
+    assert code == 1 and out == ""
+    assert "P_EA must lie in [0, 0.5]" in err
 
 
 def test_cli_sweep_unknown_field_fails(capsys):
@@ -244,6 +300,21 @@ def test_cli_simulate_digital_transcript_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(blob.read_bytes()).hexdigest() == (
         "e522f2f04977f80a32e13a67433f6184c9a9ffafb15e633173ededd43608f3c8")
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ((), "9962a4c74efe7ada7df4c47586dcf44bfddf0c61fc98534c41b14ffc3fa51407"),
+    (("--m_B", "2"),
+     "7e63d01a3de06ad21b7779e1991755ef1e4823b8213fb8ad2ce916f2e3a0f293"),
+])
+def test_cli_sweep_bytes_pinned(capsys, extra, digest):
+    # measured before the draw terms moved into one kernel; the one-way and
+    # two-way rate reports must reproduce them exactly
+    code, out, _ = run_cli(capsys, "sweep", "--rho", "0.7", "--m_A", "8",
+                           "--field", "rho", "--grid", "0.3,0.5,0.7,0.9",
+                           "--n-draws", "2000", "--seed", "2", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_simulate_digital_explicit_target(capsys):
