@@ -34,8 +34,8 @@ from .digital import (BscParams, effective_error_rates, mac_bounds_digital,
                       reconcile_and_amplify, reconcile_plan,
                       run_digital_episode, validate_bsc, xi_digital)
 from .codes import hexdump
-from .params import (_INT_FIELDS, ChannelRealization, ParamError, RateReport,
-                     SystemParams, _coerce_value, read_config, validate)
+from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
+                     _field_types, _replace_from_text, read_config, validate)
 from .rates import (_drop_shared_terms, _mean_se, corollary1_capacity,
                     power_budget, theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
@@ -117,8 +117,7 @@ class SweepSpec:
     rng_seed: int = 0
 
     def check(self) -> "SweepSpec":
-        names = {f.name for f in dataclasses.fields(type(self.base))}
-        if self.field_name not in names:
+        if self.field_name not in _field_types(type(self.base)):
             raise ParamError(
                 f"unknown sweep field '{self.field_name}' for "
                 f"{type(self.base).__name__}"
@@ -134,7 +133,7 @@ class SweepSpec:
 
 
 def _sweep_value(spec: SweepSpec, value: float):
-    if spec.field_name in _INT_FIELDS:
+    if _field_types(type(spec.base))[spec.field_name] is int:
         ival = int(value)
         if ival != value:
             raise ParamError(f"field {spec.field_name} needs integer grid "
@@ -176,8 +175,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """Evaluate the sweep grid; row order and values never depend on
     ``workers`` because every point derives its own seed."""
     spec.check()
+    if workers < 1:
+        raise ParamError(f"workers must be >= 1, got {workers}")
     indices = range(len(spec.grid))
-    if workers <= 1:
+    if workers == 1:
         return [_sweep_point(spec, i) for i in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda i: _sweep_point(spec, i), indices))
@@ -216,66 +217,41 @@ def emit_plotdata(rows: list[dict], style: str,
     """Plot-ready CSV with columns x, y, y_err for one chosen metric."""
     if not rows:
         raise ParamError("no sweep rows; run the sweep first")
-    if style not in rows[0]:
-        available = ", ".join(sorted(k for k in rows[0]
-                                     if k not in ("field", "value")))
-        raise ParamError(f"unknown plot metric '{style}'; available: {available}")
-    out = [{"x": r["value"], "y": r[style],
-            "y_err": r.get(f"{style}_stderr", 0.0)} for r in rows]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "y_err"])
-    for r in out:
-        writer.writerow([_cell(float(r["x"])), _cell(float(r["y"])),
-                         _cell(float(r["y_err"]))])
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    missing = [r["value"] for r in rows if style not in r]
+    if missing:
+        available = ", ".join(sorted(set.intersection(*map(set, rows))
+                                     - {"field", "value"}))
+        raise ParamError(f"plot metric '{style}' is missing at value(s) "
+                         f"{', '.join(map(repr, missing))}; available: "
+                         f"{available}")
+    return rows_to_csv([{"x": float(r["value"]), "y": float(r[style]),
+                         "y_err": float(r.get(f"{style}_stderr", 0.0))}
+                        for r in rows], path)
 
 
 # =====================================================================
 # Command line
 # =====================================================================
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat 'key = value' parameter file")
-    for f in dataclasses.fields(SystemParams):
-        parser.add_argument(f"--{f.name}", default=None,
-                            help=f"override {f.name}")
+def _add_fields(parser: argparse.ArgumentParser, cls: type,
+                skip: frozenset[str] = frozenset()) -> None:
+    """One text-valued flag per field of ``cls``; ``_build`` parses them."""
+    for f in dataclasses.fields(cls):
+        if f.name not in skip:
+            parser.add_argument(f"--{f.name}", default=None, help=(
+                f"override {f.name}" if cls is SystemParams
+                else f"{f.name} (default {f.default})"))
 
 
-def _build_params(args: argparse.Namespace) -> SystemParams:
-    params = read_config(args.config) if args.config else SystemParams()
-    overrides = {}
-    for f in dataclasses.fields(SystemParams):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = _coerce_value(f.name, v)
-    if overrides:
-        params = dataclasses.replace(params, **overrides)
-    return validate(params)
-
-
-def _add_bsc_flags(parser: argparse.ArgumentParser,
-                   skip: frozenset[str] = frozenset()) -> None:
-    for f in dataclasses.fields(BscParams):
-        if f.name in skip:
-            continue
-        typ = int if f.name == "m_A" else float
-        parser.add_argument(f"--{f.name}", type=typ, default=None,
-                            help=f"{f.name} (default {f.default})")
-
-
-def _build_bsc(args: argparse.Namespace) -> BscParams:
-    kwargs = {}
-    for f in dataclasses.fields(BscParams):
-        v = getattr(args, f.name, None)
-        if isinstance(v, str):  # sweep's --m_A is the analog, text-valued flag
-            v = _coerce_value(f.name, v)
-        kwargs[f.name] = f.default if v is None else v
-    return validate_bsc(BscParams(**kwargs))
+def _build(cls: type, args: argparse.Namespace) -> SystemParams | BscParams:
+    """Params of ``cls``: defaults, then ``--config`` (analog only), then
+    every parameter flag given, each parsed by the schema."""
+    config = args.config if cls is SystemParams else None
+    base = read_config(config) if config else cls()
+    given = [(f.name, getattr(args, f.name)) for f in dataclasses.fields(cls)
+             if getattr(args, f.name, None) is not None]
+    params = _replace_from_text(base, given)
+    return validate(params) if cls is SystemParams else validate_bsc(params)
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -291,7 +267,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = _build(SystemParams, args)
     report = run_rates(params, n_draws=args.n_draws, rng_seed=args.seed)
     width = max(len(k) for k in report.values)
     for key in sorted(report.values):
@@ -308,10 +284,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.digital:
-        base: SystemParams | BscParams = _build_bsc(args)
-    else:
-        base = _build_params(args)
+    base = _build(BscParams if args.digital else SystemParams, args)
     spec = SweepSpec(base=base, field_name=args.field, grid=args.grid,
                      n_draws=args.n_draws, rng_seed=args.seed)
     rows = run_sweep(spec, workers=args.workers)
@@ -335,7 +308,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_analog(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = _build(SystemParams, args)
     episode = simulate_episode(params, args.seed)
     if args.out:
         episode_to_csv(episode, args.out)
@@ -362,7 +335,7 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_digital(args: argparse.Namespace) -> int:
-    bsc = _build_bsc(args)
+    bsc = _build(BscParams, args)
     episode = run_digital_episode(bsc, args.seed)
     plan = reconcile_plan(bsc, efficiency=args.efficiency,
                           safety_margin=args.safety_margin)
@@ -377,8 +350,8 @@ def _cmd_simulate_digital(args: argparse.Namespace) -> int:
         "leak_bits": plan.leak_bits,
         "max_key_len": plan.max_key_len,
     }
-    target = args.target_len if args.target_len is not None else plan.max_key_len
-    if target >= 1:
+    target = plan.max_key_len if args.target_len is None else args.target_len
+    if target >= 1 or args.target_len is not None:
         result = reconcile_and_amplify(episode, bsc, target, args.seed,
                                        efficiency=args.efficiency,
                                        safety_margin=args.safety_margin)
@@ -403,7 +376,7 @@ def _cmd_simulate_digital(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = _build(SystemParams, args)
     reports = run_oracle_suite(params, rng_seed=args.seed,
                                n_realizations=args.n_realizations)
     width = max(len(r.name) for r in reports)
@@ -427,47 +400,58 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed, missing or unknown flag as a ParamError."""
+
+    def error(self, message: str):
+        raise ParamError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steeplab",
         description="Probe-echo secrecy laboratory: closed-form rates, "
                     "protocol simulation, and oracle verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    analog = argparse.ArgumentParser(add_help=False)
+    analog.add_argument("--config", type=Path, default=None,
+                        help="flat 'key = value' parameter file")
+    _add_fields(analog, SystemParams)
+    digital = argparse.ArgumentParser(add_help=False)
+    _add_fields(digital, BscParams)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    p_rates = sub.add_parser("rates", help="closed-form rates at one point")
-    _add_param_flags(p_rates)
+    p_rates = sub.add_parser("rates", parents=[analog, seeded],
+                             help="closed-form rates at one point")
     p_rates.add_argument("--n-draws", type=int, default=10_000)
-    p_rates.add_argument("--seed", type=int, default=0)
     p_rates.add_argument("--json-out", type=Path, default=None)
     p_rates.set_defaults(func=_cmd_rates)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep over one field")
-    _add_param_flags(p_sweep)
-    _add_bsc_flags(p_sweep, skip=frozenset({"m_A"}))
+    p_sweep = sub.add_parser("sweep", parents=[analog, seeded],
+                             help="grid sweep over one field")
+    _add_fields(p_sweep, BscParams, skip=frozenset({"m_A"}))
     p_sweep.add_argument("--digital", action="store_true",
                          help="sweep the digital model instead of the analog one")
     p_sweep.add_argument("--field", required=True)
     p_sweep.add_argument("--grid", required=True, type=_grid,
                          help="comma-separated values")
     p_sweep.add_argument("--n-draws", type=int, default=4000)
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", type=Path, default=None)
     p_sweep.add_argument("--plot-metric", default=None)
     p_sweep.add_argument("--plot-out", type=Path, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_sim = sub.add_parser("simulate-analog", help="one probe-echo episode")
-    _add_param_flags(p_sim)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim = sub.add_parser("simulate-analog", parents=[analog, seeded],
+                           help="one probe-echo episode")
     p_sim.add_argument("--out", type=Path, default=None,
                        help="write the episode CSV here")
     p_sim.set_defaults(func=_cmd_simulate_analog)
 
-    p_dig = sub.add_parser("simulate-digital", help="one digital episode")
-    _add_bsc_flags(p_dig)
-    p_dig.add_argument("--seed", type=int, default=0)
+    p_dig = sub.add_parser("simulate-digital", parents=[digital, seeded],
+                           help="one digital episode")
     p_dig.add_argument("--target-len", type=int, default=None,
                        help="key length; defaults to the distillable maximum")
     p_dig.add_argument("--efficiency", type=float, default=1.6)
@@ -475,15 +459,14 @@ def main(argv: list[str] | None = None) -> int:
     p_dig.add_argument("--transcript-out", type=Path, default=None)
     p_dig.set_defaults(func=_cmd_simulate_digital)
 
-    p_ver = sub.add_parser("verify-bounds", help="run the oracle suite")
-    _add_param_flags(p_ver)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver = sub.add_parser("verify-bounds", parents=[analog, seeded],
+                           help="run the oracle suite")
     p_ver.add_argument("--n-realizations", type=int, default=200)
     p_ver.add_argument("--csv-out", type=Path, default=None)
     p_ver.set_defaults(func=_cmd_verify_bounds)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ParamError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

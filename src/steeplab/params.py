@@ -14,8 +14,10 @@ same names onto the same structure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,9 +68,6 @@ class SystemParams:
     m_B: int = 0            # probes sent by Bob
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
-_INT_FIELDS = {"n_E", "m_A", "m_B"}
-_COMPLEX_FIELDS = {"rho"}
 _POSITIVE_FIELDS = (
     "p_A", "p_B", "sigma_A2", "sigma_B2", "sigma_EA2", "sigma_EB2", "sigma_s2",
 )
@@ -178,28 +177,58 @@ class RateReport:
     @staticmethod
     def from_json(text: str) -> "RateReport":
         payload = json.loads(text)
-        raw = {str(k): v for k, v in payload["params"].items()}
-        kwargs = {k: _coerce_value(k, str(v)) for k, v in raw.items()}
+        pairs = [(str(k), str(v)) for k, v in payload["params"].items()]
         return RateReport(
-            params=SystemParams(**kwargs),
+            params=validate(_replace_from_text(SystemParams(), pairs)),
             values={k: float(v) for k, v in payload.get("values", {}).items()},
             stderr={k: float(v) for k, v in payload.get("stderr", {}).items()},
             notes=[str(n) for n in payload.get("notes", [])],
         )
 
 
-def _params_to_jsonable(params: SystemParams) -> dict:
+# =====================================================================
+# The parameter schema: a params dataclass's annotations are its field types
+# =====================================================================
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, type]:
+    """Field name -> annotated type (int, float or complex), in field order."""
+    return typing.get_type_hints(cls)
+
+
+def _coerce_value(key: str, text: str, cls: type):
+    """Parse the text form of field ``key`` of ``cls``; a real complex is a float."""
+    typ = _field_types(cls)[key]
+    try:
+        if typ is complex:
+            c = complex(text)
+            return c.real if c.imag == 0.0 else c
+        return typ(text)
+    except ValueError as exc:
+        raise ParamError(f"parameter '{key}': cannot parse value {text!r}") from exc
+
+
+def _params_to_jsonable(params) -> dict:
+    """Field name -> its value as an int, a float or, for complex, a string."""
     out = {}
-    for name in _FIELD_NAMES:
+    for name, typ in _field_types(type(params)).items():
         v = getattr(params, name)
-        if name in _COMPLEX_FIELDS:
+        if typ is complex:
             c = complex(v)
             out[name] = repr(c.real) if c.imag == 0.0 else str(c)
-        elif name in _INT_FIELDS:
-            out[name] = int(v)
         else:
-            out[name] = float(v)
+            out[name] = typ(v)
     return out
+
+
+def _replace_from_text(base, pairs):
+    """``base`` with each ``(key, text)`` pair parsed and applied; unvalidated."""
+    updates = {}
+    for key, text in pairs:
+        if key not in _field_types(type(base)):
+            raise ParamError(f"unknown config key '{key}'")
+        updates[key] = _coerce_value(key, text, type(base))
+    return dataclasses.replace(base, **updates)
 
 
 # =====================================================================
@@ -212,7 +241,7 @@ def parse_config(text: str) -> SystemParams:
     ``#`` starts a comment (whole line or trailing).  Unknown keys raise
     ParamError naming the key; omitted keys take their defaults.
     """
-    updates: dict = {}
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -221,37 +250,13 @@ def parse_config(text: str) -> SystemParams:
         key, val = key.strip(), val.strip()
         if not sep or not key or not val:
             raise ParamError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _FIELD_NAMES:
-            raise ParamError(f"unknown config key '{key}'")
-        updates[key] = _coerce_value(key, val)
-    return validate(SystemParams(**updates))
-
-
-def _coerce_value(key: str, text: str):
-    try:
-        if key in _INT_FIELDS:
-            return int(text)
-        if key in _COMPLEX_FIELDS:
-            c = complex(text)
-            return c.real if c.imag == 0.0 else c
-        return float(text)
-    except ValueError as exc:
-        raise ParamError(f"parameter '{key}': cannot parse value {text!r}") from exc
+        pairs.append((key, val))
+    return validate(_replace_from_text(SystemParams(), pairs))
 
 
 def format_config(params: SystemParams) -> str:
     """Serialize params to config text; parse(format(p)) == p."""
-    lines = []
-    for name in _FIELD_NAMES:
-        v = getattr(params, name)
-        if name in _COMPLEX_FIELDS:
-            c = complex(v)
-            lines.append(f"{name} = {repr(c.real) if c.imag == 0.0 else str(c)}")
-        elif name in _INT_FIELDS:
-            lines.append(f"{name} = {int(v)}")
-        else:
-            lines.append(f"{name} = {repr(float(v))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k} = {v}\n" for k, v in _params_to_jsonable(params).items())
 
 
 def read_config(path: str | Path) -> SystemParams:

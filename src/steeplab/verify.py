@@ -274,6 +274,8 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     assume; everything else runs at the given parameters.
     """
     validate(params)
+    if n_realizations < 1:
+        raise ParamError(f"n_realizations must be >= 1, got {n_realizations}")
     reports: list[OracleReport] = []
 
     # --- per-realization information terms, worst case over draws -----

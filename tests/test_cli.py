@@ -124,6 +124,35 @@ def test_plotdata_rejects_unknown_metric():
         emit_plotdata(rows, "no_such_metric")
 
 
+def test_plotdata_rejects_metric_missing_from_a_later_row():
+    rows = [{"field": "m_A", "value": 4.0, "alpha": 0.5, "theorem3_lower": 0.1},
+            {"field": "m_A", "value": 0.0, "alpha": 0.25}]
+    with pytest.raises(ParamError, match=r"theorem3_lower.*0\.0; "
+                                         r"available: alpha$"):
+        emit_plotdata(rows, "theorem3_lower")
+
+
+def test_cli_sweep_plot_bytes_pinned(tmp_path, capsys):
+    # measured when the plot CSV had its own csv.writer; rows_to_csv must
+    # write the same bytes
+    plot = tmp_path / "plot.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--field", "rho", "--grid",
+                         "0.2,0.6", "--n-draws", "300", "--seed", "5",
+                         "--plot-metric", "C_B", "--plot-out", str(plot))
+    assert code == 0
+    assert plot.read_text() == ("x,y,y_err\n"
+                                "0.2,1.720744561211421,0.09063350392541435\n"
+                                "0.6,2.442650536135378,0.09339862676033651\n")
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_nonpositive_workers(workers):
+    spec = SweepSpec(base=SystemParams(), field_name="rho", grid=(0.2,),
+                     n_draws=300)
+    with pytest.raises(ParamError, match="workers must be >= 1"):
+        run_sweep(spec, workers=workers)
+
+
 def test_rows_to_csv_round_trip_precision():
     rows = [{"field": "rho", "value": 0.1, "alpha": 1 / 3}]
     text = rows_to_csv(rows)
@@ -191,6 +220,27 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     code, _, err = run_cli(capsys, "rates", flag, text, "--n-draws", "100")
     assert code == 1
     assert err == f"error: parameter '{flag[2:]}': cannot parse value '{text}'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rates", "--n-draws", "abc"),
+    ("sweep", "--field", "rho", "--grid", "0.1,x"),
+    ("simulate-digital", "--P_EA", "abc"),
+    ("simulate-digital", "--m_A", "1.5"),
+    ("sweep", "--grid", "1"),
+    ("rates", "--bogus", "1"),
+    (),
+    # counts that used to drop work silently: all ten per-realization
+    # checks, the worker pool, or the key (max_key_len is 121 here)
+    ("verify-bounds", "--n-realizations", "0"),
+    ("sweep", "--field", "rho", "--grid", "0.2", "--workers", "0"),
+    ("simulate-digital", "--m_A", "2000", "--target-len", "0"),
+    ("simulate-digital", "--m_A", "2000", "--target-len", "-4"),
+])
+def test_cli_bad_input_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

@@ -129,3 +129,39 @@ def test_rate_report_check_rejects_nonfinite():
                      stderr={}, notes=[])
     with pytest.raises(ParamError):
         rep.check()
+
+
+# ---------------------------------------------------------------- schema
+
+PINNED = SystemParams(rho=0.3 + 0.4j, m_A=7, sigma_s2=0.1)
+
+
+def test_format_config_bytes_pinned():
+    assert format_config(PINNED) == (
+        "p_A = 1.0\np_B = 1.0\nsigma_A2 = 1.0\nsigma_B2 = 1.0\n"
+        "sigma_EA2 = 1.0\nsigma_EB2 = 1.0\nsigma_s2 = 0.1\neps_A = 1.0\n"
+        "eps_E = 1.0\nrho = (0.3+0.4j)\nn_E = 2\nm_A = 7\nm_B = 0\n")
+
+
+def test_rate_report_to_json_bytes_pinned():
+    assert RateReport(params=PINNED).to_json() == (
+        '{\n  "notes": [],\n  "params": {\n    "eps_A": 1.0,\n'
+        '    "eps_E": 1.0,\n    "m_A": 7,\n    "m_B": 0,\n    "n_E": 2,\n'
+        '    "p_A": 1.0,\n    "p_B": 1.0,\n    "rho": "(0.3+0.4j)",\n'
+        '    "sigma_A2": 1.0,\n    "sigma_B2": 1.0,\n    "sigma_EA2": 1.0,\n'
+        '    "sigma_EB2": 1.0,\n    "sigma_s2": 0.1\n  },\n'
+        '  "stderr": {},\n  "values": {}\n}')
+
+
+def test_rate_report_from_json_rejects_unknown_params_key():
+    payload = json.loads(RateReport(params=SystemParams()).to_json())
+    payload["params"]["bogus"] = 1.0
+    with pytest.raises(ParamError, match="unknown config key 'bogus'"):
+        RateReport.from_json(json.dumps(payload))
+
+
+def test_rate_report_from_json_validates_params():
+    payload = json.loads(RateReport(params=SystemParams()).to_json())
+    payload["params"]["rho"] = 1.5
+    with pytest.raises(ParamError, match=r"\|rho\| must be < 1"):
+        RateReport.from_json(json.dumps(payload))

@@ -161,3 +161,10 @@ def test_suite_honors_parameter_overrides():
     alpha_report = next(r for r in reports if r.name == "alpha")
     assert alpha_report.closed_form == pytest.approx(-math.log2(1 - 0.64),
                                                      abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_oracle_suite_rejects_no_realizations(n):
+    # zero draws used to drop the ten per-realization checks and still pass
+    with pytest.raises(ParamError, match="n_realizations must be >= 1"):
+        run_oracle_suite(SystemParams(), n_realizations=n)
