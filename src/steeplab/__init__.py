@@ -21,14 +21,14 @@ from .mmse import (EstimateResult, alice_estimate_s, alice_limit_mse,
                    eve_estimate_s, eve_estimate_xA, mse_ratio_eta)
 from .digital import (BscParams, DigitalEpisode, ReconcilePlan,
                       ReconcileResult, binary_entropy, bsc_convolve,
-                      effective_error_rates, mac_bounds_digital,
-                      reconcile_and_amplify, reconcile_plan, reorder_bits,
-                      run_digital_episode, validate_bsc, xi_digital)
+                      effective_error_rates, reconcile_and_amplify,
+                      reconcile_plan, run_digital_episode, validate_bsc,
+                      xi_digital)
 from .codes import (LdpcCode, decode_syndrome, hexdump, make_ldpc,
                     pack_bit_record, syndrome_of, toeplitz_hash,
                     unpack_bit_record)
 from .verify import (OracleReport, discrete_mi_enumerate, empirical_snr,
-                     gaussian_mi_logdet, run_oracle_suite,
+                     gaussian_mi_logdet, mac_bounds_digital, run_oracle_suite,
                      theorem1_term_oracles)
 from .cli import SweepSpec, emit_plotdata, run_rates, run_sweep
 
@@ -46,7 +46,7 @@ __all__ = [
     "eve_estimate_xA", "format_config", "gaussian_mi_logdet", "hexdump",
     "mac_bounds_digital", "make_ldpc", "mse_ratio_eta", "pack_bit_record",
     "parse_config", "per_realization_rates", "phi", "power_budget",
-    "read_config", "reconcile_and_amplify", "reconcile_plan", "reorder_bits",
+    "read_config", "reconcile_and_amplify", "reconcile_plan",
     "run_digital_episode", "run_echo", "run_oracle_suite", "run_probing",
     "run_rates", "run_sweep", "sample_channel_batch", "sample_channels",
     "simulate_episode", "syndrome_of", "theorem1_bounds",

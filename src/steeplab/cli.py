@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import SimulationError, episode_to_csv, simulate_episode
-from .digital import (BscParams, effective_error_rates, mac_bounds_digital,
-                      reconcile_and_amplify, reconcile_plan,
-                      run_digital_episode, validate_bsc, xi_digital)
+from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
+                      reconcile_plan, run_digital_episode, validate_bsc,
+                      xi_digital)
 from .codes import hexdump
 from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
                      _field_types, _replace_from_text, read_config, validate)
@@ -40,7 +40,7 @@ from .rates import (_drop_shared_terms, _mean_se, corollary1_capacity,
                     power_budget, theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
 from .seeds import subseed
-from .verify import empirical_snr, run_oracle_suite
+from .verify import empirical_snr, mac_bounds_digital, run_oracle_suite
 
 __all__ = ["SweepSpec", "run_rates", "run_sweep", "emit_plotdata",
            "rows_to_csv", "main"]
@@ -243,14 +243,23 @@ def _add_fields(parser: argparse.ArgumentParser, cls: type,
                 else f"{f.name} (default {f.default})"))
 
 
+_PARAM_FLAGS = ("config", *_field_types(SystemParams), *_field_types(BscParams))
+
+
 def _build(cls: type, args: argparse.Namespace) -> SystemParams | BscParams:
     """Params of ``cls``: defaults, then ``--config`` (analog only), then
-    every parameter flag given, each parsed by the schema."""
-    config = args.config if cls is SystemParams else None
+    every parameter flag given, each parsed by the schema.  A given flag
+    that ``cls`` does not use is an error, never dropped."""
+    given = {k: getattr(args, k) for k in _PARAM_FLAGS
+             if getattr(args, k, None) is not None}
+    own = [*(("config",) if cls is SystemParams else ()), *_field_types(cls)]
+    foreign = [k for k in given if k not in own]
+    if foreign:
+        raise ParamError(f"flags not used by {cls.__name__}: "
+                         + ", ".join(f"--{k}" for k in foreign))
+    config = given.pop("config", None)
     base = read_config(config) if config else cls()
-    given = [(f.name, getattr(args, f.name)) for f in dataclasses.fields(cls)
-             if getattr(args, f.name, None) is not None]
-    params = _replace_from_text(base, given)
+    params = _replace_from_text(base, [(k, given[k]) for k in own if k in given])
     return validate(params) if cls is SystemParams else validate_bsc(params)
 
 
@@ -284,6 +293,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.plot_out and not args.plot_metric:
+        raise ParamError("--plot-out needs --plot-metric")
     base = _build(BscParams if args.digital else SystemParams, args)
     spec = SweepSpec(base=base, field_name=args.field, grid=args.grid,
                      n_draws=args.n_draws, rng_seed=args.seed)
@@ -388,13 +399,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
               f"oracle={r.oracle: .9g}  |dev|={r.abs_dev:.3g}  "
               f"tol={r.tolerance:.3g}  n={r.n_samples}")
     if args.csv_out:
-        rows = [{
-            "name": r.name, "closed_form": r.closed_form, "oracle": r.oracle,
-            "abs_dev": r.abs_dev, "rel_dev": r.rel_dev,
-            "n_samples": str(r.n_samples), "tolerance": r.tolerance,
-            "passed": str(r.passed),
-        } for r in reports]
-        rows_to_csv(rows, path=args.csv_out)
+        rows_to_csv([dataclasses.asdict(r) for r in reports], path=args.csv_out)
         print(f"wrote {args.csv_out}")
     print(f"{len(reports) - failures}/{len(reports)} oracle checks passed")
     return 0 if failures == 0 else 2

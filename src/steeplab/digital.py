@@ -17,13 +17,8 @@ p * q = p(1-q) + q(1-p):
 
 and the per-bit secrecy rate is xi = f(P_E|B) - f(P_A|B) with f the binary
 entropy in bits.  The same number is both the lower and the upper
-secret-key bound for the probing data sets, which ``mac_bounds_digital``
-demonstrates from an independent joint-PMF enumeration.
-
-Lost probe packets are modeled before reordering as bits with crossover
-exactly 1/2; ``reorder_bits`` then applies a shared-seed permutation so the
-surviving randomness is spread uniformly and the channel can be treated as
-memoryless afterwards.
+secret-key bound for the probing data sets; ``steeplab.verify`` shows it by
+exact enumeration.
 
 ``reconcile_and_amplify`` turns an episode into identical keys: Bob
 discloses the syndrome of b_s under a public LDPC matrix (see
@@ -39,12 +34,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (LdpcCode, decode_syndrome, make_ldpc, pack_bit_record,
-                    syndrome_of, toeplitz_hash, unpack_bit_record)
+from .codes import (decode_syndrome, make_ldpc, pack_bit_record, syndrome_of,
+                    toeplitz_hash, unpack_bit_record)
 from .params import ParamError
 from .seeds import stream, subseed
 
@@ -58,9 +53,7 @@ __all__ = [
     "bsc_convolve",
     "effective_error_rates",
     "xi_digital",
-    "mac_bounds_digital",
     "run_digital_episode",
-    "reorder_bits",
     "reconcile_plan",
     "reconcile_and_amplify",
 ]
@@ -74,8 +67,8 @@ __all__ = [
 class BscParams:
     """Crossover rates of the four binary symmetric channels plus m_A.
 
-    P = 1/2 is allowed (it models lost packets before reordering) but the
-    secrecy formulas require the effective rates to stay below 1/2.
+    P = 1/2 is allowed (it models lost packets) but the secrecy formulas
+    require the effective rates to stay below 1/2.
     """
 
     P_BA: float = 0.1   # probing, Alice -> Bob
@@ -153,43 +146,6 @@ def xi_digital(bsc: BscParams, mode: str = "exact") -> float:
     return float(binary_entropy(p_eb) - binary_entropy(p_ab))
 
 
-def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
-    """Lower and upper secret-key bounds for the probing data sets.
-
-    The probing phase alone gives Alice b_A, Bob b_B = b_A xor w_BA, Eve
-    b_EA = b_A xor w_EA.  The lower bound is computed from the closed form
-    f(P_BA * P_EA) - f(P_BA); the upper bound H(b_B | b_EA) -
-    H(b_B | b_A, b_EA) is evaluated by exact enumeration of the joint PMF
-    over (b_A, b_B, b_EA), an independent code path.  The two coincide for
-    every valid parameter set.
-    """
-    validate_bsc(bsc)
-    xi_l = float(binary_entropy(bsc_convolve(bsc.P_BA, bsc.P_EA))
-                 - binary_entropy(bsc.P_BA))
-
-    # joint PMF over (b_A, b_B, b_EA) by direct summation
-    pmf = np.zeros((2, 2, 2))
-    for a in (0, 1):
-        for w1 in (0, 1):
-            for w2 in (0, 1):
-                p = 0.5
-                p *= bsc.P_BA if w1 else (1.0 - bsc.P_BA)
-                p *= bsc.P_EA if w2 else (1.0 - bsc.P_EA)
-                pmf[a, a ^ w1, a ^ w2] += p
-
-    def _cond_entropy(joint: np.ndarray, target_axis: int) -> float:
-        # H(target | rest) = H(all) - H(rest)
-        def _h(q: np.ndarray) -> float:
-            q = q[q > 0.0]
-            return float(-np.sum(q * np.log2(q)))
-        return _h(joint) - _h(joint.sum(axis=target_axis))
-
-    h_b_given_ea = _cond_entropy(pmf.sum(axis=0), target_axis=0)   # over (b_B, b_EA)
-    h_b_given_a_ea = _cond_entropy(pmf, target_axis=1)
-    xi_u = h_b_given_ea - h_b_given_a_ea
-    return xi_l, float(xi_u)
-
-
 # =====================================================================
 # Episodes
 # =====================================================================
@@ -257,34 +213,6 @@ def run_digital_episode(bsc: BscParams, rng_seed: int) -> DigitalEpisode:
         b_A=b_a, b_BA=b_ba, b_EA=b_ea, b_s=b_s, b_r=b_r,
         b_AB=b_ab, b_EB=b_eb, bbar_AB=b_ab ^ b_a, bbar_EB=b_eb ^ b_ea,
     )
-
-
-def reorder_bits(bits: np.ndarray, lost_mask: np.ndarray | None,
-                 shared_seed: int,
-                 fill_seed: int | None = None) -> np.ndarray:
-    """Fill lost positions with fair coins, then permute by a shared seed.
-
-    The permutation depends only on ``shared_seed``, so every party applies
-    the same one.  The coin fill must differ between parties; pass each
-    party its own ``fill_seed`` (required whenever anything was lost).
-    ``lost_mask=None`` means nothing was lost.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if lost_mask is None:
-        lost_mask = np.zeros(bits.shape, dtype=bool)
-    lost = np.asarray(lost_mask, dtype=bool)
-    if bits.shape != lost.shape:
-        raise ParamError("bits and lost_mask must have identical shape")
-    filled = bits.copy()
-    n_lost = int(lost.sum())
-    if n_lost:
-        if fill_seed is None:
-            raise ParamError("fill_seed is required when packets were lost; "
-                             "each party must flip its own coins")
-        filled[lost] = stream(fill_seed, "fill").integers(0, 2, size=n_lost,
-                                                          dtype=np.uint8)
-    perm = stream(shared_seed, "perm").permutation(bits.shape[0])
-    return filled[perm]
 
 
 # =====================================================================

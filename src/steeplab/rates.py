@@ -161,9 +161,6 @@ class PerRealizationRates:
     main_AB: float           # the same for Bob's probes, at Alice and at Eve
     eve_AB: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {k: float(getattr(self, k)) for k in self.__dataclass_fields__}
-
 
 def per_realization_rates(params: SystemParams,
                           realization: ChannelRealization) -> PerRealizationRates:

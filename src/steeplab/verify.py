@@ -4,7 +4,8 @@ Routes kept deliberately separate from the formulas they test:
 
 * Gaussian mutual informations are recomputed from assembled covariance
   matrices by log-determinants (Cholesky), never by the closed forms.
-* Discrete informations are recomputed by exact joint-PMF summation.
+* Discrete informations are recomputed by exact joint-PMF summation
+  (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound.
 * Estimator MSEs, effective SNRs, and powers are recomputed from simulated
   signals.
 
@@ -18,13 +19,14 @@ the reports.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .channel import sample_channels, simulate_episode
-from .digital import (BscParams, binary_entropy, mac_bounds_digital,
+from .digital import (BscParams, binary_entropy, bsc_convolve, validate_bsc,
                       xi_digital)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams, validate
@@ -36,6 +38,7 @@ __all__ = [
     "OracleReport",
     "gaussian_mi_logdet",
     "discrete_mi_enumerate",
+    "mac_bounds_digital",
     "empirical_snr",
     "theorem1_term_oracles",
     "run_oracle_suite",
@@ -143,6 +146,54 @@ def discrete_mi_enumerate(pmf: np.ndarray, groups) -> float:
     denom = (p_u * p_v)
     np.divide(pmf, denom, out=ratio, where=mask)
     return float(np.sum(pmf[mask] * np.log2(ratio[mask])))
+
+
+def _joint_pmf(rates, derive) -> np.ndarray:
+    """Exact PMF of the three bits ``derive(b, *w)`` over a fair bit b and
+    one Bernoulli(rate) flip w_i per rate, summed in ``np.ndindex`` order."""
+    pmf = np.zeros((2, 2, 2))
+    for bits in itertools.product((0, 1), repeat=1 + len(rates)):
+        prob = 0.5
+        for bit, rate in zip(bits[1:], rates):
+            prob *= rate if bit else (1.0 - rate)
+        pmf[derive(*bits)] += prob
+    return pmf
+
+
+def _entropy(pmf: np.ndarray) -> float:
+    q = pmf[pmf > 0.0]
+    return float(-np.sum(q * np.log2(q)))
+
+
+def _xi_by_enumeration(bsc: BscParams) -> float:
+    """xi recomputed by exact enumeration over all five bit variables."""
+    # axes: (b_s, bbar_AB, bbar_EB)
+    pmf = _joint_pmf((bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB),
+                     lambda b_s, w_ba, w_ea, w_ab, w_eb:
+                     (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
+    i_ab = discrete_mi_enumerate(pmf.sum(axis=2), ((0,), (1,)))
+    i_eb = discrete_mi_enumerate(pmf.sum(axis=1), ((0,), (1,)))
+    return i_ab - i_eb
+
+
+def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
+    """Lower and upper secret-key bounds for the probing data sets.
+
+    The probing phase alone gives Alice b_A, Bob b_B = b_A xor w_BA, Eve
+    b_EA = b_A xor w_EA.  The lower bound is the closed form
+    f(P_BA * P_EA) - f(P_BA); the upper bound H(b_B | b_EA) -
+    H(b_B | b_A, b_EA) comes from the exact joint PMF over
+    (b_A, b_B, b_EA).  The two coincide for every valid parameter set.
+    """
+    validate_bsc(bsc)
+    xi_l = float(binary_entropy(bsc_convolve(bsc.P_BA, bsc.P_EA))
+                 - binary_entropy(bsc.P_BA))
+    pmf = _joint_pmf((bsc.P_BA, bsc.P_EA),
+                     lambda a, w_ba, w_ea: (a, a ^ w_ba, a ^ w_ea))
+    p_b_ea = pmf.sum(axis=0)
+    h_b_given_ea = _entropy(p_b_ea) - _entropy(p_b_ea.sum(axis=0))
+    h_b_given_a_ea = _entropy(pmf) - _entropy(pmf.sum(axis=1))
+    return xi_l, float(h_b_given_ea - h_b_given_a_ea)
 
 
 # =====================================================================
@@ -338,14 +389,12 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
         "eve_x": "Eve probe-estimate MSE vs closed form",
         "eve_s": "Eve secret-estimate MSE vs closed form",
     }
-    n_eff = {"alice": mmse_params.m_A, "eve_x": mmse_params.m_A,
-             "eve_s": mmse_params.m_A}
     for key, label in labels.items():
         diff = np.asarray(emp[key]) - np.asarray(closed[key])
         se = float(np.std(diff, ddof=1) / math.sqrt(n_trials))
         reports.append(OracleReport.build(
             label, float(np.mean(closed[key])), float(np.mean(emp[key])),
-            max(3.0 * se, 1e-15), n_samples=n_trials * n_eff[key]))
+            max(3.0 * se, 1e-15), n_samples=n_trials * mmse_params.m_A))
 
     # --- echo-phase SNRs from raw signals ------------------------------
     snr_params = dc_replace(reg, m_A=100_000)
@@ -378,22 +427,3 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
         0.005 * lim, n_samples=4000))
 
     return reports
-
-
-def _xi_by_enumeration(bsc: BscParams) -> float:
-    """xi recomputed by exact enumeration over all five bit variables."""
-    # axes: (b_s, bbar_AB, bbar_EB)
-    pmf = np.zeros((2, 2, 2))
-    rates = (bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB)
-    for b_s in (0, 1):
-        for w in np.ndindex(2, 2, 2, 2):
-            prob = 0.5
-            for bit, rate in zip(w, rates):
-                prob *= rate if bit else (1.0 - rate)
-            w_ba, w_ea, w_ab, w_eb = w
-            bbar_ab = b_s ^ w_ba ^ w_ab
-            bbar_eb = b_s ^ w_ea ^ w_ba ^ w_eb
-            pmf[b_s, bbar_ab, bbar_eb] += prob
-    i_ab = discrete_mi_enumerate(pmf.sum(axis=2), ((0,), (1,)))
-    i_eb = discrete_mi_enumerate(pmf.sum(axis=1), ((0,), (1,)))
-    return i_ab - i_eb

@@ -236,6 +236,12 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     ("sweep", "--field", "rho", "--grid", "0.2", "--workers", "0"),
     ("simulate-digital", "--m_A", "2000", "--target-len", "0"),
     ("simulate-digital", "--m_A", "2000", "--target-len", "-4"),
+    # flags the chosen model never reads, and a plot file with no metric
+    ("sweep", "--digital", "--config", "bad.cfg", "--rho", "0.3",
+     "--field", "P_EA", "--grid", "0.2"),
+    ("sweep", "--field", "rho", "--grid", "0.2", "--P_EA", "0.3"),
+    ("sweep", "--field", "rho", "--grid", "0.2", "--n-draws", "100",
+     "--plot-out", "pp.csv"),
 ])
 def test_cli_bad_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -365,6 +371,16 @@ def test_cli_sweep_bytes_pinned(capsys, extra, digest):
                            "--n-draws", "2000", "--seed", "2", *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_sweep_digital_bytes_pinned(capsys):
+    # measured while the bounds were still enumerated in steeplab.digital
+    code, out, _ = run_cli(capsys, "sweep", "--digital", "--field", "P_EA",
+                           "--grid", "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45",
+                           "--P_AB", "0.01", "--P_EB", "0.01")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ff4c586578377542c84aa7e95f874fadf2a36e6be2ed2fbf65a858e17ed847f6")
 
 
 def test_cli_simulate_digital_explicit_target(capsys):

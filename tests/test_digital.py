@@ -1,4 +1,4 @@
-"""Digital protocol: BSC algebra, episodes, reordering, reconciliation."""
+"""Digital protocol: BSC algebra, episodes, reconciliation."""
 import dataclasses
 import math
 import warnings
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       bsc_convolve, effective_error_rates,
                       mac_bounds_digital, reconcile_and_amplify,
-                      reconcile_plan, reorder_bits, run_digital_episode,
+                      reconcile_plan, run_digital_episode,
                       validate_bsc, xi_digital)
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
@@ -163,37 +163,6 @@ def test_episode_bytes_rejects_truncation():
     blob = run_digital_episode(DEFAULT, 2).to_bytes()
     with pytest.raises(ParamError):
         DigitalEpisode.from_bytes(blob[:-3])
-
-
-# ---------------------------------------------------------------- reorder
-
-def test_reorder_shared_permutation():
-    bits_a = np.arange(100, dtype=np.uint8) % 2
-    bits_b = bits_a.copy()
-    out_a = reorder_bits(bits_a, None, shared_seed=9)
-    out_b = reorder_bits(bits_b, None, shared_seed=9)
-    assert np.array_equal(out_a, out_b)
-    assert not np.array_equal(out_a, bits_a)  # actually permuted
-    assert np.sort(out_a).sum() == bits_a.sum()
-
-
-def test_reorder_with_losses_needs_fill_seed():
-    bits = np.ones(50, dtype=np.uint8)
-    lost = np.zeros(50, dtype=bool)
-    lost[7] = True
-    with pytest.raises(ParamError, match="fill_seed"):
-        reorder_bits(bits, lost, shared_seed=1)
-    out = reorder_bits(bits, lost, shared_seed=1, fill_seed=4)
-    assert out.shape == (50,)
-
-
-def test_reorder_fill_is_party_specific():
-    bits = np.zeros(300, dtype=np.uint8)
-    lost = np.zeros(300, dtype=bool)
-    lost[:150] = True
-    a = reorder_bits(bits, lost, shared_seed=1, fill_seed=10)
-    b = reorder_bits(bits, lost, shared_seed=1, fill_seed=11)
-    assert not np.array_equal(a, b)  # different private fills disagree
 
 
 # ---------------------------------------------------------------- plans

@@ -1,0 +1,33 @@
+"""The public API: every name in ``steeplab.__all__`` and nothing else."""
+import steeplab
+
+EXPORTS = [
+    "AnalogEpisode", "BscParams", "ChannelRealization", "DigitalEpisode",
+    "EstimateResult", "LdpcCode", "OracleReport", "ParamError",
+    "PerRealizationRates", "RateReport", "ReconcilePlan", "ReconcileResult",
+    "SimulationError", "SweepSpec", "SystemParams", "alice_estimate_s",
+    "alice_limit_mse", "alpha", "binary_entropy", "bsc_convolve",
+    "corollary1_capacity", "decode_syndrome", "discrete_mi_enumerate",
+    "effective_error_rates", "effective_snrs", "emit_plotdata",
+    "empirical_snr", "episode_to_csv", "eve_estimate_s", "eve_estimate_xA",
+    "format_config", "gaussian_mi_logdet", "hexdump", "mac_bounds_digital",
+    "make_ldpc", "mse_ratio_eta", "pack_bit_record", "parse_config",
+    "per_realization_rates", "phi", "power_budget", "read_config",
+    "reconcile_and_amplify", "reconcile_plan", "run_digital_episode",
+    "run_echo", "run_oracle_suite", "run_probing", "run_rates", "run_sweep",
+    "sample_channel_batch", "sample_channels", "simulate_episode",
+    "syndrome_of", "theorem1_bounds", "theorem1_term_oracles",
+    "theorem2_lower_bound", "theorem3_lower_bound", "toeplitz_hash",
+    "unpack_bit_record", "validate", "validate_bsc", "xi_digital",
+    "xi_tilde_analog",
+]
+
+
+def test_all_is_pinned_and_resolves():
+    assert sorted(steeplab.__all__) == EXPORTS
+    for name in steeplab.__all__:
+        assert getattr(steeplab, name) is not None, name
+
+
+def test_enumeration_oracles_live_in_verify():
+    assert steeplab.mac_bounds_digital.__module__ == "steeplab.verify"

@@ -1,13 +1,16 @@
 """The oracles themselves: log-det MI, discrete MI, SNR fits, full suite."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from steeplab import (ParamError, SystemParams, discrete_mi_enumerate,
-                      empirical_snr, gaussian_mi_logdet, run_oracle_suite,
-                      sample_channels, theorem1_term_oracles)
+from steeplab import (BscParams, ParamError, SystemParams,
+                      discrete_mi_enumerate, empirical_snr, gaussian_mi_logdet,
+                      mac_bounds_digital, run_oracle_suite, sample_channels,
+                      theorem1_term_oracles)
+from steeplab.verify import _xi_by_enumeration
 from steeplab.seeds import stream
 
 
@@ -89,6 +92,18 @@ def test_discrete_mi_groups_must_partition():
     pmf = np.full((2, 2), 0.25)
     with pytest.raises(ParamError):
         discrete_mi_enumerate(pmf, ([0], [0]))
+
+
+def test_digital_enumerations_pinned():
+    # both enumeration oracles on the oracle suite's 9x9 grid, return rates
+    # 0 and 0.01; measured while each hand-rolled its own joint-PMF loop
+    grid = np.arange(0.05, 0.50, 0.05)
+    values = [(mac_bounds_digital(bsc), _xi_by_enumeration(bsc))
+              for r in (0.0, 0.01) for p_ba in grid for p_ea in grid
+              for bsc in [BscParams(P_BA=float(p_ba), P_EA=float(p_ea),
+                                    P_AB=r, P_EB=r, m_A=8)]]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "bbfc82e261d659f7ba5f094bef45517f2d324160e53c05eda541412fc3356ee4")
 
 
 # ------------------------------------------------------------- SNR fits
