@@ -22,8 +22,6 @@ reproduce identical episodes bit for bit.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -194,34 +192,36 @@ EPISODE_CSV_COLUMNS = (
 )
 
 
+#: Rows formatted per block; formatting whole columns would raise peak memory.
+_CSV_BLOCK_ROWS = 1024
+
+
 def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> str:
     """Render an episode as columnar CSV text (and optionally write it).
 
     Incomplete episodes leave the echo columns empty.  Floats use repr-level
-    precision, so equal episodes serialize to byte-identical text.
+    precision, so equal episodes serialize to byte-identical text.  Every
+    field is an int, a repr float or empty, so none ever needs CSV quoting.
     """
     n_e = np.asarray(episode.realization.g_A).shape[0]
     header = list(EPISODE_CSV_COLUMNS)
     for i in range(n_e):
         header += [f"e_A{i}_re", f"e_A{i}_im"]
-
-    def cols(z: np.ndarray | None, k: int) -> list[str]:
-        if z is None:
-            return ["", ""]
-        return [repr(float(z[k].real)), repr(float(z[k].imag))]
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for k in range(episode.m_A):
-        row = [str(k)]
-        for sig in (episode.x_A, episode.y_B, episode.s, episode.r,
-                    episode.y_AB, episode.y_EB):
-            row += cols(sig, k)
-        for i in range(n_e):
-            row += cols(episode.e_A[i], k)
-        writer.writerow(row)
-    text = buf.getvalue()
+    signals = (episode.x_A, episode.y_B, episode.s, episode.r,
+               episode.y_AB, episode.y_EB, *episode.e_A)
+    blocks = [",".join(header) + "\n"]
+    for lo in range(0, episode.m_A, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, episode.m_A)
+        cols = [map(str, range(lo, hi))]
+        for z in signals:
+            if z is None:
+                cols += [[""] * (hi - lo)] * 2
+            else:
+                cols += [map(repr, z.real[lo:hi].tolist()),
+                         map(repr, z.imag[lo:hi].tolist())]
+        blocks.append("".join([",".join(row) + "\n" for row in zip(*cols)]))
+    text = "".join(blocks)
+    del blocks  # the file write encodes one more copy of the text
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text

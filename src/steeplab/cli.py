@@ -390,6 +390,8 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
     reports = run_oracle_suite(params, rng_seed=args.seed,
                                n_realizations=args.n_realizations)
+    if args.csv_out:
+        rows_to_csv([dataclasses.asdict(r) for r in reports], path=args.csv_out)
     width = max(len(r.name) for r in reports)
     failures = 0
     for r in reports:
@@ -399,7 +401,6 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
               f"oracle={r.oracle: .9g}  |dev|={r.abs_dev:.3g}  "
               f"tol={r.tolerance:.3g}  n={r.n_samples}")
     if args.csv_out:
-        rows_to_csv([dataclasses.asdict(r) for r in reports], path=args.csv_out)
         print(f"wrote {args.csv_out}")
     print(f"{len(reports) - failures}/{len(reports)} oracle checks passed")
     return 0 if failures == 0 else 2
@@ -473,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParamError, SimulationError) as exc:
+    except (ParamError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

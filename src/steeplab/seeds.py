@@ -1,8 +1,9 @@
 """Deterministic, role-tagged random streams.
 
-Every random draw in the package flows from an explicit integer seed plus a
-tuple of role tags (small ints or short strings).  Each distinct
-``(seed, *tags)`` combination yields an independent counter-based stream, so
+Every random draw in the package flows from an explicit integer seed in
+[0, 2**64) plus a tuple of role tags (small ints or short strings).  Each
+distinct ``(seed, *tags)`` combination yields an independent counter-based
+stream, so
 
 * identical inputs reproduce identical draws bit for bit,
 * distinct signal roles inside one episode never share a stream, and
@@ -14,6 +15,8 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+from .params import ParamError
 
 __all__ = ["stream", "subseed"]
 
@@ -29,7 +32,11 @@ def _tag_int(tag: int | str) -> int:
 
 
 def _seed_sequence(seed: int, tags: tuple) -> np.random.SeedSequence:
-    entropy = (int(seed) & _MASK64,) + tuple(_tag_int(t) for t in tags)
+    seed = int(seed)
+    # masking a seed outside [0, 2**64) would alias it to another seed's streams
+    if not 0 <= seed <= _MASK64:
+        raise ParamError(f"seed must be in [0, 2**64), got {seed}")
+    entropy = (seed,) + tuple(_tag_int(t) for t in tags)
     return np.random.SeedSequence(entropy)
 
 

@@ -1,5 +1,8 @@
 """Channel sampling statistics, episode simulation, and CSV export."""
+import csv
 import dataclasses
+import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from steeplab import (ParamError, SimulationError, SystemParams,
                       sample_channel_batch, sample_channels,
                       simulate_episode, validate)
 from steeplab.channel import EPISODE_CSV_COLUMNS, cnormal
+from steeplab.cli import main
 from steeplab.seeds import stream
 
 
@@ -163,3 +167,53 @@ def test_episode_csv_incomplete_leaves_echo_columns_empty():
     assert row[header.index("s_re")] == ""
     assert row[header.index("y_EB_im")] == ""
     assert row[header.index("x_A_re")] != ""
+
+
+def _reference_episode_csv(episode):
+    """The definition: one csv.writer row per probe index, one repr per float."""
+    n_e = np.asarray(episode.realization.g_A).shape[0]
+    header = list(EPISODE_CSV_COLUMNS)
+    for i in range(n_e):
+        header += [f"e_A{i}_re", f"e_A{i}_im"]
+
+    def cols(z, k):
+        if z is None:
+            return ["", ""]
+        return [repr(float(z[k].real)), repr(float(z[k].imag))]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for k in range(episode.m_A):
+        row = [str(k)]
+        for sig in (episode.x_A, episode.y_B, episode.s, episode.r,
+                    episode.y_AB, episode.y_EB):
+            row += cols(sig, k)
+        for i in range(n_e):
+            row += cols(episode.e_A[i], k)
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+# m_A on both sides of the 1024-row block, and a partial last block
+@pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("n_E", [1, 3])
+@pytest.mark.parametrize("complete", [True, False])
+def test_episode_csv_matches_reference(tmp_path, m_A, n_E, complete):
+    p = dataclasses.replace(SystemParams(), m_A=m_A, n_E=n_E)
+    seed = 1000 * m_A + n_E
+    ep = (simulate_episode(p, seed) if complete
+          else run_probing(p, sample_channels(p, seed), seed))
+    expected = _reference_episode_csv(ep)
+    path = tmp_path / "ep.csv"
+    assert episode_to_csv(ep, path) == expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_cli_simulate_analog_csv_pinned(tmp_path, capsys):
+    out = tmp_path / "ep.csv"
+    assert main(["simulate-analog", "--m_A", "2500", "--seed", "9",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "19b88134810ec8f400dcf95304d3409da7265ab2b62832c8ff1aedbfddd681c9")

@@ -242,6 +242,19 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     ("sweep", "--field", "rho", "--grid", "0.2", "--P_EA", "0.3"),
     ("sweep", "--field", "rho", "--grid", "0.2", "--n-draws", "100",
      "--plot-out", "pp.csv"),
+    # files that cannot be read or written
+    ("simulate-analog", "--out", "/nodir/x.csv"),
+    ("simulate-digital", "--transcript-out", "/nodir/t.bin"),
+    ("sweep", "--field", "rho", "--grid", "0.2", "--n-draws", "100",
+     "--out", "/nodir/s.csv"),
+    ("verify-bounds", "--csv-out", "/nodir/v.csv"),
+    ("rates", "--config", "/nofile.cfg"),
+    # seeds outside [0, 2**64), which would alias a valid seed's streams
+    ("simulate-analog", "--m_A", "5", "--seed", "-1"),
+    ("simulate-analog", "--m_A", "5", "--seed", str(1 << 64)),
+    ("simulate-analog", "--m_A", "5", "--seed", str((1 << 65) - 1)),
+    ("sweep", "--field", "rho", "--grid", "0.2,0.3", "--n-draws", "100",
+     "--workers", "2", "--seed", "-1"),
 ])
 def test_cli_bad_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -332,6 +345,14 @@ def test_cli_simulate_analog_deterministic(tmp_path, capsys):
     run_cli(capsys, "simulate-analog", "--m_A", "64", "--seed", "9",
             "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_largest_seed_keeps_its_bytes(capsys):
+    code, text, _ = run_cli(capsys, "simulate-analog", "--m_A", "5",
+                            "--seed", str((1 << 64) - 1))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3b038a328c074f7405ecd8aa7d99557715df5c4f530b5533a68b68decf52c5a7")
 
 
 def test_cli_simulate_digital(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Hierarchical seed derivation: stability and stream independence."""
 import numpy as np
+import pytest
 
+from steeplab import ParamError
 from steeplab.seeds import stream, subseed
 
 
@@ -36,3 +38,11 @@ def test_streams_look_independent():
     x = stream(0, "a").standard_normal(200_000)
     y = stream(0, "b").standard_normal(200_000)
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 65) - 1])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ParamError, match=r"seed must be in \[0, 2\*\*64\)"):
+        stream(seed, "probe")
+    with pytest.raises(ParamError, match="seed must be in"):
+        subseed(seed, "ldpc")
