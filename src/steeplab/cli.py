@@ -271,12 +271,22 @@ def _grid(text: str) -> tuple[float, ...]:
             f"grid must be comma-separated numbers, got {text!r}") from exc
 
 
+def _check_out_dirs(*paths: Path | None) -> None:
+    """Fail before the work, not after it, when an output file's directory
+    does not exist."""
+    for path in paths:
+        if path is not None and not path.parent.is_dir():
+            raise ParamError(f"cannot write {path}: directory {path.parent} "
+                             "does not exist")
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
+    _check_out_dirs(args.json_out)
     report = run_rates(params, n_draws=args.n_draws, rng_seed=args.seed)
     width = max(len(k) for k in report.values)
     for key in sorted(report.values):
@@ -296,6 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.plot_out and not args.plot_metric:
         raise ParamError("--plot-out needs --plot-metric")
     base = _build(BscParams if args.digital else SystemParams, args)
+    _check_out_dirs(args.out, args.plot_out)
     spec = SweepSpec(base=base, field_name=args.field, grid=args.grid,
                      n_draws=args.n_draws, rng_seed=args.seed)
     rows = run_sweep(spec, workers=args.workers)
@@ -320,6 +331,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_analog(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
+    _check_out_dirs(args.out)
     episode = simulate_episode(params, args.seed)
     if args.out:
         episode_to_csv(episode, args.out)
@@ -347,6 +359,7 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_digital(args: argparse.Namespace) -> int:
     bsc = _build(BscParams, args)
+    _check_out_dirs(args.transcript_out)
     episode = run_digital_episode(bsc, args.seed)
     plan = reconcile_plan(bsc, efficiency=args.efficiency,
                           safety_margin=args.safety_margin)
@@ -388,6 +401,7 @@ def _cmd_simulate_digital(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
+    _check_out_dirs(args.csv_out)
     reports = run_oracle_suite(params, rng_seed=args.seed,
                                n_realizations=args.n_realizations)
     if args.csv_out:

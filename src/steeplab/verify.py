@@ -4,6 +4,10 @@ Routes kept deliberately separate from the formulas they test:
 
 * Gaussian mutual informations are recomputed from assembled covariance
   matrices by log-determinants (Cholesky), never by the closed forms.
+  ``theorem1_term_oracles`` takes one channel realization or a sequence;
+  a sequence is one stack of covariances, so each log-det is one
+  Hermitian check and one Cholesky over all its draws, and
+  ``run_oracle_suite`` passes its draws in blocks of a fixed size.
 * Discrete informations are recomputed by exact joint-PMF summation
   (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound.
 * Estimator MSEs, effective SNRs, and powers are recomputed from simulated
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -80,44 +85,48 @@ class OracleReport:
 # Gaussian log-det oracle
 # =====================================================================
 
-def _logdet2(cov: np.ndarray) -> float:
-    """log2 det of a Hermitian positive definite matrix, via Cholesky."""
+def _logdet2(cov: np.ndarray) -> float | np.ndarray:
+    """log2 det of Hermitian positive definite matrices, via Cholesky.
+
+    ``cov`` is one matrix, which gives a float, or a stack ``(..., k, k)``,
+    which gives an array of its leading shape from one Hermitian check and
+    one Cholesky; any bad matrix in the stack raises."""
     cov = np.atleast_2d(np.asarray(cov))
-    if cov.shape[0] != cov.shape[1]:
+    if cov.shape[-2] != cov.shape[-1]:
         raise ParamError(f"covariance must be square, got {cov.shape}")
-    if not np.allclose(cov, cov.conj().T, atol=1e-10):
+    if not np.allclose(cov, np.conj(np.swapaxes(cov, -1, -2)), atol=1e-10):
         raise ParamError("covariance matrix is not Hermitian")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ParamError("covariance matrix is not positive definite") from exc
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    logdet = 2.0 * np.sum(
+        np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    return float(logdet) if cov.ndim == 2 else logdet
 
 
 def gaussian_mi_logdet(cov_u: np.ndarray, cov_v: np.ndarray,
-                       cov_joint: np.ndarray) -> float:
+                       cov_joint: np.ndarray) -> float | np.ndarray:
     """I(U; V) in bits from marginal and joint covariances.
 
     Circular complex Gaussian convention: independent blocks give exactly
-    zero; a scalar pair with correlation c gives -log2(1 - |c|^2).
+    zero; a scalar pair with correlation c gives -log2(1 - |c|^2).  Stacks
+    of covariances ``(..., k, k)`` give one MI per matrix.
     """
     cov_u = np.atleast_2d(np.asarray(cov_u))
     cov_v = np.atleast_2d(np.asarray(cov_v))
     cov_joint = np.atleast_2d(np.asarray(cov_joint))
-    if cov_u.shape[0] + cov_v.shape[0] != cov_joint.shape[0]:
+    if cov_u.shape[-1] + cov_v.shape[-1] != cov_joint.shape[-1]:
         raise ParamError("joint covariance dimension must equal dim U + dim V")
     return _logdet2(cov_u) + _logdet2(cov_v) - _logdet2(cov_joint)
 
 
-def _mi_of_groups(cov: np.ndarray, idx_u, idx_v) -> float:
-    """MI between two index groups of one joint covariance."""
+def _mi_of_groups(cov: np.ndarray, idx_u, idx_v) -> float | np.ndarray:
+    """MI between two index groups of a joint covariance (or of each
+    matrix in a stack; the groups index the last two axes)."""
     idx_u, idx_v = list(idx_u), list(idx_v)
-    joint_idx = idx_u + idx_v
-    return gaussian_mi_logdet(
-        cov[np.ix_(idx_u, idx_u)],
-        cov[np.ix_(idx_v, idx_v)],
-        cov[np.ix_(joint_idx, joint_idx)],
-    )
+    return gaussian_mi_logdet(*(cov[(..., *np.ix_(idx, idx))]
+                                for idx in (idx_u, idx_v, idx_u + idx_v)))
 
 
 # =====================================================================
@@ -227,87 +236,121 @@ def empirical_snr(s: np.ndarray, t: np.ndarray) -> float:
 # Per-realization information-term oracles
 # =====================================================================
 
-def _probe_covariance(p: float, h: complex, g: np.ndarray,
-                      var_main: float, var_eve: float) -> np.ndarray:
-    """Joint covariance of (x, y, e_1..e_nE) for one probing direction."""
-    g = np.asarray(g)
-    n_e = g.shape[0]
-    dim = 2 + n_e
-    cov = np.zeros((dim, dim), dtype=complex)
-    cov[0, 0] = p
-    cov[0, 1] = p * np.conj(h)
-    cov[1, 0] = p * h
-    cov[1, 1] = p * abs(h) ** 2 + var_main
-    cov[0, 2:] = p * np.conj(g)
-    cov[2:, 0] = p * g
-    cov[1, 2:] = p * h * np.conj(g)
-    cov[2:, 1] = p * np.conj(h) * g
-    cov[2:, 2:] = p * np.outer(g, np.conj(g)) + var_eve * np.eye(n_e)
+def _probe_covariance(p: float, h, g: np.ndarray, var_main: float,
+                      var_eve: float) -> np.ndarray:
+    """Joint covariances of (x, y, e_1..e_nE) for one probing direction,
+    one per draw: ``h`` holds R gains, ``g`` is (R, n_E), the result
+    (R, 2+n_E, 2+n_E).
+
+    Every entry keeps the operation order of a single draw, so a stack
+    gives the same bits as one draw at a time: the scalar products and
+    |h|^2 come from Python on each gain, the Eve block is p (g g^H).
+    """
+    n_e = g.shape[1]
+    cov = np.zeros((len(h), 2 + n_e, 2 + n_e), dtype=complex)
+    p_h = np.array([p * x for x in h], dtype=complex)
+    p_conj_h = p * np.conj(np.array(h, dtype=complex))
+    cov[:, 0, 0] = p
+    cov[:, 0, 1] = p_conj_h
+    cov[:, 1, 0] = p_h
+    cov[:, 1, 1] = [p * abs(x) ** 2 + var_main for x in h]
+    cov[:, 0, 2:] = p * np.conj(g)
+    cov[:, 2:, 0] = p * g
+    cov[:, 1, 2:] = p_h[:, None] * np.conj(g)
+    cov[:, 2:, 1] = p_conj_h[:, None] * g
+    cov[:, 2:, 2:] = (p * (g[:, :, None] * np.conj(g)[:, None, :])
+                      + var_eve * np.eye(n_e))
     return cov
 
 
 def theorem1_term_oracles(params: SystemParams,
-                          realization: ChannelRealization) -> list[OracleReport]:
+                          realizations: ChannelRealization
+                          | Sequence[ChannelRealization]) -> list[OracleReport]:
     """Check every per-realization log term against log-det recomputation.
 
-    Covariances are assembled for a single probe symbol; the probe count
-    enters the session bounds only as a multiplier, so one symbol settles
-    the integrands.
+    ``realizations`` is one draw, or a sequence of draws whose covariances
+    are checked as one stack; then each check reports the draw with the
+    largest deviation (the first on a tie), with ``n_samples`` the number
+    of draws.  The closed forms come from ``per_realization_rates`` on each
+    draw.  Covariances are assembled for a single probe symbol; the probe
+    count enters the session bounds only as a multiplier, so one symbol
+    settles the integrands.
     """
     validate(params)
-    realization.check_for(params)
-    terms = per_realization_rates(params, realization)
+    single = isinstance(realizations, ChannelRealization)
+    draws = [realizations] if single else list(realizations)
+    if not draws:
+        raise ParamError("theorem1_term_oracles needs at least one realization")
+    terms = [per_realization_rates(params, r) for r in draws]
+
+    def closed(field):
+        return [getattr(t, field) for t in terms]
+
     tol = 1e-9
-    reports: list[OracleReport] = []
+    # (name, closed form per draw, oracle per draw, tolerance)
+    checks: list[tuple] = []
 
     rho = complex(params.rho)
     cov_hh = np.array([[1.0, rho], [np.conj(rho), 1.0]])
-    reports.append(OracleReport.build(
-        "alpha", -math.log2(1.0 - abs(rho) ** 2),
-        gaussian_mi_logdet([[1.0]], [[1.0]], cov_hh), 1e-12))
+    checks.append(("alpha", [-math.log2(1.0 - abs(rho) ** 2)],
+                   [gaussian_mi_logdet([[1.0]], [[1.0]], cov_hh)], 1e-12))
 
-    sides = (
-        ("BA", params.p_A, realization.h_BA, realization.g_A,
-         params.sigma_B2, params.sigma_EA2, terms.main_BA, terms.eve_BA,
-         terms.xi_BA_term, terms.gamma_BA_term),
-        ("AB", params.p_B, realization.h_AB, realization.g_B,
-         params.sigma_A2, params.sigma_EB2, terms.main_AB, terms.eve_AB,
-         terms.xi_AB_term, terms.gamma_AB_term),
-    )
-    for (side, p, h, g, var_main, var_eve, main, eve, xi_term,
-         gamma_term) in sides:
-        g = np.asarray(g)
-        n_e = g.shape[0]
+    sides = (("BA", params.p_A, "h_BA", "g_A", params.sigma_B2,
+              params.sigma_EA2),
+             ("AB", params.p_B, "h_AB", "g_B", params.sigma_A2,
+              params.sigma_EB2))
+    for side, p, h_name, g_name, var_main, var_eve in sides:
+        h = [getattr(r, h_name) for r in draws]
+        g = np.array([getattr(r, g_name) for r in draws])
+        n_e = g.shape[1]
         cov = _probe_covariance(p, h, g, var_main, var_eve)
         e_axes = list(range(2, 2 + n_e))
         i_xy = _mi_of_groups(cov, [0], [1])
         i_xe = _mi_of_groups(cov, [0], e_axes)
         i_x_ye = _mi_of_groups(cov, [0], [1] + e_axes)
-
-        reports.append(OracleReport.build(
-            f"main-channel MI integrand {side}", math.log2(1.0 + main), i_xy, tol))
-        reports.append(OracleReport.build(
-            f"eavesdropper MI integrand {side}", math.log2(1.0 + eve), i_xe, tol))
-        reports.append(OracleReport.build(
-            f"xi integrand {side} (conditional MI)", xi_term, i_x_ye - i_xe, tol))
-        reports.append(OracleReport.build(
-            f"gamma integrand {side} (MI difference)", gamma_term, i_xy - i_xe, tol))
+        checks += [
+            (f"main-channel MI integrand {side}",
+             [math.log2(1.0 + v) for v in closed(f"main_{side}")], i_xy, tol),
+            (f"eavesdropper MI integrand {side}",
+             [math.log2(1.0 + v) for v in closed(f"eve_{side}")], i_xe, tol),
+            (f"xi integrand {side} (conditional MI)",
+             closed(f"xi_{side}_term"), i_x_ye - i_xe, tol),
+            (f"gamma integrand {side} (MI difference)",
+             closed(f"gamma_{side}_term"), i_xy - i_xe, tol),
+        ]
 
         if side == "BA":
             # independent second route for the same conditional-MI term:
             # whitened quadratic form over the stacked observation
-            g_prime = np.concatenate(([h], g))
-            d_inv = np.concatenate(([1.0 / var_main], np.full(n_e, 1.0 / var_eve)))
-            quad = float(np.real(np.sum(d_inv * np.abs(g_prime) ** 2)))
-            t2 = math.log2(p * quad + 1.0) - math.log2(eve + 1.0)
-            reports.append(OracleReport.build(
-                "xi integrand BA (whitened quadratic form)", xi_term, t2, tol))
+            g_prime = np.concatenate((np.array(h, dtype=complex)[:, None], g),
+                                     axis=1)
+            d_inv = np.concatenate(([1.0 / var_main],
+                                    np.full(n_e, 1.0 / var_eve)))
+            quad = np.real(np.sum(d_inv * np.abs(g_prime) ** 2, axis=-1))
+            t2 = [math.log2(p * q + 1.0) - math.log2(eve + 1.0)
+                  for q, eve in zip(quad.tolist(), closed("eve_BA"))]
+            checks.append(("xi integrand BA (whitened quadratic form)",
+                           closed("xi_BA_term"), t2, tol))
+
+    n_samples = "exact" if single else len(draws)
+    reports: list[OracleReport] = []
+    for name, closed_form, oracle, tolerance in checks:
+        closed_form, oracle = np.asarray(closed_form), np.asarray(oracle)
+        worst = int(np.argmax(np.abs(closed_form - oracle)))
+        reports.append(OracleReport.build(
+            name, float(closed_form[worst]), float(oracle[worst]), tolerance,
+            n_samples))
     return reports
 
 
 # =====================================================================
 # Full suite
 # =====================================================================
+
+# realizations per stacked call of theorem1_term_oracles in run_oracle_suite;
+# fixed, so memory stays bounded at any n_realizations
+_TERM_BLOCK = 256
+
 
 def _regime(params: SystemParams) -> SystemParams:
     """Premise overrides for echo-phase checks: eps well under sigma_B2."""
@@ -331,9 +374,10 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
 
     # --- per-realization information terms, worst case over draws -----
     worst: dict[str, OracleReport] = {}
-    for i in range(n_realizations):
-        realization = sample_channels(params, subseed(rng_seed, "oracle", i))
-        for rep in theorem1_term_oracles(params, realization):
+    for lo in range(0, n_realizations, _TERM_BLOCK):
+        block = [sample_channels(params, subseed(rng_seed, "oracle", i))
+                 for i in range(lo, min(lo + _TERM_BLOCK, n_realizations))]
+        for rep in theorem1_term_oracles(params, block):
             old = worst.get(rep.name)
             if old is None or rep.abs_dev > old.abs_dev:
                 worst[rep.name] = rep

@@ -262,6 +262,28 @@ def test_cli_bad_input_exits_1(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("worker, argv", [
+    ("run_rates", ("rates", "--json-out", "/nodir/r.json")),
+    ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",
+                   "--out", "/nodir/s.csv")),
+    ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",
+                   "--plot-metric", "alpha", "--plot-out", "/nodir/p.csv")),
+    ("simulate_episode", ("simulate-analog", "--out", "/nodir/x.csv")),
+    ("run_digital_episode", ("simulate-digital",
+                             "--transcript-out", "/nodir/t.bin")),
+    ("run_oracle_suite", ("verify-bounds", "--csv-out", "/nodir/v.csv")),
+])
+def test_cli_missing_output_directory_fails_before_the_work(
+        monkeypatch, capsys, worker, argv):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before the output path was checked")
+    monkeypatch.setattr(f"steeplab.cli.{worker}", reached)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: cannot write /nodir/{}: directory /nodir does not " \
+        "exist\n".format(argv[-1].rsplit("/", 1)[1])
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_field = 2\n")
@@ -418,6 +440,25 @@ def test_cli_simulate_digital_overlong_target(capsys):
 
 
 # ------------------------------------------------------- CLI: verify
+
+@pytest.mark.parametrize("argv, stdout_digest, csv_digest", [
+    (("--seed", "3", "--n-realizations", "200"),
+     "467d1196c07fdb642bbdee5ff6a27bed0b9e27ff9ef3945bee5fd76bbe23d18d",
+     "ddcdb8400a1e5edfc3dee1ac4c3c08e945af546e3231e2ad08177a3710913b11"),
+    (("--n_E", "3", "--rho", "0.4", "--seed", "4"),
+     "27a10ffdec7a37ba068f526c6cdc82fa4b155f42481389650865de8f37d86bcb",
+     "b472063e0a40b5de79866911de4dc65c4955477bd1983ec282430dbaf9d9c994"),
+])
+def test_cli_verify_bounds_bytes_pinned(tmp_path, monkeypatch, capsys, argv,
+                                        stdout_digest, csv_digest):
+    # measured while each draw's log-dets ran as their own Cholesky calls
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "verify-bounds", *argv, "--csv-out", "v.csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256((tmp_path / "v.csv").read_bytes()).hexdigest() == (
+        csv_digest)
+
 
 def test_cli_verify_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify-bounds", "--n-realizations", "15",

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from steeplab import (BscParams, ParamError, SystemParams,
+from steeplab import (BscParams, OracleReport, ParamError, SystemParams,
                       discrete_mi_enumerate, empirical_snr, gaussian_mi_logdet,
-                      mac_bounds_digital, run_oracle_suite, sample_channels,
-                      theorem1_term_oracles)
-from steeplab.verify import _xi_by_enumeration
-from steeplab.seeds import stream
+                      mac_bounds_digital, per_realization_rates,
+                      run_oracle_suite, sample_channels, theorem1_term_oracles)
+from steeplab import verify
+from steeplab.verify import _TERM_BLOCK, _logdet2, _xi_by_enumeration
+from steeplab.seeds import stream, subseed
 
 
 # ------------------------------------------------------------- gaussian MI
@@ -40,6 +41,32 @@ def test_gaussian_mi_rejects_inconsistent_blocks():
     cov = np.eye(1, dtype=complex)
     with pytest.raises(ParamError):
         gaussian_mi_logdet(cov, cov, np.eye(3, dtype=complex))
+
+
+def test_gaussian_mi_of_one_matrix_is_a_float():
+    joint = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    got = gaussian_mi_logdet(joint[:1, :1], joint[1:, 1:], joint)
+    assert type(got) is float
+    assert got == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
+
+
+def test_logdet_of_a_stack_is_one_per_matrix():
+    stack = np.array([np.eye(3) * v for v in (1.0, 4.0, 16.0)], dtype=complex)
+    np.testing.assert_array_equal(_logdet2(stack), [0.0, 6.0, 12.0])
+    assert [_logdet2(m) for m in stack] == [0.0, 6.0, 12.0]
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.array([[1.0, 0.5], [0.2, 1.0]]), "not Hermitian"),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+])
+def test_logdet_stack_with_one_bad_matrix_raises(bad, match):
+    stack = np.array([np.eye(2)] * 5, dtype=complex)
+    stack[3] = bad
+    with pytest.raises(ParamError, match=match):
+        _logdet2(stack)
+    with pytest.raises(ParamError, match=match):
+        gaussian_mi_logdet(stack[:, :1, :1], stack[:, 1:, 1:], stack)
 
 
 def test_logdet_rejects_indefinite():
@@ -139,6 +166,134 @@ def test_empirical_snr_noiseless_is_astronomical():
 
 
 # ------------------------------------------------------------- suite
+
+def _reference_term_oracles(params, realization):
+    """The per-realization term oracles as one matrix at a time: every
+    log-det its own Hermitian check and Cholesky."""
+    def logdet2(cov):
+        assert np.allclose(cov, cov.conj().T, atol=1e-10)
+        return float(2.0 * np.sum(np.log2(np.real(np.diag(
+            np.linalg.cholesky(cov))))))
+
+    def mi(cov, idx_u, idx_v):
+        joint = idx_u + idx_v
+        return (logdet2(cov[np.ix_(idx_u, idx_u)])
+                + logdet2(cov[np.ix_(idx_v, idx_v)])
+                - logdet2(cov[np.ix_(joint, joint)]))
+
+    terms = per_realization_rates(params, realization)
+    rho = complex(params.rho)
+    cov_hh = np.array([[1.0, rho], [np.conj(rho), 1.0]])
+    reports = [OracleReport.build(
+        "alpha", -math.log2(1.0 - abs(rho) ** 2),
+        mi(cov_hh, [0], [1]), 1e-12)]
+    for side, p, h, g, var_main, var_eve in (
+            ("BA", params.p_A, realization.h_BA, realization.g_A,
+             params.sigma_B2, params.sigma_EA2),
+            ("AB", params.p_B, realization.h_AB, realization.g_B,
+             params.sigma_A2, params.sigma_EB2)):
+        n_e = g.shape[0]
+        cov = np.zeros((2 + n_e, 2 + n_e), dtype=complex)
+        cov[0, 0] = p
+        cov[0, 1] = p * np.conj(h)
+        cov[1, 0] = p * h
+        cov[1, 1] = p * abs(h) ** 2 + var_main
+        cov[0, 2:] = p * np.conj(g)
+        cov[2:, 0] = p * g
+        cov[1, 2:] = p * h * np.conj(g)
+        cov[2:, 1] = p * np.conj(h) * g
+        cov[2:, 2:] = p * np.outer(g, np.conj(g)) + var_eve * np.eye(n_e)
+        e_axes = list(range(2, 2 + n_e))
+        i_xy = mi(cov, [0], [1])
+        i_xe = mi(cov, [0], e_axes)
+        i_x_ye = mi(cov, [0], [1] + e_axes)
+        main, eve = getattr(terms, f"main_{side}"), getattr(terms, f"eve_{side}")
+        xi, gamma = (getattr(terms, f"{k}_{side}_term") for k in ("xi", "gamma"))
+        reports += [
+            OracleReport.build(f"main-channel MI integrand {side}",
+                               math.log2(1.0 + main), i_xy, 1e-9),
+            OracleReport.build(f"eavesdropper MI integrand {side}",
+                               math.log2(1.0 + eve), i_xe, 1e-9),
+            OracleReport.build(f"xi integrand {side} (conditional MI)",
+                               xi, i_x_ye - i_xe, 1e-9),
+            OracleReport.build(f"gamma integrand {side} (MI difference)",
+                               gamma, i_xy - i_xe, 1e-9)]
+        if side == "BA":
+            g_prime = np.concatenate(([h], g))
+            d_inv = np.concatenate(([1.0 / var_main],
+                                    np.full(n_e, 1.0 / var_eve)))
+            quad = float(np.real(np.sum(d_inv * np.abs(g_prime) ** 2)))
+            t2 = math.log2(p * quad + 1.0) - math.log2(eve + 1.0)
+            reports.append(OracleReport.build(
+                "xi integrand BA (whitened quadratic form)", xi, t2, 1e-9))
+    return reports
+
+
+def _reference_worst_terms(params, rng_seed, sizes):
+    """The worst report per check over the first n draws, one draw at a
+    time, for each n in ``sizes``: {n: reports}."""
+    worst, snapshots = {}, {}
+    for i in range(max(sizes)):
+        realization = sample_channels(params, subseed(rng_seed, "oracle", i))
+        for rep in _reference_term_oracles(params, realization):
+            old = worst.get(rep.name)
+            if old is None or rep.abs_dev > old.abs_dev:
+                worst[rep.name] = rep
+        if i + 1 in sizes:
+            snapshots[i + 1] = [dataclasses.replace(rep, n_samples=i + 1)
+                                for rep in worst.values()]
+    return snapshots
+
+
+# non-unit powers and noises, where p (g g^H) and (p g) g^H differ in bits
+_POWERS = dict(p_A=2.7, p_B=0.6, sigma_A2=1.3, sigma_B2=0.8, sigma_EA2=1.9,
+               sigma_EB2=0.45)
+
+
+@pytest.mark.parametrize("overrides, seed, sizes", [
+    (dict(n_E=1, rho=0.7), 0,
+     (1, 7, _TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1)),
+    (dict(n_E=2, rho=0.3 + 0.4j, **_POWERS), 3, (1, 7, _TERM_BLOCK + 1)),
+    (dict(n_E=4, rho=0.5, **_POWERS), 8, (1, _TERM_BLOCK)),
+    (dict(n_E=1, rho=-0.2 + 0.6j, **_POWERS), 13, (7,)),
+    (dict(n_E=2, rho=0.95), 21, (7,)),
+    (dict(n_E=4, rho=-0.6j), 34, (1, 7)),
+])
+def test_stacked_term_oracles_equal_one_draw_at_a_time(overrides, seed, sizes):
+    params = dataclasses.replace(SystemParams(), **overrides)
+    want = _reference_worst_terms(params, seed, sizes)
+    for n in sizes:
+        got = run_oracle_suite(params, rng_seed=seed, n_realizations=n)[:10]
+        assert repr(got) == repr(want[n]), n
+
+
+def test_term_blocks_merge_like_one_loop(monkeypatch):
+    # blocks of three draws, so the worst draw is found across many blocks
+    monkeypatch.setattr(verify, "_TERM_BLOCK", 3)
+    params = dataclasses.replace(SystemParams(), n_E=3, rho=0.4 - 0.3j,
+                                 **_POWERS)
+    want = _reference_worst_terms(params, 5, (40,))
+    got = run_oracle_suite(params, rng_seed=5, n_realizations=40)[:10]
+    assert repr(got) == repr(want[40])
+
+
+def test_term_oracles_of_one_draw_and_of_a_sequence():
+    p = dataclasses.replace(SystemParams(), n_E=3, rho=0.2 - 0.5j, **_POWERS)
+    draws = [sample_channels(p, seed) for seed in range(40)]
+    for r in draws:
+        assert repr(theorem1_term_oracles(p, r)) == repr(
+            _reference_term_oracles(p, r))
+    worst = theorem1_term_oracles(p, draws)
+    assert {r.n_samples for r in worst} == {40}
+    per_draw = [theorem1_term_oracles(p, r) for r in draws]
+    for k, rep in enumerate(worst):
+        devs = [reps[k].abs_dev for reps in per_draw]
+        first = devs.index(max(devs))   # ties go to the first draw
+        assert repr(rep) == repr(dataclasses.replace(per_draw[first][k],
+                                                     n_samples=40))
+    with pytest.raises(ParamError, match="at least one"):
+        theorem1_term_oracles(p, [])
+
 
 def test_term_oracles_pass_on_random_realizations():
     p = SystemParams()
