@@ -5,7 +5,10 @@ publishes H b_s for a sparse parity-check matrix H, Alice XORs in the
 syndrome of her own copy and decodes the resulting error-pattern syndrome
 under a memoryless BSC prior.  The default H is a column-weight-3 regular
 LDPC decoded by sum-product message passing; its check count (hence the
-disclosure) is set by the caller from the target crossover rate.
+disclosure) is set by the caller from the target crossover rate.  The
+edge list is put in check order by a stable radix sort, and every parity
+(the published syndromes and the decoder's stop test) is an exact XOR
+reduction over uint8 bits.  Bit inputs must hold only 0 and 1.
 
 Privacy amplification is seeded binary Toeplitz hashing: key = T bits mod 2
 with T[i, j] = seed_bits[i - j + n - 1], a universal-hash family, applied
@@ -40,6 +43,14 @@ __all__ = [
 ]
 
 
+def _as_bits(bits) -> np.ndarray:
+    """``bits`` as uint8; ParamError if any entry is not 0 or 1."""
+    bits = np.asarray(bits)
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ParamError("bit arrays may hold only 0 and 1")
+    return bits.astype(np.uint8, copy=False)
+
+
 # =====================================================================
 # LDPC syndrome code
 # =====================================================================
@@ -50,7 +61,9 @@ class LdpcCode:
 
     ``chk[e]`` / ``var[e]`` give the check and variable of edge e; edges are
     grouped by check and ``ptr`` holds the first edge of each check, so
-    per-check reductions run via ``reduceat``.
+    per-check reductions run via ``reduceat``.  The order is a stable radix
+    sort by check, so within a check the edges keep their column order;
+    that order fixes the float order of the decoder's ``reduceat`` products.
     """
 
     n_bits: int
@@ -65,7 +78,11 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     """Random regular-column-weight LDPC with near-uniform check degrees.
 
     Columns never repeat a check (no double edges), which removes the
-    dominant short-cycle failure mode at desk scale.
+    dominant short-cycle failure mode at desk scale.  The edges are put in
+    check order by a stable LSD radix sort over 16-bit digits of the check
+    index (numpy sorts 16-bit keys by radix; the high pass runs only above
+    2^16 checks), which gives the unique stable order without a comparison
+    sort.
     """
     if not (1 <= n_checks < n_bits):
         raise ParamError(f"need 1 <= n_checks < n_bits, got {n_checks}, {n_bits}")
@@ -79,12 +96,15 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     sockets = np.repeat(np.arange(n_checks, dtype=np.int64), row_w)
     rng.shuffle(sockets)
     cols = sockets.reshape(n_bits, col_weight)
+    pairs = [(a, b) for b in range(col_weight) for a in range(b)]
 
     # repair columns that drew the same check twice by swapping sockets
     # with a random other column until all columns are duplicate-free
     for _ in range(200):
-        srt = np.sort(cols, axis=1)
-        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        dup = np.zeros(n_bits, dtype=bool)
+        for a, b in pairs:
+            dup |= cols[:, a] == cols[:, b]
+        bad = np.flatnonzero(dup)
         if bad.size == 0:
             break
         for j in bad:
@@ -101,21 +121,30 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
         raise ParamError("could not build a duplicate-free parity structure; "
                          "lower col_weight or raise n_checks")
 
-    var = np.repeat(np.arange(n_bits, dtype=np.int64), col_weight)
+    # edge e = col_weight * v + slot sits in column v; sort the edges by
+    # check with one stable pass per 16-bit digit, low digit first (the
+    # uint16 casts keep the low 16 bits; check indices fit in 32)
     chk = cols.reshape(-1)
-    order = np.argsort(chk, kind="stable")
-    chk, var = chk[order], var[order]
-    counts = np.bincount(chk, minlength=n_checks)
-    ptr = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    return LdpcCode(n_bits=n_bits, n_checks=n_checks, chk=chk, var=var, ptr=ptr)
+    order = np.argsort(chk.astype(np.uint16), kind="stable")
+    high = (chk[order] >> 16).astype(np.uint16)
+    if high.any():
+        order = order[np.argsort(high, kind="stable")]
+    # the swaps only move sockets, so check c still holds row_w[c] edges
+    # and the sorted check column is the unshuffled socket list
+    return LdpcCode(n_bits=n_bits, n_checks=n_checks,
+                    chk=np.repeat(np.arange(n_checks, dtype=np.int64), row_w),
+                    var=order // col_weight,
+                    ptr=np.concatenate(([0], np.cumsum(row_w)[:-1])))
+
+
+def _parity(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
+    """H bits mod 2 for a uint8 0/1 vector, as an exact XOR per check."""
+    return np.bitwise_xor.reduceat(bits[code.var], code.ptr)
 
 
 def syndrome_of(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
-    """H bits mod 2 as a uint8 vector of length n_checks."""
-    bits = np.asarray(bits, dtype=np.int64)
-    sums = np.bincount(code.chk, weights=bits[code.var].astype(np.float64),
-                       minlength=code.n_checks)
-    return (sums.astype(np.int64) & 1).astype(np.uint8)
+    """H bits mod 2 as a uint8 vector of length n_checks (bits are 0/1)."""
+    return _parity(code, _as_bits(bits))
 
 
 def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
@@ -124,28 +153,51 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
 
     ``p`` is the BSC crossover prior on each error bit.  Returns the
     hard-decision pattern and a flag telling whether it reproduces the
-    syndrome (the usual convergence criterion).
+    syndrome exactly (the usual convergence criterion).  The edge messages
+    live in buffers allocated once and updated in place.
     """
     if not 0.0 < p < 0.5:
         raise ParamError(f"decoder prior must lie in (0, 0.5), got {p}")
-    syndrome = np.asarray(syndrome, dtype=np.uint8)
+    syndrome = _as_bits(syndrome)
     if syndrome.shape != (code.n_checks,):
         raise ParamError("syndrome length does not match the code")
+    chk, var, ptr = code.chk, code.var, code.ptr
     llr0 = float(np.log((1.0 - p) / p))
-    sgn_syn = (1.0 - 2.0 * syndrome.astype(np.float64))[code.chk]
-    m_v2c = np.full(code.var.shape[0], llr0)
+    sgn_syn = (1.0 - 2.0 * syndrome.astype(np.float64))[chk]
+    n_edges = var.shape[0]
+    m_v2c = np.full(n_edges, llr0)    # variable-to-check messages
+    t = np.empty(n_edges)             # tanh(m_v2c / 2), away from 0 and 1
+    m_c2v = np.empty(n_edges)         # check-to-variable messages
+    prod = np.empty(code.n_checks)
     e_hat = np.zeros(code.n_bits, dtype=np.uint8)
-    for it in range(max_iter):
-        t = np.tanh(np.clip(m_v2c, -30.0, 30.0) / 2.0)
-        sign = np.where(t >= 0.0, 1.0, -1.0)
-        t = sign * np.clip(np.abs(t), 1e-12, 1.0 - 1e-15)
-        prod = np.multiply.reduceat(t, code.ptr)
-        ext = np.clip(prod[code.chk] / t, -(1.0 - 1e-15), 1.0 - 1e-15)
-        m_c2v = 2.0 * np.arctanh(ext) * sgn_syn
-        post = llr0 + np.bincount(code.var, weights=m_c2v, minlength=code.n_bits)
-        m_v2c = post[code.var] - m_c2v
-        e_hat = (post < 0.0).astype(np.uint8)
-        if np.array_equal(syndrome_of(code, e_hat), syndrome):
+    for _ in range(max_iter):
+        np.maximum(m_v2c, -30.0, out=t)
+        np.minimum(t, 30.0, out=t)
+        np.divide(t, 2.0, out=t)
+        np.tanh(t, out=t)
+        # clip |t| into [1e-12, 1 - 1e-15] and put the sign back; adding
+        # 0.0 turns -0.0 into +0.0, so a zero still maps to +1e-12
+        np.add(t, 0.0, out=t)
+        np.abs(t, out=m_c2v)
+        np.maximum(m_c2v, 1e-12, out=m_c2v)
+        np.minimum(m_c2v, 1.0 - 1e-15, out=m_c2v)
+        np.copysign(m_c2v, t, out=t)
+        np.multiply.reduceat(t, ptr, out=prod)
+        # the indices are in range; mode="clip" writes to out directly
+        # where the default mode would fill a temporary first
+        np.take(prod, chk, out=m_c2v, mode="clip")
+        np.divide(m_c2v, t, out=m_c2v)
+        np.maximum(m_c2v, -(1.0 - 1e-15), out=m_c2v)
+        np.minimum(m_c2v, 1.0 - 1e-15, out=m_c2v)
+        np.arctanh(m_c2v, out=m_c2v)
+        np.multiply(m_c2v, 2.0, out=m_c2v)
+        np.multiply(m_c2v, sgn_syn, out=m_c2v)
+        post = np.bincount(var, weights=m_c2v, minlength=code.n_bits)
+        np.add(post, llr0, out=post)
+        np.take(post, var, out=m_v2c, mode="clip")
+        np.subtract(m_v2c, m_c2v, out=m_v2c)
+        e_hat = (post < 0.0).view(np.uint8)
+        if np.array_equal(_parity(code, e_hat), syndrome):
             return e_hat, True
     return e_hat, False
 
@@ -167,7 +219,7 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     rather than return a key, if the float sums were not all within 0.25 of
     an integer.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _as_bits(bits)
     n = bits.shape[0]
     if out_len < 0:
         raise ParamError(f"out_len must be >= 0, got {out_len}")
@@ -203,7 +255,7 @@ def pack_bit_record(bits: np.ndarray | None) -> bytes:
     """One serialized record: presence byte, uint32 bit count, packed bits."""
     if bits is None:
         return b"\x00"
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _as_bits(bits)
     if bits.ndim != 1:
         raise ParamError("bit records are one-dimensional")
     packed = np.packbits(bits, bitorder="little").tobytes()

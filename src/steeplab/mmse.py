@@ -21,6 +21,9 @@ By default Eve is granted exact knowledge of h_BA (worst case for secrecy);
 pass ``grant_channel=False`` to withhold it, in which case she falls back to
 the prior-mean linear estimate and the reported closed form is the actual
 MSE of that mismatched filter.
+
+The inner products are numpy sums rather than BLAS calls, so an estimate
+does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -100,7 +103,8 @@ def alice_estimate_s(episode: AnalogEpisode, params: SystemParams) -> EstimateRe
     r_prime = episode.y_AB - hhat * x
     xnorm2 = float(np.sum(np.abs(x) ** 2))
     c = (a / g) / (1.0 + a * xnorm2 / g)
-    estimate = (params.sigma_s2 / g) * (r_prime - c * x * np.vdot(x, r_prime))
+    proj = (np.conj(x) * r_prime).sum()
+    estimate = (params.sigma_s2 / g) * (r_prime - c * x * proj)
     closed = params.sigma_s2 * (1.0 - params.sigma_s2 / g) \
         + params.sigma_s2 * (params.sigma_s2 / g) * c * xnorm2 / m
     empirical = float(np.mean(np.abs(estimate - episode.s) ** 2))
@@ -134,7 +138,7 @@ def eve_estimate_xA(episode: AnalogEpisode, params: SystemParams) -> EstimateRes
     g = np.asarray(episode.realization.g_A)
     gnorm2 = float(np.sum(np.abs(g) ** 2))
     den = params.p_A * gnorm2 + params.sigma_EA2
-    estimate = (params.p_A / den) * (np.conj(g) @ episode.e_A)
+    estimate = (params.p_A / den) * (np.conj(g)[:, None] * episode.e_A).sum(0)
     closed = params.p_A / (params.p_A * gnorm2 / params.sigma_EA2 + 1.0)
     empirical = float(np.mean(np.abs(estimate - episode.x_A) ** 2))
     return EstimateResult(estimate, empirical, float(closed)).check()

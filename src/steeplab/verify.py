@@ -11,7 +11,8 @@ Routes kept deliberately separate from the formulas they test:
 * Discrete informations are recomputed by exact joint-PMF summation
   (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound.
 * Estimator MSEs, effective SNRs, and powers are recomputed from simulated
-  signals.
+  signals.  Their sample reductions are numpy sums, never BLAS calls,
+  whose split of a long sum depends on the BLAS thread count.
 
 All informations use the circular complex Gaussian convention
 I = log2 det(Cov U) + log2 det(Cov V) - log2 det(Cov joint); real-valued
@@ -225,7 +226,7 @@ def empirical_snr(s: np.ndarray, t: np.ndarray) -> float:
     s_pow = float(np.mean(np.abs(s) ** 2))
     if s_pow == 0.0:
         raise ParamError("reference signal has zero power")
-    a = np.vdot(s, t) / np.vdot(s, s)
+    a = (np.conj(s) * t).sum() / (np.conj(s) * s).sum()
     resid = float(np.mean(np.abs(t - a * s) ** 2))
     if resid == 0.0:
         return float("inf")

@@ -2,6 +2,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from steeplab import (BscParams, DigitalEpisode, ParamError, RateReport,
                       SweepSpec, SystemParams, emit_plotdata, run_rates,
                       run_sweep)
+import steeplab
 from steeplab import rates
 from steeplab.channel import sample_channel_batch
 from steeplab.cli import main, rows_to_csv
@@ -390,15 +395,27 @@ def test_cli_simulate_digital(tmp_path, capsys):
     assert np.array_equal(back.key_A, back.key_B)
 
 
+def _digital_transcript_sha256(tmp_path, capsys, m_A):
+    blob = tmp_path / "transcript.bin"
+    code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", m_A,
+                         "--seed", "11", "--transcript-out", str(blob))
+    assert code == 0
+    return hashlib.sha256(blob.read_bytes()).hexdigest()
+
+
 def test_cli_simulate_digital_transcript_pinned(tmp_path, capsys):
     # bytes written by the dense-matrix Toeplitz hash; the FFT hash and any
     # later change to the pipeline must reproduce them exactly
-    blob = tmp_path / "transcript.bin"
-    code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", "20000",
-                         "--seed", "11", "--transcript-out", str(blob))
-    assert code == 0
-    assert hashlib.sha256(blob.read_bytes()).hexdigest() == (
+    assert _digital_transcript_sha256(tmp_path, capsys, "20000") == (
         "e522f2f04977f80a32e13a67433f6184c9a9ffafb15e633173ededd43608f3c8")
+
+
+def test_cli_simulate_digital_transcript_pinned_past_2_16_checks(tmp_path,
+                                                                 capsys):
+    # 75,040 checks, so the LDPC edge sort runs its high 16-bit pass;
+    # measured while the edges were ordered by a comparison sort
+    assert _digital_transcript_sha256(tmp_path, capsys, "100000") == (
+        "ed5eb034023a48786a3de90f1ea035295169928c3c649edbc3440c160ebbad79")
 
 
 @pytest.mark.parametrize("extra, digest", [
@@ -441,23 +458,47 @@ def test_cli_simulate_digital_overlong_target(capsys):
 
 # ------------------------------------------------------- CLI: verify
 
-@pytest.mark.parametrize("argv, stdout_digest, csv_digest", [
+_VERIFY_PINS = [
     (("--seed", "3", "--n-realizations", "200"),
      "467d1196c07fdb642bbdee5ff6a27bed0b9e27ff9ef3945bee5fd76bbe23d18d",
-     "ddcdb8400a1e5edfc3dee1ac4c3c08e945af546e3231e2ad08177a3710913b11"),
+     "cdfb6637dcf14eaacaba82b01d0fb4508a7bee7173c7638b21b5dceb92592ba2"),
     (("--n_E", "3", "--rho", "0.4", "--seed", "4"),
      "27a10ffdec7a37ba068f526c6cdc82fa4b155f42481389650865de8f37d86bcb",
-     "b472063e0a40b5de79866911de4dc65c4955477bd1983ec282430dbaf9d9c994"),
-])
+     "699117f5f3ca2e5d093e1d5241e1b486fcc0c74e0bef89fcacf7fd28367780f5"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_digest, csv_digest", _VERIFY_PINS)
 def test_cli_verify_bounds_bytes_pinned(tmp_path, monkeypatch, capsys, argv,
                                         stdout_digest, csv_digest):
-    # measured while each draw's log-dets ran as their own Cholesky calls
+    # the stdout digests date from per-draw Cholesky calls; the CSV digests
+    # from the move of the sample reductions off BLAS
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "verify-bounds", *argv, "--csv-out", "v.csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
     assert hashlib.sha256((tmp_path / "v.csv").read_bytes()).hexdigest() == (
         csv_digest)
+
+
+def test_cli_verify_bounds_independent_of_blas_threads(tmp_path):
+    # threaded BLAS splits long reductions by thread count; the sample
+    # reductions behind the residual-SNR and MSE rows must not go through it
+    argv, stdout_digest, csv_digest = _VERIFY_PINS[0]
+    src = str(Path(steeplab.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "steeplab", "verify-bounds", *argv,
+             "--csv-out", "v.csv"],
+            cwd=run_dir, env=env, capture_output=True, check=True)
+        outputs.append((proc.stdout, (run_dir / "v.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0][0]).hexdigest() == stdout_digest
+    assert hashlib.sha256(outputs[0][1]).hexdigest() == csv_digest
 
 
 def test_cli_verify_bounds(capsys):

@@ -69,6 +69,128 @@ def test_decode_reports_failure_when_overloaded():
     assert not ok
 
 
+def _reference_make_ldpc(n_bits, n_checks, rng_seed, col_weight=3):
+    """The comparison-sort build: np.sort duplicate test, stable argsort."""
+    rng = stream(rng_seed, "code")
+    base, extra = divmod(col_weight * n_bits, n_checks)
+    row_w = np.full(n_checks, base, dtype=np.int64)
+    row_w[:extra] += 1
+    sockets = np.repeat(np.arange(n_checks, dtype=np.int64), row_w)
+    rng.shuffle(sockets)
+    cols = sockets.reshape(n_bits, col_weight)
+    for _ in range(200):
+        srt = np.sort(cols, axis=1)
+        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        if bad.size == 0:
+            break
+        for j in bad:
+            row = cols[j]
+            seen = set()
+            for slot in range(col_weight):
+                if int(row[slot]) in seen:
+                    k = int(rng.integers(n_bits))
+                    other = int(rng.integers(col_weight))
+                    row[slot], cols[k, other] = cols[k, other], row[slot]
+                else:
+                    seen.add(int(row[slot]))
+    var = np.repeat(np.arange(n_bits, dtype=np.int64), col_weight)
+    chk = cols.reshape(-1)
+    order = np.argsort(chk, kind="stable")
+    chk, var = chk[order], var[order]
+    counts = np.bincount(chk, minlength=n_checks)
+    return chk, var, np.concatenate(([0], np.cumsum(counts)))[:-1]
+
+
+@pytest.mark.parametrize("n_bits, n_checks, rng_seed, col_weight", [
+    (10, 3, 0, 3), (40, 39, 1, 3), (1200, 900, 0, 3), (600, 450, 5, 3),
+    (500, 20, 2, 5), (400, 30, 3, 4),
+    # one radix pass below and at 2^16 checks, two passes above
+    (90_000, 65_535, 7, 3), (90_000, 65_536, 7, 3), (90_000, 65_537, 7, 3),
+])
+def test_make_ldpc_matches_stable_argsort(n_bits, n_checks, rng_seed,
+                                          col_weight):
+    code = make_ldpc(n_bits, n_checks, rng_seed, col_weight)
+    chk, var, ptr = _reference_make_ldpc(n_bits, n_checks, rng_seed, col_weight)
+    for got, want in ((code.chk, chk), (code.var, var), (code.ptr, ptr)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_syndrome_is_exact_parity():
+    code = make_ldpc(300, 200, rng_seed=6)
+    H = np.zeros((200, 300), dtype=np.int64)
+    H[code.chk, code.var] = 1
+    for seed in range(5):
+        bits = stream(seed, "par").integers(0, 2, 300, dtype=np.uint8)
+        syn = syndrome_of(code, bits)
+        assert syn.dtype == np.uint8
+        assert np.array_equal(syn, (H @ bits) % 2)
+    assert np.array_equal(syndrome_of(code, np.ones(300, dtype=bool)),
+                          syndrome_of(code, np.ones(300, np.uint8)))
+
+
+@pytest.mark.parametrize("bad", [[0, 2, 1], [1, -1, 0], [0.5, 0, 1]])
+def test_syndrome_of_rejects_non_binary(bad):
+    code = make_ldpc(10, 3, rng_seed=0)
+    bits = np.zeros(10, dtype=np.asarray(bad).dtype)
+    bits[:3] = bad
+    with pytest.raises(ParamError, match="0 and 1"):
+        syndrome_of(code, bits)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_decode_rejects_non_binary_syndrome(bad):
+    code = make_ldpc(40, 30, rng_seed=0)
+    syndrome = np.zeros(30, dtype=np.int64)
+    syndrome[3] = bad
+    with pytest.raises(ParamError, match="0 and 1"):
+        decode_syndrome(code, syndrome, p=0.1)
+
+
+def _reference_decode(code, syndrome, p, max_iter=100):
+    """Sum-product with fresh temporaries and a float-bincount syndrome."""
+    def syn_of(bits):
+        sums = np.bincount(code.chk, weights=bits[code.var].astype(np.float64),
+                           minlength=code.n_checks)
+        return (sums.astype(np.int64) & 1).astype(np.uint8)
+    llr0 = float(np.log((1.0 - p) / p))
+    sgn_syn = (1.0 - 2.0 * syndrome.astype(np.float64))[code.chk]
+    m_v2c = np.full(code.var.shape[0], llr0)
+    e_hat = np.zeros(code.n_bits, dtype=np.uint8)
+    for _ in range(max_iter):
+        t = np.tanh(np.clip(m_v2c, -30.0, 30.0) / 2.0)
+        sign = np.where(t >= 0.0, 1.0, -1.0)
+        t = sign * np.clip(np.abs(t), 1e-12, 1.0 - 1e-15)
+        prod = np.multiply.reduceat(t, code.ptr)
+        ext = np.clip(prod[code.chk] / t, -(1.0 - 1e-15), 1.0 - 1e-15)
+        m_c2v = 2.0 * np.arctanh(ext) * sgn_syn
+        post = llr0 + np.bincount(code.var, weights=m_c2v,
+                                  minlength=code.n_bits)
+        m_v2c = post[code.var] - m_c2v
+        e_hat = (post < 0.0).astype(np.uint8)
+        if np.array_equal(syn_of(e_hat), syndrome):
+            return e_hat, True
+    return e_hat, False
+
+
+@pytest.mark.parametrize("n_bits, n_checks, seed", [
+    (2000, 1500, 2), (1000, 750, 4), (20_000, 15_000, 9), (500, 120, 1),
+])
+def test_decode_matches_fresh_temporaries(n_bits, n_checks, seed):
+    code = make_ldpc(n_bits, n_checks, rng_seed=seed)
+    rng = stream(seed, "flips")
+    results = set()
+    for p, max_iter in ((0.02, 100), (0.1, 100), (0.2, 30), (0.3, 10)):
+        e = (rng.random(n_bits) < p).astype(np.uint8)
+        syn = syndrome_of(code, e)
+        got, ok = decode_syndrome(code, syn, p, max_iter)
+        want, want_ok = _reference_decode(code, syn, p, max_iter)
+        assert ok == want_ok and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        results.add(ok)
+    assert results == {True, False}
+
+
 def test_make_ldpc_rejects_bad_shapes():
     with pytest.raises(ParamError):
         make_ldpc(10, 11, rng_seed=0)
@@ -153,6 +275,14 @@ def test_toeplitz_hash_rejects_expansion():
         toeplitz_hash(bits, 17, hash_seed=0)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 255])
+def test_toeplitz_hash_rejects_non_binary(bad):
+    bits = np.zeros(16, dtype=np.int64)
+    bits[5] = bad
+    with pytest.raises(ParamError, match="0 and 1"):
+        toeplitz_hash(bits, 4, hash_seed=0)
+
+
 def test_toeplitz_hash_mixes_single_flip():
     bits = np.zeros(400, dtype=np.uint8)
     flipped = bits.copy()
@@ -187,6 +317,12 @@ def test_bit_record_concatenation():
     z, off = unpack_bit_record(blob, off)
     assert np.array_equal(x, a) and y is None and np.array_equal(z, b)
     assert off == len(blob)
+
+
+@pytest.mark.parametrize("bad", [[1, 2, 0], [0, -1], [3]])
+def test_bit_record_rejects_non_binary(bad):
+    with pytest.raises(ParamError, match="0 and 1"):
+        pack_bit_record(np.array(bad))
 
 
 def test_bit_record_truncation_errors():
