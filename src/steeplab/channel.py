@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import ChannelRealization, ParamError, SystemParams, validate
+from .params import ChannelRealization, ParamError, SystemParams
 from .seeds import stream
 
 __all__ = [
@@ -64,7 +64,6 @@ def sample_channels(params: SystemParams, rng_seed: int) -> ChannelRealization:
     h_AB ~ CN(0,1) and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w with
     w ~ CN(0,1), which gives E{h_AB conj(h_BA)} = rho exactly.
     """
-    validate(params)
     rng = stream(rng_seed, "channels")
     h_AB = complex(cnormal(rng, (), 1.0))
     w = complex(cnormal(rng, (), 1.0))
@@ -83,7 +82,6 @@ def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
         (n, n_E).  The batch for a given ``(params, rng_seed, n_draws)`` is
         deterministic.
     """
-    validate(params)
     if n_draws < 1:
         raise ParamError(f"n_draws must be >= 1, got {n_draws}")
     rng = stream(rng_seed, "channels")
@@ -130,7 +128,6 @@ class AnalogEpisode:
 def run_probing(params: SystemParams, realization: ChannelRealization,
                 rng_seed: int) -> AnalogEpisode:
     """Phase 1: Alice sends m_A probes; Bob and Eve listen."""
-    validate(params)
     realization.check_for(params)
     if params.m_A < 1:
         raise SimulationError("nothing to probe: m_A must be >= 1")
@@ -150,7 +147,6 @@ def run_echo(params: SystemParams, episode: AnalogEpisode,
     Requires strictly positive return-path noise: eps_A = eps_E = 0 would be
     a noiseless feedback channel, which the model excludes.
     """
-    validate(params)
     if episode.complete:
         raise SimulationError("episode already contains an echo phase")
     if not (params.eps_A > 0 and params.eps_E > 0):

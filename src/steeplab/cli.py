@@ -31,11 +31,10 @@ import numpy as np
 
 from .channel import SimulationError, episode_to_csv, simulate_episode
 from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
-                      reconcile_plan, run_digital_episode, validate_bsc,
-                      xi_digital)
+                      reconcile_plan, run_digital_episode, xi_digital)
 from .codes import hexdump
 from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
-                     _field_types, _replace_from_text, read_config, validate)
+                     _field_types, _replace_from_text, read_config)
 from .rates import (_drop_shared_terms, _mean_se, corollary1_capacity,
                     power_budget, theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
@@ -59,7 +58,6 @@ def run_rates(params: SystemParams, n_draws: int = 10_000,
     analytically coincide exactly: ``xi_tilde`` is ``xi_BA_prime`` and
     ``xi_steep_ac`` is ``xi_BA``, values and standard errors alike.
     """
-    validate(params)
     report = theorem1_bounds(params, n_draws, rng_seed)
     values, stderr, notes = report.values, report.stderr, report.notes
 
@@ -153,7 +151,6 @@ def _sweep_point(spec: SweepSpec, index: int) -> dict:
         row.update({f"{k}_stderr": float(v)
                     for k, v in sorted(report.stderr.items())})
     else:
-        validate_bsc(point)
         try:
             xi = xi_digital(point, mode="exact")
         except ParamError as exc:  # a valid point outside the formula's regime
@@ -259,8 +256,7 @@ def _build(cls: type, args: argparse.Namespace) -> SystemParams | BscParams:
                          + ", ".join(f"--{k}" for k in foreign))
     config = given.pop("config", None)
     base = read_config(config) if config else cls()
-    params = _replace_from_text(base, [(k, given[k]) for k in own if k in given])
-    return validate(params) if cls is SystemParams else validate_bsc(params)
+    return _replace_from_text(base, [(k, given[k]) for k in own if k in given])
 
 
 def _grid(text: str) -> tuple[float, ...]:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .codes import (decode_syndrome, make_ldpc, pack_bit_record, syndrome_of,
                     toeplitz_hash, unpack_bit_record)
-from .params import ParamError
+from .params import ParamError, _is_int, _is_real
 from .seeds import stream, subseed
 
 __all__ = [
@@ -68,7 +68,8 @@ class BscParams:
     """Crossover rates of the four binary symmetric channels plus m_A.
 
     P = 1/2 is allowed (it models lost packets) but the secrecy formulas
-    require the effective rates to stay below 1/2.
+    require the effective rates to stay below 1/2.  Construction raises
+    ParamError on an invalid field.
     """
 
     P_BA: float = 0.1   # probing, Alice -> Bob
@@ -77,13 +78,16 @@ class BscParams:
     P_EB: float = 0.0   # return, Bob -> Eve
     m_A: int = 10_000   # probe bits per episode
 
+    def __post_init__(self):
+        validate_bsc(self)
+
 
 def validate_bsc(bsc: BscParams) -> BscParams:
     for name in ("P_BA", "P_EA", "P_AB", "P_EB"):
         v = getattr(bsc, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 0.5):
+        if not (_is_real(v) and math.isfinite(v) and 0.0 <= v <= 0.5):
             raise ParamError(f"{name} must lie in [0, 0.5], got {v!r}")
-    if not (isinstance(bsc.m_A, (int, np.integer)) and bsc.m_A >= 1):
+    if not (_is_int(bsc.m_A) and bsc.m_A >= 1):
         raise ParamError(f"m_A must be an integer >= 1, got {bsc.m_A!r}")
     return bsc
 
@@ -115,7 +119,6 @@ def effective_error_rates(bsc: BscParams, mode: str = "exact") -> tuple[float, f
     P_E|B = P_BA + P_EA (1 - 2 P_BA), warning when the neglected return
     rates are not actually negligible next to P_BA.
     """
-    validate_bsc(bsc)
     if mode == "exact":
         p_ab = bsc_convolve(bsc.P_BA, bsc.P_AB)
         p_eb = bsc_convolve(bsc_convolve(bsc.P_EA, bsc.P_BA), bsc.P_EB)
@@ -173,6 +176,17 @@ class DigitalEpisode:
     _FIELDS = ("b_A", "b_BA", "b_EA", "b_s", "b_r", "b_AB", "b_EB",
                "bbar_AB", "bbar_EB", "key_A", "key_B")
 
+    def __post_init__(self):
+        """Raise ParamError unless the nine streams are present and share
+        one length; the keys keep their own."""
+        for name in self._FIELDS[:-2]:
+            bits = getattr(self, name)
+            if bits is None:
+                raise ParamError(f"digital episode is missing required stream {name}")
+            if len(bits) != len(self.b_A):
+                raise ParamError(f"stream {name} has {len(bits)} bits, "
+                                 f"b_A has {len(self.b_A)}")
+
     def to_bytes(self) -> bytes:
         """Length-prefixed binary transcript; field order is ``_FIELDS``."""
         return b"".join(pack_bit_record(getattr(self, f)) for f in self._FIELDS)
@@ -186,9 +200,6 @@ class DigitalEpisode:
             fields[name] = bits
         if offset != len(buf):
             raise ParamError("trailing bytes after digital episode transcript")
-        for name in cls._FIELDS[:-2]:
-            if fields[name] is None:
-                raise ParamError(f"transcript is missing required stream {name}")
         return cls(**fields)
 
 
@@ -200,7 +211,6 @@ def _flips(rng_seed: int, role: str, n: int, p: float) -> np.ndarray:
 
 def run_digital_episode(bsc: BscParams, rng_seed: int) -> DigitalEpisode:
     """Simulate all five bit streams; deterministic in (bsc, rng_seed)."""
-    validate_bsc(bsc)
     m = bsc.m_A
     b_a = stream(rng_seed, "bits_a").integers(0, 2, size=m, dtype=np.uint8)
     b_s = stream(rng_seed, "bits_s").integers(0, 2, size=m, dtype=np.uint8)
@@ -246,7 +256,6 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     ``safety_margin`` shrinks the final key below the information-theoretic
     budget m_A xi - leak_bits.
     """
-    validate_bsc(bsc)
     if not efficiency >= 1.0:
         raise ParamError(f"efficiency must be >= 1, got {efficiency}")
     if not 0.0 <= safety_margin < 1.0:
@@ -295,7 +304,6 @@ def reconcile_and_amplify(episode: DigitalEpisode, bsc: BscParams,
     sides hash with a public Toeplitz seed.  A key mismatch is reported via
     ``success=False``, never silently retried.
     """
-    validate_bsc(bsc)
     if episode.m_A != bsc.m_A:
         raise ParamError("episode length does not match bsc.m_A")
     plan = reconcile_plan(bsc, efficiency=efficiency, safety_margin=safety_margin)

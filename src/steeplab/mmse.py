@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AnalogEpisode, SimulationError
-from .params import ParamError, SystemParams, validate
+from .params import ParamError, SystemParams
 from .rates import phi
 
 __all__ = [
@@ -93,7 +93,6 @@ def alice_estimate_s(episode: AnalogEpisode, params: SystemParams) -> EstimateRe
         sigma_s2 (1 - sigma_s2/g)
           + sigma_s2 (sigma_s2/g) c ||x_A||^2 / m_A.
     """
-    validate(params)
     _require_echo(episode)
     x = episode.x_A
     m = x.shape[0]
@@ -134,7 +133,6 @@ def eve_estimate_xA(episode: AnalogEpisode, params: SystemParams) -> EstimateRes
     with per-symbol MSE r_dx = p_A / (p_A ||g_A||^2 / sigma_EA2 + 1).
     A zero gain vector degrades gracefully: xhat = 0 and MSE = p_A.
     """
-    validate(params)
     g = np.asarray(episode.realization.g_A)
     gnorm2 = float(np.sum(np.abs(g) ** 2))
     den = params.p_A * gnorm2 + params.sigma_EA2
@@ -158,7 +156,6 @@ def eve_estimate_s(episode: AnalogEpisode, params: SystemParams,
     prior noise of variance p_A; the closed form reported is then the true
     MSE of that filter under the realized h_BA.
     """
-    validate(params)
     _require_echo(episode)
     h = episode.realization.h_BA
     t = params.sigma_s2 / params.sigma_B2

@@ -7,9 +7,12 @@ Conventions shared by the whole package:
   parts, each of variance v/2.
 * Powers and variances are linear quantities (never dB).
 
-The flat ``key = value`` config format parsed here is the single on-disk
-representation of :class:`SystemParams`; the command line maps flags of the
-same names onto the same structure.
+A parameter set is valid by construction: :class:`SystemParams` runs
+:func:`validate` when built, directly or by ``dataclasses.replace``, and
+raises :class:`ParamError` naming the first bad field, so no consumer
+re-checks one.  The flat ``key = value`` config format parsed here is the
+single on-disk representation of :class:`SystemParams`; the command line
+maps flags of the same names onto the same structure.
 """
 from __future__ import annotations
 
@@ -66,6 +69,9 @@ class SystemParams:
     n_E: int = 2            # Eve antenna count
     m_A: int = 4            # probes sent by Alice
     m_B: int = 0            # probes sent by Bob
+
+    def __post_init__(self):
+        validate(self)
 
 
 _POSITIVE_FIELDS = (
@@ -179,11 +185,11 @@ class RateReport:
         payload = json.loads(text)
         pairs = [(str(k), str(v)) for k, v in payload["params"].items()]
         return RateReport(
-            params=validate(_replace_from_text(SystemParams(), pairs)),
+            params=_replace_from_text(SystemParams(), pairs),
             values={k: float(v) for k, v in payload.get("values", {}).items()},
             stderr={k: float(v) for k, v in payload.get("stderr", {}).items()},
             notes=[str(n) for n in payload.get("notes", [])],
-        )
+        ).check()
 
 
 # =====================================================================
@@ -222,7 +228,8 @@ def _params_to_jsonable(params) -> dict:
 
 
 def _replace_from_text(base, pairs):
-    """``base`` with each ``(key, text)`` pair parsed and applied; unvalidated."""
+    """``base`` with each ``(key, text)`` pair parsed and applied; like every
+    params object, the result was validated when built."""
     updates = {}
     for key, text in pairs:
         if key not in _field_types(type(base)):
@@ -238,10 +245,10 @@ def _replace_from_text(base, pairs):
 def parse_config(text: str) -> SystemParams:
     """Parse flat ``key = value`` lines into validated SystemParams.
 
-    ``#`` starts a comment (whole line or trailing).  Unknown keys raise
-    ParamError naming the key; omitted keys take their defaults.
+    ``#`` starts a comment (whole line or trailing).  Unknown or repeated
+    keys raise ParamError naming the key; omitted keys take their defaults.
     """
-    pairs = []
+    pairs, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -250,8 +257,12 @@ def parse_config(text: str) -> SystemParams:
         key, val = key.strip(), val.strip()
         if not sep or not key or not val:
             raise ParamError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+        if key in seen:
+            raise ParamError(f"config key '{key}' is set twice, on lines "
+                             f"{seen[key]} and {lineno}")
+        seen[key] = lineno
         pairs.append((key, val))
-    return validate(_replace_from_text(SystemParams(), pairs))
+    return _replace_from_text(SystemParams(), pairs)
 
 
 def format_config(params: SystemParams) -> str:
@@ -260,4 +271,8 @@ def format_config(params: SystemParams) -> str:
 
 
 def read_config(path: str | Path) -> SystemParams:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParamError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_channel_batch
-from .params import ChannelRealization, ParamError, RateReport, SystemParams, validate
+from .params import ChannelRealization, ParamError, RateReport, SystemParams
 from .seeds import stream
 
 __all__ = [
@@ -257,7 +257,6 @@ def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
     max(C_A, C_B) is achievable; min over the ideal-channel bound and C_E
     caps what any scheme can distill.
     """
-    validate(params)
     terms = theorem1_draw_terms(params, n_draws, rng_seed)
     a = alpha(params)
     values: dict[str, float] = {"alpha": a}
@@ -292,7 +291,6 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
     channel batch as ``theorem1_bounds`` for a shared seed, so the two
     agree draw for draw.
     """
-    validate(params)
     if (params.m_A == 0) == (params.m_B == 0):
         raise ParamError("one-way probing required: exactly one of m_A, m_B "
                          "must be zero")
@@ -312,7 +310,6 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
 
 def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
                        with_eta: bool) -> RateReport:
-    validate(params)
     if with_eta and not (params.eps_A > 0 and params.eps_E > 0):
         raise ParamError("theorem2_lower_bound needs eps_A > 0 and eps_E > 0 "
                          "so that eta = eps_E / eps_A is finite")

@@ -32,10 +32,9 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .channel import sample_channels, simulate_episode
-from .digital import (BscParams, binary_entropy, bsc_convolve, validate_bsc,
-                      xi_digital)
+from .digital import BscParams, binary_entropy, bsc_convolve, xi_digital
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
-from .params import ChannelRealization, ParamError, SystemParams, validate
+from .params import ChannelRealization, ParamError, SystemParams
 from .rates import (_drop_shared_terms, per_realization_rates, power_budget,
                     theorem2_draw_terms)
 from .seeds import subseed
@@ -195,7 +194,6 @@ def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
     H(b_B | b_A, b_EA) comes from the exact joint PMF over
     (b_A, b_B, b_EA).  The two coincide for every valid parameter set.
     """
-    validate_bsc(bsc)
     xi_l = float(binary_entropy(bsc_convolve(bsc.P_BA, bsc.P_EA))
                  - binary_entropy(bsc.P_BA))
     pmf = _joint_pmf((bsc.P_BA, bsc.P_EA),
@@ -277,7 +275,6 @@ def theorem1_term_oracles(params: SystemParams,
     count enters the session bounds only as a multiplier, so one symbol
     settles the integrands.
     """
-    validate(params)
     single = isinstance(realizations, ChannelRealization)
     draws = [realizations] if single else list(realizations)
     if not draws:
@@ -368,7 +365,6 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     return noises to 1e-9 sigma_B2, inside the regime the closed forms
     assume; everything else runs at the given parameters.
     """
-    validate(params)
     if n_realizations < 1:
         raise ParamError(f"n_realizations must be >= 1, got {n_realizations}")
     reports: list[OracleReport] = []

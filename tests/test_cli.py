@@ -296,6 +296,20 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert code == 1 and "unknown config key" in err
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"p_A = 2\n# caf\xe9\n", "is not UTF-8 text"),
+    (b"p_A = 2\nrho = 0.3\np_A = 3\n",
+     "config key 'p_A' is set twice, on lines 1 and 3"),
+])
+def test_cli_bad_config_file_exits_1(tmp_path, capsys, blob, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(blob)
+    code, out, err = run_cli(capsys, "rates", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------- CLI: sweep
 
 def test_cli_sweep_deterministic_bytes(tmp_path, capsys):

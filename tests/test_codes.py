@@ -1,14 +1,16 @@
 """Parity-check codes, syndrome decoding, hashing, bit serialization."""
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steeplab import (ParamError, decode_syndrome, hexdump, make_ldpc,
-                      pack_bit_record, syndrome_of, toeplitz_hash,
+from steeplab import (BscParams, ParamError, decode_syndrome, hexdump,
+                      make_ldpc, pack_bit_record, reconcile_plan,
+                      run_digital_episode, syndrome_of, toeplitz_hash,
                       unpack_bit_record)
-from steeplab.seeds import stream
+from steeplab.seeds import stream, subseed
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8))
@@ -114,6 +116,19 @@ def test_make_ldpc_matches_stable_argsort(n_bits, n_checks, rng_seed,
     for got, want in ((code.chk, chk), (code.var, var), (code.ptr, ptr)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def test_ldpc_syndrome_pinned_past_2_16_checks():
+    # the code and secret of `simulate-digital --m_A 100000 --seed 11`
+    # (75,040 checks, so both radix passes run); the transcript pin holds
+    # no syndrome, so only this pin sees a wrong code at that size
+    bsc = BscParams(m_A=100_000)
+    plan = reconcile_plan(bsc)
+    assert plan.syndrome_bits == 75_040
+    code = make_ldpc(bsc.m_A, plan.syndrome_bits, subseed(11, "ldpc"))
+    syn = syndrome_of(code, run_digital_episode(bsc, 11).b_s)
+    assert hashlib.sha256(syn.tobytes()).hexdigest() == (
+        "ba30a061552e002903aa87337903439bc5828e93ed92554c09c4df70256385a8")
 
 
 def test_syndrome_is_exact_parity():

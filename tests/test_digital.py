@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       bsc_convolve, effective_error_rates,
-                      mac_bounds_digital, reconcile_and_amplify,
+                      mac_bounds_digital, pack_bit_record,
+                      reconcile_and_amplify,
                       reconcile_plan, run_digital_episode,
                       validate_bsc, xi_digital)
 
@@ -163,6 +164,23 @@ def test_episode_bytes_rejects_truncation():
     blob = run_digital_episode(DEFAULT, 2).to_bytes()
     with pytest.raises(ParamError):
         DigitalEpisode.from_bytes(blob[:-3])
+
+
+def test_episode_from_bytes_rejects_streams_of_different_lengths():
+    ep = run_digital_episode(dataclasses.replace(DEFAULT, m_A=64), 3)
+    blob = b"".join(pack_bit_record(ep.b_s[:10] if name == "b_s"
+                                    else getattr(ep, name))
+                    for name in DigitalEpisode._FIELDS)
+    with pytest.raises(ParamError, match="stream b_s has 10 bits, b_A has 64"):
+        DigitalEpisode.from_bytes(blob)
+
+
+def test_episode_requires_every_stream_but_not_keys():
+    ep = run_digital_episode(dataclasses.replace(DEFAULT, m_A=64), 3)
+    with pytest.raises(ParamError, match="missing required stream bbar_EB"):
+        dataclasses.replace(ep, bbar_EB=None)
+    short_keys = dataclasses.replace(ep, key_A=ep.b_A[:5], key_B=ep.b_A[:5])
+    assert short_keys.m_A == 64
 
 
 # ---------------------------------------------------------------- plans

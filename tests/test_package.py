@@ -1,4 +1,7 @@
 """The public API: every name in ``steeplab.__all__`` and nothing else."""
+import ast
+from pathlib import Path
+
 import steeplab
 
 EXPORTS = [
@@ -31,3 +34,24 @@ def test_all_is_pinned_and_resolves():
 
 def test_enumeration_oracles_live_in_verify():
     assert steeplab.mac_bounds_digital.__module__ == "steeplab.verify"
+
+
+def _check_calls(node) -> int:
+    return sum(isinstance(n, ast.Call)
+               and getattr(n.func, "id", getattr(n.func, "attr", None))
+               in ("validate", "validate_bsc")
+               for n in ast.walk(node))
+
+
+def test_params_are_validated_only_when_built():
+    # a parameter set is valid by construction, so the checks run in the
+    # two __post_init__ methods and nowhere else in the package
+    found = {}
+    for path in sorted(Path(steeplab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total = _check_calls(tree)
+        if total:
+            found[path.name] = (total, sum(
+                _check_calls(f) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"))
+    assert found == {"digital.py": (1, 1), "params.py": (1, 1)}

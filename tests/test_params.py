@@ -3,11 +3,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from steeplab import (ParamError, RateReport, SystemParams, format_config,
-                      parse_config, validate)
+from steeplab import (BscParams, ParamError, RateReport, SystemParams,
+                      format_config, parse_config, read_config, validate,
+                      validate_bsc)
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6,
                        allow_nan=False, allow_infinity=False)
@@ -28,8 +30,8 @@ def test_defaults_validate():
     ("n_E", 0), ("m_A", -1), ("m_B", -3),
 ])
 def test_rejects_nonpositive(field, bad):
-    p = dataclasses.replace(SystemParams(), **{field: bad})
     with pytest.raises(ParamError) as err:
+        p = dataclasses.replace(SystemParams(), **{field: bad})
         validate(p)
     assert field in str(err.value)
 
@@ -49,6 +51,29 @@ def test_rejects_nonfinite():
         validate(dataclasses.replace(SystemParams(), p_A=math.inf))
     with pytest.raises(ParamError):
         validate(dataclasses.replace(SystemParams(), sigma_s2=math.nan))
+
+
+@pytest.mark.parametrize("cls, field, bad", [
+    (SystemParams, "p_A", 0.0), (SystemParams, "sigma_s2", math.nan),
+    (SystemParams, "eps_E", -1.0), (SystemParams, "rho", 1.0),
+    (SystemParams, "n_E", 0), (SystemParams, "m_A", 2.0),
+    (SystemParams, "m_B", True), (SystemParams, "p_B", "1.0"),
+    (BscParams, "P_BA", 0.6), (BscParams, "P_EA", -0.1),
+    (BscParams, "P_EB", math.inf), (BscParams, "P_AB", True),
+    (BscParams, "m_A", 0), (BscParams, "m_A", True),
+])
+def test_params_are_validated_when_built(cls, field, bad):
+    with pytest.raises(ParamError, match=field):
+        cls(**{field: bad})
+    with pytest.raises(ParamError, match=field):
+        dataclasses.replace(cls(), **{field: bad})
+
+
+def test_both_schemas_accept_numpy_scalars():
+    p = SystemParams(p_A=np.float32(2.0), m_A=np.int64(3))
+    assert validate(p) is p
+    bsc = BscParams(P_BA=np.float32(0.1), m_A=np.int64(8))
+    assert validate_bsc(bsc) is bsc
 
 
 def test_eps_zero_is_allowed_in_container():
@@ -80,6 +105,19 @@ def test_parse_config_unknown_key():
 def test_parse_config_bad_syntax():
     with pytest.raises(ParamError):
         parse_config("p_A 2.5")
+
+
+def test_parse_config_rejects_repeated_key():
+    with pytest.raises(ParamError,
+                       match=r"'p_A' is set twice, on lines 1 and 3"):
+        parse_config("p_A = 2\n# again\np_A = 3\n")
+
+
+def test_read_config_rejects_non_utf8(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\xe9\np_A = 2\n".encode("latin-1"))
+    with pytest.raises(ParamError, match="latin1.cfg is not UTF-8"):
+        read_config(cfg)
 
 
 def test_parse_config_complex_rho():
@@ -122,6 +160,11 @@ def test_rate_report_json_is_plain_json():
                      stderr={}, notes=[])
     payload = json.loads(rep.to_json())
     assert payload["values"]["x"] == 1.0
+
+
+def test_rate_report_from_json_rejects_nonfinite():
+    with pytest.raises(ParamError, match="report value C_A is not finite"):
+        RateReport.from_json('{"params": {}, "values": {"C_A": NaN}}')
 
 
 def test_rate_report_check_rejects_nonfinite():
