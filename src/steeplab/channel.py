@@ -59,23 +59,18 @@ def cnormal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
 # =====================================================================
 
 def sample_channels(params: SystemParams, rng_seed: int) -> ChannelRealization:
-    """Draw one joint realization of every channel gain.
-
-    h_AB ~ CN(0,1) and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w with
-    w ~ CN(0,1), which gives E{h_AB conj(h_BA)} = rho exactly.
-    """
-    rng = stream(rng_seed, "channels")
-    h_AB = complex(cnormal(rng, (), 1.0))
-    w = complex(cnormal(rng, (), 1.0))
-    rho = complex(params.rho)
-    h_BA = np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
-    g_A = cnormal(rng, (params.n_E,), 1.0)
-    g_B = cnormal(rng, (params.n_E,), 1.0)
-    return ChannelRealization(h_AB=h_AB, h_BA=complex(h_BA), g_A=g_A, g_B=g_B)
+    """Draw one joint realization of every channel gain: the single draw of
+    ``sample_channel_batch(params, rng_seed, 1)``."""
+    h_AB, h_BA, g_A, g_B = sample_channel_batch(params, rng_seed, 1)
+    return ChannelRealization(h_AB=complex(h_AB[0]), h_BA=complex(h_BA[0]),
+                              g_A=g_A[0], g_B=g_B[0])
 
 
 def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
     """Vectorized channel draws for Monte Carlo averaging.
+
+    h_AB ~ CN(0,1) and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w with
+    w ~ CN(0,1), which gives E{h_AB conj(h_BA)} = rho exactly.
 
     Returns:
         tuple ``(h_AB, h_BA, g_A, g_B)`` with shapes (n,), (n,), (n, n_E),

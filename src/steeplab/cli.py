@@ -140,11 +140,11 @@ def _sweep_value(spec: SweepSpec, value: float):
     return dataclasses.replace(spec.base, **{spec.field_name: value})
 
 
-def _sweep_point(spec: SweepSpec, index: int) -> dict:
-    value = spec.grid[index]
+def _sweep_point(spec: SweepSpec,
+                 item: tuple[int, SystemParams | BscParams]) -> dict:
+    index, point = item
     seed = subseed(spec.rng_seed, "sweep", index)
-    row: dict = {"field": spec.field_name, "value": float(value)}
-    point = _sweep_value(spec, value)
+    row: dict = {"field": spec.field_name, "value": float(spec.grid[index])}
     if isinstance(point, SystemParams):
         report = run_rates(point, spec.n_draws, seed)
         row.update({k: float(v) for k, v in sorted(report.values.items())})
@@ -174,11 +174,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     spec.check()
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
-    indices = range(len(spec.grid))
+    # every point is built, and so validated, before any point runs
+    items = list(enumerate(_sweep_value(spec, v) for v in spec.grid))
     if workers == 1:
-        return [_sweep_point(spec, i) for i in indices]
+        return [_sweep_point(spec, item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _sweep_point(spec, i), indices))
+        return list(pool.map(lambda item: _sweep_point(spec, item), items))
 
 
 def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:

@@ -16,6 +16,7 @@ maps flags of the same names onto the same structure.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import json
@@ -93,8 +94,10 @@ def validate(params: SystemParams) -> SystemParams:
         v = getattr(params, name)
         if not (_is_real(v) and math.isfinite(v) and v >= 0):
             raise ParamError(f"{name} must be finite and >= 0, got {v!r}")
-    r = complex(params.rho)
-    if not (math.isfinite(r.real) and math.isfinite(r.imag) and abs(r) < 1):
+    r = params.rho
+    if not (_is_real(r) or isinstance(r, (complex, np.complexfloating))):
+        raise ParamError(f"rho must be a real or complex number, got {r!r}")
+    if not (cmath.isfinite(r) and abs(r) < 1):
         raise ParamError("|rho| must be < 1")
     if not (_is_int(params.n_E) and params.n_E >= 1):
         raise ParamError(f"n_E must be an integer >= 1, got {params.n_E!r}")
@@ -272,7 +275,7 @@ def format_config(params: SystemParams) -> str:
 
 def read_config(path: str | Path) -> SystemParams:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParamError(f"config file {path} is not UTF-8 text: {exc}") from exc
     return parse_config(text)

@@ -65,7 +65,6 @@ __all__ = [
     "theorem1_draw_terms",
     "theorem1_bounds",
     "corollary1_capacity",
-    "theorem2_draw_terms",
     "theorem2_lower_bound",
     "theorem3_lower_bound",
     "effective_snrs",
@@ -229,15 +228,6 @@ def _drop_shared_terms() -> None:
     _shared.entry = None
 
 
-def theorem2_draw_terms(params: SystemParams, n_draws: int,
-                        rng_seed: int) -> dict[str, np.ndarray]:
-    """``theorem1_draw_terms`` for the echo-protocol bounds, which need
-    Alice's probes: raises ParamError unless m_A >= 1."""
-    if params.m_A < 1:
-        raise ParamError("echo-protocol bounds need m_A >= 1")
-    return theorem1_draw_terms(params, n_draws, rng_seed)
-
-
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:
     n = arr.shape[0]
     se = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -313,7 +303,9 @@ def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
     if with_eta and not (params.eps_A > 0 and params.eps_E > 0):
         raise ParamError("theorem2_lower_bound needs eps_A > 0 and eps_E > 0 "
                          "so that eta = eps_E / eps_A is finite")
-    terms = theorem2_draw_terms(params, n_draws, rng_seed)
+    if params.m_A < 1:
+        raise ParamError("echo-protocol bounds need m_A >= 1")
+    terms = theorem1_draw_terms(params, n_draws, rng_seed)
     values: dict[str, float] = {}
     stderr: dict[str, float] = {}
     for name in ("alpha_prime", "xi_BA_prime"):

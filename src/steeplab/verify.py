@@ -36,7 +36,7 @@ from .digital import BscParams, binary_entropy, bsc_convolve, xi_digital
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams
 from .rates import (_drop_shared_terms, per_realization_rates, power_budget,
-                    theorem2_draw_terms)
+                    theorem1_draw_terms)
 from .seeds import subseed
 
 __all__ = [
@@ -459,7 +459,7 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
 
     # --- analog secrecy rate approaches its probing-limit cap ----------
     lim_params = dc_replace(params, sigma_s2=1e6 * params.sigma_B2)
-    draws = theorem2_draw_terms(lim_params, 4000, subseed(rng_seed, "crn"))
+    draws = theorem1_draw_terms(lim_params, 4000, subseed(rng_seed, "crn"))
     lim = float(np.mean(draws["xi_BA"]))
     got = float(np.mean(draws["xi_BA_prime"]))
     _drop_shared_terms()  # no other check reads this batch

@@ -20,7 +20,7 @@ from steeplab import (BscParams, ChannelRealization, SystemParams,
                       sample_channels, simulate_episode, theorem1_bounds,
                       theorem1_term_oracles, validate, xi_digital)
 from steeplab.digital import binary_entropy, effective_error_rates
-from steeplab.rates import theorem1_draw_terms, theorem2_draw_terms
+from steeplab.rates import theorem1_draw_terms
 from steeplab.seeds import stream, subseed
 from steeplab.verify import _xi_by_enumeration
 from test_rates import make_realization
@@ -169,7 +169,7 @@ def test_criterion_5_strong_secret_limit_and_positivity():
     """The analog echo rate approaches the ideal one-way rate as the
     secret power grows, and stays positive however good Eve's probing is."""
     p_limit = dataclasses.replace(SystemParams(), sigma_s2=1e6)
-    draws = theorem2_draw_terms(p_limit, n_draws=4000, rng_seed=0)
+    draws = theorem1_draw_terms(p_limit, n_draws=4000, rng_seed=0)
     xi_mean = float(np.mean(draws["xi_BA"]))
     # per-draw echo rate log2(1 + phi t / (t + 1 + phi)), same batch
     xi_tilde_mean = float(np.mean(draws["xi_BA_prime"]))

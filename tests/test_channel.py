@@ -35,6 +35,20 @@ def test_sample_channels_deterministic():
     assert sample_channels(p, 43).h_AB != a.h_AB
 
 
+@pytest.mark.parametrize("n_E", [1, 3])
+@pytest.mark.parametrize("rho", [0.5, 0.3 + 0.4j, 0.2j])
+def test_sample_channels_is_the_batch_of_one(rho, n_E):
+    # numpy rounds a scalar complex product unlike an array one: a scalar
+    # h_BA formula would differ in the last bit at rho = 0.3+0.4j, seed 2
+    p = SystemParams(rho=rho, n_E=n_E)
+    for seed in range(20):
+        r = sample_channels(p, seed)
+        h_ab, h_ba, g_a, g_b = sample_channel_batch(p, seed, 1)
+        assert (r.h_AB, r.h_BA) == (h_ab[0], h_ba[0])
+        assert r.g_A.tobytes() == g_a[0].tobytes()
+        assert r.g_B.tobytes() == g_b[0].tobytes()
+
+
 def test_channel_correlation_matches_rho():
     # E{h_AB conj(h_BA)} = rho under the construction
     p = dataclasses.replace(SystemParams(), rho=0.3 - 0.4j)

@@ -100,6 +100,22 @@ def test_sweep_digital_base():
     assert rows[0]["P_A_given_B"] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("field, grid, message", [
+    ("rho", (0.5, 0.6, 1.5), r"\|rho\| must be < 1"),
+    ("m_A", (2.0, 3.5), "integer"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rejects_bad_grid_value_before_any_point_runs(
+        monkeypatch, field, grid, message, workers):
+    calls = []
+    monkeypatch.setattr("steeplab.cli.run_rates", lambda *a: calls.append(a))
+    spec = SweepSpec(base=SystemParams(), field_name=field, grid=grid,
+                     n_draws=200, rng_seed=0)
+    with pytest.raises(ParamError, match=message):
+        run_sweep(spec, workers=workers)
+    assert calls == []
+
+
 def test_sweep_rejects_unknown_field():
     spec = SweepSpec(base=SystemParams(), field_name="nope", grid=(1.0,))
     with pytest.raises(ParamError, match="unknown sweep field 'nope'"):
@@ -513,6 +529,14 @@ def test_cli_verify_bounds_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0][0]).hexdigest() == stdout_digest
     assert hashlib.sha256(outputs[0][1]).hexdigest() == csv_digest
+
+
+def test_cli_verify_bounds_without_probes(capsys):
+    # the echo checks set their own m_A; the high-power limit reads only xi
+    code, out, _ = run_cli(capsys, "verify-bounds", "--m_A", "0",
+                           "--n-realizations", "5")
+    assert code == 0
+    assert "PASS" in out and "FAIL" not in out
 
 
 def test_cli_verify_bounds(capsys):

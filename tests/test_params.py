@@ -120,6 +120,18 @@ def test_read_config_rejects_non_utf8(tmp_path):
         read_config(cfg)
 
 
+def test_read_config_skips_utf8_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfrho = 0.7\n")
+    assert read_config(cfg).rho == 0.7
+
+
+@pytest.mark.parametrize("rho", ["0.5", False, True, None])
+def test_rho_must_be_a_number(rho):
+    with pytest.raises(ParamError, match="rho must be a real or complex number"):
+        SystemParams(rho=rho)
+
+
 def test_parse_config_complex_rho():
     p = parse_config("rho = 0.3-0.4j")
     assert p.rho == 0.3 - 0.4j

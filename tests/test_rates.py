@@ -275,6 +275,19 @@ def test_theorem2_requires_return_noise():
         theorem2_lower_bound(p, n_draws=100, rng_seed=0)
 
 
+@pytest.mark.parametrize("bound", [theorem2_lower_bound, theorem3_lower_bound])
+def test_echo_bounds_require_probes(bound):
+    p = dataclasses.replace(BASE, m_A=0, m_B=3)
+    with pytest.raises(ParamError, match="echo-protocol bounds need m_A >= 1"):
+        bound(p, n_draws=100, rng_seed=0)
+
+
+def test_theorem2_checks_return_noise_before_probes():
+    p = dataclasses.replace(BASE, m_A=0, eps_A=0.0)
+    with pytest.raises(ParamError, match="eps_A > 0 and eps_E > 0"):
+        theorem2_lower_bound(p, n_draws=100, rng_seed=0)
+
+
 def test_theorem3_ignores_return_noise_ratio():
     # theorem3 never touches eps, so wildly asymmetric hardware is fine
     p = dataclasses.replace(BASE, eps_A=1e-6, eps_E=10.0)
