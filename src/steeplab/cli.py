@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -277,25 +278,44 @@ def _check_out_dirs(*paths: Path | None) -> None:
                              "does not exist")
 
 
+def _print(*args, **kwargs) -> None:
+    """``print`` to stdout that outlives its reader: once the reader closes
+    the pipe (``steeplab ... | head -1``), the rest of the output is
+    dropped and the command still writes its files and returns its code."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    # point the stdout descriptor at /dev/null, so the buffered text still
+    # pending, flushed now or at exit, has somewhere to go
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
     _check_out_dirs(args.json_out)
     report = run_rates(params, n_draws=args.n_draws, rng_seed=args.seed)
+    if args.json_out:
+        Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
     width = max(len(k) for k in report.values)
     for key in sorted(report.values):
         line = f"{key:<{width}}  {report.values[key]: .6f}"
         if key in report.stderr:
             line += f"  (+/- {report.stderr[key]:.2e})"
-        print(line)
+        _print(line)
     for note in report.notes:
-        print(f"note: {note}")
+        _print(f"note: {note}")
     if args.json_out:
-        Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
-        print(f"wrote {args.json_out}")
+        _print(f"wrote {args.json_out}")
     return 0
 
 
@@ -309,9 +329,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(spec, workers=args.workers)
     text = rows_to_csv(rows, path=args.out)
     if args.out:
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        _print(f"wrote {args.out} ({len(rows)} rows)")
     else:
-        print(text, end="")
+        _print(text, end="")
     failed = [r for r in rows if "status" in r]
     for r in failed:
         print(f"error: {r['field']} = {r['value']!r}: {r['status']}",
@@ -320,9 +340,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plot_text = emit_plotdata([r for r in rows if "status" not in r],
                                   args.plot_metric, path=args.plot_out)
         if args.plot_out:
-            print(f"wrote {args.plot_out}")
+            _print(f"wrote {args.plot_out}")
         else:
-            print(plot_text, end="")
+            _print(plot_text, end="")
     return 1 if failed else 0
 
 
@@ -408,12 +428,12 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         failures += 0 if r.passed else 1
-        print(f"{status}  {r.name:<{width}}  closed={r.closed_form: .9g}  "
-              f"oracle={r.oracle: .9g}  |dev|={r.abs_dev:.3g}  "
-              f"tol={r.tolerance:.3g}  n={r.n_samples}")
+        _print(f"{status}  {r.name:<{width}}  closed={r.closed_form: .9g}  "
+               f"oracle={r.oracle: .9g}  |dev|={r.abs_dev:.3g}  "
+               f"tol={r.tolerance:.3g}  n={r.n_samples}")
     if args.csv_out:
-        print(f"wrote {args.csv_out}")
-    print(f"{len(reports) - failures}/{len(reports)} oracle checks passed")
+        _print(f"wrote {args.csv_out}")
+    _print(f"{len(reports) - failures}/{len(reports)} oracle checks passed")
     return 0 if failures == 0 else 2
 
 
@@ -484,10 +504,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
     except (ParamError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return code
 
 
 if __name__ == "__main__":

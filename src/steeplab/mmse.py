@@ -22,6 +22,14 @@ pass ``grant_channel=False`` to withhold it, in which case she falls back to
 the prior-mean linear estimate and the reported closed form is the actual
 MSE of that mismatched filter.
 
+Every estimator takes one episode or a batch episode (see
+``channel.simulate_episode``) and works along the last axis: a batch gives
+per-trial (T,) MSE arrays, one episode gives floats.  Trial t of a batch
+equals the estimate of its own episode bit for bit: per-trial scalars (Alice's
+channel estimate, Eve's |h_BA|^2) keep a single episode's Python arithmetic,
+and phi_BA comes from the ``rates.draw_terms`` kernel on all trials at once.
+``eve_estimate_s`` takes Eve's probe estimate when the caller already has it.
+
 The inner products are numpy sums rather than BLAS calls, so an estimate
 does not depend on the BLAS thread count.
 """
@@ -33,7 +41,7 @@ import numpy as np
 
 from .channel import AnalogEpisode, SimulationError
 from .params import ParamError, SystemParams
-from .rates import phi
+from .rates import _realization_terms, _scalarwise, phi
 
 __all__ = [
     "EstimateResult",
@@ -52,20 +60,28 @@ class EstimateResult:
     ``empirical_mse`` is the per-entry average |estimate - truth|^2 over the
     episode; ``closedform_mse`` is the model-based prediction conditioned on
     the realized channels (and, where it matters, on the realized probes).
+    For a batch episode both are (T,) arrays, one entry per trial.
     """
 
     estimate: np.ndarray
-    empirical_mse: float
-    closedform_mse: float
+    empirical_mse: float | np.ndarray
+    closedform_mse: float | np.ndarray
 
     def check(self) -> "EstimateResult":
-        if not (np.isfinite(self.empirical_mse) and self.empirical_mse >= 0):
-            raise ParamError(f"empirical_mse must be finite and >= 0, "
-                             f"got {self.empirical_mse!r}")
-        if not (np.isfinite(self.closedform_mse) and self.closedform_mse >= 0):
-            raise ParamError(f"closedform_mse must be finite and >= 0, "
-                             f"got {self.closedform_mse!r}")
+        for name in ("empirical_mse", "closedform_mse"):
+            mse = np.asarray(getattr(self, name))
+            bad = ~(np.isfinite(mse) & (mse >= 0))
+            if bad.any():
+                raise ParamError(f"{name} must be finite and >= 0, "
+                                 f"got {float(mse[bad].flat[0])!r}")
         return self
+
+
+def _result(estimate: np.ndarray, empirical, closed) -> EstimateResult:
+    """A checked result; one episode's MSEs as floats."""
+    if np.ndim(empirical) == 0:
+        empirical, closed = float(empirical), float(closed)
+    return EstimateResult(estimate, empirical, closed).check()
 
 
 def _require_echo(episode: AnalogEpisode) -> None:
@@ -95,19 +111,21 @@ def alice_estimate_s(episode: AnalogEpisode, params: SystemParams) -> EstimateRe
     """
     _require_echo(episode)
     x = episode.x_A
-    m = x.shape[0]
+    m = x.shape[-1]
     a = 1.0 - abs(complex(params.rho)) ** 2
     g = params.sigma_s2 + params.sigma_B2 + params.eps_A
-    hhat = np.conj(complex(params.rho)) * episode.realization.h_AB
-    r_prime = episode.y_AB - hhat * x
-    xnorm2 = float(np.sum(np.abs(x) ** 2))
+    conj_rho = np.conj(complex(params.rho))
+    hhat = _scalarwise(lambda h: conj_rho * h, episode.realization.h_AB)
+    r_prime = episode.y_AB - hhat[..., None] * x
+    xnorm2 = np.sum(np.abs(x) ** 2, axis=-1)
     c = (a / g) / (1.0 + a * xnorm2 / g)
-    proj = (np.conj(x) * r_prime).sum()
-    estimate = (params.sigma_s2 / g) * (r_prime - c * x * proj)
+    proj = (np.conj(x) * r_prime).sum(axis=-1)
+    estimate = (params.sigma_s2 / g) * (
+        r_prime - c[..., None] * x * proj[..., None])
     closed = params.sigma_s2 * (1.0 - params.sigma_s2 / g) \
         + params.sigma_s2 * (params.sigma_s2 / g) * c * xnorm2 / m
-    empirical = float(np.mean(np.abs(estimate - episode.s) ** 2))
-    return EstimateResult(estimate, empirical, float(closed)).check()
+    empirical = np.mean(np.abs(estimate - episode.s) ** 2, axis=-1)
+    return _result(estimate, empirical, closed)
 
 
 def alice_limit_mse(params: SystemParams) -> float:
@@ -134,16 +152,19 @@ def eve_estimate_xA(episode: AnalogEpisode, params: SystemParams) -> EstimateRes
     A zero gain vector degrades gracefully: xhat = 0 and MSE = p_A.
     """
     g = np.asarray(episode.realization.g_A)
-    gnorm2 = float(np.sum(np.abs(g) ** 2))
+    gnorm2 = np.sum(np.abs(g) ** 2, axis=-1)
     den = params.p_A * gnorm2 + params.sigma_EA2
-    estimate = (params.p_A / den) * (np.conj(g)[:, None] * episode.e_A).sum(0)
+    estimate = (params.p_A / den)[..., None] * (
+        np.conj(g)[..., None] * episode.e_A).sum(axis=-2)
     closed = params.p_A / (params.p_A * gnorm2 / params.sigma_EA2 + 1.0)
-    empirical = float(np.mean(np.abs(estimate - episode.x_A) ** 2))
-    return EstimateResult(estimate, empirical, float(closed)).check()
+    empirical = np.mean(np.abs(estimate - episode.x_A) ** 2, axis=-1)
+    return _result(estimate, empirical, closed)
 
 
 def eve_estimate_s(episode: AnalogEpisode, params: SystemParams,
-                   grant_channel: bool = True) -> EstimateResult:
+                   grant_channel: bool = True,
+                   probe_estimate: EstimateResult | None = None
+                   ) -> EstimateResult:
     """Eve's linear MMSE estimate of the secret from her return observation.
 
     With h_BA granted (default, worst case) she subtracts h_BA xhat_A and
@@ -152,29 +173,37 @@ def eve_estimate_s(episode: AnalogEpisode, params: SystemParams,
 
         r_ds_E = sigma_s2 (phi_BA + 1) / (sigma_s2 / sigma_B2 + phi_BA + 1).
 
-    With the channel withheld her best linear filter treats h_BA x_A as
-    prior noise of variance p_A; the closed form reported is then the true
-    MSE of that filter under the realized h_BA.
+    ``probe_estimate`` is ``eve_estimate_xA`` of the same episode, computed
+    here when not given.  With the channel withheld her best linear filter
+    treats h_BA x_A as prior noise of variance p_A and ignores
+    ``probe_estimate``; the closed form reported is then the true MSE of
+    that filter under the realized h_BA.
     """
     _require_echo(episode)
     h = episode.realization.h_BA
+    h_abs2 = _scalarwise(lambda v: abs(v) ** 2, h)
     t = params.sigma_s2 / params.sigma_B2
     if grant_channel:
-        xr = eve_estimate_xA(episode, params)
-        r_dx = xr.closedform_mse
-        noise = abs(h) ** 2 * r_dx + params.sigma_B2
+        xr = probe_estimate
+        if xr is None:
+            xr = eve_estimate_xA(episode, params)
+        if xr.estimate.shape != episode.x_A.shape:
+            raise ParamError(f"probe estimate of shape {xr.estimate.shape} "
+                             f"for probes of shape {episode.x_A.shape}")
+        noise = h_abs2 * xr.closedform_mse + params.sigma_B2
         c = params.sigma_s2 / (params.sigma_s2 + noise)
-        estimate = c * (episode.y_EB - h * xr.estimate)
-        p = phi(params, episode.realization, "BA")
+        estimate = c[..., None] * (
+            episode.y_EB - np.expand_dims(h, -1) * xr.estimate)
+        p = _realization_terms(params, episode.realization)["phi_BA"]
         closed = params.sigma_s2 * (p + 1.0) / (t + p + 1.0)
     else:
         prior_noise = params.p_A + params.sigma_B2 + params.eps_E
         c = params.sigma_s2 / (params.sigma_s2 + prior_noise)
         estimate = c * episode.y_EB
-        actual_noise = abs(h) ** 2 * params.p_A + params.sigma_B2 + params.eps_E
+        actual_noise = h_abs2 * params.p_A + params.sigma_B2 + params.eps_E
         closed = (params.sigma_s2 * (1.0 - c) ** 2 + c ** 2 * actual_noise)
-    empirical = float(np.mean(np.abs(estimate - episode.s) ** 2))
-    return EstimateResult(estimate, empirical, float(closed)).check()
+    empirical = np.mean(np.abs(estimate - episode.s) ** 2, axis=-1)
+    return _result(estimate, empirical, closed)
 
 
 def mse_ratio_eta(params: SystemParams, realization) -> float:

@@ -129,21 +129,29 @@ class ChannelRealization:
     Bob.  The pair is jointly Gaussian with unit variances and correlation
     ``rho``.  ``g_A`` / ``g_B`` are Eve's length-``n_E`` gain vectors for
     probes from Alice / Bob.
+
+    A batch of T draws holds the same fields with a leading trial axis:
+    ``h_AB``, ``h_BA`` of shape (T,) and ``g_A``, ``g_B`` of shape (T, n_E).
     """
 
-    h_AB: complex
-    h_BA: complex
+    h_AB: complex | np.ndarray
+    h_BA: complex | np.ndarray
     g_A: np.ndarray
     g_B: np.ndarray
 
     def check_for(self, params: SystemParams) -> "ChannelRealization":
-        """Raise ParamError unless the gain vectors match ``params.n_E``."""
+        """Raise ParamError unless the gain vectors match ``params.n_E``
+        and the batch shape of the gains."""
+        batch = np.shape(self.h_AB)
+        if np.shape(self.h_BA) != batch:
+            raise ParamError(f"h_BA must have shape {batch}, got "
+                             f"{np.shape(self.h_BA)}")
         for name in ("g_A", "g_B"):
             g = np.asarray(getattr(self, name))
-            if g.shape != (params.n_E,):
+            if g.shape != batch + (params.n_E,):
                 raise ParamError(
-                    f"{name} must have shape ({params.n_E},), got {g.shape}"
-                )
+                    f"{name} must have shape {batch + (params.n_E,)}, "
+                    f"got {g.shape}")
         return self
 
 

@@ -109,11 +109,13 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
         alpha_prime      log2((u + 1 / (1 - |rho|^2)) / (u + 1)),
                          u = xnorm2 / (sigma_s2 + sigma_B2)
     """
+    # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which rounds
+    # unlike a product, so one draw would not match its batch bit for bit
     sides = (
-        ("BA", params.p_A * np.abs(h_BA) ** 2 / params.sigma_B2,
-         params.p_A * (np.abs(g_A) ** 2).sum(axis=-1) / params.sigma_EA2),
-        ("AB", params.p_B * np.abs(h_AB) ** 2 / params.sigma_A2,
-         params.p_B * (np.abs(g_B) ** 2).sum(axis=-1) / params.sigma_EB2),
+        ("BA", params.p_A * np.square(np.abs(h_BA)) / params.sigma_B2,
+         params.p_A * np.square(np.abs(g_A)).sum(axis=-1) / params.sigma_EA2),
+        ("AB", params.p_B * np.square(np.abs(h_AB)) / params.sigma_A2,
+         params.p_B * np.square(np.abs(g_B)).sum(axis=-1) / params.sigma_EB2),
     )
     terms: dict[str, np.ndarray] = {}
     for side, main, eve in sides:
@@ -161,14 +163,34 @@ class PerRealizationRates:
     eve_AB: float
 
 
+def _scalarwise(f, a) -> np.ndarray:
+    """``f`` on each entry of ``a`` as a Python scalar, in an array of the
+    shape of ``a``.  Python's abs of a complex, ** and complex products
+    round unlike numpy's array loops, so a batch that needs one draw's
+    scalar arithmetic to the last bit maps it over its draws."""
+    a = np.asarray(a)
+    return np.reshape([f(v) for v in a.ravel().tolist()], a.shape)
+
+
+def _realization_terms(params: SystemParams,
+                       realization: ChannelRealization) -> dict[str, np.ndarray]:
+    """``draw_terms`` of one realization or of a batch realization."""
+    realization.check_for(params)
+    # Python's abs gives the |h_BA|^2 that power_budget uses, to the last bit
+    h_AB, h_BA = (_scalarwise(abs, h)
+                  for h in (realization.h_AB, realization.h_BA))
+    return draw_terms(params, h_AB, h_BA, np.asarray(realization.g_A),
+                      np.asarray(realization.g_B))
+
+
 def per_realization_rates(params: SystemParams,
                           realization: ChannelRealization) -> PerRealizationRates:
     """All closed-form log terms for one channel draw: ``draw_terms`` on a
     single draw, the batch shape ()."""
-    realization.check_for(params)
-    # Python's abs gives the |h_BA|^2 that power_budget uses, to the last bit
-    terms = draw_terms(params, abs(realization.h_AB), abs(realization.h_BA),
-                       np.asarray(realization.g_A), np.asarray(realization.g_B))
+    if np.ndim(realization.h_BA) != 0:
+        raise ParamError("per_realization_rates takes one channel draw, "
+                         "not a batch")
+    terms = _realization_terms(params, realization)
     # field names are the kernel's, with a "_term" suffix on the integrands
     renamed = {"xi_prime_BA_term": "xi_BA_prime", "xi_tilde": "xi_BA_prime"}
     return PerRealizationRates(**{

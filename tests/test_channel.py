@@ -14,7 +14,7 @@ from steeplab import (ParamError, SimulationError, SystemParams,
                       simulate_episode, validate)
 from steeplab.channel import EPISODE_CSV_COLUMNS, cnormal
 from steeplab.cli import main
-from steeplab.seeds import stream
+from steeplab.seeds import stream, subseed
 
 
 def test_cnormal_variance_split():
@@ -148,7 +148,70 @@ def test_probe_and_noise_streams_are_independent():
     assert corr < 0.12
 
 
+# ---------------------------------------------------------------- batches
+
+SIGNALS = ("x_A", "y_B", "e_A", "s", "r", "y_AB", "y_EB")
+GAINS = ("h_AB", "h_BA", "g_A", "g_B")
+
+
+@pytest.mark.parametrize("m_A", [1, 500])
+@pytest.mark.parametrize("n_E", [1, 3])
+@pytest.mark.parametrize("rho", [0.5, 0.3 + 0.4j, 0.2j])
+def test_batch_episode_is_the_episodes_of_its_seeds(rho, n_E, m_A):
+    p = SystemParams(rho=rho, n_E=n_E, m_A=m_A)
+    seeds = [subseed(17, "batch", t) for t in range(6)]
+    batch = simulate_episode(p, iter(seeds))  # any iterable of seeds
+    assert batch.x_A.shape == (6, m_A) and batch.e_A.shape == (6, n_E, m_A)
+    assert batch.m_A == m_A and batch.realization.g_A.shape == (6, n_E)
+    for t, seed in enumerate(seeds):
+        one = simulate_episode(p, seed)
+        assert one.x_A.shape == (m_A,) and isinstance(one.realization.h_BA,
+                                                      complex)
+        for name in SIGNALS:
+            assert getattr(batch, name)[t].tobytes() == \
+                getattr(one, name).tobytes(), name
+        for name in GAINS:
+            assert getattr(batch.realization, name)[t].tobytes() == \
+                np.asarray(getattr(one.realization, name)).tobytes(), name
+
+
+def test_batch_of_one_keeps_its_trial_axis():
+    p = dataclasses.replace(SystemParams(), m_A=16)
+    batch = simulate_episode(p, [5])
+    one = simulate_episode(p, 5)
+    assert batch.y_EB.shape == (1, 16)
+    assert batch.y_EB[0].tobytes() == one.y_EB.tobytes()
+
+
+def test_empty_seed_sequence_is_rejected():
+    p = SystemParams()
+    for call in (lambda: simulate_episode(p, []),
+                 lambda: sample_channels(p, ()),
+                 lambda: run_probing(p, sample_channels(p, 0), [])):
+        with pytest.raises(ParamError, match="at least one seed"):
+            call()
+
+
+def test_batch_shape_must_match_the_seeds():
+    p = dataclasses.replace(SystemParams(), m_A=4)
+    pair = sample_channels(p, [1, 2])
+    with pytest.raises(ParamError, match="batch shape"):
+        run_probing(p, pair, [1, 2, 3])
+    with pytest.raises(ParamError, match="batch shape"):
+        run_probing(p, pair, 1)
+    with pytest.raises(ParamError, match="batch shape"):
+        run_echo(p, run_probing(p, sample_channels(p, 1), 1), [1])
+
+
 # ---------------------------------------------------------------- CSV
+
+def test_episode_csv_rejects_a_batch(tmp_path):
+    p = dataclasses.replace(SystemParams(), m_A=8)
+    path = tmp_path / "ep.csv"
+    with pytest.raises(ParamError, match="one episode"):
+        episode_to_csv(simulate_episode(p, [1, 2]), path)
+    assert not path.exists()
+
 
 def test_episode_csv_layout_and_determinism(tmp_path):
     p = dataclasses.replace(SystemParams(), m_A=8, n_E=2)

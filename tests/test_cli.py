@@ -545,3 +545,44 @@ def test_cli_verify_bounds(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "oracle checks passed" in out
+
+
+# ------------------------------------------------------- CLI: closed stdout
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+@pytest.mark.parametrize("argv, out_flag", [
+    (("rates", "--n-draws", "2000", "--seed", "3"), "--json-out"),
+    (("verify-bounds", "--n-realizations", "5", "--seed", "3"), "--csv-out"),
+])
+def test_cli_outlives_a_closed_stdout(tmp_path, monkeypatch, capsys, argv,
+                                      out_flag, lines_read):
+    # the reader goes away after `lines_read` lines, as `steeplab ... |
+    # head -1` does; with 0 its end is closed before the command starts, so
+    # the first flush always fails
+    full = [*argv, out_flag, "out.txt"]
+    (tmp_path / "ref").mkdir()
+    monkeypatch.chdir(tmp_path / "ref")
+    want_code = main(full)
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(steeplab.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "steeplab", *full]
+    if lines_read == 0:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(cmd, cwd=run_dir, env=env, stdout=write_end,
+                                stderr=subprocess.PIPE)
+        os.close(write_end)
+    else:
+        proc = subprocess.Popen(cmd, cwd=run_dir, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == want_code
+    assert err == b""
+    assert (run_dir / "out.txt").read_bytes() == (
+        tmp_path / "ref" / "out.txt").read_bytes()

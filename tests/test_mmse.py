@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steeplab import (SimulationError, SystemParams, alice_estimate_s,
-                      alice_limit_mse, eve_estimate_s, eve_estimate_xA,
-                      mse_ratio_eta, phi, sample_channels, simulate_episode,
-                      validate)
+from steeplab import (EstimateResult, ParamError, SimulationError,
+                      SystemParams, alice_estimate_s, alice_limit_mse,
+                      eve_estimate_s, eve_estimate_xA, mse_ratio_eta, phi,
+                      per_realization_rates, sample_channels,
+                      simulate_episode, validate)
 from steeplab.seeds import subseed
 from test_rates import make_realization
 
@@ -140,3 +141,55 @@ def test_estimate_result_check():
     ep = simulate_episode(p, 13)
     res = alice_estimate_s(ep, p)
     assert res.check() is res
+
+
+# ---------------------------------------------------------------- batches
+
+def _estimates(episode, p, probe=None):
+    return {
+        "alice": alice_estimate_s(episode, p),
+        "eve_x": eve_estimate_xA(episode, p),
+        "eve_s": eve_estimate_s(episode, p, probe_estimate=probe),
+        "eve_s_withheld": eve_estimate_s(episode, p, grant_channel=False),
+    }
+
+
+@pytest.mark.parametrize("m_A", [1, 500])
+@pytest.mark.parametrize("n_E", [1, 3])
+@pytest.mark.parametrize("rho", [0.5, 0.3 + 0.4j, 0.2j])
+def test_batch_estimates_are_the_estimates_of_each_episode(rho, n_E, m_A):
+    p = dataclasses.replace(QUIET, rho=rho, n_E=n_E, m_A=m_A)
+    seeds = [subseed(23, "batch", t) for t in range(6)]
+    batch = simulate_episode(p, seeds)
+    got = _estimates(batch, p, probe=eve_estimate_xA(batch, p))
+    for t, seed in enumerate(seeds):
+        # the single episode recomputes Eve's probe estimate itself
+        want = _estimates(simulate_episode(p, seed), p)
+        for key, res in got.items():
+            assert res.empirical_mse.shape == res.closedform_mse.shape == (6,)
+            assert res.estimate[t].tobytes() == want[key].estimate.tobytes()
+            assert isinstance(want[key].empirical_mse, float)
+            assert res.empirical_mse[t] == want[key].empirical_mse, key
+            assert res.closedform_mse[t] == want[key].closedform_mse, key
+
+
+def test_probe_estimate_must_fit_the_episode():
+    p = dataclasses.replace(QUIET, m_A=8)
+    batch = simulate_episode(p, [1, 2])
+    other = eve_estimate_xA(simulate_episode(p, 1), p)
+    with pytest.raises(ParamError, match="probe estimate"):
+        eve_estimate_s(batch, p, probe_estimate=other)
+
+
+def test_estimate_result_check_tests_every_entry():
+    ok = np.array([0.5, 0.25])
+    assert EstimateResult(np.zeros(2), ok, ok).check().closedform_mse is ok
+    for bad in (np.array([0.5, np.nan]), np.array([-1e-3, 0.5])):
+        with pytest.raises(ParamError, match="must be finite and >= 0"):
+            EstimateResult(np.zeros(2), ok, bad).check()
+
+
+def test_per_realization_rates_takes_one_draw():
+    p = SystemParams()
+    with pytest.raises(ParamError, match="one channel draw"):
+        per_realization_rates(p, sample_channels(p, [1, 2]))

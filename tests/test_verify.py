@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from steeplab import (BscParams, OracleReport, ParamError, SystemParams,
-                      discrete_mi_enumerate, empirical_snr, gaussian_mi_logdet,
+                      alice_estimate_s, discrete_mi_enumerate, empirical_snr,
+                      eve_estimate_s, eve_estimate_xA, gaussian_mi_logdet,
                       mac_bounds_digital, per_realization_rates,
-                      run_oracle_suite, sample_channels, theorem1_term_oracles)
+                      run_oracle_suite, sample_channels, simulate_episode,
+                      theorem1_term_oracles)
 from steeplab import verify
 from steeplab.verify import _TERM_BLOCK, _logdet2, _xi_by_enumeration
 from steeplab.seeds import stream, subseed
@@ -310,6 +312,46 @@ def test_term_oracles_cover_both_directions_and_dual_routes():
     assert any("BA" in n and "whitened quadratic" in n for n in names)
     assert any("AB" in n and "conditional MI" in n for n in names)
     assert sum("gamma" in n for n in names) == 2
+
+
+def _reference_mmse_reports(params, rng_seed):
+    """The estimator-MSE checks one trial at a time: an episode and three
+    estimator calls per trial, Eve's probe estimate made twice."""
+    mmse_params = dataclasses.replace(verify._regime(params),
+                                      m_A=max(params.m_A, 500))
+    emp = {"alice": [], "eve_x": [], "eve_s": []}
+    closed = {"alice": [], "eve_x": [], "eve_s": []}
+    for t in range(200):
+        episode = simulate_episode(mmse_params, subseed(rng_seed, "mmse", t))
+        for key, fn in (("alice", alice_estimate_s), ("eve_x", eve_estimate_xA),
+                        ("eve_s", eve_estimate_s)):
+            res = fn(episode, mmse_params)
+            emp[key].append(res.empirical_mse)
+            closed[key].append(res.closedform_mse)
+    labels = {
+        "alice": "Alice secret-estimate MSE vs conditional closed form",
+        "eve_x": "Eve probe-estimate MSE vs closed form",
+        "eve_s": "Eve secret-estimate MSE vs closed form",
+    }
+    reports = []
+    for key, label in labels.items():
+        diff = np.asarray(emp[key]) - np.asarray(closed[key])
+        se = float(np.std(diff, ddof=1) / math.sqrt(200))
+        reports.append(OracleReport.build(
+            label, float(np.mean(closed[key])), float(np.mean(emp[key])),
+            max(3.0 * se, 1e-15), n_samples=200 * mmse_params.m_A))
+    return reports
+
+
+@pytest.mark.parametrize("overrides, seed", [
+    ({}, 3),
+    (dict(n_E=3, rho=0.3 + 0.4j, m_A=700, **_POWERS), 20231),
+])
+def test_batched_mmse_reports_equal_one_trial_at_a_time(overrides, seed):
+    params = dataclasses.replace(SystemParams(), **overrides)
+    got = [r for r in run_oracle_suite(params, rng_seed=seed, n_realizations=2)
+           if "MSE" in r.name]
+    assert repr(got) == repr(_reference_mmse_reports(params, seed))
 
 
 def test_full_suite_green_and_deterministic():
