@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import ChannelRealization, ParamError, SystemParams
-from .seeds import stream
+from .seeds import _streams, stream
 
 __all__ = [
     "SimulationError",
@@ -59,6 +59,11 @@ def cnormal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _complex(re: np.ndarray, im: np.ndarray, var: float) -> np.ndarray:
+    """``cnormal``'s samples from given real and imaginary normals."""
+    return np.sqrt(var / 2.0) * (re + 1j * im)
+
+
 def _seeds(rng_seed: int | Sequence[int]) -> tuple[list[int], bool]:
     """The seeds of a call and whether they make a batch; an int seed is
     the batch of one, whose trial axis the caller drops."""
@@ -79,19 +84,24 @@ def _check_batch(shape: tuple, seeds: list[int], batched: bool) -> None:
                          f"which give {want}")
 
 
+def _normal_rows(seeds: list[int], role: str, shape: tuple) -> np.ndarray:
+    """(T, *shape) standard normals, row t the first draws of
+    ``stream(seeds[t], role)``: one fill per row, as successive draws of a
+    stream continue one another."""
+    z = np.empty((len(seeds), *shape))
+    for row, rng in zip(z, _streams(seeds, role)):
+        rng.standard_normal(out=row)
+    return z
+
+
 def _cnormal_rows(seeds: list[int], batched: bool, role: str, shape: tuple,
                   var: float) -> np.ndarray:
     """``cnormal(stream(seed, role), shape, var)`` for each seed, stacked
-    on a leading trial axis when ``batched``.  One transform over all rows
-    rounds each row as ``cnormal`` does, at a third less time than a
-    ``cnormal`` call per row."""
-    re = np.empty((len(seeds), *shape))
-    im = np.empty_like(re)
-    for row, seed in enumerate(seeds):
-        rng = stream(seed, role)
-        rng.standard_normal(out=re[row])
-        rng.standard_normal(out=im[row])
-    z = np.sqrt(var / 2.0) * (re + 1j * im)
+    on a leading trial axis when ``batched``.  A row's real parts and then
+    its imaginary parts are one fill of its stream, and one transform over
+    all rows rounds each row as ``cnormal`` does."""
+    z = _normal_rows(seeds, role, (2, *shape))
+    z = _complex(z[:, 0], z[:, 1], var)
     return z if batched else z[0]
 
 
@@ -108,19 +118,32 @@ def sample_channels(params: SystemParams,
     h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).
     """
     seeds, batched = _seeds(rng_seed)
-    draws = zip(*(sample_channel_batch(params, seed, 1) for seed in seeds))
-    h_AB, h_BA, g_A, g_B = (np.concatenate(d) for d in draws)
+    n_e = params.n_E
+    # per seed, the 4 + 4 n_E normals of one draw of sample_channel_batch:
+    # real, then imaginary parts of h_AB, w, g_A and g_B
+    z = _normal_rows(seeds, "channels", (4 + 4 * n_e,))
+    h_AB = _complex(z[:, 0], z[:, 1], 1.0)
+    h_BA = _h_BA(params, h_AB, _complex(z[:, 2], z[:, 3], 1.0))
+    g_A, g_B = (_complex(z[:, lo:lo + n_e], z[:, lo + n_e:lo + 2 * n_e], 1.0)
+                for lo in (4, 4 + 2 * n_e))
     if batched:
         return ChannelRealization(h_AB=h_AB, h_BA=h_BA, g_A=g_A, g_B=g_B)
     return ChannelRealization(h_AB=complex(h_AB[0]), h_BA=complex(h_BA[0]),
                               g_A=g_A[0], g_B=g_B[0])
 
 
+def _h_BA(params: SystemParams, h_AB: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w with w ~ CN(0,1), which
+    gives E{h_AB conj(h_BA)} = rho exactly."""
+    rho = complex(params.rho)
+    return np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
+
+
 def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
     """Vectorized channel draws for Monte Carlo averaging.
 
-    h_AB ~ CN(0,1) and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w with
-    w ~ CN(0,1), which gives E{h_AB conj(h_BA)} = rho exactly.
+    h_AB ~ CN(0,1) and h_BA from it as in ``_h_BA``; Eve's gains g_A, g_B
+    are i.i.d. CN(0,1).
 
     Returns:
         tuple ``(h_AB, h_BA, g_A, g_B)`` with shapes (n,), (n,), (n, n_E),
@@ -132,8 +155,7 @@ def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
     rng = stream(rng_seed, "channels")
     h_AB = cnormal(rng, (n_draws,), 1.0)
     w = cnormal(rng, (n_draws,), 1.0)
-    rho = complex(params.rho)
-    h_BA = np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
+    h_BA = _h_BA(params, h_AB, w)
     g_A = cnormal(rng, (n_draws, params.n_E), 1.0)
     g_B = cnormal(rng, (n_draws, params.n_E), 1.0)
     return h_AB, h_BA, g_A, g_B

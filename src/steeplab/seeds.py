@@ -9,10 +9,17 @@ stream, so
 * distinct signal roles inside one episode never share a stream, and
 * work can be partitioned across workers in any order without changing
   results.
+
+The stream of ``(seed, *tags)`` is ``Philox`` keyed by numpy's
+``SeedSequence((seed, *tags))``.  Philox is counter-based, so its 128-bit
+key sets the whole stream.  A batch of streams derives all its keys in one
+pass of the ``SeedSequence`` hash over uint32 arrays (``_keys``), instead
+of building one ``SeedSequence`` and one ``Philox`` per seed.
 """
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -21,10 +28,22 @@ from .params import ParamError
 __all__ = ["stream", "subseed"]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+
+def _seed_int(seed: int) -> int:
+    # a bool would alias seed 1; masking a seed outside [0, 2**64) would
+    # alias it to another seed's streams
+    if isinstance(seed, (bool, np.bool_)):
+        raise ParamError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ParamError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _tag_int(tag: int | str) -> int:
-    if isinstance(tag, (int, np.integer)):
+    if isinstance(tag, (int, np.integer)) and not isinstance(tag, bool):
         return int(tag) & _MASK64
     if isinstance(tag, str):
         return zlib.crc32(tag.encode("utf-8"))
@@ -32,11 +51,7 @@ def _tag_int(tag: int | str) -> int:
 
 
 def _seed_sequence(seed: int, tags: tuple) -> np.random.SeedSequence:
-    seed = int(seed)
-    # masking a seed outside [0, 2**64) would alias it to another seed's streams
-    if not 0 <= seed <= _MASK64:
-        raise ParamError(f"seed must be in [0, 2**64), got {seed}")
-    entropy = (seed,) + tuple(_tag_int(t) for t in tags)
+    entropy = (_seed_int(seed),) + tuple(_tag_int(t) for t in tags)
     return np.random.SeedSequence(entropy)
 
 
@@ -44,7 +59,8 @@ def stream(seed: int, *tags: int | str) -> np.random.Generator:
     """Independent generator for the role identified by ``tags``.
 
     Philox is counter-based: streams for different tag tuples are
-    statistically independent and cheap to create on demand.
+    statistically independent.  A bool seed raises ``ParamError`` and a
+    bool tag ``TypeError``: neither aliases 1.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, tags)))
 
@@ -53,6 +69,149 @@ def subseed(seed: int, *tags: int | str) -> int:
     """Derive a child integer seed for a named sub-experiment.
 
     Hierarchical derivation keeps experiments isolated: adding a new tagged
-    sub-experiment never perturbs the draws of existing ones.
+    sub-experiment never perturbs the draws of existing ones.  The child
+    seed is the first uint64 of the stream's Philox key.
     """
     return int(_seed_sequence(seed, tags).generate_state(1, np.uint64)[0])
+
+
+# =====================================================================
+# Batches: the SeedSequence hash on uint32 arrays, one entry per row
+# =====================================================================
+
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+# (source, destination) of the twelve mixes between pool words, in order
+_CROSS = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE)
+          if src != dst]
+
+
+def _hash_consts(const: int, mult: int, n_calls: int) -> list[int]:
+    """The hash constants of ``n_calls`` successive hashmix calls: call k
+    reads entries k and k + 1.  They do not depend on the data."""
+    consts = [const]
+    for _ in range(n_calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashmix(value: np.ndarray, consts: list[int], k: int) -> np.ndarray:
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT
+
+
+def _state(words: list[np.ndarray]) -> list[np.ndarray]:
+    """The four uint32 words of ``SeedSequence(entropy).generate_state(2,
+    np.uint64)`` for the uint32 entropy words; uint32 arrays wrap as the
+    hash does."""
+    extra = max(len(words) - _POOL_SIZE, 0)
+    consts = _hash_consts(_INIT_A, _MULT_A,
+                          _POOL_SIZE + len(_CROSS) + _POOL_SIZE * extra)
+    words = words + [np.zeros_like(words[0])] * (_POOL_SIZE - len(words))
+    pool = [_hashmix(words[i], consts, i) for i in range(_POOL_SIZE)]
+    for k, (src, dst) in enumerate(_CROSS, _POOL_SIZE):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
+    k = _POOL_SIZE + len(_CROSS)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts, k))
+            k += 1
+    consts = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE)
+    return [_hashmix(pool[i], consts, i) for i in range(_POOL_SIZE)]
+
+
+def _int_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian uint32
+    words, and one word for zero."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
+          ) -> np.ndarray:
+    """The (T, 2) uint64 Philox keys of ``stream(seed, *tags)`` for T rows:
+    bit for bit ``SeedSequence((seed, *tags)).generate_state(2,
+    np.uint64)`` of each row.
+
+    ``seed`` and each tag are one value shared by every row or a sequence
+    of T ints, one per row.  Every seed and tag is checked before any key
+    is derived.  Rows whose values take different numbers of uint32 words
+    are hashed in separate groups.
+    """
+    def column(value, to_int):
+        if isinstance(value, (str, int, np.integer, np.bool_)):
+            return to_int(value)
+        return np.array([to_int(v) for v in value], dtype=np.uint64)
+
+    values = [column(seed, _seed_int)] + [column(t, _tag_int) for t in tags]
+    lengths = {v.size for v in values if isinstance(v, np.ndarray)}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ParamError("a batch needs at least one row and one length for "
+                         f"every sequence, got lengths {sorted(lengths)}")
+    n_rows = lengths.pop()
+    # bit k of a row's group is set when its k-th value takes two words
+    group = np.zeros(n_rows, dtype=np.int64)
+    for k, v in enumerate(values):
+        if isinstance(v, np.ndarray):
+            group |= (v > _MASK32).astype(np.int64) << k
+    keys = np.empty((n_rows, 2), dtype=np.uint64)
+    # a set, not np.unique: its sort maps numpy's sort kernels into memory,
+    # 1.6 MB of resident pages on first use
+    for g in set(group.tolist()):
+        rows = np.flatnonzero(group == g)
+        words: list[np.ndarray] = []
+        for k, v in enumerate(values):
+            if not isinstance(v, np.ndarray):
+                words += [np.full(rows.size, w, dtype=np.uint32)
+                          for w in _int_words(v)]
+                continue
+            v = v[rows]
+            words.append((v & _MASK32).astype(np.uint32))
+            if g >> k & 1:
+                words.append((v >> 32).astype(np.uint32))
+        # a uint64 of the state is two successive words, the first the low
+        state = [w.astype(np.uint64) for w in _state(words)]
+        keys[rows, 0] = state[0] | state[1] << 32
+        keys[rows, 1] = state[2] | state[3] << 32
+    return keys
+
+
+def _subseeds(seed: int | Sequence[int], *tags: int | str | Sequence[int]
+              ) -> list[int]:
+    """``subseed`` of each row, with rows as in ``_keys``."""
+    return _keys(seed, *tags)[:, 0].tolist()
+
+
+def _streams(seeds: Sequence[int], *tags: int | str
+             ) -> Iterator[np.random.Generator]:
+    """The generator ``stream(seed, *tags)`` of each seed in turn.
+
+    One ``Philox`` is re-keyed through its public state (the key, counter
+    0, an empty buffer), so a yielded generator draws its row's stream
+    only until the next one is yielded.  All keys are derived, and every
+    seed checked, before the first yield.  One seed gets ``stream`` itself:
+    one ``SeedSequence`` costs less than the array pass.
+    """
+    if len(seeds) == 1:
+        yield stream(seeds[0], *tags)
+        return
+    keys = _keys(seeds, *tags)
+    bitgen = np.random.Philox(0)
+    state = bitgen.state          # a fresh state: counter 0, buffer empty
+    rng = np.random.Generator(bitgen)
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng

@@ -32,12 +32,12 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .channel import sample_channels, simulate_episode
-from .digital import BscParams, binary_entropy, bsc_convolve, xi_digital
+from .digital import BscParams, binary_entropy, bsc_convolve
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams
 from .rates import (_drop_shared_terms, _realization_terms,
                     per_realization_rates, power_budget, theorem1_draw_terms)
-from .seeds import subseed
+from .seeds import _subseeds, subseed
 
 __all__ = [
     "OracleReport",
@@ -159,8 +159,11 @@ def discrete_mi_enumerate(pmf: np.ndarray, groups) -> float:
 
 def _joint_pmf(rates, derive) -> np.ndarray:
     """Exact PMF of the three bits ``derive(b, *w)`` over a fair bit b and
-    one Bernoulli(rate) flip w_i per rate, summed in ``np.ndindex`` order."""
-    pmf = np.zeros((2, 2, 2))
+    one Bernoulli(rate) flip w_i per rate, summed in ``np.ndindex`` order.
+
+    Rates may be arrays of one shape: then the PMF has shape (2, 2, 2) plus
+    that shape, each point the PMF of its own rates."""
+    pmf = np.zeros((2, 2, 2) + np.broadcast(*rates).shape)
     for bits in itertools.product((0, 1), repeat=1 + len(rates)):
         prob = 0.5
         for bit, rate in zip(bits[1:], rates):
@@ -202,6 +205,63 @@ def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
     h_b_given_ea = _entropy(p_b_ea) - _entropy(p_b_ea.sum(axis=0))
     h_b_given_a_ea = _entropy(pmf) - _entropy(pmf.sum(axis=1))
     return xi_l, float(h_b_given_ea - h_b_given_a_ea)
+
+
+def _numpy_sum(terms: np.ndarray) -> np.ndarray:
+    """Entrywise sum over the first axis, in the order ``np.sum`` adds a
+    1-D array of that many entries: one after another below 8, the tree of
+    its eight pairwise accumulators at 8."""
+    if len(terms) < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return total
+    if len(terms) == 8:
+        t = terms
+        return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    raise ValueError(f"no summation order for {len(terms)} entries")
+
+
+def _grid_entropy(pmf: np.ndarray) -> np.ndarray:
+    """``_entropy`` of each point of a PMF whose last axis holds points and
+    whose every entry is positive."""
+    flat = pmf.reshape(-1, pmf.shape[-1])
+    return -_numpy_sum(flat * np.log2(flat))
+
+
+def _digital_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``xi_digital(bsc)``, ``_xi_by_enumeration(bsc)`` and the two values
+    of ``mac_bounds_digital(bsc)`` at the 81 points of the suite's grid, as
+    arrays in loop order, each entry bit for bit the per-point call.  The
+    points are every (P_BA, P_EA) pair of ``np.arange(0.05, 0.50, 0.05)``,
+    P_BA the outer loop, with return rates P_AB = P_EB = 0.01.
+
+    Every probability on the grid is positive, so no PMF entry drops out
+    of a sum, and each sum keeps numpy's order (``_numpy_sum``)."""
+    grid = np.arange(0.05, 0.50, 0.05)
+    p_ba, p_ea = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    r = 0.01
+    xi = (binary_entropy(bsc_convolve(bsc_convolve(p_ea, p_ba), r))
+          - binary_entropy(bsc_convolve(p_ba, r)))
+
+    def mi(pmf):   # discrete_mi_enumerate(pmf, ((0,), (1,))) per point
+        p_u = pmf.sum(axis=1, keepdims=True)
+        p_v = pmf.sum(axis=0, keepdims=True)
+        terms = pmf * np.log2(pmf / (p_u * p_v))
+        return _numpy_sum(terms.reshape(4, -1))
+
+    pmf = _joint_pmf((p_ba, p_ea, r, r),
+                     lambda b_s, w_ba, w_ea, w_ab, w_eb:
+                     (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
+    xi_enum = mi(pmf.sum(axis=2)) - mi(pmf.sum(axis=1))
+
+    xi_l = (binary_entropy(bsc_convolve(p_ba, p_ea))
+            - binary_entropy(p_ba))
+    pmf = _joint_pmf((p_ba, p_ea), lambda a, w_ba, w_ea: (a, a ^ w_ba, a ^ w_ea))
+    p_b_ea = pmf.sum(axis=0)
+    xi_u = ((_grid_entropy(p_b_ea) - _grid_entropy(p_b_ea.sum(axis=0)))
+            - (_grid_entropy(pmf) - _grid_entropy(pmf.sum(axis=1))))
+    return xi, xi_enum, xi_l, xi_u
 
 
 # =====================================================================
@@ -267,22 +327,29 @@ def theorem1_term_oracles(params: SystemParams,
                           | Sequence[ChannelRealization]) -> list[OracleReport]:
     """Check every per-realization log term against log-det recomputation.
 
-    ``realizations`` is one draw, or a sequence of draws whose covariances
-    are checked as one stack; then each check reports the draw with the
-    largest deviation (the first on a tie), with ``n_samples`` the number
-    of draws.  The closed forms come from one ``rates.draw_terms`` call on
+    ``realizations`` is one draw, a batch realization, or a sequence of
+    draws.  The draws of a batch or a sequence are checked as one stack of
+    covariances; then each check reports the draw with the largest
+    deviation (the first on a tie), with ``n_samples`` the number of
+    draws.  The closed forms come from one ``rates.draw_terms`` call on
     the stacked draws, which gives each draw the bits
     ``per_realization_rates`` gives it.  Covariances are assembled for a
     single probe symbol; the probe count enters the session bounds only as
     a multiplier, so one symbol settles the integrands.
     """
-    single = isinstance(realizations, ChannelRealization)
-    draws = [realizations] if single else list(realizations)
-    if not draws:
+    single = (isinstance(realizations, ChannelRealization)
+              and np.ndim(realizations.h_BA) == 0)
+    if isinstance(realizations, ChannelRealization) and not single:
+        batch = realizations
+    else:
+        draws = [realizations] if single else list(realizations)
+        batch = ChannelRealization(*(
+            np.array([getattr(r, f) for r in draws])
+            for f in ("h_AB", "h_BA", "g_A", "g_B")))
+    n_draws = np.size(batch.h_BA)
+    if n_draws == 0:
         raise ParamError("theorem1_term_oracles needs at least one realization")
-    terms = _realization_terms(params, ChannelRealization(
-        *(np.array([getattr(r, f) for r in draws])
-          for f in ("h_AB", "h_BA", "g_A", "g_B"))))
+    terms = _realization_terms(params, batch)
 
     def closed(field):
         return terms[field].tolist()
@@ -301,8 +368,9 @@ def theorem1_term_oracles(params: SystemParams,
              ("AB", params.p_B, "h_AB", "g_B", params.sigma_A2,
               params.sigma_EB2))
     for side, p, h_name, g_name, var_main, var_eve in sides:
-        h = [getattr(r, h_name) for r in draws]
-        g = np.array([getattr(r, g_name) for r in draws])
+        # Python scalars: _probe_covariance rounds each gain as one draw does
+        h = getattr(batch, h_name).tolist()
+        g = np.asarray(getattr(batch, g_name))
         n_e = g.shape[1]
         cov = _probe_covariance(p, h, g, var_main, var_eve)
         e_axes = list(range(2, 2 + n_e))
@@ -333,7 +401,7 @@ def theorem1_term_oracles(params: SystemParams,
             checks.append(("xi integrand BA (whitened quadratic form)",
                            closed("xi_BA"), t2, tol))
 
-    n_samples = "exact" if single else len(draws)
+    n_samples = "exact" if single else n_draws
     reports: list[OracleReport] = []
     for name, closed_form, oracle, tolerance in checks:
         closed_form, oracle = np.asarray(closed_form), np.asarray(oracle)
@@ -375,9 +443,10 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     # --- per-realization information terms, worst case over draws -----
     worst: dict[str, OracleReport] = {}
     for lo in range(0, n_realizations, _TERM_BLOCK):
-        block = [sample_channels(params, subseed(rng_seed, "oracle", i))
-                 for i in range(lo, min(lo + _TERM_BLOCK, n_realizations))]
-        for rep in theorem1_term_oracles(params, block):
+        seeds = _subseeds(rng_seed, "oracle",
+                          range(lo, min(lo + _TERM_BLOCK, n_realizations)))
+        for rep in theorem1_term_oracles(params,
+                                         sample_channels(params, seeds)):
             old = worst.get(rep.name)
             if old is None or rep.abs_dev > old.abs_dev:
                 worst[rep.name] = rep
@@ -385,27 +454,18 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
         reports.append(dc_replace(rep, n_samples=n_realizations))
 
     # --- digital closed forms vs exact enumeration --------------------
-    grid = np.arange(0.05, 0.50, 0.05)
-    dev_xi = 0.0
-    dev_lu = 0.0
-    at_xi = at_lu = (0.0, 0.0)
-    for p_ba in grid:
-        for p_ea in grid:
-            bsc = BscParams(P_BA=float(p_ba), P_EA=float(p_ea),
-                            P_AB=0.01, P_EB=0.01, m_A=8)
-            closed = xi_digital(bsc, mode="exact")
-            oracle = _xi_by_enumeration(bsc)
-            if abs(closed - oracle) > dev_xi:
-                dev_xi, at_xi = abs(closed - oracle), (closed, oracle)
-            xi_l, xi_u = mac_bounds_digital(bsc)
-            if abs(xi_l - xi_u) > dev_lu:
-                dev_lu, at_lu = abs(xi_l - xi_u), (xi_l, xi_u)
-    reports.append(OracleReport.build(
-        "xi_digital vs joint-PMF enumeration (worst on 9x9 grid)",
-        at_xi[0], at_xi[1], 1e-12, n_samples="exact"))
-    reports.append(OracleReport.build(
-        "digital secret-key bounds coincide (worst on 9x9 grid)",
-        at_lu[0], at_lu[1], 1e-12, n_samples="exact"))
+    # the worst point of the grid: the first of largest deviation, or
+    # (0, 0) when every point agrees exactly
+    xi, xi_enum, xi_l, xi_u = _digital_grid()
+    for label, closed, oracle in (
+            ("xi_digital vs joint-PMF enumeration (worst on 9x9 grid)",
+             xi, xi_enum),
+            ("digital secret-key bounds coincide (worst on 9x9 grid)",
+             xi_l, xi_u)):
+        k = int(np.argmax(np.abs(closed - oracle)))
+        at = (closed[k], oracle[k]) if closed[k] != oracle[k] else (0.0, 0.0)
+        reports.append(OracleReport.build(label, *at, 1e-12,
+                                          n_samples="exact"))
 
     # --- binary entropy vs channel MI ---------------------------------
     p = 0.1
@@ -420,7 +480,7 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     n_trials = 200
     mmse_params = dc_replace(reg, m_A=max(reg.m_A, 500))
     episode = simulate_episode(
-        mmse_params, [subseed(rng_seed, "mmse", t) for t in range(n_trials)])
+        mmse_params, _subseeds(rng_seed, "mmse", range(n_trials)))
     probe = eve_estimate_xA(episode, mmse_params)
     results = {
         "Alice secret-estimate MSE vs conditional closed form":

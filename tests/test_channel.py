@@ -183,6 +183,29 @@ def test_batch_of_one_keeps_its_trial_axis():
     assert batch.y_EB[0].tobytes() == one.y_EB.tobytes()
 
 
+@pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2)])
+def test_channel_draws_are_single_draws_of_the_batch_sampler(rho, n_E):
+    # sample_channels fills each seed's normals in one call and transforms
+    # all seeds at once; each draw stays sample_channel_batch(p, seed, 1)
+    p = SystemParams(rho=rho, n_E=n_E)
+    seeds = [subseed(29, "draw", t) for t in range(300)] + [0, (1 << 64) - 1]
+    batch = sample_channels(p, seeds)
+    for t, seed in enumerate(seeds):
+        one = sample_channels(p, seed)
+        for name, want in zip(GAINS, sample_channel_batch(p, seed, 1)):
+            assert getattr(batch, name)[t].tobytes() == want[0].tobytes()
+            assert np.asarray(getattr(one, name)).tobytes() == \
+                want[0].tobytes()
+
+
+def test_bool_seed_is_rejected():
+    # True used to run as seed 1
+    p = SystemParams()
+    for seed in (True, [3, False]):
+        with pytest.raises(ParamError, match="seed must be an integer"):
+            simulate_episode(p, seed)
+
+
 def test_empty_seed_sequence_is_rejected():
     p = SystemParams()
     for call in (lambda: simulate_episode(p, []),

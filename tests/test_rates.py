@@ -12,6 +12,8 @@ from steeplab import (ChannelRealization, ParamError, SystemParams, alpha,
                       per_realization_rates, phi, power_budget,
                       sample_channels, theorem1_bounds, theorem2_lower_bound,
                       theorem3_lower_bound, validate, xi_tilde_analog)
+from steeplab.channel import sample_channel_batch
+from steeplab.rates import _drop_shared_terms, theorem1_draw_terms
 
 BASE = SystemParams()
 
@@ -305,3 +307,21 @@ def test_echo_bounds_never_exceed_one_way_capacity():
         rep3 = theorem3_lower_bound(BASE, n_draws=50_000, rng_seed=seed)
         ckey = corollary1_capacity(BASE, n_draws=50_000, rng_seed=seed)
         assert rep3.values["theorem3_lower"] <= ckey + 1e-9
+
+
+def test_batch_terms_match_per_draw_terms_to_rounding():
+    # theorem1_draw_terms takes numpy's np.abs of the whole batch, the
+    # per-draw closed forms Python's abs of each gain; the two round apart
+    # in the last bit for some draws, and no further
+    p = dataclasses.replace(BASE, rho=0.7)
+    terms = theorem1_draw_terms(p, 2000, 1)
+    _drop_shared_terms()
+    per = [per_realization_rates(p, ChannelRealization(
+        h_AB=complex(h_ab), h_BA=complex(h_ba), g_A=g_a, g_B=g_b))
+        for h_ab, h_ba, g_a, g_b in zip(*sample_channel_batch(p, 1, 2000))]
+    for batch_name, draw_name in (("phi_BA", "phi_BA"), ("xi_BA", "xi_BA_term"),
+                                  ("xi_AB", "xi_AB_term"),
+                                  ("xi_BA_prime", "xi_prime_BA_term")):
+        one = np.array([getattr(r, draw_name) for r in per])
+        rel = np.abs(terms[batch_name] - one) / np.abs(one)
+        assert rel.max() <= 1e-12, batch_name

@@ -1,9 +1,11 @@
 """Hierarchical seed derivation: stability and stream independence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steeplab import ParamError
-from steeplab.seeds import stream, subseed
+from steeplab.seeds import (_keys, _streams, _subseeds, _tag_int, stream,
+                            subseed)
 
 
 def test_stream_deterministic_per_tag():
@@ -46,3 +48,91 @@ def test_seed_outside_64_bits_rejected(seed):
         stream(seed, "probe")
     with pytest.raises(ParamError, match="seed must be in"):
         subseed(seed, "ldpc")
+
+
+# ------------------------------------------------------------- batches
+
+def _reference_key(seed, *tags):
+    entropy = (seed,) + tuple(_tag_int(t) for t in tags)
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+
+
+_EDGE_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
+_seeds = st.lists(st.one_of(st.sampled_from(_EDGE_SEEDS),
+                            st.integers(0, (1 << 32) - 1),
+                            st.integers(0, (1 << 64) - 1)),
+                  min_size=1, max_size=12)
+_tags = st.lists(st.one_of(st.text(max_size=6),
+                           st.integers(-(1 << 70), 1 << 70)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds=_seeds, tags=_tags)
+def test_batch_keys_are_seed_sequence_keys(seeds, tags):
+    # seeds of one and two words mix in one batch; int tags of two words
+    # and negative ones (masked to 64 bits) lengthen the entropy past the
+    # four-word pool
+    want = np.array([_reference_key(s, *tags) for s in seeds])
+    np.testing.assert_array_equal(_keys(seeds, *tags), want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       rows=st.lists(st.integers(-(1 << 65), 1 << 65), min_size=1,
+                     max_size=8))
+def test_batch_keys_with_a_tag_per_row(seed, rows):
+    want = np.array([_reference_key(seed, "oracle", t) for t in rows])
+    np.testing.assert_array_equal(_keys(seed, "oracle", rows), want)
+    assert _subseeds(seed, "oracle", rows) == [subseed(seed, "oracle", t)
+                                               for t in rows]
+
+
+def test_batch_streams_draw_what_each_stream_draws():
+    seeds = _EDGE_SEEDS + [12345, 7 << 40]
+    for tags in [(), ("probe",), ("sweep", 3, 1 << 50)]:
+        got = [rng.standard_normal(9) for rng in _streams(seeds, *tags)]
+        want = [stream(s, *tags).standard_normal(9) for s in seeds]
+        np.testing.assert_array_equal(got, want)
+    got = [(rng.standard_normal(3), rng.random(2))
+           for rng in _streams(seeds, "mixed")]
+    for (normals, uniforms), seed in zip(got, seeds):
+        rng = stream(seed, "mixed")
+        np.testing.assert_array_equal(normals, rng.standard_normal(3))
+        np.testing.assert_array_equal(uniforms, rng.random(2))
+
+
+def test_batch_subseeds_equal_subseed():
+    seeds = _EDGE_SEEDS + [99]
+    assert _subseeds(seeds, "ldpc") == [subseed(s, "ldpc") for s in seeds]
+    assert all(type(s) is int for s in _subseeds(seeds, "ldpc"))
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 64])
+def test_one_bad_seed_in_a_batch_raises_before_any_draw(bad):
+    streams = _streams([3, 4, bad], "probe")
+    with pytest.raises(ParamError, match="seed must be in"):
+        next(streams)
+    with pytest.raises(ParamError, match="seed must be in"):
+        _subseeds([3, bad, 4], "ldpc")
+
+
+def test_batch_rows_must_agree():
+    with pytest.raises(ParamError, match="at least one row"):
+        _keys([], "probe")
+    with pytest.raises(ParamError, match="lengths"):
+        _keys([1, 2], "probe", [1, 2, 3])
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_bool_seed_or_tag_is_rejected(flag):
+    # a bool used to run as the seed or tag 1 (or 0)
+    with pytest.raises(ParamError, match="seed must be an integer"):
+        stream(flag, "a")
+    with pytest.raises(ParamError, match="seed must be an integer"):
+        subseed(flag, "a")
+    with pytest.raises(ParamError, match="seed must be an integer"):
+        _keys([1, flag], "a")
+    with pytest.raises(TypeError, match="bool"):
+        stream(1, flag)
+    with pytest.raises(TypeError, match="bool"):
+        _keys([1, 2], "a", [0, flag])

@@ -11,7 +11,7 @@ from steeplab import (BscParams, OracleReport, ParamError, SystemParams,
                       eve_estimate_s, eve_estimate_xA, gaussian_mi_logdet,
                       mac_bounds_digital, per_realization_rates,
                       run_oracle_suite, sample_channels, simulate_episode,
-                      theorem1_term_oracles)
+                      theorem1_term_oracles, xi_digital)
 from steeplab import verify
 from steeplab.verify import _TERM_BLOCK, _logdet2, _xi_by_enumeration
 from steeplab.seeds import stream, subseed
@@ -133,6 +133,55 @@ def test_digital_enumerations_pinned():
                                     P_AB=r, P_EB=r, m_A=8)]]
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
         "bbfc82e261d659f7ba5f094bef45517f2d324160e53c05eda541412fc3356ee4")
+
+
+def _reference_digital_reports():
+    """The suite's two digital checks one grid point at a time: the worst
+    point kept with a strict >, so the first of equal deviations wins."""
+    grid = np.arange(0.05, 0.50, 0.05)
+    dev_xi = dev_lu = 0.0
+    at_xi = at_lu = (0.0, 0.0)
+    for p_ba in grid:
+        for p_ea in grid:
+            bsc = BscParams(P_BA=float(p_ba), P_EA=float(p_ea),
+                            P_AB=0.01, P_EB=0.01, m_A=8)
+            closed = xi_digital(bsc, mode="exact")
+            oracle = _xi_by_enumeration(bsc)
+            if abs(closed - oracle) > dev_xi:
+                dev_xi, at_xi = abs(closed - oracle), (closed, oracle)
+            xi_l, xi_u = mac_bounds_digital(bsc)
+            if abs(xi_l - xi_u) > dev_lu:
+                dev_lu, at_lu = abs(xi_l - xi_u), (xi_l, xi_u)
+    return [OracleReport.build(
+                "xi_digital vs joint-PMF enumeration (worst on 9x9 grid)",
+                at_xi[0], at_xi[1], 1e-12, n_samples="exact"),
+            OracleReport.build(
+                "digital secret-key bounds coincide (worst on 9x9 grid)",
+                at_lu[0], at_lu[1], 1e-12, n_samples="exact")]
+
+
+def test_digital_grid_equals_the_per_point_oracles():
+    # every point, not just the worst one the suite reports and pins
+    grid = np.arange(0.05, 0.50, 0.05)
+    points = [BscParams(P_BA=float(p_ba), P_EA=float(p_ea), P_AB=0.01,
+                        P_EB=0.01, m_A=8) for p_ba in grid for p_ea in grid]
+    want = np.array([(xi_digital(bsc, mode="exact"), _xi_by_enumeration(bsc),
+                      *mac_bounds_digital(bsc)) for bsc in points])
+    got = np.stack(verify._digital_grid(), axis=1)
+    assert got.shape == (81, 4)
+    assert got.tobytes() == want.tobytes()
+    suite = run_oracle_suite(SystemParams(), rng_seed=0, n_realizations=1)
+    assert repr([r for r in suite if "9x9 grid" in r.name]) == repr(
+        _reference_digital_reports())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_numpy_sum_order(n):
+    # the grid's short sums add in np.sum's order for a 1-D array
+    terms = stream(n, "sum").standard_normal((n, 2000)) * np.logspace(
+        0, 12, n)[:, None]
+    want = [np.sum(np.ascontiguousarray(terms[:, k])) for k in range(2000)]
+    assert verify._numpy_sum(terms).tobytes() == np.array(want).tobytes()
 
 
 # ------------------------------------------------------------- SNR fits
