@@ -23,6 +23,9 @@ episode per seed as a batch: every gain and signal gains a leading trial
 axis, and trial t equals the episode of seed t bit for bit, since each seed
 keeps its own role-tagged streams.  An int seed is the batch of one,
 returned without the trial axis.
+
+All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
+``sample_channel_batch`` and ``sample_channels`` from one call of it.
 """
 from __future__ import annotations
 
@@ -33,12 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from .params import ChannelRealization, ParamError, SystemParams
-from .seeds import _streams, stream
+from .seeds import _streams
 
 __all__ = [
     "SimulationError",
     "AnalogEpisode",
-    "cnormal",
     "sample_channels",
     "sample_channel_batch",
     "run_probing",
@@ -51,17 +53,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """A simulator was asked to run outside its physical preconditions."""
-
-
-def cnormal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    """CN(0, var) samples: real and imaginary parts each of variance var/2."""
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def _complex(re: np.ndarray, im: np.ndarray, var: float) -> np.ndarray:
-    """``cnormal``'s samples from given real and imaginary normals."""
-    return np.sqrt(var / 2.0) * (re + 1j * im)
 
 
 def _seeds(rng_seed: int | Sequence[int]) -> tuple[list[int], bool]:
@@ -84,30 +75,46 @@ def _check_batch(shape: tuple, seeds: list[int], batched: bool) -> None:
                          f"which give {want}")
 
 
-def _normal_rows(seeds: list[int], role: str, shape: tuple) -> np.ndarray:
-    """(T, *shape) standard normals, row t the first draws of
-    ``stream(seeds[t], role)``: one fill per row, as successive draws of a
-    stream continue one another."""
-    z = np.empty((len(seeds), *shape))
-    for row, rng in zip(z, _streams(seeds, role)):
-        rng.standard_normal(out=row)
-    return z
-
-
-def _cnormal_rows(seeds: list[int], batched: bool, role: str, shape: tuple,
-                  var: float) -> np.ndarray:
-    """``cnormal(stream(seed, role), shape, var)`` for each seed, stacked
-    on a leading trial axis when ``batched``.  A row's real parts and then
-    its imaginary parts are one fill of its stream, and one transform over
-    all rows rounds each row as ``cnormal`` does."""
-    z = _normal_rows(seeds, role, (2, *shape))
-    z = _complex(z[:, 0], z[:, 1], var)
-    return z if batched else z[0]
+def _cnormal_rows(seeds: list[int], batched: bool, role: str,
+                  shapes: Sequence[tuple], var: float) -> list[np.ndarray]:
+    """CN(0, var) samples of each shape in turn for every seed: array k is
+    (T, *shapes[k]), row t one fill of ``stream(seeds[t], role)``, real and
+    then imaginary parts of variance var/2; without ``batched`` it drops
+    its trial axis.  An array turns complex, and frees its normals, once
+    its last row is filled, so one seed holds the normals of one array at
+    a time (``np.empty`` commits no memory before a fill)."""
+    scale = np.sqrt(var / 2.0)
+    normals: list = [np.empty((len(seeds), 2, *shape)) for shape in shapes]
+    out = []
+    for t, rng in enumerate(_streams(seeds, role), 1):
+        for k in range(len(shapes)):
+            rng.standard_normal(out=normals[k][t - 1])
+            if t == len(seeds):   # the bits of scale * (re + 1j * im)
+                z = 1j * normals[k][:, 1]
+                z += normals[k][:, 0]
+                normals[k] = None
+                z *= scale
+                out.append(z)
+    return out if batched else [z[0] for z in out]
 
 
 # =====================================================================
 # Channel sampling
 # =====================================================================
+
+def _channel_gains(params: SystemParams, seeds: list[int],
+                   draws: tuple) -> tuple[np.ndarray, ...]:
+    """h_AB, h_BA, g_A, g_B of each seed, (T, *draws) and (T, *draws, n_E)
+    for ``draws`` (n,) or ().  The "channels" stream draws h_AB, w, g_A and
+    g_B, all CN(0, 1), and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w gives
+    E{h_AB conj(h_BA)} = rho exactly."""
+    h, g = draws, (*draws, params.n_E)
+    h_AB, w, g_A, g_B = _cnormal_rows(seeds, True, "channels", (h, h, g, g),
+                                      1.0)
+    rho = complex(params.rho)
+    h_BA = np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
+    return h_AB, h_BA, g_A, g_B
+
 
 def sample_channels(params: SystemParams,
                     rng_seed: int | Sequence[int]) -> ChannelRealization:
@@ -118,32 +125,18 @@ def sample_channels(params: SystemParams,
     h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).
     """
     seeds, batched = _seeds(rng_seed)
-    n_e = params.n_E
-    # per seed, the 4 + 4 n_E normals of one draw of sample_channel_batch:
-    # real, then imaginary parts of h_AB, w, g_A and g_B
-    z = _normal_rows(seeds, "channels", (4 + 4 * n_e,))
-    h_AB = _complex(z[:, 0], z[:, 1], 1.0)
-    h_BA = _h_BA(params, h_AB, _complex(z[:, 2], z[:, 3], 1.0))
-    g_A, g_B = (_complex(z[:, lo:lo + n_e], z[:, lo + n_e:lo + 2 * n_e], 1.0)
-                for lo in (4, 4 + 2 * n_e))
+    gains = _channel_gains(params, seeds, ())
     if batched:
-        return ChannelRealization(h_AB=h_AB, h_BA=h_BA, g_A=g_A, g_B=g_B)
-    return ChannelRealization(h_AB=complex(h_AB[0]), h_BA=complex(h_BA[0]),
-                              g_A=g_A[0], g_B=g_B[0])
-
-
-def _h_BA(params: SystemParams, h_AB: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w with w ~ CN(0,1), which
-    gives E{h_AB conj(h_BA)} = rho exactly."""
-    rho = complex(params.rho)
-    return np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
+        return ChannelRealization(*gains)
+    h_AB, h_BA, g_A, g_B = (g[0] for g in gains)
+    return ChannelRealization(complex(h_AB), complex(h_BA), g_A, g_B)
 
 
 def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
     """Vectorized channel draws for Monte Carlo averaging.
 
-    h_AB ~ CN(0,1) and h_BA from it as in ``_h_BA``; Eve's gains g_A, g_B
-    are i.i.d. CN(0,1).
+    h_AB ~ CN(0,1) and h_BA from it as in ``_channel_gains``; Eve's gains
+    g_A, g_B are i.i.d. CN(0,1).
 
     Returns:
         tuple ``(h_AB, h_BA, g_A, g_B)`` with shapes (n,), (n,), (n, n_E),
@@ -152,13 +145,7 @@ def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
     """
     if n_draws < 1:
         raise ParamError(f"n_draws must be >= 1, got {n_draws}")
-    rng = stream(rng_seed, "channels")
-    h_AB = cnormal(rng, (n_draws,), 1.0)
-    w = cnormal(rng, (n_draws,), 1.0)
-    h_BA = _h_BA(params, h_AB, w)
-    g_A = cnormal(rng, (n_draws, params.n_E), 1.0)
-    g_B = cnormal(rng, (n_draws, params.n_E), 1.0)
-    return h_AB, h_BA, g_A, g_B
+    return tuple(g[0] for g in _channel_gains(params, [rng_seed], (n_draws,)))
 
 
 # =====================================================================
@@ -205,11 +192,11 @@ def run_probing(params: SystemParams, realization: ChannelRealization,
     seeds, batched = _seeds(rng_seed)
     _check_batch(np.shape(realization.h_BA), seeds, batched)
     m = params.m_A
-    x_A = _cnormal_rows(seeds, batched, "probe", (m,), params.p_A)
-    w_B = _cnormal_rows(seeds, batched, "noise_b", (m,), params.sigma_B2)
+    [x_A] = _cnormal_rows(seeds, batched, "probe", [(m,)], params.p_A)
+    [w_B] = _cnormal_rows(seeds, batched, "noise_b", [(m,)], params.sigma_B2)
     y_B = np.expand_dims(realization.h_BA, -1) * x_A + w_B
-    w_EA = _cnormal_rows(seeds, batched, "noise_ea", (params.n_E, m),
-                         params.sigma_EA2)
+    [w_EA] = _cnormal_rows(seeds, batched, "noise_ea", [(params.n_E, m)],
+                           params.sigma_EA2)
     e_A = (np.expand_dims(realization.g_A, -1) * np.expand_dims(x_A, -2)
            + w_EA)
     return AnalogEpisode(realization=realization, x_A=x_A, y_B=y_B, e_A=e_A)
@@ -230,10 +217,10 @@ def run_echo(params: SystemParams, episode: AnalogEpisode,
     seeds, batched = _seeds(rng_seed)
     _check_batch(episode.x_A.shape[:-1], seeds, batched)
     m = episode.m_A
-    s = _cnormal_rows(seeds, batched, "secret", (m,), params.sigma_s2)
+    [s] = _cnormal_rows(seeds, batched, "secret", [(m,)], params.sigma_s2)
     r = episode.y_B + s
-    v_A = _cnormal_rows(seeds, batched, "noise_va", (m,), params.eps_A)
-    v_E = _cnormal_rows(seeds, batched, "noise_ve", (m,), params.eps_E)
+    [v_A] = _cnormal_rows(seeds, batched, "noise_va", [(m,)], params.eps_A)
+    [v_E] = _cnormal_rows(seeds, batched, "noise_ve", [(m,)], params.eps_E)
     return replace(episode, s=s, r=r, y_AB=r + v_A, y_EB=r + v_E)
 
 

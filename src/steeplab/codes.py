@@ -73,8 +73,11 @@ class LdpcCode:
     ptr: np.ndarray
 
 
+_COL_WEIGHT = 3   # checks per bit, so a code needs at least this many
+
+
 def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
-              col_weight: int = 3) -> LdpcCode:
+              col_weight: int = _COL_WEIGHT) -> LdpcCode:
     """Random regular-column-weight LDPC with near-uniform check degrees.
 
     Columns never repeat a check (no double edges), which removes the

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (decode_syndrome, make_ldpc, pack_bit_record, syndrome_of,
-                    toeplitz_hash, unpack_bit_record)
+from .codes import (_COL_WEIGHT, decode_syndrome, make_ldpc, pack_bit_record,
+                    syndrome_of, toeplitz_hash, unpack_bit_record)
 from .params import ParamError, _is_int, _is_real
 from .seeds import stream, subseed
 
@@ -111,6 +111,17 @@ def bsc_convolve(p: float, q: float) -> float:
     return p * (1.0 - q) + q * (1.0 - p)
 
 
+def _exact_rates(p_ba, p_ea, p_ab, p_eb):
+    """Exact (P_A|B, P_E|B), elementwise over scalar or array rates."""
+    return (bsc_convolve(p_ba, p_ab),
+            bsc_convolve(bsc_convolve(p_ea, p_ba), p_eb))
+
+
+def _xi_of_rates(p_ab, p_eb):
+    """xi = f(P_E|B) - f(P_A|B), elementwise."""
+    return binary_entropy(p_eb) - binary_entropy(p_ab)
+
+
 def effective_error_rates(bsc: BscParams, mode: str = "exact") -> tuple[float, float]:
     """End-to-end crossover rates (P_A|B, P_E|B) of the two effective BSCs.
 
@@ -120,8 +131,7 @@ def effective_error_rates(bsc: BscParams, mode: str = "exact") -> tuple[float, f
     rates are not actually negligible next to P_BA.
     """
     if mode == "exact":
-        p_ab = bsc_convolve(bsc.P_BA, bsc.P_AB)
-        p_eb = bsc_convolve(bsc_convolve(bsc.P_EA, bsc.P_BA), bsc.P_EB)
+        p_ab, p_eb = _exact_rates(bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB)
     elif mode == "approx":
         floor = max(bsc.P_BA, 1e-12) / 100.0
         if bsc.P_AB > floor or bsc.P_EB > floor:
@@ -146,7 +156,7 @@ def xi_digital(bsc: BscParams, mode: str = "exact") -> float:
     p_ab, p_eb = effective_error_rates(bsc, mode=mode)
     if p_eb >= 0.5:
         raise ParamError("secrecy formula outside stated regime: P_E|B >= 1/2")
-    return float(binary_entropy(p_eb) - binary_entropy(p_ab))
+    return float(_xi_of_rates(p_ab, p_eb))
 
 
 # =====================================================================
@@ -254,7 +264,8 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     ``efficiency`` multiplies the ideal disclosure f(P_A|B) per bit (1.6
     leaves the sum-product decoder far under its threshold at desk scale);
     ``safety_margin`` shrinks the final key below the information-theoretic
-    budget m_A xi - leak_bits.
+    budget m_A xi - leak_bits.  No LDPC code has fewer checks than its
+    column weight, so neither does a plan with a key.
     """
     if not efficiency >= 1.0:
         raise ParamError(f"efficiency must be >= 1, got {efficiency}")
@@ -270,6 +281,8 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     leak = max(0.0, syndrome_bits - ideal)
     budget = bsc.m_A * xi - leak
     max_key = max(0, math.floor(budget * (1.0 - safety_margin)))
+    if 0 < syndrome_bits < _COL_WEIGHT:
+        max_key = 0   # too few checks to build the LDPC code
     return ReconcilePlan(
         p_a_given_b=p_ab, p_e_given_b=p_eb, xi=xi,
         syndrome_bits=syndrome_bits, ideal_bits=float(ideal),

@@ -193,14 +193,18 @@ class RateReport:
 
     @staticmethod
     def from_json(text: str) -> "RateReport":
-        payload = json.loads(text)
-        pairs = [(str(k), str(v)) for k, v in payload["params"].items()]
-        return RateReport(
-            params=_replace_from_text(SystemParams(), pairs),
-            values={k: float(v) for k, v in payload.get("values", {}).items()},
-            stderr={k: float(v) for k, v in payload.get("stderr", {}).items()},
-            notes=[str(n) for n in payload.get("notes", [])],
-        ).check()
+        """Parse ``to_json`` output; malformed input raises ParamError."""
+        try:
+            payload = json.loads(text)
+            pairs = [(str(k), str(v)) for k, v in payload["params"].items()]
+            values, stderr = ({k: float(v) for k, v in
+                               payload.get(key, {}).items()}
+                              for key in ("values", "stderr"))
+            notes = [str(n) for n in payload.get("notes", [])]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParamError(f"malformed rate report: {exc!r}") from None
+        return RateReport(params=_replace_from_text(SystemParams(), pairs),
+                          values=values, stderr=stderr, notes=notes).check()
 
 
 # =====================================================================

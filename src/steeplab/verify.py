@@ -4,12 +4,13 @@ Routes kept deliberately separate from the formulas they test:
 
 * Gaussian mutual informations are recomputed from assembled covariance
   matrices by log-determinants (Cholesky), never by the closed forms.
-  ``theorem1_term_oracles`` takes one channel realization or a sequence;
-  a sequence is one stack of covariances, so each log-det is one
-  Hermitian check and one Cholesky over all its draws, and
-  ``run_oracle_suite`` passes its draws in blocks of a fixed size.
+  ``theorem1_term_oracles`` takes one channel realization, a batch
+  realization or a sequence; the draws are one stack of covariances, so
+  each log-det is one Hermitian check and one Cholesky over all of them,
+  and ``run_oracle_suite`` passes its draws in blocks of a fixed size.
 * Discrete informations are recomputed by exact joint-PMF summation
-  (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound.
+  (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound,
+  each one array kernel for the per-point functions and the suite's grid.
 * Estimator MSEs, effective SNRs, and powers are recomputed from simulated
   signals.  Their sample reductions are numpy sums, never BLAS calls,
   whose split of a long sum depends on the BLAS thread count.
@@ -32,7 +33,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .channel import sample_channels, simulate_episode
-from .digital import BscParams, binary_entropy, bsc_convolve
+from .digital import (BscParams, _exact_rates, _xi_of_rates, binary_entropy,
+                      bsc_convolve)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams
 from .rates import (_drop_shared_terms, _realization_terms,
@@ -172,20 +174,58 @@ def _joint_pmf(rates, derive) -> np.ndarray:
     return pmf
 
 
-def _entropy(pmf: np.ndarray) -> float:
-    q = pmf[pmf > 0.0]
-    return float(-np.sum(q * np.log2(q)))
+def _numpy_sum(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Entrywise sum over the first axis (at most 8 entries) of the terms
+    where ``mask`` holds, as ``np.sum`` adds them in a 1-D array: onto 0.0,
+    in turn below 8 entries, by its pairwise tree at 8; other terms are 0."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    if len(terms) < 8:
+        return total
+    t = terms
+    tree = 0.0 + (((t[0] + t[1]) + (t[2] + t[3]))
+                  + ((t[4] + t[5]) + (t[6] + t[7])))
+    return np.where(mask.all(axis=0), tree, total)
+
+
+def _sum_plog2(pmf: np.ndarray, denom, points: tuple) -> np.ndarray:
+    """Sum of pmf log2(pmf / denom) over the positive entries at each point
+    of a (2, ..., 2) + points PMF, as ``np.sum`` adds them: minus the entropy
+    for ``denom`` 1, the MI of two bits for the product of their marginals."""
+    mask = pmf > 0.0
+    ratio = np.divide(pmf, denom, out=np.ones_like(pmf), where=mask)
+    terms = (pmf * np.log2(ratio)).reshape(-1, *points)
+    return _numpy_sum(terms, mask.reshape(terms.shape))
+
+
+def _xi_enumerated(p_ba, p_ea, p_ab, p_eb):
+    """I(b_s; bbar_AB) - I(b_s; bbar_EB) over all five bits, per rate point."""
+    # axes: (b_s, bbar_AB, bbar_EB)
+    pmf = _joint_pmf((p_ba, p_ea, p_ab, p_eb),
+                     lambda b_s, w_ba, w_ea, w_ab, w_eb:
+                     (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
+    i_ab, i_eb = (_sum_plog2(p, p.sum(axis=1, keepdims=True)
+                             * p.sum(axis=0, keepdims=True), pmf.shape[3:])
+                  for p in (pmf.sum(axis=2), pmf.sum(axis=1)))
+    return i_ab - i_eb
+
+
+def _mac_bounds(p_ba, p_ea):
+    """The two bounds of ``mac_bounds_digital``, per rate point."""
+    xi_l = binary_entropy(bsc_convolve(p_ba, p_ea)) - binary_entropy(p_ba)
+    pmf = _joint_pmf((p_ba, p_ea),
+                     lambda a, w_ba, w_ea: (a, a ^ w_ba, a ^ w_ea))
+    p_b_ea = pmf.sum(axis=0)
+    h_b_ea, h_ea, h_a_b_ea, h_a_ea = (
+        -_sum_plog2(p, 1.0, pmf.shape[3:])
+        for p in (p_b_ea, p_b_ea.sum(axis=0), pmf, pmf.sum(axis=1)))
+    return xi_l, (h_b_ea - h_ea) - (h_a_b_ea - h_a_ea)
 
 
 def _xi_by_enumeration(bsc: BscParams) -> float:
     """xi recomputed by exact enumeration over all five bit variables."""
-    # axes: (b_s, bbar_AB, bbar_EB)
-    pmf = _joint_pmf((bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB),
-                     lambda b_s, w_ba, w_ea, w_ab, w_eb:
-                     (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
-    i_ab = discrete_mi_enumerate(pmf.sum(axis=2), ((0,), (1,)))
-    i_eb = discrete_mi_enumerate(pmf.sum(axis=1), ((0,), (1,)))
-    return i_ab - i_eb
+    return float(_xi_enumerated(bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB))
 
 
 def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
@@ -197,71 +237,19 @@ def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
     H(b_B | b_A, b_EA) comes from the exact joint PMF over
     (b_A, b_B, b_EA).  The two coincide for every valid parameter set.
     """
-    xi_l = float(binary_entropy(bsc_convolve(bsc.P_BA, bsc.P_EA))
-                 - binary_entropy(bsc.P_BA))
-    pmf = _joint_pmf((bsc.P_BA, bsc.P_EA),
-                     lambda a, w_ba, w_ea: (a, a ^ w_ba, a ^ w_ea))
-    p_b_ea = pmf.sum(axis=0)
-    h_b_given_ea = _entropy(p_b_ea) - _entropy(p_b_ea.sum(axis=0))
-    h_b_given_a_ea = _entropy(pmf) - _entropy(pmf.sum(axis=1))
-    return xi_l, float(h_b_given_ea - h_b_given_a_ea)
-
-
-def _numpy_sum(terms: np.ndarray) -> np.ndarray:
-    """Entrywise sum over the first axis, in the order ``np.sum`` adds a
-    1-D array of that many entries: one after another below 8, the tree of
-    its eight pairwise accumulators at 8."""
-    if len(terms) < 8:
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total
-    if len(terms) == 8:
-        t = terms
-        return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
-    raise ValueError(f"no summation order for {len(terms)} entries")
-
-
-def _grid_entropy(pmf: np.ndarray) -> np.ndarray:
-    """``_entropy`` of each point of a PMF whose last axis holds points and
-    whose every entry is positive."""
-    flat = pmf.reshape(-1, pmf.shape[-1])
-    return -_numpy_sum(flat * np.log2(flat))
+    return tuple(float(v) for v in _mac_bounds(bsc.P_BA, bsc.P_EA))
 
 
 def _digital_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``xi_digital(bsc)``, ``_xi_by_enumeration(bsc)`` and the two values
-    of ``mac_bounds_digital(bsc)`` at the 81 points of the suite's grid, as
-    arrays in loop order, each entry bit for bit the per-point call.  The
-    points are every (P_BA, P_EA) pair of ``np.arange(0.05, 0.50, 0.05)``,
-    P_BA the outer loop, with return rates P_AB = P_EB = 0.01.
-
-    Every probability on the grid is positive, so no PMF entry drops out
-    of a sum, and each sum keeps numpy's order (``_numpy_sum``)."""
+    of ``mac_bounds_digital(bsc)`` from their kernels, as arrays over the
+    81 points of the suite's grid: every (P_BA, P_EA) pair of
+    ``np.arange(0.05, 0.50, 0.05)``, P_BA outer, and P_AB = P_EB = 0.01."""
     grid = np.arange(0.05, 0.50, 0.05)
     p_ba, p_ea = np.repeat(grid, grid.size), np.tile(grid, grid.size)
     r = 0.01
-    xi = (binary_entropy(bsc_convolve(bsc_convolve(p_ea, p_ba), r))
-          - binary_entropy(bsc_convolve(p_ba, r)))
-
-    def mi(pmf):   # discrete_mi_enumerate(pmf, ((0,), (1,))) per point
-        p_u = pmf.sum(axis=1, keepdims=True)
-        p_v = pmf.sum(axis=0, keepdims=True)
-        terms = pmf * np.log2(pmf / (p_u * p_v))
-        return _numpy_sum(terms.reshape(4, -1))
-
-    pmf = _joint_pmf((p_ba, p_ea, r, r),
-                     lambda b_s, w_ba, w_ea, w_ab, w_eb:
-                     (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
-    xi_enum = mi(pmf.sum(axis=2)) - mi(pmf.sum(axis=1))
-
-    xi_l = (binary_entropy(bsc_convolve(p_ba, p_ea))
-            - binary_entropy(p_ba))
-    pmf = _joint_pmf((p_ba, p_ea), lambda a, w_ba, w_ea: (a, a ^ w_ba, a ^ w_ea))
-    p_b_ea = pmf.sum(axis=0)
-    xi_u = ((_grid_entropy(p_b_ea) - _grid_entropy(p_b_ea.sum(axis=0)))
-            - (_grid_entropy(pmf) - _grid_entropy(pmf.sum(axis=1))))
-    return xi, xi_enum, xi_l, xi_u
+    return (_xi_of_rates(*_exact_rates(p_ba, p_ea, r, r)),
+            _xi_enumerated(p_ba, p_ea, r, r), *_mac_bounds(p_ba, p_ea))
 
 
 # =====================================================================

@@ -12,18 +12,43 @@ from steeplab import (ParamError, SimulationError, SystemParams,
                       episode_to_csv, run_echo, run_probing,
                       sample_channel_batch, sample_channels,
                       simulate_episode, validate)
-from steeplab.channel import EPISODE_CSV_COLUMNS, cnormal
+from steeplab.channel import EPISODE_CSV_COLUMNS
 from steeplab.cli import main
 from steeplab.seeds import stream, subseed
 
 
-def test_cnormal_variance_split():
-    rng = stream(0, "t")
-    z = cnormal(rng, (200_000,), 3.0)
-    assert abs(np.mean(np.abs(z) ** 2) - 3.0) < 0.05
-    assert abs(np.var(z.real) - 1.5) < 0.03
-    assert abs(np.var(z.imag) - 1.5) < 0.03
-    assert abs(np.mean(z)) < 0.02
+def test_gain_variance_split():
+    # every gain is CN(0, 1): real and imaginary parts each of variance 1/2
+    p = dataclasses.replace(SystemParams(), rho=0.3 + 0.4j)
+    for z in sample_channel_batch(p, 0, 100_000):
+        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
+        assert abs(np.var(z.real) - 0.5) < 0.015
+        assert abs(np.var(z.imag) - 0.5) < 0.015
+        assert abs(np.mean(z)) < 0.02
+
+
+def _reference_channel_batch(params, rng_seed, n):
+    """The channel batch drawn gain by gain from one stream: real and then
+    imaginary normals, scaled by sqrt(1/2)."""
+    rng = stream(rng_seed, "channels")
+
+    def cn(shape):
+        re = rng.standard_normal(shape)
+        return np.sqrt(0.5) * (re + 1j * rng.standard_normal(shape))
+
+    h_ab, w = cn((n,)), cn((n,))
+    rho = complex(params.rho)
+    h_ba = np.conj(rho) * h_ab + np.sqrt(1.0 - abs(rho) ** 2) * w
+    return h_ab, h_ba, cn((n, params.n_E)), cn((n, params.n_E))
+
+
+@pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2)])
+def test_channel_batch_layout(rho, n_E):
+    p = SystemParams(rho=rho, n_E=n_E)
+    for seed, n in ((0, 1), (3, 17), ((1 << 64) - 1, 1000)):
+        got = sample_channel_batch(p, seed, n)
+        for a, b in zip(got, _reference_channel_batch(p, seed, n)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_sample_channels_deterministic():
@@ -185,8 +210,8 @@ def test_batch_of_one_keeps_its_trial_axis():
 
 @pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2)])
 def test_channel_draws_are_single_draws_of_the_batch_sampler(rho, n_E):
-    # sample_channels fills each seed's normals in one call and transforms
-    # all seeds at once; each draw stays sample_channel_batch(p, seed, 1)
+    # sample_channels draws all seeds of a batch through one re-keyed
+    # Philox; each draw stays sample_channel_batch(p, seed, 1)
     p = SystemParams(rho=rho, n_E=n_E)
     seeds = [subseed(29, "draw", t) for t in range(300)] + [0, (1 << 64) - 1]
     batch = sample_channels(p, seeds)

@@ -425,6 +425,16 @@ def test_cli_simulate_digital(tmp_path, capsys):
     assert np.array_equal(back.key_A, back.key_B)
 
 
+def test_cli_simulate_digital_without_a_buildable_code(capsys):
+    # a 2-bit syndrome has no LDPC code of column weight 3: no key, exit 0
+    code, text, _ = run_cli(capsys, "simulate-digital", "--m_A", "10",
+                            "--P_BA", "0.01")
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["syndrome_bits"], payload["max_key_len"]) == (2, 0)
+    assert payload["note"] == "no distillable key at this operating point"
+
+
 def _digital_transcript_sha256(tmp_path, capsys, m_A):
     blob = tmp_path / "transcript.bin"
     code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", m_A,

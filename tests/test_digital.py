@@ -13,6 +13,7 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       reconcile_and_amplify,
                       reconcile_plan, run_digital_episode,
                       validate_bsc, xi_digital)
+from steeplab.codes import _COL_WEIGHT
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 
@@ -208,6 +209,21 @@ def test_reconcile_plan_noiseless_main_channel():
 def test_reconcile_plan_key_budget_can_hit_zero():
     close = dataclasses.replace(DEFAULT, P_EA=0.12)
     assert reconcile_plan(close).max_key_len == 0
+
+
+def test_reconcile_plan_promises_only_buildable_codes():
+    # a syndrome of 1 or 2 bits is too short for an LDPC code of column
+    # weight 3, so a plan with such a syndrome distills no key
+    plans = [reconcile_plan(BscParams(P_BA=p_ba, P_EA=p_ea, m_A=m))
+             for m in [*range(2, 200), 300, 500, 1000]
+             for p_ba in (0.0005, 0.001, 0.01, 0.05, 0.1)
+             for p_ea in (0.2, 0.4)]
+    keyed = [plan for plan in plans if plan.max_key_len >= 1]
+    assert len(keyed) == 1333   # another 632 have a 1-2 bit syndrome
+    assert all(plan.syndrome_bits == 0 or plan.syndrome_bits >= _COL_WEIGHT
+               for plan in keyed)
+    short = reconcile_plan(BscParams(P_BA=0.01, m_A=10))
+    assert (short.syndrome_bits, short.max_key_len) == (2, 0)
 
 
 # ---------------------------------------------------------------- end to end

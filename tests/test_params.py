@@ -179,6 +179,19 @@ def test_rate_report_from_json_rejects_nonfinite():
         RateReport.from_json('{"params": {}, "values": {"C_A": NaN}}')
 
 
+@pytest.mark.parametrize("text, match", [
+    ("{}", r"KeyError\('params'\)"),
+    ("[]", "TypeError.*list indices"),
+    ("nope", "JSONDecodeError"),
+    ('{"params": {}, "values": [1]}', "'list' object has no attribute"),
+    ('{"params": {}, "values": {"a": "x"}}', "could not convert .*'x'"),
+    ('{"params": {}, "notes": 5}', "'int' object is not iterable"),
+])
+def test_rate_report_from_json_rejects_malformed_input(text, match):
+    with pytest.raises(ParamError, match=match):
+        RateReport.from_json(text)
+
+
 def test_rate_report_check_rejects_nonfinite():
     rep = RateReport(params=SystemParams(), values={"x": math.inf},
                      stderr={}, notes=[])

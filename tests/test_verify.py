@@ -1,13 +1,15 @@
 """The oracles themselves: log-det MI, discrete MI, SNR fits, full suite."""
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from steeplab import (BscParams, OracleReport, ParamError, SystemParams,
-                      alice_estimate_s, discrete_mi_enumerate, empirical_snr,
+                      alice_estimate_s, binary_entropy, bsc_convolve,
+                      discrete_mi_enumerate, empirical_snr,
                       eve_estimate_s, eve_estimate_xA, gaussian_mi_logdet,
                       mac_bounds_digital, per_realization_rates,
                       run_oracle_suite, sample_channels, simulate_episode,
@@ -177,11 +179,67 @@ def test_digital_grid_equals_the_per_point_oracles():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_numpy_sum_order(n):
-    # the grid's short sums add in np.sum's order for a 1-D array
-    terms = stream(n, "sum").standard_normal((n, 2000)) * np.logspace(
-        0, 12, n)[:, None]
-    want = [np.sum(np.ascontiguousarray(terms[:, k])) for k in range(2000)]
-    assert verify._numpy_sum(terms).tobytes() == np.array(want).tobytes()
+    # the enumerations' short sums add the terms of a PMF's positive
+    # entries in np.sum's order for a 1-D array of just those terms;
+    # columns 0-499 have every entry positive, columns 500-599 hold -0.0
+    rng = stream(n, "sum")
+    terms = rng.standard_normal((n, 2000)) * np.logspace(0, 12, n)[:, None]
+    pmf = np.where(rng.random((n, 2000)) < 0.3, 0.0, 0.5)
+    pmf[:, :500] = 0.5
+    terms[:, 500:600] = -0.0
+    terms[pmf == 0.0] = 0.0
+    want = [np.sum(terms[pmf[:, k] > 0.0, k]) for k in range(2000)]
+    assert verify._numpy_sum(terms, pmf > 0.0).tobytes() == \
+        np.array(want).tobytes()
+
+
+def _entropy(pmf):
+    q = pmf[pmf > 0.0]
+    return float(-np.sum(q * np.log2(q)))
+
+
+def _reference_xi_by_enumeration(bsc):
+    """``_xi_by_enumeration`` one PMF at a time, through the public
+    ``discrete_mi_enumerate``."""
+    pmf = verify._joint_pmf((bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB),
+                            lambda b_s, w_ba, w_ea, w_ab, w_eb:
+                            (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
+    i_ab = discrete_mi_enumerate(pmf.sum(axis=2), ((0,), (1,)))
+    i_eb = discrete_mi_enumerate(pmf.sum(axis=1), ((0,), (1,)))
+    return i_ab - i_eb
+
+
+def _reference_mac_bounds_digital(bsc):
+    """``mac_bounds_digital`` one PMF at a time, each entropy an
+    ``np.sum`` over the positive entries."""
+    xi_l = float(binary_entropy(bsc_convolve(bsc.P_BA, bsc.P_EA))
+                 - binary_entropy(bsc.P_BA))
+    pmf = verify._joint_pmf((bsc.P_BA, bsc.P_EA),
+                            lambda a, w_ba, w_ea: (a, a ^ w_ba, a ^ w_ea))
+    p_b_ea = pmf.sum(axis=0)
+    h_b_given_ea = _entropy(p_b_ea) - _entropy(p_b_ea.sum(axis=0))
+    h_b_given_a_ea = _entropy(pmf) - _entropy(pmf.sum(axis=1))
+    return xi_l, float(h_b_given_ea - h_b_given_a_ea)
+
+
+def test_digital_kernels_equal_the_per_point_reference():
+    # 10^4 points, zero and subnormal rates among them, so PMF entries drop
+    # out of the sums; the array kernels on all points at once give the
+    # bits of each point's batch of one
+    values = (0.0, 5e-324, 1e-300, 1e-12, 0.01, 0.1, 0.25, 0.3, 0.49, 0.5)
+    points = [BscParams(*rates, m_A=8)
+              for rates in itertools.product(values, repeat=4)]
+    got = [(_xi_by_enumeration(b), *mac_bounds_digital(b)) for b in points]
+    want = [(_reference_xi_by_enumeration(b),
+             *_reference_mac_bounds_digital(b)) for b in points]
+    assert repr(got) == repr(want)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "b5e8c0b1e1d8fe4a139de33107c9fd901bae3e17419a39f1f92fdb80206809f9")
+    p_ba, p_ea, p_ab, p_eb = np.array(
+        [(b.P_BA, b.P_EA, b.P_AB, b.P_EB) for b in points]).T
+    arrays = np.stack([verify._xi_enumerated(p_ba, p_ea, p_ab, p_eb),
+                       *verify._mac_bounds(p_ba, p_ea)], axis=1)
+    assert arrays.tobytes() == np.array(got).tobytes()
 
 
 # ------------------------------------------------------------- SNR fits
