@@ -356,7 +356,7 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
     p_r, _ = power_budget(params, realization)
     payload = {
         "m_A": params.m_A,
-        "h_BA_abs2": abs(realization.h_BA) ** 2,
+        "h_BA_abs2": float(np.square(np.abs(realization.h_BA))),
         "p_r_closed_form": p_r,
         "p_r_empirical": float(np.mean(np.abs(episode.r) ** 2)),
         "secret_power_empirical": float(np.mean(np.abs(episode.s) ** 2)),

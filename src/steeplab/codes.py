@@ -91,6 +91,13 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
         raise ParamError(f"need 1 <= n_checks < n_bits, got {n_checks}, {n_bits}")
     if col_weight > n_checks:
         raise ParamError("col_weight cannot exceed n_checks")
+    if col_weight == n_checks:
+        # every column holds every check: the one such code, built directly
+        checks = np.arange(n_checks, dtype=np.int64)
+        return LdpcCode(n_bits=n_bits, n_checks=n_checks,
+                        chk=np.repeat(checks, n_bits),
+                        var=np.tile(np.arange(n_bits), n_checks),
+                        ptr=checks * n_bits)
     rng = stream(rng_seed, "code")
     total = col_weight * n_bits
     base, extra = divmod(total, n_checks)

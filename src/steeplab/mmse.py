@@ -25,9 +25,8 @@ MSE of that mismatched filter.
 Every estimator takes one episode or a batch episode (see
 ``channel.simulate_episode``) and works along the last axis: a batch gives
 per-trial (T,) MSE arrays, one episode gives floats.  Trial t of a batch
-equals the estimate of its own episode bit for bit: per-trial scalars (Alice's
-channel estimate, Eve's |h_BA|^2) keep a single episode's Python arithmetic,
-and phi_BA comes from the ``rates.draw_terms`` kernel on all trials at once.
+equals the estimate of its own episode bit for bit, and phi_BA comes from
+the ``rates.draw_terms`` kernel on all trials at once.
 ``eve_estimate_s`` takes Eve's probe estimate when the caller already has it.
 
 The inner products are numpy sums rather than BLAS calls, so an estimate
@@ -41,7 +40,7 @@ import numpy as np
 
 from .channel import AnalogEpisode, SimulationError
 from .params import ParamError, SystemParams
-from .rates import _realization_terms, _scalarwise, phi
+from .rates import _realization_terms, phi
 
 __all__ = [
     "EstimateResult",
@@ -115,7 +114,7 @@ def alice_estimate_s(episode: AnalogEpisode, params: SystemParams) -> EstimateRe
     a = 1.0 - abs(complex(params.rho)) ** 2
     g = params.sigma_s2 + params.sigma_B2 + params.eps_A
     conj_rho = np.conj(complex(params.rho))
-    hhat = _scalarwise(lambda h: conj_rho * h, episode.realization.h_AB)
+    hhat = conj_rho * np.asarray(episode.realization.h_AB)
     r_prime = episode.y_AB - hhat[..., None] * x
     xnorm2 = np.sum(np.abs(x) ** 2, axis=-1)
     c = (a / g) / (1.0 + a * xnorm2 / g)
@@ -181,7 +180,7 @@ def eve_estimate_s(episode: AnalogEpisode, params: SystemParams,
     """
     _require_echo(episode)
     h = episode.realization.h_BA
-    h_abs2 = _scalarwise(lambda v: abs(v) ** 2, h)
+    h_abs2 = np.square(np.abs(h))
     t = params.sigma_s2 / params.sigma_B2
     if grant_channel:
         xr = probe_estimate

@@ -197,14 +197,25 @@ class RateReport:
         try:
             payload = json.loads(text)
             pairs = [(str(k), str(v)) for k, v in payload["params"].items()]
-            values, stderr = ({k: float(v) for k, v in
+            values, stderr = ({k: _json_number(v) for k, v in
                                payload.get(key, {}).items()}
                               for key in ("values", "stderr"))
-            notes = [str(n) for n in payload.get("notes", [])]
+            notes = payload.get("notes", [])
+            if isinstance(notes, (str, dict)):
+                raise TypeError(f"notes must be a list, got {notes!r}")
+            notes = [str(n) for n in notes]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParamError(f"malformed rate report: {exc!r}") from None
         return RateReport(params=_replace_from_text(SystemParams(), pairs),
                           values=values, stderr=stderr, notes=notes).check()
+
+
+def _json_number(v) -> float:
+    """A report value as a float; a JSON bool or string is not a number."""
+    x = float(v)
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"report values must be numbers, got {v!r}")
+    return x
 
 
 # =====================================================================

@@ -16,19 +16,13 @@ ensemble are estimated by plain Monte Carlo over i.i.d. channel draws, with
 the standard error reported alongside each estimated term.
 
 One vectorized kernel, ``draw_terms``, holds every per-draw formula; the
-scalar functions run it on a single draw, and each bound below is a mean
-(with standard error) over its output.  ``theorem1_draw_terms`` keeps the
-terms of its last batch per thread, as sweep workers run points at once,
-so the bounds ``cli.run_rates`` asks for at one ``(params, n_draws,
-rng_seed)`` reduce one batch, sampled once, and terms that coincide
-analytically coincide to the last bit.  Callers done with it release it.
-
-That batch takes its magnitudes with numpy's ``np.abs``, while the
-per-draw closed forms (``per_realization_rates``, ``phi``, the MMSE
-estimators, the term oracles) take Python's ``abs`` of each gain.  The two
-round apart in the last bit, so a batch term and the per-draw closed form
-of the same draw agree to about 1e-14 relative, not bit for bit: at rho
-0.7, about one ``xi_BA`` term in eight differs.
+scalar functions run it on a single draw, which gives that draw's terms in
+a batch bit for bit, and each bound below is a mean (with standard error)
+over its output.  ``theorem1_draw_terms`` keeps the terms of its last batch
+per thread, as sweep workers run points at once, so the bounds
+``cli.run_rates`` asks for at one ``(params, n_draws, rng_seed)`` reduce
+one batch, sampled once, and terms that coincide analytically coincide to
+the last bit.  Callers done with it release it.
 
 Bounds computed here:
 
@@ -170,24 +164,12 @@ class PerRealizationRates:
     eve_AB: float
 
 
-def _scalarwise(f, a) -> np.ndarray:
-    """``f`` on each entry of ``a`` as a Python scalar, in an array of the
-    shape of ``a``.  Python's abs of a complex, ** and complex products
-    round unlike numpy's array loops, so a batch that needs one draw's
-    scalar arithmetic to the last bit maps it over its draws."""
-    a = np.asarray(a)
-    return np.reshape([f(v) for v in a.ravel().tolist()], a.shape)
-
-
 def _realization_terms(params: SystemParams,
                        realization: ChannelRealization) -> dict[str, np.ndarray]:
     """``draw_terms`` of one realization or of a batch realization."""
     realization.check_for(params)
-    # Python's abs gives the |h_BA|^2 that power_budget uses, to the last bit
-    h_AB, h_BA = (_scalarwise(abs, h)
-                  for h in (realization.h_AB, realization.h_BA))
-    return draw_terms(params, h_AB, h_BA, np.asarray(realization.g_A),
-                      np.asarray(realization.g_B))
+    return draw_terms(params, realization.h_AB, realization.h_BA,
+                      realization.g_A, realization.g_B)
 
 
 def per_realization_rates(params: SystemParams,
@@ -416,6 +398,6 @@ def power_budget(params: SystemParams,
         sigma_s2 = |h_BA|^2 p_A, makes the echo spend about half its power
         on the secret: p_r ~ 2 sigma_s2 once sigma_B2 is negligible.
     """
-    recv = abs(realization.h_BA) ** 2 * params.p_A
+    recv = np.square(np.abs(realization.h_BA)) * params.p_A
     p_r = recv + params.sigma_B2 + params.sigma_s2
     return float(p_r), float(recv)

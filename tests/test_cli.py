@@ -409,7 +409,7 @@ def test_cli_largest_seed_keeps_its_bytes(capsys):
                             "--seed", str((1 << 64) - 1))
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3b038a328c074f7405ecd8aa7d99557715df5c4f530b5533a68b68decf52c5a7")
+        "e168a0473c7a280a67d355edbe24abb517756d7678f4789ce148ace3a2157087")
 
 
 def test_cli_simulate_digital(tmp_path, capsys):
@@ -500,19 +500,18 @@ def test_cli_simulate_digital_overlong_target(capsys):
 
 _VERIFY_PINS = [
     (("--seed", "3", "--n-realizations", "200"),
-     "467d1196c07fdb642bbdee5ff6a27bed0b9e27ff9ef3945bee5fd76bbe23d18d",
-     "cdfb6637dcf14eaacaba82b01d0fb4508a7bee7173c7638b21b5dceb92592ba2"),
+     "2d2918718b02824c421fa72a0f0b7260a4b75ea83722fb8c7bff1e88efb6f246",
+     "80f0ffe91ba7a9e7fb4a4a437e82d845f6c6419150f222f36599b9de2c25a09c"),
     (("--n_E", "3", "--rho", "0.4", "--seed", "4"),
-     "27a10ffdec7a37ba068f526c6cdc82fa4b155f42481389650865de8f37d86bcb",
-     "699117f5f3ca2e5d093e1d5241e1b486fcc0c74e0bef89fcacf7fd28367780f5"),
+     "5f02d492730069b139f8ec5427be26ad39bbae6af6b7533debe6e92d43eb36ce",
+     "3175b0ca92a0cacae2e1d1b5b3d026592adea0ee23ee909612d1e92d60a89fdd"),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout_digest, csv_digest", _VERIFY_PINS)
+@pytest.mark.parametrize("argv, stdout_digest, csv_digest", _VERIFY_PINS,
+                         ids=["seed3", "nE3-rho0.4-seed4"])
 def test_cli_verify_bounds_bytes_pinned(tmp_path, monkeypatch, capsys, argv,
                                         stdout_digest, csv_digest):
-    # the stdout digests date from per-draw Cholesky calls; the CSV digests
-    # from the move of the sample reductions off BLAS
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "verify-bounds", *argv, "--csv-out", "v.csv")
     assert code == 0

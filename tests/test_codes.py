@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steeplab import (BscParams, ParamError, decode_syndrome, hexdump,
-                      make_ldpc, pack_bit_record, reconcile_plan,
-                      run_digital_episode, syndrome_of, toeplitz_hash,
+                      make_ldpc, pack_bit_record, reconcile_and_amplify,
+                      reconcile_plan, run_digital_episode, syndrome_of, toeplitz_hash,
                       unpack_bit_record)
 from steeplab.seeds import stream, subseed
 
@@ -204,6 +204,24 @@ def test_decode_matches_fresh_temporaries(n_bits, n_checks, seed):
         assert np.array_equal(got, want)
         results.add(ok)
     assert results == {True, False}
+
+
+def test_make_ldpc_builds_every_three_check_code():
+    # with n_checks equal to the column weight every column holds all three
+    # checks; random socket swaps rarely reach that, so it is built directly
+    for n_bits in range(16, 119, 3):
+        for seed in range(3):
+            code = make_ldpc(n_bits, 3, rng_seed=seed)
+            assert np.array_equal(code.chk, np.repeat(np.arange(3), n_bits))
+            assert np.array_equal(code.var, np.tile(np.arange(n_bits), 3))
+            assert np.array_equal(code.ptr, [0, n_bits, 2 * n_bits])
+    bsc = BscParams(P_BA=0.01, m_A=16)
+    plan = reconcile_plan(bsc)
+    assert (plan.syndrome_bits, plan.max_key_len) == (3, 6)
+    for seed in range(3):
+        result = reconcile_and_amplify(run_digital_episode(bsc, seed), bsc,
+                                       plan.max_key_len, seed)
+        assert result.syndrome_bits == 3 and result.key_A.size == 6
 
 
 def test_make_ldpc_rejects_bad_shapes():

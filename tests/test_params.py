@@ -186,6 +186,10 @@ def test_rate_report_from_json_rejects_nonfinite():
     ('{"params": {}, "values": [1]}', "'list' object has no attribute"),
     ('{"params": {}, "values": {"a": "x"}}', "could not convert .*'x'"),
     ('{"params": {}, "notes": 5}', "'int' object is not iterable"),
+    ('{"params": {}, "notes": "ab"}', "notes must be a list, got 'ab'"),
+    ('{"params": {}, "values": {"x": true}}', "must be numbers, got True"),
+    ('{"params": {}, "notes": {"a": 1}}', r"notes must be a list, got \{"),
+    ('{"params": {}, "stderr": {"x": "1.5"}}', "must be numbers, got '1.5'"),
 ])
 def test_rate_report_from_json_rejects_malformed_input(text, match):
     with pytest.raises(ParamError, match=match):

@@ -309,19 +309,27 @@ def test_echo_bounds_never_exceed_one_way_capacity():
         assert rep3.values["theorem3_lower"] <= ckey + 1e-9
 
 
-def test_batch_terms_match_per_draw_terms_to_rounding():
-    # theorem1_draw_terms takes numpy's np.abs of the whole batch, the
-    # per-draw closed forms Python's abs of each gain; the two round apart
-    # in the last bit for some draws, and no further
+def test_batch_terms_equal_per_draw_terms():
+    # one magnitude rule, np.square(np.abs(h)), for the batch and for one
+    # draw: each per-draw closed form is its draw of the batch, bit for bit
     p = dataclasses.replace(BASE, rho=0.7)
-    terms = theorem1_draw_terms(p, 2000, 1)
-    _drop_shared_terms()
-    per = [per_realization_rates(p, ChannelRealization(
-        h_AB=complex(h_ab), h_BA=complex(h_ba), g_A=g_a, g_B=g_b))
-        for h_ab, h_ba, g_a, g_b in zip(*sample_channel_batch(p, 1, 2000))]
-    for batch_name, draw_name in (("phi_BA", "phi_BA"), ("xi_BA", "xi_BA_term"),
-                                  ("xi_AB", "xi_AB_term"),
-                                  ("xi_BA_prime", "xi_prime_BA_term")):
-        one = np.array([getattr(r, draw_name) for r in per])
-        rel = np.abs(terms[batch_name] - one) / np.abs(one)
-        assert rel.max() <= 1e-12, batch_name
+    shared = (("phi_BA", "phi_BA"), ("xi_BA", "xi_BA_term"),
+              ("xi_AB", "xi_AB_term"), ("gamma_BA", "gamma_BA_term"),
+              ("gamma_AB", "gamma_AB_term"),
+              ("xi_BA_prime", "xi_prime_BA_term"),
+              ("xi_BA_prime", "xi_tilde"), ("snr_AB", "snr_AB"),
+              ("snr_EB", "snr_EB"))
+    for seed in (1, 2, 3):
+        terms = theorem1_draw_terms(p, 5000, seed)
+        _drop_shared_terms()
+        gains = sample_channel_batch(p, seed, 5000)
+        draws = [ChannelRealization(h_AB=complex(h_ab), h_BA=complex(h_ba),
+                                    g_A=g_a, g_B=g_b)
+                 for h_ab, h_ba, g_a, g_b in zip(*gains)]
+        per = [per_realization_rates(p, r) for r in draws]
+        for batch_name, draw_name in shared:
+            one = np.array([getattr(r, draw_name) for r in per])
+            assert np.array_equal(terms[batch_name], one), (seed, draw_name)
+        # the received probe power of the echo budget follows the same rule
+        recv = np.array([power_budget(p, r)[1] for r in draws])
+        assert np.array_equal(recv, np.square(np.abs(gains[1])) * p.p_A)
