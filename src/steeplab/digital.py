@@ -267,8 +267,8 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     budget m_A xi - leak_bits.  No LDPC code has fewer checks than its
     column weight, so neither does a plan with a key.
     """
-    if not efficiency >= 1.0:
-        raise ParamError(f"efficiency must be >= 1, got {efficiency}")
+    if not 1.0 <= efficiency < math.inf:
+        raise ParamError(f"efficiency must lie in [1, inf), got {efficiency}")
     if not 0.0 <= safety_margin < 1.0:
         raise ParamError(f"safety_margin must lie in [0, 1), got {safety_margin}")
     p_ab, p_eb = effective_error_rates(bsc, mode="exact")
@@ -277,7 +277,8 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     if p_ab == 0.0:
         syndrome_bits = 0
     else:
-        syndrome_bits = min(bsc.m_A - 1, math.ceil(efficiency * ideal))
+        # capped before rounding: the product may overflow to inf
+        syndrome_bits = math.ceil(min(efficiency * ideal, bsc.m_A - 1))
     leak = max(0.0, syndrome_bits - ideal)
     budget = bsc.m_A * xi - leak
     max_key = max(0, math.floor(budget * (1.0 - safety_margin)))
@@ -301,9 +302,6 @@ class ReconcileResult:
     max_key_len: int
     decoder_converged: bool
     success: bool             # keys identical; failure is reported, not retried
-
-    def keys_agree(self) -> bool:
-        return bool(np.array_equal(self.key_A, self.key_B))
 
 
 def reconcile_and_amplify(episode: DigitalEpisode, bsc: BscParams,

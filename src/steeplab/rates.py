@@ -18,11 +18,11 @@ the standard error reported alongside each estimated term.
 One vectorized kernel, ``draw_terms``, holds every per-draw formula; the
 scalar functions run it on a single draw, which gives that draw's terms in
 a batch bit for bit, and each bound below is a mean (with standard error)
-over its output.  ``theorem1_draw_terms`` keeps the terms of its last batch
-per thread, as sweep workers run points at once, so the bounds
-``cli.run_rates`` asks for at one ``(params, n_draws, rng_seed)`` reduce
-one batch, sampled once, and terms that coincide analytically coincide to
-the last bit.  Callers done with it release it.
+over its output.  Each ``theorem1_draw_terms`` call samples its own batch,
+except inside ``_one_batch``: there the bounds asked for at its ``(params,
+n_draws, rng_seed)`` reduce one batch, sampled once, so terms that coincide
+analytically coincide to the last bit.  ``cli.run_rates`` holds it for one
+report, and it is released when the report is done.
 
 Bounds computed here:
 
@@ -48,7 +48,7 @@ Bounds computed here:
 from __future__ import annotations
 
 import math
-import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,13 +196,14 @@ def phi(params: SystemParams, realization: ChannelRealization,
 
 
 # =====================================================================
-# One channel batch per thread, shared by every reduction
+# One channel batch per rate report, shared by every reduction
 # =====================================================================
 
 # what the reductions read, plus phi_BA for callers of theorem1_draw_terms
 _SHARED_TERMS = ("phi_BA", "xi_BA", "xi_AB", "gamma_BA", "gamma_AB",
                  "xi_BA_prime", "snr_AB", "snr_EB", "alpha_prime")
-_shared = threading.local()
+# the batches _one_batch holds, by (params, n_draws, rng_seed)
+_held: dict[tuple, dict[str, np.ndarray]] = {}
 
 
 def theorem1_draw_terms(params: SystemParams, n_draws: int,
@@ -212,31 +213,36 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     Entries: phi_BA, xi_BA, xi_AB, gamma_BA, gamma_AB, xi_BA_prime, snr_AB,
     snr_EB and, when m_A >= 1, alpha_prime: the energy of m_A i.i.d.
     CN(0, p_A) probes is (p_A / 2) chi^2 with 2 m_A degrees of freedom.
-    Each thread keeps the arrays (read-only) of its last ``(params,
-    n_draws, rng_seed)``, so repeat calls reuse the batch; a new key drops
-    them before sampling.  The dict is fresh on each call.
+    Each call samples the batch afresh and returns writable arrays, except
+    inside ``_one_batch`` of the same key: there it returns its batch.
     """
+    held = _held.get((params, n_draws, rng_seed))
+    if held is not None:
+        return dict(held)
+    # magnitudes are all the kernel reads; the complex batch goes first
+    batch = [np.abs(a) for a in sample_channel_batch(params, rng_seed, n_draws)]
+    xnorm2 = None
+    if params.m_A >= 1:
+        xnorm2 = 0.5 * params.p_A * stream(rng_seed, "xnorm").chisquare(
+            2 * params.m_A, size=n_draws)
+    terms = draw_terms(params, *batch, xnorm2)
+    return {name: terms[name] for name in _SHARED_TERMS if name in terms}
+
+
+@contextmanager
+def _one_batch(params: SystemParams, n_draws: int, rng_seed: int):
+    """Hold one batch, read-only, for every bound at this key; release it
+    on exit.  A batch is a function of its key, so holds of one key in two
+    threads stay correct: at worst a call samples it again."""
     key = (params, n_draws, rng_seed)
-    entry = getattr(_shared, "entry", None)
-    if entry is None or entry[0] != key:
-        _drop_shared_terms()
-        # magnitudes are all the kernel reads; the complex batch goes first
-        batch = [np.abs(a)
-                 for a in sample_channel_batch(params, rng_seed, n_draws)]
-        xnorm2 = None
-        if params.m_A >= 1:
-            xnorm2 = 0.5 * params.p_A * stream(rng_seed, "xnorm").chisquare(
-                2 * params.m_A, size=n_draws)
-        terms = draw_terms(params, *batch, xnorm2)
-        kept = {name: terms[name] for name in _SHARED_TERMS if name in terms}
-        for arr in kept.values():
-            arr.flags.writeable = False
-        entry = _shared.entry = (key, kept)
-    return dict(entry[1])
-
-
-def _drop_shared_terms() -> None:
-    _shared.entry = None
+    terms = theorem1_draw_terms(params, n_draws, rng_seed)
+    for arr in terms.values():
+        arr.flags.writeable = False
+    _held[key] = terms
+    try:
+        yield dict(terms)
+    finally:
+        _held.pop(key, None)
 
 
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:

@@ -4,10 +4,10 @@ Routes kept deliberately separate from the formulas they test:
 
 * Gaussian mutual informations are recomputed from assembled covariance
   matrices by log-determinants (Cholesky), never by the closed forms.
-  ``theorem1_term_oracles`` takes one channel realization, a batch
-  realization or a sequence; the draws are one stack of covariances, so
-  each log-det is one Hermitian check and one Cholesky over all of them,
-  and ``run_oracle_suite`` passes its draws in blocks of a fixed size.
+  ``theorem1_term_oracles`` takes one channel realization or a batch
+  realization; the draws are one stack of covariances, so each log-det is
+  one Hermitian check and one Cholesky over all of them, and
+  ``run_oracle_suite`` passes its draws in blocks of a fixed size.
 * Discrete informations are recomputed by exact joint-PMF summation
   (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound,
   each one array kernel for the per-point functions and the suite's grid.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -37,8 +36,8 @@ from .digital import (BscParams, _exact_rates, _xi_of_rates, binary_entropy,
                       bsc_convolve)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams
-from .rates import (_drop_shared_terms, _realization_terms,
-                    per_realization_rates, power_budget, theorem1_draw_terms)
+from .rates import (_realization_terms, per_realization_rates, power_budget,
+                    theorem1_draw_terms)
 from .seeds import _subseeds, subseed
 
 __all__ = [
@@ -311,29 +310,21 @@ def _probe_covariance(p: float, h, g: np.ndarray, var_main: float,
 
 
 def theorem1_term_oracles(params: SystemParams,
-                          realizations: ChannelRealization
-                          | Sequence[ChannelRealization]) -> list[OracleReport]:
+                          realizations: ChannelRealization) -> list[OracleReport]:
     """Check every per-realization log term against log-det recomputation.
 
-    ``realizations`` is one draw, a batch realization, or a sequence of
-    draws.  The draws of a batch or a sequence are checked as one stack of
-    covariances; then each check reports the draw with the largest
-    deviation (the first on a tie), with ``n_samples`` the number of
-    draws.  The closed forms come from one ``rates.draw_terms`` call on
-    the stacked draws, which gives each draw the bits
-    ``per_realization_rates`` gives it.  Covariances are assembled for a
-    single probe symbol; the probe count enters the session bounds only as
-    a multiplier, so one symbol settles the integrands.
+    ``realizations`` is one draw or a batch realization.  The draws of a
+    batch are checked as one stack of covariances; then each check reports
+    the draw with the largest deviation (the first on a tie), with
+    ``n_samples`` the number of draws.  The closed forms come from one
+    ``rates.draw_terms`` call on the stacked draws, which gives each draw
+    the bits ``per_realization_rates`` gives it.  Covariances are assembled
+    for a single probe symbol; the probe count enters the session bounds
+    only as a multiplier, so one symbol settles the integrands.
     """
-    single = (isinstance(realizations, ChannelRealization)
-              and np.ndim(realizations.h_BA) == 0)
-    if isinstance(realizations, ChannelRealization) and not single:
-        batch = realizations
-    else:
-        draws = [realizations] if single else list(realizations)
-        batch = ChannelRealization(*(
-            np.array([getattr(r, f) for r in draws])
-            for f in ("h_AB", "h_BA", "g_A", "g_B")))
+    r = realizations   # one draw is checked as the batch of one
+    batch = ChannelRealization(np.atleast_1d(r.h_AB), np.atleast_1d(r.h_BA),
+                               np.atleast_2d(r.g_A), np.atleast_2d(r.g_B))
     n_draws = np.size(batch.h_BA)
     if n_draws == 0:
         raise ParamError("theorem1_term_oracles needs at least one realization")
@@ -389,7 +380,7 @@ def theorem1_term_oracles(params: SystemParams,
             checks.append(("xi integrand BA (whitened quadratic form)",
                            closed("xi_BA"), t2, tol))
 
-    n_samples = "exact" if single else n_draws
+    n_samples = "exact" if np.ndim(r.h_BA) == 0 else n_draws
     reports: list[OracleReport] = []
     for name, closed_form, oracle, tolerance in checks:
         closed_form, oracle = np.asarray(closed_form), np.asarray(oracle)
@@ -516,7 +507,6 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     draws = theorem1_draw_terms(lim_params, 4000, subseed(rng_seed, "crn"))
     lim = float(np.mean(draws["xi_BA"]))
     got = float(np.mean(draws["xi_BA_prime"]))
-    _drop_shared_terms()  # no other check reads this batch
     reports.append(OracleReport.build(
         "high-secret-power limit of the echo rate", lim, got,
         0.005 * lim, n_samples=4000))

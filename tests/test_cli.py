@@ -14,7 +14,7 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, RateReport,
                       SweepSpec, SystemParams, emit_plotdata, run_rates,
                       run_sweep)
 import steeplab
-from steeplab import rates
+from steeplab import cli, rates
 from steeplab.channel import sample_channel_batch
 from steeplab.cli import main, rows_to_csv
 
@@ -55,9 +55,53 @@ def test_run_rates_samples_one_channel_batch(monkeypatch):
         return sample_channel_batch(*args)
 
     monkeypatch.setattr(rates, "sample_channel_batch", counting)
-    # a point no other test evaluates, so no batch of it is kept already
-    run_rates(SystemParams(rho=0.3, m_A=3), n_draws=700, rng_seed=41)
+    # every bound in the report reduces the batch run_rates holds, and
+    # the batch is released with the report, so a later call samples anew
+    key = (SystemParams(rho=0.3, m_A=3), 700, 41)
+    run_rates(*key)
     assert len(calls) == 1
+    rates.theorem1_draw_terms(*key)
+    assert len(calls) == 2
+
+
+def test_run_rates_releases_its_batch_when_a_bound_raises(monkeypatch):
+    key = (SystemParams(), 300, 2)
+    writeable = []
+
+    def failing(*args):
+        terms = rates.theorem1_draw_terms(*args)
+        writeable.append(terms["xi_BA"].flags.writeable)
+        raise RuntimeError("bound failed")
+
+    monkeypatch.setattr(cli, "theorem2_lower_bound", failing)
+    with pytest.raises(RuntimeError, match="bound failed"):
+        run_rates(*key)
+    assert writeable == [False]   # inside the report: the held batch
+    assert rates.theorem1_draw_terms(*key)["xi_BA"].flags.writeable
+
+
+@pytest.mark.parametrize("workers, n_points", [(2, 4), (4, 16)])
+def test_parallel_sweep_samples_one_batch_per_point(monkeypatch, workers,
+                                                    n_points):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_channel_batch(*args)
+
+    monkeypatch.setattr(rates, "sample_channel_batch", counting)
+    spec = SweepSpec(base=SystemParams(), field_name="rho",
+                     grid=tuple(k / 20 for k in range(1, n_points + 1)),
+                     n_draws=2000, rng_seed=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # workers switch often, so holds interleave
+    try:
+        rows = run_sweep(spec, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    # a hold lost to another worker would sample its point again
+    assert len(calls) == n_points
+    assert rows == run_sweep(spec, workers=1)
 
 
 def test_run_rates_no_probes_skips_echo_metrics():
@@ -276,6 +320,9 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     ("simulate-analog", "--m_A", "5", "--seed", str((1 << 65) - 1)),
     ("sweep", "--field", "rho", "--grid", "0.2,0.3", "--n-draws", "100",
      "--workers", "2", "--seed", "-1"),
+    # efficiencies no syndrome length can be rounded from
+    ("simulate-digital", "--m_A", "2000", "--efficiency", "inf"),
+    ("simulate-digital", "--m_A", "2000", "--efficiency", "nan"),
 ])
 def test_cli_bad_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -462,7 +509,7 @@ def test_cli_simulate_digital_transcript_pinned_past_2_16_checks(tmp_path,
     ((), "9962a4c74efe7ada7df4c47586dcf44bfddf0c61fc98534c41b14ffc3fa51407"),
     (("--m_B", "2"),
      "7e63d01a3de06ad21b7779e1991755ef1e4823b8213fb8ad2ce916f2e3a0f293"),
-])
+], ids=["one-way", "two-way-mB2"])
 def test_cli_sweep_bytes_pinned(capsys, extra, digest):
     # measured before the draw terms moved into one kernel; the one-way and
     # two-way rate reports must reproduce them exactly

@@ -226,13 +226,26 @@ def test_reconcile_plan_promises_only_buildable_codes():
     assert (short.syndrome_bits, short.max_key_len) == (2, 0)
 
 
+@pytest.mark.parametrize("efficiency", [math.inf, math.nan, 0.99])
+def test_reconcile_plan_rejects_an_efficiency_it_cannot_size(efficiency):
+    with pytest.raises(ParamError, match=r"efficiency must lie in \[1, inf\)"):
+        reconcile_plan(DEFAULT, efficiency=efficiency)
+
+
+def test_reconcile_plan_caps_an_overflowing_disclosure():
+    # 1e308 * ideal is inf; the cap applies before rounding
+    plan = reconcile_plan(DEFAULT, efficiency=1e308)
+    assert plan.syndrome_bits == DEFAULT.m_A - 1
+    assert isinstance(plan.syndrome_bits, int)
+
+
 # ---------------------------------------------------------------- end to end
 
 def test_reconcile_and_amplify_success():
     ep = run_digital_episode(DEFAULT, 100)
     res = reconcile_and_amplify(ep, DEFAULT, target_len=610, rng_seed=200)
     assert res.success and res.decoder_converged
-    assert res.keys_agree()
+    assert np.array_equal(res.key_A, res.key_B)
     assert res.key_A.shape == (610,)
     assert res.syndrome_bits == 7504
     assert res.max_key_len == 610

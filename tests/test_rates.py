@@ -13,7 +13,7 @@ from steeplab import (ChannelRealization, ParamError, SystemParams, alpha,
                       sample_channels, theorem1_bounds, theorem2_lower_bound,
                       theorem3_lower_bound, validate, xi_tilde_analog)
 from steeplab.channel import sample_channel_batch
-from steeplab.rates import _drop_shared_terms, theorem1_draw_terms
+from steeplab.rates import theorem1_draw_terms
 
 BASE = SystemParams()
 
@@ -321,7 +321,6 @@ def test_batch_terms_equal_per_draw_terms():
               ("snr_EB", "snr_EB"))
     for seed in (1, 2, 3):
         terms = theorem1_draw_terms(p, 5000, seed)
-        _drop_shared_terms()
         gains = sample_channel_batch(p, seed, 5000)
         draws = [ChannelRealization(h_AB=complex(h_ab), h_BA=complex(h_ba),
                                     g_A=g_a, g_B=g_b)
@@ -333,3 +332,14 @@ def test_batch_terms_equal_per_draw_terms():
         # the received probe power of the echo budget follows the same rule
         recv = np.array([power_budget(p, r)[1] for r in draws])
         assert np.array_equal(recv, np.square(np.abs(gains[1])) * p.p_A)
+
+
+def test_bound_calls_hold_no_batch_and_return_writable_terms():
+    theorem3_lower_bound(BASE, n_draws=500, rng_seed=3)
+    # a held batch would be read-only
+    terms = theorem1_draw_terms(BASE, 500, 3)
+    assert all(arr.flags.writeable for arr in terms.values())
+    terms["xi_BA"] *= 2
+    # each call samples the batch afresh, with the same bits
+    again = theorem1_draw_terms(BASE, 500, 3)
+    assert np.array_equal(2 * again["xi_BA"], terms["xi_BA"])

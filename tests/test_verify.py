@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from steeplab import (BscParams, OracleReport, ParamError, SystemParams,
-                      alice_estimate_s, binary_entropy, bsc_convolve,
+from steeplab import (BscParams, ChannelRealization, OracleReport,
+                      ParamError, SystemParams, alice_estimate_s,
+                      binary_entropy, bsc_convolve,
                       discrete_mi_enumerate, empirical_snr,
                       eve_estimate_s, eve_estimate_xA, gaussian_mi_logdet,
                       mac_bounds_digital, per_realization_rates,
@@ -392,7 +393,7 @@ def test_term_oracles_of_one_draw_and_of_a_sequence():
     for r in draws:
         assert repr(theorem1_term_oracles(p, r)) == repr(
             _reference_term_oracles(p, r))
-    worst = theorem1_term_oracles(p, draws)
+    worst = theorem1_term_oracles(p, sample_channels(p, range(40)))
     assert {r.n_samples for r in worst} == {40}
     per_draw = [theorem1_term_oracles(p, r) for r in draws]
     for k, rep in enumerate(worst):
@@ -400,8 +401,11 @@ def test_term_oracles_of_one_draw_and_of_a_sequence():
         first = devs.index(max(devs))   # ties go to the first draw
         assert repr(rep) == repr(dataclasses.replace(per_draw[first][k],
                                                      n_samples=40))
+    empty = ChannelRealization(np.zeros(0, complex), np.zeros(0, complex),
+                               np.zeros((0, 3), complex),
+                               np.zeros((0, 3), complex))
     with pytest.raises(ParamError, match="at least one"):
-        theorem1_term_oracles(p, [])
+        theorem1_term_oracles(p, empty)
 
 
 def test_term_oracles_pass_on_random_realizations():
