@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -446,7 +447,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParamError(message)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The whole argument tree, built once per process; parsing leaves it
+    unchanged, so every ``main`` call can reuse it."""
     parser = _Parser(
         prog="steeplab",
         description="Probe-echo secrecy laboratory: closed-form rates, "
@@ -503,9 +507,12 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("--n-realizations", type=int, default=200)
     p_ver.add_argument("--csv-out", type=Path, default=None)
     p_ver.set_defaults(func=_cmd_verify_bounds)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
     except (ParamError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,13 @@ syndrome of her own copy and decodes the resulting error-pattern syndrome
 under a memoryless BSC prior.  The default H is a column-weight-3 regular
 LDPC decoded by sum-product message passing; its check count (hence the
 disclosure) is set by the caller from the target crossover rate.  The
-edge list is put in check order by a stable radix sort, and every parity
-(the published syndromes and the decoder's stop test) is an exact XOR
-reduction over uint8 bits.  Bit inputs must hold only 0 and 1.
+edge list is put in check order by a stable radix sort.  Consecutive
+checks of equal degree then own a dense (checks, degree) block of edges,
+and a built code has at most two such blocks, so every per-check step
+runs as column operations over a block: the decoder's check products
+multiply the columns left to right, and every parity (the published
+syndromes and the decoder's stop test) XORs them exactly over uint8
+bits.  Bit inputs must hold only 0 and 1.
 
 Privacy amplification is seeded binary Toeplitz hashing: key = T bits mod 2
 with T[i, j] = seed_bits[i - j + n - 1], a universal-hash family, applied
@@ -60,10 +64,12 @@ class LdpcCode:
     """Sparse parity-check matrix in edge-list form, sorted by check.
 
     ``chk[e]`` / ``var[e]`` give the check and variable of edge e; edges are
-    grouped by check and ``ptr`` holds the first edge of each check, so
-    per-check reductions run via ``reduceat``.  The order is a stable radix
-    sort by check, so within a check the edges keep their column order;
-    that order fixes the float order of the decoder's ``reduceat`` products.
+    grouped by check and ``ptr`` holds the first edge of each check.  A run
+    of consecutive checks of equal degree d owns a contiguous slice of the
+    edges, read as a (checks, d) block with one check per row.  The order
+    is a stable radix sort by check, so within a check the edges keep their
+    column order; that order fixes the float order of the decoder's check
+    products, which multiply a block's columns left to right.
     """
 
     n_bits: int
@@ -89,8 +95,9 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     """
     if not (1 <= n_checks < n_bits):
         raise ParamError(f"need 1 <= n_checks < n_bits, got {n_checks}, {n_bits}")
-    if col_weight > n_checks:
-        raise ParamError("col_weight cannot exceed n_checks")
+    if not 1 <= col_weight <= n_checks:
+        raise ParamError(f"need 1 <= col_weight <= n_checks, got {col_weight}, "
+                         f"{n_checks}")
     if col_weight == n_checks:
         # every column holds every check: the one such code, built directly
         checks = np.arange(n_checks, dtype=np.int64)
@@ -133,11 +140,12 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
 
     # edge e = col_weight * v + slot sits in column v; sort the edges by
     # check with one stable pass per 16-bit digit, low digit first (the
-    # uint16 casts keep the low 16 bits; check indices fit in 32)
+    # uint16 casts keep the low 16 bits; check indices fit in 32, and in 16
+    # up to 2^16 checks, where the high digits are all zero)
     chk = cols.reshape(-1)
     order = np.argsort(chk.astype(np.uint16), kind="stable")
-    high = (chk[order] >> 16).astype(np.uint16)
-    if high.any():
+    if n_checks > 1 << 16:
+        high = (chk[order] >> 16).astype(np.uint16)
         order = order[np.argsort(high, kind="stable")]
     # the swaps only move sockets, so check c still holds row_w[c] edges
     # and the sorted check column is the unshuffled socket list
@@ -147,67 +155,105 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
                     ptr=np.concatenate(([0], np.cumsum(row_w)[:-1])))
 
 
-def _parity(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
-    """H bits mod 2 for a uint8 0/1 vector, as an exact XOR per check."""
-    return np.bitwise_xor.reduceat(bits[code.var], code.ptr)
+def _degree_runs(code: LdpcCode) -> list[tuple[int, int, int, int]]:
+    """Maximal runs of consecutive checks of equal, nonzero degree.
+
+    Each run is (first edge, first check, check count, degree); its edges
+    are the dense block ``[first edge, first edge + count * degree)``.  A
+    ``make_ldpc`` code has at most two runs.  A check of degree 0 holds no
+    edge, so it is in no run: its parity is 0 and it sends no message.
+    """
+    deg = np.diff(code.ptr, append=code.var.shape[0])
+    first = np.flatnonzero(np.diff(deg, prepend=-1))
+    count = np.diff(first, append=code.n_checks)
+    return [(int(code.ptr[c]), int(c), int(k), int(deg[c]))
+            for c, k in zip(first, count) if deg[c]]
+
+
+def _fold_columns(op: np.ufunc, block: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = op over each row of ``block``, column by column left to
+    right, so a product keeps the edge order of its check."""
+    np.copyto(out, block[:, 0])
+    for j in range(1, block.shape[1]):
+        op(out, block[:, j], out=out)
+
+
+def _parity(code: LdpcCode, runs: list[tuple[int, int, int, int]],
+            bits: np.ndarray) -> np.ndarray:
+    """H bits mod 2 for a uint8 0/1 vector: per run of checks, the exact XOR
+    of its block's columns."""
+    edge_bits = bits[code.var]
+    out = np.zeros(code.n_checks, dtype=np.uint8)
+    for e0, c0, k, d in runs:
+        _fold_columns(np.bitwise_xor, edge_bits[e0:e0 + k * d].reshape(k, d),
+                      out[c0:c0 + k])
+    return out
 
 
 def syndrome_of(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
     """H bits mod 2 as a uint8 vector of length n_checks (bits are 0/1)."""
-    return _parity(code, _as_bits(bits))
+    return _parity(code, _degree_runs(code), _as_bits(bits))
 
 
 def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
                     max_iter: int = 100) -> tuple[np.ndarray, bool]:
     """Sum-product estimate of the error pattern with H e = syndrome.
 
-    ``p`` is the BSC crossover prior on each error bit.  Returns the
-    hard-decision pattern and a flag telling whether it reproduces the
-    syndrome exactly (the usual convergence criterion).  The edge messages
-    live in buffers allocated once and updated in place.
+    ``p`` is the BSC crossover prior on each error bit; ``max_iter`` >= 1
+    bounds the iterations.  Returns the hard-decision pattern and a flag
+    telling whether it reproduces the syndrome exactly (the usual
+    convergence criterion).  The edge messages live in buffers allocated
+    once and updated in place; the check side runs over the dense blocks of
+    ``_degree_runs``, the variable side over the whole edge list.
     """
     if not 0.0 < p < 0.5:
         raise ParamError(f"decoder prior must lie in (0, 0.5), got {p}")
+    if max_iter < 1:
+        raise ParamError(f"max_iter must be >= 1, got {max_iter}")
     syndrome = _as_bits(syndrome)
     if syndrome.shape != (code.n_checks,):
         raise ParamError("syndrome length does not match the code")
-    chk, var, ptr = code.chk, code.var, code.ptr
+    var = code.var
+    runs = _degree_runs(code)
     llr0 = float(np.log((1.0 - p) / p))
-    sgn_syn = (1.0 - 2.0 * syndrome.astype(np.float64))[chk]
+    # 2 * (-1)^syndrome of each edge's check: the factor 2 of 2 atanh and
+    # the syndrome sign in one exact multiply
+    scale = (2.0 - 4.0 * syndrome.astype(np.float64))[code.chk]
     n_edges = var.shape[0]
     m_v2c = np.full(n_edges, llr0)    # variable-to-check messages
     t = np.empty(n_edges)             # tanh(m_v2c / 2), away from 0 and 1
     m_c2v = np.empty(n_edges)         # check-to-variable messages
-    prod = np.empty(code.n_checks)
+    # per run: its blocks of t and m_c2v, and a column for its check products
+    blocks = [(t[e0:e0 + k * d].reshape(k, d),
+               m_c2v[e0:e0 + k * d].reshape(k, d), np.empty((k, 1)))
+              for e0, _, k, d in runs]
     e_hat = np.zeros(code.n_bits, dtype=np.uint8)
     for _ in range(max_iter):
-        np.maximum(m_v2c, -30.0, out=t)
-        np.minimum(t, 30.0, out=t)
-        np.divide(t, 2.0, out=t)
+        np.clip(m_v2c, -30.0, 30.0, out=t)
+        np.multiply(t, 0.5, out=t)
         np.tanh(t, out=t)
         # clip |t| into [1e-12, 1 - 1e-15] and put the sign back; adding
         # 0.0 turns -0.0 into +0.0, so a zero still maps to +1e-12
         np.add(t, 0.0, out=t)
         np.abs(t, out=m_c2v)
-        np.maximum(m_c2v, 1e-12, out=m_c2v)
-        np.minimum(m_c2v, 1.0 - 1e-15, out=m_c2v)
+        np.clip(m_c2v, 1e-12, 1.0 - 1e-15, out=m_c2v)
         np.copysign(m_c2v, t, out=t)
-        np.multiply.reduceat(t, ptr, out=prod)
-        # the indices are in range; mode="clip" writes to out directly
-        # where the default mode would fill a temporary first
-        np.take(prod, chk, out=m_c2v, mode="clip")
-        np.divide(m_c2v, t, out=m_c2v)
-        np.maximum(m_c2v, -(1.0 - 1e-15), out=m_c2v)
-        np.minimum(m_c2v, 1.0 - 1e-15, out=m_c2v)
+        # each check's product of its edges; the extrinsic message of an
+        # edge leaves its own factor out
+        for t_blk, m_blk, prod in blocks:
+            _fold_columns(np.multiply, t_blk, prod[:, 0])
+            np.divide(prod, t_blk, out=m_blk)
+        np.clip(m_c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=m_c2v)
         np.arctanh(m_c2v, out=m_c2v)
-        np.multiply(m_c2v, 2.0, out=m_c2v)
-        np.multiply(m_c2v, sgn_syn, out=m_c2v)
+        np.multiply(m_c2v, scale, out=m_c2v)
         post = np.bincount(var, weights=m_c2v, minlength=code.n_bits)
         np.add(post, llr0, out=post)
+        # the indices are in range; mode="clip" writes to out directly
+        # where the default mode would fill a temporary first
         np.take(post, var, out=m_v2c, mode="clip")
         np.subtract(m_v2c, m_c2v, out=m_v2c)
         e_hat = (post < 0.0).view(np.uint8)
-        if np.array_equal(_parity(code, e_hat), syndrome):
+        if np.array_equal(_parity(code, runs, e_hat), syndrome):
             return e_hat, True
     return e_hat, False
 

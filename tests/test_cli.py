@@ -330,6 +330,17 @@ def test_cli_bad_input_exits_1(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_reuses_one_parser_across_calls(capsys):
+    # an error, a success and the same success in one process: the argument
+    # tree is built once, and a failed parse leaves nothing behind in it
+    argv = ("simulate-digital", "--m_A", "300", "--seed", "4")
+    code, out, err = run_cli(capsys, *argv, "--no-such-flag")
+    assert code == 1 and out == "" and err.startswith("error: ")
+    runs = [run_cli(capsys, *argv) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("worker, argv", [
     ("run_rates", ("rates", "--json-out", "/nodir/r.json")),
     ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",

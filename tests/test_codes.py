@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steeplab import (BscParams, ParamError, decode_syndrome, hexdump,
-                      make_ldpc, pack_bit_record, reconcile_and_amplify,
-                      reconcile_plan, run_digital_episode, syndrome_of, toeplitz_hash,
+from steeplab import (BscParams, LdpcCode, ParamError, decode_syndrome,
+                      hexdump, make_ldpc, pack_bit_record,
+                      reconcile_and_amplify, reconcile_plan,
+                      run_digital_episode, syndrome_of, toeplitz_hash,
                       unpack_bit_record)
+from steeplab.codes import _degree_runs
 from steeplab.seeds import stream, subseed
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
@@ -206,6 +208,84 @@ def test_decode_matches_fresh_temporaries(n_bits, n_checks, seed):
     assert results == {True, False}
 
 
+def _hand_built_code(degrees, n_bits, seed):
+    """An LdpcCode with the given check degrees, in that order, and random
+    distinct variables per check."""
+    rng = stream(seed, "hand")
+    degrees = np.asarray(degrees, dtype=np.int64)
+    var = np.concatenate([rng.permutation(n_bits)[:d] for d in degrees])
+    return LdpcCode(n_bits=n_bits, n_checks=degrees.size,
+                    chk=np.repeat(np.arange(degrees.size), degrees), var=var,
+                    ptr=np.concatenate(([0], np.cumsum(degrees)[:-1])))
+
+
+# one and two degree runs as make_ldpc builds them; every check in every
+# column; non-monotone runs of degrees 2, 3, 1, 3 with a check of degree 0
+_RUN_LAYOUTS = {
+    "one-run": lambda: make_ldpc(600, 450, rng_seed=3),
+    "two-run": lambda: make_ldpc(2000, 1499, rng_seed=1),
+    "all-checks": lambda: make_ldpc(40, 3, rng_seed=0),
+    "hand-built": lambda: _hand_built_code(
+        [2] * 40 + [3] * 30 + [1] * 10 + [0] + [3] * 20, 120, seed=5),
+}
+
+
+def test_degree_runs_of_each_layout():
+    assert _degree_runs(_RUN_LAYOUTS["one-run"]()) == [(0, 0, 450, 4)]
+    assert _degree_runs(_RUN_LAYOUTS["all-checks"]()) == [(0, 0, 3, 40)]
+    assert _degree_runs(_RUN_LAYOUTS["hand-built"]()) == [
+        (0, 0, 40, 2), (80, 40, 30, 3), (170, 70, 10, 1), (180, 81, 20, 3)]
+    # 6000 edges on 1499 checks: 4 checks of degree 5, then degree 4
+    assert _degree_runs(_RUN_LAYOUTS["two-run"]()) == [
+        (0, 0, 4, 5), (20, 4, 1495, 4)]
+
+
+@pytest.mark.parametrize("layout", sorted(_RUN_LAYOUTS))
+def test_syndrome_of_each_run_layout_is_dense_parity(layout):
+    code = _RUN_LAYOUTS[layout]()
+    H = np.zeros((code.n_checks, code.n_bits), dtype=np.int64)
+    H[code.chk, code.var] = 1
+    for seed in range(5):
+        bits = stream(seed, "par").integers(0, 2, code.n_bits, dtype=np.uint8)
+        assert np.array_equal(syndrome_of(code, bits), (H @ bits) % 2)
+
+
+@pytest.mark.parametrize("layout", sorted(_RUN_LAYOUTS))
+def test_decode_of_each_run_layout_matches_every_iteration(layout, monkeypatch):
+    # stopping after 1..8 iterations exposes each iteration's hard decision;
+    # the check-to-variable messages, taken where both decoders pass them
+    # to bincount, must also agree bit for bit, so the float order holds
+    code = _RUN_LAYOUTS[layout]()
+    messages = []
+    bincount = np.bincount
+
+    def recording(x, weights=None, minlength=0):
+        if x is code.var:
+            messages.append(weights.tobytes())
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", recording)
+    rng = stream(11, "flips")
+    for p in (0.05, 0.2):
+        e = (rng.random(code.n_bits) < p).astype(np.uint8)
+        syn = syndrome_of(code, e)
+        for max_iter in range(1, 9):
+            got, ok = decode_syndrome(code, syn, p, max_iter)
+            got_messages = messages[:]
+            messages.clear()
+            want, want_ok = _reference_decode(code, syn, p, max_iter)
+            assert ok == want_ok and np.array_equal(got, want), max_iter
+            assert got_messages == messages, max_iter
+            messages.clear()
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_decode_rejects_no_iterations(max_iter):
+    code = make_ldpc(40, 30, rng_seed=0)
+    with pytest.raises(ParamError, match="max_iter"):
+        decode_syndrome(code, np.zeros(30, dtype=np.uint8), 0.1, max_iter)
+
+
 def test_make_ldpc_builds_every_three_check_code():
     # with n_checks equal to the column weight every column holds all three
     # checks; random socket swaps rarely reach that, so it is built directly
@@ -229,6 +309,12 @@ def test_make_ldpc_rejects_bad_shapes():
         make_ldpc(10, 11, rng_seed=0)
     with pytest.raises(ParamError):
         make_ldpc(0, 0, rng_seed=0)
+
+
+@pytest.mark.parametrize("col_weight", [0, -1, 4])
+def test_make_ldpc_rejects_column_weight_out_of_range(col_weight):
+    with pytest.raises(ParamError, match="col_weight"):
+        make_ldpc(10, 3, rng_seed=0, col_weight=col_weight)
 
 
 # ---------------------------------------------------------------- hashing
