@@ -260,14 +260,196 @@ EPISODE_CSV_COLUMNS = (
 #: Rows formatted per block; formatting whole columns would raise peak memory.
 _CSV_BLOCK_ROWS = 1024
 
+_U, _I = np.uint64, np.int64
+
+
+def _ascii_quads() -> np.ndarray:
+    """The four ASCII digits of each i < 10**4, zero-padded, as the value of
+    a little-endian word: the first digit is the lowest byte."""
+    i = np.arange(10_000, dtype=_U)
+    digits = i[:, None] // _U(10) ** np.arange(3, -1, -1, dtype=_U) % _U(10)
+    return ((digits + _U(48)) << _U(8) * np.arange(4, dtype=_U)).sum(
+        axis=1, dtype=_U)
+
+
+def _float_field_words() -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per word of a 48-byte float field: its byte mask and its fixed bytes
+    (None when it has none), as little-endian word values, in rows
+    (dp + 9) * 18 + nd for a value 0.d0d1...d(nd-1) * 10**dp with dp in
+    [-9, 16] and nd in [0, 17].
+
+    Bytes: 0 ','; 1 the sign; 2-6 '0.' and up to three zeros when
+    -3 <= dp <= 0; 3-19 the digits, kept below ``cut``; 20 '.'; 27-43 the
+    digits again, kept from ``cut`` below nd; 44-47 'e-XX' when dp <= -4.
+    ``cut`` is dp in '123.45', 0 in '0.00123' and 1 in '1.5e-07'.
+    """
+    dp = np.arange(-9, 17)[:, None, None]
+    nd = np.arange(18)[:, None]
+    byte = np.arange(48)
+    cut = np.where(dp >= 1, dp, np.where(dp >= -3, 0, 1))
+    digit = byte % 24 - 3
+    keep = np.where(byte < 24, (digit >= 0) & (digit < cut),
+                    (digit >= cut) & (digit < nd))
+    chars = np.zeros((26, 18, 48), np.uint8)
+    chars[..., 0] = ord(",")
+    zeros = np.where((dp <= 0) & (dp >= -3), 2 - dp, 0)
+    chars[..., 2:7] = np.where(np.arange(5) < zeros,
+                               np.frombuffer(b"0.000", np.uint8), 0)
+    chars[..., 20] = np.where((cut >= 1) & (nd > cut), ord("."), 0)[..., 0]
+    e = 1 - dp[:, 0]
+    exponent = np.stack(np.broadcast_arrays(ord("e"), ord("-"),
+                                            48 + e // 10, 48 + e % 10), -1)
+    chars[..., 44:] = np.where(dp <= -4, exponent, 0)
+    masks = np.where(keep, 255, 0).astype(np.uint8).view("<u8").reshape(-1, 6)
+    fixed = chars.view("<u8").reshape(-1, 6)
+    return [(masks[:, w].astype(_U),
+             fixed[:, w].astype(_U) if fixed[:, w].any() else None)
+            for w in range(6)]
+
+
+_QUADS = _ascii_quads()
+_POW5 = _U(5) ** np.arange(27, dtype=_U)
+_FIELD_WORDS = _float_field_words()
+#: _LEAD_MASK[c] keeps the last c bytes of a little-endian word
+_LEAD_MASK = np.array([2**64 - 2**(64 - 8 * c) for c in range(9)], _U)
+_POW10 = _I(10) ** np.arange(1, 19, dtype=_I)
+
+
+def _scaled(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each float64 v of flat as v' = |v| 10**q = I + R / 2**t exactly.
+
+    |v| = m 2**e, q = 16 - floor(log10 |v|) puts v' in [1e16, 1e17), and
+    I and R come from the 128-bit product m 5**q shifted by t = -(e + q).
+    Returns ``ok`` (False where the guard sends v to ``repr``), q, I, 2R,
+    t + 1 and 5**q: an integer C rounds to |v| iff
+    |(C - I) 2**(t+1) - 2R| < 5**q.  The two sides are never equal, one
+    even and one odd, so parsing's round-half-to-even never decides.
+
+    The guard: 0, subnormals, inf and nan; a power-of-two mantissa, whose
+    rounding interval is not symmetric; q outside [1, 26], so that 5**q
+    fits in 64 bits, or t < 1 (about |v| < 1e-10 or |v| >= 2**52); R = 0
+    or 2**(t-1), a tie (every integral v has R = 0); and a log10 that
+    missed the decade.  Then t <= 60, and every integer fits in int64.
+    """
+    bits = flat.view(_U)
+    biased = (bits >> _U(52)) & _U(0x7FF)
+    frac = bits & _U((1 << 52) - 1)
+    ok = (biased - _U(1) < _U(0x7FE)) & (frac != _U(0))
+    q = _I(16) - np.floor(np.log10(np.abs(np.where(ok, flat, 1.0)))).astype(_I)
+    t = _I(1075) - biased.astype(_I) - q
+    ok &= (q >= 1) & (q <= 26) & (t >= 1)
+    q = np.where(ok, q, _I(16))
+    t = np.where(ok, t, _I(36)).astype(_U)
+    # the 128-bit product m 5**q from 32-bit limbs
+    m = frac | _U(1 << 52)
+    p5 = _POW5.take(q)
+    m_hi, m_lo = m >> _U(32), m & _U(0xFFFFFFFF)
+    p_hi, p_lo = p5 >> _U(32), p5 & _U(0xFFFFFFFF)
+    mid = m_hi * p_lo + m_lo * p_hi
+    lo = m_lo * p_lo
+    low = lo + (mid << _U(32))
+    high = m_hi * p_hi + (mid >> _U(32)) + (low < lo)
+    whole = (high << (_U(64) - t)) | (low >> t)
+    rest = low & ((_U(1) << t) - _U(1))
+    ok &= ((whole >= _U(10**16)) & (whole < _U(10**17)) & (rest != _U(0))
+           & (rest != _U(1) << (t - _U(1))))
+    return (ok, q, whole.astype(_I), (rest << _U(1)).astype(_I),
+            t.astype(_I) + _I(1), p5.astype(_I))
+
+
+def _shortest(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """repr's digits of each float64 of flat: ``ok`` and q of ``_scaled``,
+    the digits as a 17-digit integer and the count of significant ones.
+
+    They are the nearest multiple of 10**j to v' for the largest j at which
+    that multiple still rounds to |v|.
+    """
+    ok, q, whole, r2, shift, p5 = _scaled(flat)
+    # the integers that round to |v| are up - span .. up
+    above = (r2 + p5) >> shift
+    span = above + ((p5 - r2) >> shift)
+    up = whole + above
+    # j = 0: the nearest integer, always inside since 2**(e-1) 10**q > 1/2
+    dec = whole + (r2 >> (shift - _I(1)))
+    nd = np.full(flat.size, 17, _I)
+    # j = 1: the nearest multiple of 10, when some multiple is inside
+    ten = up - up // _I(10) * _I(10) <= span
+    last = whole - whole // _I(10) * _I(10)
+    dec = np.where(ten, whole - last + (last >= 5) * _I(10), dec)
+    nd -= ten
+    # j >= 2: at most one multiple of 10**j is inside, as span < 2 * 11.2,
+    # and it is up rounded down; count the j in 2..16 that have one
+    many = np.flatnonzero(up - up // _I(100) * _I(100) <= span)
+    u = up.take(many)
+    j = 1 + (u[:, None] % _POW10[1:16] <= span.take(many)[:, None]).sum(1)
+    dec[many] = u - u % _POW10.take(j - 1)
+    nd[many] = 17 - j
+    return ok & (dec < _I(10**17)), q, dec, nd
+
+
+def _csv_float_fields(x: np.ndarray, out: np.ndarray) -> int:
+    """Write ',' and ``repr(float(v))`` for each v of the float64 array x
+    into the 48-byte field ``out[idx]`` (six little-endian words, shape
+    ``x.shape + (6,)``), leaving zero bytes between the runs of text, and
+    return how many values took the guard's ``repr`` (see ``_scaled``).
+    """
+    flat = x.ravel()
+    ok, q, dec, nd = _shortest(flat)
+    # the 17 digits as '000' + 1 + 4 + 4 + 4 + 4, in three words
+    head = dec // _I(10**8)
+    tail = dec - head * _I(10**8)
+    top = head // _I(10**4)
+    lead = top // _I(10**4)
+    q0, q1, q2, q3, q4 = (_QUADS.take(g) for g in (
+        lead, top - lead * _I(10**4), head - top * _I(10**4),
+        tail // _I(10**4), tail % _I(10**4)))
+    digits = (q0 | (q1 << _U(32)), q2 | (q3 << _U(32)), q4)
+    row = (_I(26) - q) * _I(18) + nd
+    for w, (mask, chars) in enumerate(_FIELD_WORDS):
+        word = digits[w % 3] & mask.take(row)
+        if chars is not None:
+            word |= chars.take(row)
+        if w == 0:
+            word |= (flat.view(_U) >> _U(63)) * _U(ord("-") << 8)
+        out[..., w] = word.reshape(x.shape)
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        text = np.zeros((fallback.size, 48), np.uint8)
+        text[:, 0] = ord(",")
+        text[:, 1:] = np.array([repr(v) for v in flat.take(fallback).tolist()],
+                               "S47").view(np.uint8).reshape(-1, 47)
+        out[np.unravel_index(fallback, x.shape)] = text.view("<u8")
+    return fallback.size
+
+
+def _csv_row_starts(k: np.ndarray, n_words: int) -> np.ndarray:
+    """'\\n' and the decimal of each k, right-aligned in n_words words."""
+    out = np.empty((k.size, n_words), _U)
+    n_digits = np.searchsorted(_POW10, k, side="right") + 1
+    for w in range(n_words - 1, -1, -1):
+        k, eight = k // _I(10**8), k % _I(10**8)
+        out[:, w] = (_QUADS.take(eight // _I(10**4))
+                     | (_QUADS.take(eight % _I(10**4)) << _U(32)))
+        out[:, w] &= _LEAD_MASK.take(
+            np.clip(n_digits - 8 * (n_words - 1 - w), 0, 8))
+    out[:, 0] |= _U(ord("\n"))
+    return out
+
 
 def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> str:
     """Render an episode as columnar CSV text (and optionally write it).
 
-    Incomplete episodes leave the echo columns empty.  Floats use repr-level
-    precision, so equal episodes serialize to byte-identical text.  Every
-    field is an int, a repr float or empty, so none ever needs CSV quoting.
-    A batch episode has no row layout and raises ``ParamError``.
+    Incomplete episodes leave the echo columns empty.  Every float is
+    written as ``repr(float(v))``, the shortest text that parses back to
+    v, so equal episodes serialize to byte-identical text.  The digits come
+    from exact integer arithmetic over a whole block of rows at a time;
+    a value that arithmetic cannot certify (0, inf, nan, subnormals, an
+    integral value or a tie, a power-of-two mantissa, |v| below about 1e-10
+    or from 2**52) is formatted by ``repr`` itself.  Every field is an int,
+    a repr float or empty, so none ever needs CSV quoting.  The file holds
+    exactly the returned text, encoded as ASCII, with '\\n' line ends on
+    every platform.  A batch episode has no row layout and raises
+    ``ParamError``.
     """
     if episode.x_A.ndim != 1:
         raise ParamError("episode_to_csv writes one episode, got a batch of "
@@ -278,19 +460,36 @@ def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> st
         header += [f"e_A{i}_re", f"e_A{i}_im"]
     signals = (episode.x_A, episode.y_B, episode.s, episode.r,
                episode.y_AB, episode.y_EB, *episode.e_A)
-    blocks = [",".join(header) + "\n"]
-    for lo in range(0, episode.m_A, _CSV_BLOCK_ROWS):
-        hi = min(lo + _CSV_BLOCK_ROWS, episode.m_A)
-        cols = [map(str, range(lo, hi))]
-        for z in signals:
-            if z is None:
-                cols += [[""] * (hi - lo)] * 2
+    # runs [a, b) of consecutive signals present, each one kernel call
+    runs: list[list[int]] = []
+    for i, z in enumerate(signals):
+        if z is not None:
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
             else:
-                cols += [map(repr, z.real[lo:hi].tolist()),
-                         map(repr, z.imag[lo:hi].tolist())]
-        blocks.append("".join([",".join(row) + "\n" for row in zip(*cols)]))
-    text = "".join(blocks)
-    del blocks  # the file write encodes one more copy of the text
+                runs.append([i, i + 1])
+    rows = min(_CSV_BLOCK_ROWS, episode.m_A)
+    # a row: '\n' ending the line before, the index, then 48-byte fields
+    n_start = (len(str(episode.m_A - 1)) + 8) // 8
+    block = np.zeros((rows, 8 * n_start + 96 * len(signals)), np.uint8)
+    words = block.view("<u8")
+    fields = words[:, n_start:].reshape(rows, 2 * len(signals), 6)
+    fields[..., 0] = ord(",")  # an empty field
+    values = np.empty((rows, 2 * len(signals)))
+    buf = bytearray(",".join(header).encode("ascii"))
+    for lo in range(0, episode.m_A, _CSV_BLOCK_ROWS):
+        n = min(rows, episode.m_A - lo)
+        for a, b in runs:
+            for i in range(a, b):
+                values[:n, 2 * i] = signals[i].real[lo:lo + n]
+                values[:n, 2 * i + 1] = signals[i].imag[lo:lo + n]
+            _csv_float_fields(values[:n, 2 * a:2 * b],
+                              fields[:n, 2 * a:2 * b])
+        k = np.arange(lo, lo + n, dtype=_I)
+        words[:n, :n_start] = _csv_row_starts(k, n_start)
+        flat = block[:n].ravel()
+        buf += memoryview(flat[flat != 0])
+    buf += b"\n"
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+        Path(path).write_bytes(buf)
+    return buf.decode("ascii")

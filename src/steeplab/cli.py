@@ -190,7 +190,9 @@ def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:
     """Stable-column CSV; floats rendered with repr for reproducibility.
 
     Columns are field and value, then the union of every row's keys in
-    sorted order; a row without one of them leaves that cell empty.
+    sorted order; a row without one of them leaves that cell empty.  A
+    NumPy float is written as the Python float it equals.  The file holds
+    exactly the returned text, with '\\n' line ends on every platform.
     """
     if not rows:
         raise ParamError("no rows to serialize")
@@ -204,13 +206,13 @@ def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:
         writer.writerow([_cell(row.get(c, "")) for c in columns])
     text = buf.getvalue()
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(text.encode("utf-8"))
     return text
 
 
 def _cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -308,7 +310,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     _check_out_dirs(args.json_out)
     report = run_rates(params, n_draws=args.n_draws, rng_seed=args.seed)
     if args.json_out:
-        Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
+        Path(args.json_out).write_bytes(report.to_json().encode("utf-8"))
     width = max(len(k) for k in report.values)
     for key in sorted(report.values):
         line = f"{key:<{width}}  {report.values[key]: .6f}"

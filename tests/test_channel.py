@@ -12,7 +12,8 @@ from steeplab import (ParamError, SimulationError, SystemParams,
                       episode_to_csv, run_echo, run_probing,
                       sample_channel_batch, sample_channels,
                       simulate_episode, validate)
-from steeplab.channel import EPISODE_CSV_COLUMNS
+from steeplab.channel import (EPISODE_CSV_COLUMNS, _csv_float_fields,
+                              _csv_row_starts)
 from steeplab.cli import main
 from steeplab.seeds import stream, subseed
 
@@ -342,3 +343,98 @@ def test_cli_simulate_analog_csv_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "19b88134810ec8f400dcf95304d3409da7265ab2b62832c8ff1aedbfddd681c9")
+
+
+# ------------------------------------------------- float formatting kernel
+
+def _kernel_reprs(x):
+    """The texts _csv_float_fields writes for the values of x, in order, and
+    how many of them took the guard's repr."""
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    texts, fallbacks = [], 0
+    for lo in range(0, x.size, 1 << 15):
+        chunk = x[lo:lo + (1 << 15)]
+        out = np.zeros(chunk.shape + (6,), "<u8")
+        fallbacks += _csv_float_fields(chunk, out)
+        flat = out.view(np.uint8).ravel()
+        texts += flat[flat != 0].tobytes().decode("ascii").split(",")[1:]
+    return texts, fallbacks
+
+
+def _assert_reprs(x):
+    texts, _ = _kernel_reprs(x)
+    want = [repr(v) for v in np.asarray(x, dtype=np.float64).ravel().tolist()]
+    bad = [(w, t) for w, t in zip(want, texts) if w != t]
+    assert len(texts) == len(want) and not bad, bad[:5]
+
+
+@pytest.mark.slow
+def test_float_fields_equal_repr_over_a_corpus():
+    rng = np.random.default_rng(20231)
+    with np.errstate(over="ignore"):
+        edges = np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                          1.7976931348623157e308, 1e-4, 1e16, 1e-10, 2.0**52])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                np.nextafter(edges, -np.inf)])
+    literals = [float(f"{rng.integers(1, 10**n)}e{rng.integers(-12, 16)}")
+                for n in range(1, 17) for _ in range(2_000)]
+    corpus = np.concatenate(
+        [rng.standard_normal(40_000) * s for s in np.logspace(-9, 20, 12)]
+        + [rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64),
+           np.ldexp(rng.random(200_000) + 0.5,
+                    rng.integers(-30, 51, 200_000))]
+        + [np.round(rng.standard_normal(10_000), d) for d in range(1, 17)]
+        + [np.array(literals), edges, -edges])
+    assert corpus.size >= 10**6
+    _assert_reprs(corpus)
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(v=finite_or_not)
+def test_float_fields_equal_repr_of_one_value(v):
+    _assert_reprs([v])
+
+
+@given(vs=st.lists(finite_or_not, min_size=1, max_size=40))
+def test_float_fields_equal_repr_of_small_arrays(vs):
+    _assert_reprs(vs)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, np.inf, -np.inf, np.nan],           # no digits to certify
+    [5e-324, -2.5e-320, 2.2250738585072009e-308],   # subnormal
+    [2.0**-25, -(2.0**-28), 2.0**-30],              # asymmetric interval
+    [1e-11, -3.3e-11, 1e17, 2.5e20],                # q outside [1, 26]
+    [6e15, -4503599627370497.0],                    # t < 1
+    [1.0, -7.0, 123.0, 0.5, 2.0**52 - 1],           # integral, or R = 0
+    [1000000000000000.25, -1000000000000000.75],    # R = 2**(t-1): a tie
+])
+def test_float_fields_guard_formats_with_repr(values):
+    texts, fallbacks = _kernel_reprs(values)
+    assert texts == [repr(v) for v in values]
+    assert fallbacks == len(values)
+
+
+def test_float_fields_guard_catches_a_missed_decade():
+    # log10 of the double below a power of ten can round up to it
+    below = np.nextafter(10.0 ** np.arange(-9, 16), 0)
+    texts, fallbacks = _kernel_reprs(below)
+    assert texts == [repr(v) for v in below.tolist()]
+    assert fallbacks > 0
+
+
+def test_float_fields_need_no_guard_on_gaussians():
+    x = np.random.default_rng(1).standard_normal(320_000)
+    texts, fallbacks = _kernel_reprs(x)
+    assert fallbacks == 0
+    assert texts == [repr(v) for v in x.tolist()]
+
+
+def test_csv_row_starts_past_one_word():
+    # from 10**7 rows on, the line break and the index take two words
+    k = np.array([0, 7, 10**7 - 1, 10**7, 12345678, 10**15 - 1], np.int64)
+    starts = _csv_row_starts(k, 2).astype("<u8").view(np.uint8)
+    assert [bytes(r[r != 0]).decode() for r in starts.reshape(len(k), -1)] \
+        == ["\n" + str(v) for v in k.tolist()]

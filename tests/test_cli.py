@@ -225,6 +225,33 @@ def test_rows_to_csv_round_trip_precision():
     assert float(cell) == 1 / 3  # repr floats survive the text round trip
 
 
+def test_rows_to_csv_writes_numpy_scalars_as_python_values():
+    rows = [{"a": np.float64(1.5), "b": np.int64(3), "c": np.bool_(True)}]
+    assert rows_to_csv(rows) == "a,b,c\n1.5,3,True\n"
+
+
+def test_text_outputs_skip_newline_translation(tmp_path, monkeypatch,
+                                               capsys):
+    # Path.write_text turns '\n' into os.linesep, so on Windows a file
+    # would differ from the returned text and from the pinned digests
+    def write_text(*args, **kwargs):
+        raise AssertionError("text written with newline translation")
+    monkeypatch.setattr(Path, "write_text", write_text)
+    rows_path = tmp_path / "rows.csv"
+    text = rows_to_csv([{"field": "rho", "value": 0.5}], rows_path)
+    assert rows_path.read_bytes() == text.encode()
+    ep_path = tmp_path / "ep.csv"
+    text = steeplab.episode_to_csv(
+        steeplab.simulate_episode(SystemParams(m_A=3), 1), ep_path)
+    assert ep_path.read_bytes() == text.encode()
+    json_path = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "rates", "--n-draws", "300", "--json-out",
+                         str(json_path))
+    assert code == 0
+    report = RateReport.from_json(json_path.read_bytes().decode())
+    assert json_path.read_bytes() == report.to_json().encode()
+
+
 def test_sweep_csv_header_independent_of_row_order(capsys):
     # the m_A = 0 row lacks the 16 echo metrics and the m_A = 4 row lacks
     # C_key_one_way: whichever row comes first, the header is the union
