@@ -29,7 +29,10 @@ All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -436,20 +439,59 @@ def _csv_row_starts(k: np.ndarray, n_words: int) -> np.ndarray:
     return out
 
 
-def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> str:
-    """Render an episode as columnar CSV text (and optionally write it).
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Incomplete episodes leave the echo columns empty.  Every float is
-    written as ``repr(float(v))``, the shortest text that parses back to
-    v, so equal episodes serialize to byte-identical text.  The digits come
-    from exact integer arithmetic over a whole block of rows at a time;
-    a value that arithmetic cannot certify (0, inf, nan, subnormals, an
-    integral value or a tie, a power-of-two mantissa, |v| below about 1e-10
-    or from 2**52) is formatted by ``repr`` itself.  Every field is an int,
-    a repr float or empty, so none ever needs CSV quoting.  The file holds
-    exactly the returned text, encoded as ASCII, with '\\n' line ends on
-    every platform.  A batch episode has no row layout and raises
-    ``ParamError``.
+
+def _leave_start_cpu() -> None:
+    """Move the calling new thread off the CPU it started on, its creator's.
+
+    A kernel that does not balance load across CPUs (a cpuset with
+    ``sched_load_balance`` 0) keeps a new thread on its creator's CPU, so
+    the pool would share the caller's CPU.  Excluding that CPU once moves
+    the thread; restoring the mask leaves it where it went.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        allowed = os.sched_getaffinity(0)
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+    except (OSError, AttributeError, ValueError, IndexError):
+        pass   # no /proc or no affinity calls: leave placement to the kernel
+
+
+_pool_lock = threading.Lock()
+_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+
+
+def _csv_pool(workers: int) -> ThreadPoolExecutor:
+    """The module's pool of ``workers`` threads, made on first use and made
+    anew when the usable CPUs change or in a forked child, which has none
+    of its parent's threads; a replaced pool's threads exit once no call
+    holds it."""
+    global _pool
+    key = (workers, os.getpid())
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            _pool = (key, ThreadPoolExecutor(
+                workers, thread_name_prefix="steeplab-csv",
+                initializer=_leave_start_cpu))
+        return _pool[1]
+
+
+def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
+    """The bytes of ``episode_to_csv``'s text in order: the header, each
+    block of ``_CSV_BLOCK_ROWS`` rows, then the final '\\n'.
+
+    With N usable CPUs this thread formats every N-th block and a pool of
+    N - 1 threads the others, at most N blocks ahead of the consumer; a
+    block the pool has not started when it is due is formatted here.  Each
+    thread fills its own buffers, so the bytes never depend on N.
     """
     if episode.x_A.ndim != 1:
         raise ParamError("episode_to_csv writes one episode, got a batch of "
@@ -458,6 +500,7 @@ def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> st
     header = list(EPISODE_CSV_COLUMNS)
     for i in range(n_e):
         header += [f"e_A{i}_re", f"e_A{i}_im"]
+    yield ",".join(header).encode("ascii")
     signals = (episode.x_A, episode.y_B, episode.s, episode.r,
                episode.y_AB, episode.y_EB, *episode.e_A)
     # runs [a, b) of consecutive signals present, each one kernel call
@@ -468,28 +511,82 @@ def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> st
                 runs[-1][1] = i + 1
             else:
                 runs.append([i, i + 1])
-    rows = min(_CSV_BLOCK_ROWS, episode.m_A)
+    m = episode.m_A
+    rows = min(_CSV_BLOCK_ROWS, m)
     # a row: '\n' ending the line before, the index, then 48-byte fields
-    n_start = (len(str(episode.m_A - 1)) + 8) // 8
-    block = np.zeros((rows, 8 * n_start + 96 * len(signals)), np.uint8)
-    words = block.view("<u8")
-    fields = words[:, n_start:].reshape(rows, 2 * len(signals), 6)
-    fields[..., 0] = ord(",")  # an empty field
-    values = np.empty((rows, 2 * len(signals)))
-    buf = bytearray(",".join(header).encode("ascii"))
-    for lo in range(0, episode.m_A, _CSV_BLOCK_ROWS):
-        n = min(rows, episode.m_A - lo)
+    n_start = (len(str(m - 1)) + 8) // 8
+    n_values = 2 * sum(b - a for a, b in runs)
+    local = threading.local()   # each thread's block and values buffers
+
+    def block_bytes(lo: int) -> tuple[np.ndarray, bool]:
+        """The block's bytes and whether most of its values took ``repr``."""
+        bufs = getattr(local, "bufs", None)
+        if bufs is None:
+            block = np.zeros((rows, 8 * n_start + 96 * len(signals)), np.uint8)
+            words = block.view("<u8")
+            fields = words[:, n_start:].reshape(rows, 2 * len(signals), 6)
+            fields[..., 0] = ord(",")  # an empty field
+            bufs = local.bufs = (block, words, fields,
+                                 np.empty((rows, 2 * len(signals))))
+        block, words, fields, values = bufs
+        n = min(rows, m - lo)
+        fallbacks = 0
         for a, b in runs:
             for i in range(a, b):
                 values[:n, 2 * i] = signals[i].real[lo:lo + n]
                 values[:n, 2 * i + 1] = signals[i].imag[lo:lo + n]
-            _csv_float_fields(values[:n, 2 * a:2 * b],
-                              fields[:n, 2 * a:2 * b])
-        k = np.arange(lo, lo + n, dtype=_I)
-        words[:n, :n_start] = _csv_row_starts(k, n_start)
+            fallbacks += _csv_float_fields(values[:n, 2 * a:2 * b],
+                                           fields[:n, 2 * a:2 * b])
+        words[:n, :n_start] = _csv_row_starts(np.arange(lo, lo + n, dtype=_I),
+                                              n_start)
         flat = block[:n].ravel()
-        buf += memoryview(flat[flat != 0])
-    buf += b"\n"
+        return flat[flat != 0], 2 * fallbacks > n * n_values
+
+    starts = range(0, m, _CSV_BLOCK_ROWS)
+    cpus = _usable_cpus() if len(starts) > 1 else 1
+    pool = _csv_pool(cpus - 1) if cpus > 1 else None
+    pending: dict[int, Future] = {}
+    # ahead: the next block to hand out.  A block whose values mostly took
+    # repr held the GIL throughout, so the blocks after it that are not yet
+    # handed out are formatted here, one after another.
+    ahead, serial = 0, False
+    try:
+        for b, lo in enumerate(starts):
+            while not serial and ahead < min(b + cpus, len(starts)):
+                if ahead % cpus:
+                    pending[ahead] = pool.submit(block_bytes, starts[ahead])
+                ahead += 1
+            job = pending.pop(b, None)
+            if job is None or job.cancel():   # not started: format it here
+                part, held_gil = block_bytes(lo)
+            else:
+                part, held_gil = job.result()
+            serial |= held_gil
+            yield part
+    finally:
+        for job in pending.values():
+            job.cancel()
+        wait(pending.values())
+    yield b"\n"
+
+
+def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> str:
+    """Render an episode as columnar CSV text (and optionally write it).
+
+    Incomplete episodes leave the echo columns empty.  Every float is
+    written as ``repr(float(v))``, the shortest text that parses back to
+    v, so equal episodes serialize to byte-identical text.  The digits come
+    from exact integer arithmetic over a whole block of rows at a time;
+    a value that arithmetic cannot certify (0, inf, nan, subnormals, an
+    integral value or a tie, a power-of-two mantissa, |v| below about 1e-10
+    or from 2**52) is formatted by ``repr`` itself.  The blocks are
+    formatted on the CPUs the process may use; the text never depends on
+    how many there are.  Every field is an int, a repr float or empty, so
+    none ever needs CSV quoting.  The file holds exactly the returned text,
+    encoded as ASCII, with '\\n' line ends on every platform.  A batch
+    episode has no row layout and raises ``ParamError``.
+    """
+    text = b"".join(_episode_csv_parts(episode))
     if path is not None:
-        Path(path).write_bytes(buf)
-    return buf.decode("ascii")
+        Path(path).write_bytes(text)
+    return text.decode("ascii")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import SimulationError, episode_to_csv, simulate_episode
+from .channel import SimulationError, _episode_csv_parts, simulate_episode
 from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
                       reconcile_plan, run_digital_episode, xi_digital)
 from .codes import hexdump
@@ -351,12 +351,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _write_parts(path: Path, parts) -> None:
+    """Write the bytes-like parts to path as they come.  A file goes through
+    a temporary file beside it: on any failure path is left as it was and
+    the temporary file is removed.  A pipe or device is written in place,
+    since renaming onto it would replace it."""
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_simulate_analog(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
     _check_out_dirs(args.out)
     episode = simulate_episode(params, args.seed)
     if args.out:
-        episode_to_csv(episode, args.out)
+        _write_parts(args.out, _episode_csv_parts(episode))
     realization = episode.realization
     p_r, _ = power_budget(params, realization)
     payload = {

@@ -3,12 +3,19 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
+import os
+import signal
+import stat
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steeplab import (ParamError, SimulationError, SystemParams,
+from steeplab import (ParamError, SimulationError, SystemParams, channel,
                       episode_to_csv, run_echo, run_probing,
                       sample_channel_batch, sample_channels,
                       simulate_episode, validate)
@@ -254,12 +261,21 @@ def test_batch_shape_must_match_the_seeds():
 
 # ---------------------------------------------------------------- CSV
 
-def test_episode_csv_rejects_a_batch(tmp_path):
-    p = dataclasses.replace(SystemParams(), m_A=8)
+def _use_cpus(monkeypatch, n):
+    """Make the CSV writer count n usable CPUs."""
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: n)
+
+
+def test_episode_csv_rejects_a_batch(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    formatted = []
+    monkeypatch.setattr(channel, "_csv_float_fields",
+                        lambda *args: formatted.append(args))
+    p = dataclasses.replace(SystemParams(), m_A=2500)
     path = tmp_path / "ep.csv"
     with pytest.raises(ParamError, match="one episode"):
         episode_to_csv(simulate_episode(p, [1, 2]), path)
-    assert not path.exists()
+    assert not path.exists() and not formatted
 
 
 def test_episode_csv_layout_and_determinism(tmp_path):
@@ -343,6 +359,214 @@ def test_cli_simulate_analog_csv_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "19b88134810ec8f400dcf95304d3409da7265ab2b62832c8ff1aedbfddd681c9")
+
+
+class _KernelCalls:
+    """Stands in for ``_csv_float_fields`` and records, per call, whether a
+    pool thread made it, its fallback count and its value count.
+
+    Once ``hold`` is set, the next call from outside the pool first waits
+    (up to 30 s) until a pool thread has started one, so the pool surely
+    formats a block instead of the calling thread taking them all.
+    """
+
+    def __init__(self, monkeypatch):
+        self.kernel = channel._csv_float_fields
+        self.calls = []
+        self.hold = False
+        self.pool_started = threading.Event()
+        monkeypatch.setattr(channel, "_csv_float_fields", self)
+
+    def __call__(self, x, out):
+        in_pool = threading.current_thread().name.startswith("steeplab-csv")
+        if in_pool:
+            self.pool_started.set()
+        elif self.hold:
+            self.hold = False
+            self.pool_started.wait(timeout=30)
+        fallbacks = self.kernel(x, out)
+        self.calls.append((in_pool, fallbacks, x.size))
+        return fallbacks
+
+    def pool_calls(self):
+        return sum(in_pool for in_pool, _, _ in self.calls)
+
+
+@pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500, 20000])
+def test_episode_csv_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, m_A):
+    p = dataclasses.replace(SystemParams(), m_A=m_A)
+    seed = 7 * m_A
+    episodes = {"complete": simulate_episode(p, seed),
+                "probing": run_probing(p, sample_channels(p, seed), seed)}
+    kernel = _KernelCalls(monkeypatch)
+    texts = {}
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        # the pool formats blocks exactly when there are two or more CPUs
+        # and two or more blocks
+        pooled = kernel.hold = cpus > 1 and m_A > 1024
+        kernel.calls.clear()
+        kernel.pool_started.clear()
+        for name, ep in episodes.items():
+            text = episode_to_csv(ep)
+            same = texts.setdefault(name, text) == text  # no diff of 6 MB
+            assert same, (name, cpus)
+        out = tmp_path / f"ep{cpus}.csv"
+        assert main(["simulate-analog", "--m_A", str(m_A), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        same = out.read_bytes() == texts["complete"].encode("ascii")
+        assert same, cpus
+        assert (kernel.pool_calls() > 0) == pooled, cpus
+    assert sorted(tmp_path.iterdir()) == [tmp_path / f"ep{c}.csv"
+                                          for c in (1, 2, 3)]
+
+
+def test_episode_csv_formats_repr_heavy_blocks_serially(monkeypatch):
+    # values near 1e-12 all take repr, which holds the GIL: once such a
+    # block is done, no further block goes to the pool
+    _use_cpus(monkeypatch, 2)
+    powers = dict.fromkeys(("p_A", "sigma_B2", "sigma_EA2", "sigma_s2",
+                            "eps_A", "eps_E"), 1e-24)
+    p = dataclasses.replace(SystemParams(), m_A=5000, **powers)
+    ep = simulate_episode(p, 3)
+    kernel = _KernelCalls(monkeypatch)
+    kernel.hold = True
+    same = episode_to_csv(ep) == _reference_episode_csv(ep)
+    assert same
+    assert len(kernel.calls) == 5
+    assert all(fallbacks == size for _, fallbacks, size in kernel.calls)
+    assert kernel.pool_calls() == 1
+
+
+def test_episode_csv_does_not_wait_for_a_busy_pool(monkeypatch):
+    # blocks the pool has not started are formatted by the calling thread
+    _use_cpus(monkeypatch, 2)
+    ep = simulate_episode(dataclasses.replace(SystemParams(), m_A=5000), 2)
+    kernel = _KernelCalls(monkeypatch)
+    release = threading.Event()
+    busy = channel._csv_pool(1).submit(release.wait, 10)
+    try:
+        same = episode_to_csv(ep) == _reference_episode_csv(ep)
+    finally:
+        release.set()
+    busy.result(timeout=60)
+    assert same
+    assert len(kernel.calls) == 5 and kernel.pool_calls() == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_episode_csv_runs_in_a_forked_child(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    _use_cpus(monkeypatch, 2)
+    ep = simulate_episode(dataclasses.replace(SystemParams(), m_A=5000), 1)
+    text = episode_to_csv(ep)
+    kernel = _KernelCalls(monkeypatch)
+    kernel.hold = True
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            same = episode_to_csv(ep) == text
+            code = 0 if same and kernel.pool_calls() > 0 else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="needs os.sched_getaffinity")
+def test_csv_pool_threads_keep_the_process_cpus():
+    # a pool thread moves off its starting CPU once, then may run anywhere
+    # the process may
+    pool = channel._csv_pool(1)
+    assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == \
+        os.sched_getaffinity(0)
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_simulate_analog_leaves_no_partial_output(tmp_path, monkeypatch,
+                                                      capsys, cpus, existing):
+    _use_cpus(monkeypatch, cpus)
+    boom = _Boom("third block")
+    calls = itertools.count(1)
+    kernel = channel._csv_float_fields
+
+    def failing(x, out):
+        if next(calls) == 3:
+            raise boom
+        return kernel(x, out)
+
+    monkeypatch.setattr(channel, "_csv_float_fields", failing)
+    out = tmp_path / "ep.csv"
+    if existing:
+        out.write_bytes(b"earlier run\n")
+    with pytest.raises(_Boom) as raised:
+        main(["simulate-analog", "--m_A", "5000", "--out", str(out)])
+    assert raised.value is boom
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == ([out] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"earlier run\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cli_simulate_analog_writes_into_a_pipe(tmp_path, capsys):
+    fifo = tmp_path / "ep.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main(["simulate-analog", "--m_A", "2500", "--seed", "9",
+                 "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+    ep = simulate_episode(dataclasses.replace(SystemParams(), m_A=2500), 9)
+    same = got == [episode_to_csv(ep).encode("ascii")]
+    assert same
+
+
+def test_episode_csv_concurrent_calls_share_the_pool(monkeypatch):
+    # more formatting threads than CPUs, and threads switched as often as
+    # the interpreter allows
+    _use_cpus(monkeypatch, 3)
+    p = dataclasses.replace(SystemParams(), m_A=5000)
+    episodes = [simulate_episode(p, seed) for seed in (1, 2, 3)]
+    want = [_reference_episode_csv(ep) for ep in episodes]
+    got = [None] * len(episodes)
+
+    def write(i):
+        for _ in range(3):
+            text = episode_to_csv(episodes[i])
+            got[i] = text if got[i] in (None, text) else "differs"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=write, args=(i,))
+                   for i in range(len(episodes))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    same = [g == w for g, w in zip(got, want)]
+    assert same == [True] * len(want)
 
 
 # ------------------------------------------------- float formatting kernel
