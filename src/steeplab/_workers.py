@@ -1,0 +1,87 @@
+"""The one thread pool: sweep points and episode CSV blocks run in parallel
+only through ``in_order``.  No other module starts a thread or asks which
+CPUs the process may use."""
+from __future__ import annotations
+
+import os
+import threading
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _leave_start_cpu() -> None:
+    """Move the calling new thread off the CPU it started on, its creator's.
+
+    A kernel that does not balance load across CPUs (a cpuset with
+    ``sched_load_balance`` 0) keeps a new thread on its creator's CPU, so
+    the pool would share the caller's CPU.  Excluding that CPU once moves
+    the thread; restoring the mask leaves it where it went.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        allowed = os.sched_getaffinity(0)
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+    except (OSError, AttributeError, ValueError, IndexError):
+        pass   # no /proc or no affinity calls: leave placement to the kernel
+
+
+_pool_lock = threading.Lock()
+_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+
+
+def pool() -> ThreadPoolExecutor:
+    """The process's pool of ``usable_cpus() - 1`` threads, made on first
+    use and made anew when the usable CPUs change or in a forked child,
+    which has none of its parent's threads; a replaced pool's threads exit
+    once no call holds it."""
+    global _pool
+    cpus = usable_cpus()
+    key = (cpus, os.getpid())
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            _pool = (key, ThreadPoolExecutor(
+                cpus - 1, thread_name_prefix="steeplab-pool",
+                initializer=_leave_start_cpu))
+        return _pool[1]
+
+
+def in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """The result of each ``fn(item)`` in the order of items, where ``fn``
+    returns ``(result, alone)``.
+
+    With w = min(workers, usable CPUs, len(items)), this thread runs every
+    w-th item and the pool the others, at most w items ahead; an item the
+    pool has not started when it is due runs here.  The first ``alone``
+    (an item that held the GIL) ends all hand-offs to the pool.  Pending
+    jobs are cancelled when the consumer stops.
+    """
+    w = min(workers, usable_cpus(), len(items))
+    pending: dict[int, Future] = {}
+    ahead, alone = 0, False   # ahead: the next item to hand out
+    try:
+        for i, item in enumerate(items):
+            while not alone and ahead < min(i + w, len(items)):
+                if ahead % w:
+                    pending[ahead] = pool().submit(fn, items[ahead])
+                ahead += 1
+            job = pending.pop(i, None)
+            if job is None or job.cancel():   # not started: run it here
+                result, held = fn(item)
+            else:
+                result, held = job.result()
+            alone |= held
+            yield result
+    finally:
+        for job in pending.values():
+            job.cancel()
+        wait(pending.values())

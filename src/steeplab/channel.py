@@ -29,15 +29,14 @@ All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
 """
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import _workers
 from .params import ChannelRealization, ParamError, SystemParams
 from .seeds import _streams
 
@@ -439,59 +438,12 @@ def _csv_row_starts(k: np.ndarray, n_words: int) -> np.ndarray:
     return out
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _leave_start_cpu() -> None:
-    """Move the calling new thread off the CPU it started on, its creator's.
-
-    A kernel that does not balance load across CPUs (a cpuset with
-    ``sched_load_balance`` 0) keeps a new thread on its creator's CPU, so
-    the pool would share the caller's CPU.  Excluding that CPU once moves
-    the thread; restoring the mask leaves it where it went.
-    """
-    try:
-        with open("/proc/thread-self/stat", "rb") as stat:
-            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
-        allowed = os.sched_getaffinity(0)
-        if allowed - {cpu}:
-            os.sched_setaffinity(0, allowed - {cpu})
-            os.sched_setaffinity(0, allowed)
-    except (OSError, AttributeError, ValueError, IndexError):
-        pass   # no /proc or no affinity calls: leave placement to the kernel
-
-
-_pool_lock = threading.Lock()
-_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
-
-
-def _csv_pool(workers: int) -> ThreadPoolExecutor:
-    """The module's pool of ``workers`` threads, made on first use and made
-    anew when the usable CPUs change or in a forked child, which has none
-    of its parent's threads; a replaced pool's threads exit once no call
-    holds it."""
-    global _pool
-    key = (workers, os.getpid())
-    with _pool_lock:
-        if _pool is None or _pool[0] != key:
-            _pool = (key, ThreadPoolExecutor(
-                workers, thread_name_prefix="steeplab-csv",
-                initializer=_leave_start_cpu))
-        return _pool[1]
-
-
 def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
     """The bytes of ``episode_to_csv``'s text in order: the header, each
     block of ``_CSV_BLOCK_ROWS`` rows, then the final '\\n'.
 
-    With N usable CPUs this thread formats every N-th block and a pool of
-    N - 1 threads the others, at most N blocks ahead of the consumer; a
-    block the pool has not started when it is due is formatted here.  Each
-    thread fills its own buffers, so the bytes never depend on N.
+    ``_workers.in_order`` formats the blocks on every usable CPU.  Each
+    thread fills its own buffers, so the bytes never depend on the CPUs.
     """
     if episode.x_A.ndim != 1:
         raise ParamError("episode_to_csv writes one episode, got a batch of "
@@ -519,7 +471,8 @@ def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
     local = threading.local()   # each thread's block and values buffers
 
     def block_bytes(lo: int) -> tuple[np.ndarray, bool]:
-        """The block's bytes and whether most of its values took ``repr``."""
+        """The block's bytes and whether most of its values took ``repr``,
+        which holds the GIL."""
         bufs = getattr(local, "bufs", None)
         if bufs is None:
             block = np.zeros((rows, 8 * n_start + 96 * len(signals)), np.uint8)
@@ -542,31 +495,8 @@ def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
         flat = block[:n].ravel()
         return flat[flat != 0], 2 * fallbacks > n * n_values
 
-    starts = range(0, m, _CSV_BLOCK_ROWS)
-    cpus = _usable_cpus() if len(starts) > 1 else 1
-    pool = _csv_pool(cpus - 1) if cpus > 1 else None
-    pending: dict[int, Future] = {}
-    # ahead: the next block to hand out.  A block whose values mostly took
-    # repr held the GIL throughout, so the blocks after it that are not yet
-    # handed out are formatted here, one after another.
-    ahead, serial = 0, False
-    try:
-        for b, lo in enumerate(starts):
-            while not serial and ahead < min(b + cpus, len(starts)):
-                if ahead % cpus:
-                    pending[ahead] = pool.submit(block_bytes, starts[ahead])
-                ahead += 1
-            job = pending.pop(b, None)
-            if job is None or job.cancel():   # not started: format it here
-                part, held_gil = block_bytes(lo)
-            else:
-                part, held_gil = job.result()
-            serial |= held_gil
-            yield part
-    finally:
-        for job in pending.values():
-            job.cancel()
-        wait(pending.values())
+    yield from _workers.in_order(block_bytes, range(0, m, _CSV_BLOCK_ROWS),
+                                 _workers.usable_cpus())
     yield b"\n"
 
 

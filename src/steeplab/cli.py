@@ -11,8 +11,8 @@ Subcommands:
 Determinism contract: all randomness flows from one ``--seed``; per-point
 and per-trial sub-seeds are derived hierarchically, so runs with identical
 flags produce byte-identical outputs, and adding a new experiment never
-perturbs an existing one.  The harness owns the only worker pool (sweep
-points can evaluate in parallel); every computational module stays pure.
+perturbs an existing one.  Sweep points run in parallel only through
+``_workers``, the one module that holds a thread pool.
 """
 from __future__ import annotations
 
@@ -25,12 +25,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import _workers
 from .channel import SimulationError, _episode_csv_parts, simulate_episode
 from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
                       reconcile_plan, run_digital_episode, xi_digital)
@@ -173,17 +173,15 @@ def _sweep_point(spec: SweepSpec,
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
-    """Evaluate the sweep grid; row order and values never depend on
-    ``workers`` because every point derives its own seed."""
+    """Evaluate the sweep grid, at most ``workers`` points at a time; rows
+    never depend on ``workers``, as every point derives its own seed."""
     spec.check()
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
     # every point is built, and so validated, before any point runs
     items = list(enumerate(_sweep_value(spec, v) for v in spec.grid))
-    if workers == 1:
-        return [_sweep_point(spec, item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda item: _sweep_point(spec, item), items))
+    return list(_workers.in_order(lambda item: (_sweep_point(spec, item),
+                                                False), items, workers))
 
 
 def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:
@@ -274,11 +272,13 @@ def _grid(text: str) -> tuple[float, ...]:
             f"grid must be comma-separated numbers, got {text!r}") from exc
 
 
-def _check_out_dirs(*paths: Path | None) -> None:
-    """Fail before the work, not after it, when an output file's directory
-    does not exist."""
-    for path in paths:
-        if path is not None and not path.parent.is_dir():
+def _check_out_paths(*paths: Path | None) -> None:
+    """Fail before the work, not after it, when an output path is a
+    directory or its directory does not exist."""
+    for path in filter(None, paths):
+        if path.is_dir():
+            raise ParamError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
             raise ParamError(f"cannot write {path}: directory {path.parent} "
                              "does not exist")
 
@@ -307,7 +307,7 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
-    _check_out_dirs(args.json_out)
+    _check_out_paths(args.json_out)
     report = run_rates(params, n_draws=args.n_draws, rng_seed=args.seed)
     if args.json_out:
         Path(args.json_out).write_bytes(report.to_json().encode("utf-8"))
@@ -328,7 +328,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.plot_out and not args.plot_metric:
         raise ParamError("--plot-out needs --plot-metric")
     base = _build(BscParams if args.digital else SystemParams, args)
-    _check_out_dirs(args.out, args.plot_out)
+    _check_out_paths(args.out, args.plot_out)
     spec = SweepSpec(base=base, field_name=args.field, grid=args.grid,
                      n_draws=args.n_draws, rng_seed=args.seed)
     rows = run_sweep(spec, workers=args.workers)
@@ -372,7 +372,7 @@ def _write_parts(path: Path, parts) -> None:
 
 def _cmd_simulate_analog(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
-    _check_out_dirs(args.out)
+    _check_out_paths(args.out)
     episode = simulate_episode(params, args.seed)
     if args.out:
         _write_parts(args.out, _episode_csv_parts(episode))
@@ -400,7 +400,7 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_digital(args: argparse.Namespace) -> int:
     bsc = _build(BscParams, args)
-    _check_out_dirs(args.transcript_out)
+    _check_out_paths(args.transcript_out)
     episode = run_digital_episode(bsc, args.seed)
     plan = reconcile_plan(bsc, efficiency=args.efficiency,
                           safety_margin=args.safety_margin)
@@ -442,7 +442,7 @@ def _cmd_simulate_digital(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
-    _check_out_dirs(args.csv_out)
+    _check_out_paths(args.csv_out)
     reports = run_oracle_suite(params, rng_seed=args.seed,
                                n_realizations=args.n_realizations)
     if args.csv_out:
@@ -502,7 +502,9 @@ def _parser() -> _Parser:
     p_sweep.add_argument("--grid", required=True, type=_grid,
                          help="comma-separated values")
     p_sweep.add_argument("--n-draws", type=int, default=4000)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="at most this many points at a time, never "
+                         "more threads than usable CPUs")
     p_sweep.add_argument("--out", type=Path, default=None)
     p_sweep.add_argument("--plot-metric", default=None)
     p_sweep.add_argument("--plot-out", type=Path, default=None)

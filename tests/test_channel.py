@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steeplab import (ParamError, SimulationError, SystemParams, channel,
-                      episode_to_csv, run_echo, run_probing,
+from steeplab import (ParamError, SimulationError, SystemParams, _workers,
+                      channel, episode_to_csv, run_echo, run_probing,
                       sample_channel_batch, sample_channels,
                       simulate_episode, validate)
 from steeplab.channel import (EPISODE_CSV_COLUMNS, _csv_float_fields,
@@ -262,8 +262,8 @@ def test_batch_shape_must_match_the_seeds():
 # ---------------------------------------------------------------- CSV
 
 def _use_cpus(monkeypatch, n):
-    """Make the CSV writer count n usable CPUs."""
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: n)
+    """Make the shared pool and the CSV writer count n usable CPUs."""
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: n)
 
 
 def test_episode_csv_rejects_a_batch(tmp_path, monkeypatch):
@@ -378,7 +378,7 @@ class _KernelCalls:
         monkeypatch.setattr(channel, "_csv_float_fields", self)
 
     def __call__(self, x, out):
-        in_pool = threading.current_thread().name.startswith("steeplab-csv")
+        in_pool = threading.current_thread().name.startswith("steeplab-pool")
         if in_pool:
             self.pool_started.set()
         elif self.hold:
@@ -444,7 +444,7 @@ def test_episode_csv_does_not_wait_for_a_busy_pool(monkeypatch):
     ep = simulate_episode(dataclasses.replace(SystemParams(), m_A=5000), 2)
     kernel = _KernelCalls(monkeypatch)
     release = threading.Event()
-    busy = channel._csv_pool(1).submit(release.wait, 10)
+    busy = _workers.pool().submit(release.wait, 10)
     try:
         same = episode_to_csv(ep) == _reference_episode_csv(ep)
     finally:
@@ -482,10 +482,11 @@ def test_episode_csv_runs_in_a_forked_child(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="needs os.sched_getaffinity")
-def test_csv_pool_threads_keep_the_process_cpus():
+def test_csv_pool_threads_keep_the_process_cpus(monkeypatch):
     # a pool thread moves off its starting CPU once, then may run anywhere
     # the process may
-    pool = channel._csv_pool(1)
+    _use_cpus(monkeypatch, 2)
+    pool = _workers.pool()
     assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == \
         os.sched_getaffinity(0)
 

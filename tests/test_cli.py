@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, RateReport,
                       SweepSpec, SystemParams, emit_plotdata, run_rates,
                       run_sweep)
 import steeplab
-from steeplab import cli, rates
+from steeplab import _workers, cli, rates
 from steeplab.channel import sample_channel_batch
 from steeplab.cli import main, rows_to_csv
 
@@ -123,6 +125,64 @@ def test_sweep_rows_and_worker_independence():
     assert serial == parallel
     assert [r["value"] for r in serial] == [0.2, 0.5, 0.8]
     assert serial[0]["alpha"] < serial[2]["alpha"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="needs os.sched_getaffinity")
+def test_sweep_runs_points_here_and_on_the_shared_pool(monkeypatch):
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
+    point = cli._sweep_point
+    caller = threading.current_thread()
+    ran = []
+    pool_started = threading.Event()
+
+    def recording(spec, item):
+        me = threading.current_thread()
+        if me.name.startswith("steeplab-pool"):
+            pool_started.set()
+        elif me is caller:   # the first point here waits for the pool's
+            pool_started.wait(timeout=30)
+        ran.append((me, os.sched_getaffinity(0)))
+        return point(spec, item)
+
+    monkeypatch.setattr(cli, "_sweep_point", recording)
+    spec = SweepSpec(base=SystemParams(), field_name="rho",
+                     grid=(0.2, 0.5, 0.8, 0.9), n_draws=300, rng_seed=3)
+    rows = run_sweep(spec, workers=2)
+    assert any(t is caller for t, _ in ran)
+    in_pool = [cpus for t, cpus in ran if t.name.startswith("steeplab-pool")]
+    assert in_pool
+    assert all(cpus == os.sched_getaffinity(0) for cpus in in_pool)
+    monkeypatch.setattr(cli, "_sweep_point", point)
+    assert rows == run_sweep(spec, workers=1)
+
+
+def test_sweep_never_starts_more_threads_than_usable_cpus(monkeypatch):
+    # 8 workers on 2 usable CPUs: this thread and one pool thread
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
+    point = cli._sweep_point
+    before = set(threading.enumerate())
+    started = set()
+
+    def recording(spec, item):
+        started.update(set(threading.enumerate()) - before)
+        return point(spec, item)
+
+    monkeypatch.setattr(cli, "_sweep_point", recording)
+    spec = SweepSpec(base=SystemParams(), field_name="rho",
+                     grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), n_draws=200,
+                     rng_seed=4)
+    rows = run_sweep(spec, workers=8)
+    assert len(started) <= 1
+    # a pool replaced when the CPU count changed lets its threads go
+    deadline = time.monotonic() + 30
+    while len(pool := [t for t in threading.enumerate()
+                       if t.name.startswith("steeplab-pool")]) > 1 and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(pool) <= 1
+    monkeypatch.setattr(cli, "_sweep_point", point)
+    assert rows == run_sweep(spec, workers=1)
 
 
 def test_sweep_integer_field_coercion():
@@ -388,6 +448,26 @@ def test_cli_missing_output_directory_fails_before_the_work(
     assert code == 1 and out == ""
     assert err == "error: cannot write /nodir/{}: directory /nodir does not " \
         "exist\n".format(argv[-1].rsplit("/", 1)[1])
+
+
+@pytest.mark.parametrize("worker, argv, flag", [
+    ("run_rates", ("rates",), "--json-out"),
+    ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2"), "--out"),
+    ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",
+                   "--plot-metric", "alpha"), "--plot-out"),
+    ("simulate_episode", ("simulate-analog",), "--out"),
+    ("run_digital_episode", ("simulate-digital",), "--transcript-out"),
+    ("run_oracle_suite", ("verify-bounds",), "--csv-out"),
+])
+def test_cli_output_path_that_is_a_directory_fails_before_the_work(
+        tmp_path, monkeypatch, capsys, worker, argv, flag):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before the output path was checked")
+    monkeypatch.setattr(f"steeplab.cli.{worker}", reached)
+    code, out, err = run_cli(capsys, *argv, flag, str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
