@@ -37,9 +37,9 @@ from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
 from .codes import hexdump
 from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
                      _field_types, _replace_from_text, read_config)
-from .rates import (_mean_se, _one_batch, corollary1_capacity, power_budget,
-                    theorem1_bounds, theorem2_lower_bound,
-                    theorem3_lower_bound)
+from .rates import (_mean_se, corollary1_capacity, power_budget,
+                    theorem1_bounds, theorem1_draw_terms,
+                    theorem2_lower_bound, theorem3_lower_bound)
 from .seeds import subseed
 from .verify import empirical_snr, mac_bounds_digital, run_oracle_suite
 
@@ -55,46 +55,45 @@ def run_rates(params: SystemParams, n_draws: int = 10_000,
               rng_seed: int = 0) -> RateReport:
     """Every rate the library computes, in one report.
 
-    Every Monte Carlo term reduces one channel batch, sampled once per call
-    and held only while the report is built (``rates._one_batch``), so
-    quantities that coincide analytically coincide exactly: ``xi_tilde``
-    is ``xi_BA_prime`` and ``xi_steep_ac`` is ``xi_BA``, values and
-    standard errors alike.
+    One channel batch, ``theorem1_draw_terms`` of the arguments, is sampled
+    per call and passed to every bound as ``terms``, so quantities that
+    coincide analytically coincide exactly: ``xi_tilde`` is ``xi_BA_prime``
+    and ``xi_steep_ac`` is ``xi_BA``, values and standard errors alike.
     """
     key = (params, n_draws, rng_seed)
-    with _one_batch(*key) as terms:
-        report = theorem1_bounds(*key)
-        values, stderr, notes = report.values, report.stderr, report.notes
+    terms = theorem1_draw_terms(*key)
+    report = theorem1_bounds(*key, terms=terms)
+    values, stderr, notes = report.values, report.stderr, report.notes
 
-        if (params.m_A == 0) != (params.m_B == 0):
-            values["C_key_one_way"] = corollary1_capacity(*key)
+    if (params.m_A == 0) != (params.m_B == 0):
+        values["C_key_one_way"] = corollary1_capacity(*key, terms=terms)
 
-        if params.m_A >= 1:
-            rep3 = theorem3_lower_bound(*key)
-            values.update(rep3.values)
-            stderr.update(rep3.stderr)
-            if params.eps_A > 0 and params.eps_E > 0:
-                rep2 = theorem2_lower_bound(*key)
-                values.update(rep2.values)
-                stderr.update(rep2.stderr)
-                notes.extend(n for n in rep2.notes if n not in notes)
-            else:
-                notes.append("eta-dependent lower bound skipped: needs "
-                             "eps_A > 0 and eps_E > 0")
-
-            for name, same in (("xi_tilde", "xi_BA_prime"),
-                               ("xi_steep_ac", "xi_BA")):
-                values[name], stderr[name] = values[same], stderr[same]
-            values["snr_AB"] = float(terms["snr_AB"][0])
-            values["snr_EB"], stderr["snr_EB"] = _mean_se(terms["snr_EB"])
-            # p_r is linear in |h_BA|^2, so its mean is p_r at E|h_BA|^2 = 1
-            unit = ChannelRealization(1.0, 1.0, np.zeros(params.n_E),
-                                      np.zeros(params.n_E))
-            values["power_p_r_mean"], values["power_sigma_s2_reco_mean"] = \
-                power_budget(params, unit)
+    if params.m_A >= 1:
+        rep3 = theorem3_lower_bound(*key, terms=terms)
+        values.update(rep3.values)
+        stderr.update(rep3.stderr)
+        if params.eps_A > 0 and params.eps_E > 0:
+            rep2 = theorem2_lower_bound(*key, terms=terms)
+            values.update(rep2.values)
+            stderr.update(rep2.stderr)
+            notes.extend(n for n in rep2.notes if n not in notes)
         else:
-            notes.append("echo-phase metrics skipped: m_A = 0 means no "
-                         "probes to echo")
+            notes.append("eta-dependent lower bound skipped: needs "
+                         "eps_A > 0 and eps_E > 0")
+
+        for name, same in (("xi_tilde", "xi_BA_prime"),
+                           ("xi_steep_ac", "xi_BA")):
+            values[name], stderr[name] = values[same], stderr[same]
+        values["snr_AB"] = float(terms["snr_AB"][0])
+        values["snr_EB"], stderr["snr_EB"] = _mean_se(terms["snr_EB"])
+        # p_r is linear in |h_BA|^2, so its mean is p_r at E|h_BA|^2 = 1
+        unit = ChannelRealization(1.0, 1.0, np.zeros(params.n_E),
+                                  np.zeros(params.n_E))
+        values["power_p_r_mean"], values["power_sigma_s2_reco_mean"] = \
+            power_budget(params, unit)
+    else:
+        notes.append("echo-phase metrics skipped: m_A = 0 means no "
+                     "probes to echo")
     return report.check()
 
 
@@ -129,8 +128,8 @@ class SweepSpec:
         for v in self.grid:
             if not math.isfinite(v):
                 raise ParamError(f"sweep grid value {v!r} is not finite")
-        if self.n_draws < 2:
-            raise ParamError("n_draws must be >= 2")
+        if self.n_draws < 1:
+            raise ParamError(f"n_draws must be >= 1, got {self.n_draws}")
         return self
 
 

@@ -18,11 +18,10 @@ the standard error reported alongside each estimated term.
 One vectorized kernel, ``draw_terms``, holds every per-draw formula; the
 scalar functions run it on a single draw, which gives that draw's terms in
 a batch bit for bit, and each bound below is a mean (with standard error)
-over its output.  Each ``theorem1_draw_terms`` call samples its own batch,
-except inside ``_one_batch``: there the bounds asked for at its ``(params,
-n_draws, rng_seed)`` reduce one batch, sampled once, so terms that coincide
-analytically coincide to the last bit.  ``cli.run_rates`` holds it for one
-report, and it is released when the report is done.
+over its output.  Each ``theorem1_draw_terms`` call samples its own batch;
+a bound given that batch as ``terms`` reduces it instead of sampling, so
+``cli.run_rates`` samples once per report and terms that coincide
+analytically coincide to the last bit.
 
 Bounds computed here:
 
@@ -48,7 +47,6 @@ Bounds computed here:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +200,6 @@ def phi(params: SystemParams, realization: ChannelRealization,
 # what the reductions read, plus phi_BA for callers of theorem1_draw_terms
 _SHARED_TERMS = ("phi_BA", "xi_BA", "xi_AB", "gamma_BA", "gamma_AB",
                  "xi_BA_prime", "snr_AB", "snr_EB", "alpha_prime")
-# the batches _one_batch holds, by (params, n_draws, rng_seed)
-_held: dict[tuple, dict[str, np.ndarray]] = {}
 
 
 def theorem1_draw_terms(params: SystemParams, n_draws: int,
@@ -213,12 +209,8 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     Entries: phi_BA, xi_BA, xi_AB, gamma_BA, gamma_AB, xi_BA_prime, snr_AB,
     snr_EB and, when m_A >= 1, alpha_prime: the energy of m_A i.i.d.
     CN(0, p_A) probes is (p_A / 2) chi^2 with 2 m_A degrees of freedom.
-    Each call samples the batch afresh and returns writable arrays, except
-    inside ``_one_batch`` of the same key: there it returns its batch.
+    Each call samples afresh and returns writable arrays: a bound's ``terms``.
     """
-    held = _held.get((params, n_draws, rng_seed))
-    if held is not None:
-        return dict(held)
     # magnitudes are all the kernel reads; the complex batch goes first
     batch = [np.abs(a) for a in sample_channel_batch(params, rng_seed, n_draws)]
     xnorm2 = None
@@ -229,20 +221,13 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     return {name: terms[name] for name in _SHARED_TERMS if name in terms}
 
 
-@contextmanager
-def _one_batch(params: SystemParams, n_draws: int, rng_seed: int):
-    """Hold one batch, read-only, for every bound at this key; release it
-    on exit.  A batch is a function of its key, so holds of one key in two
-    threads stay correct: at worst a call samples it again."""
-    key = (params, n_draws, rng_seed)
-    terms = theorem1_draw_terms(params, n_draws, rng_seed)
-    for arr in terms.values():
-        arr.flags.writeable = False
-    _held[key] = terms
-    try:
-        yield dict(terms)
-    finally:
-        _held.pop(key, None)
+def _draws_of(params, n_draws, rng_seed, terms) -> dict[str, np.ndarray]:
+    """The given ``terms``, of ``n_draws`` draws, or a batch sampled anew."""
+    if terms is None:
+        return theorem1_draw_terms(params, n_draws, rng_seed)
+    if len(terms["xi_BA"]) != n_draws:
+        raise ParamError(f"terms do not hold n_draws = {n_draws} draws")
+    return terms
 
 
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:
@@ -256,15 +241,16 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
 # =====================================================================
 
 def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
-                    rng_seed: int = 0) -> RateReport:
+                    rng_seed: int = 0, *, terms=None) -> RateReport:
     """Secret-key capacity bracket for two-way probing, in bits per session.
 
     Returns a report with alpha (exact), the four Monte Carlo expectation
     terms with standard errors, and the three session totals C_A, C_B, C_E.
     max(C_A, C_B) is achievable; min over the ideal-channel bound and C_E
-    caps what any scheme can distill.
+    caps what any scheme can distill.  A given ``terms``, the
+    ``theorem1_draw_terms`` of these arguments, is reduced, not resampled.
     """
-    terms = theorem1_draw_terms(params, n_draws, rng_seed)
+    terms = _draws_of(params, n_draws, rng_seed, terms)
     a = alpha(params)
     values: dict[str, float] = {"alpha": a}
     stderr: dict[str, float] = {}
@@ -289,19 +275,19 @@ def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
 
 
 def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
-                        rng_seed: int = 0) -> float:
+                        rng_seed: int = 0, *, terms=None) -> float:
     """Exact key capacity under one-way probing, bits per session.
 
     With probes in only one direction the bracket of ``theorem1_bounds``
     closes: the capacity equals alpha + m_A E log2(1 + phi_BA) (Alice
     probing) or alpha + m_B E log2(1 + phi_AB) (Bob probing).  Uses the same
-    channel batch as ``theorem1_bounds`` for a shared seed, so the two
-    agree draw for draw.
+    channel batch as ``theorem1_bounds`` for a shared seed, or the same
+    ``terms``, so the two agree draw for draw.
     """
     if (params.m_A == 0) == (params.m_B == 0):
         raise ParamError("one-way probing required: exactly one of m_A, m_B "
                          "must be zero")
-    terms = theorem1_draw_terms(params, n_draws, rng_seed)
+    terms = _draws_of(params, n_draws, rng_seed, terms)
     # same per-draw combination as theorem1_bounds so the results agree
     # bit for bit, not just statistically
     if params.m_B == 0:
@@ -316,13 +302,13 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
 # =====================================================================
 
 def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
-                       with_eta: bool) -> RateReport:
+                       with_eta: bool, terms) -> RateReport:
     if with_eta and not (params.eps_A > 0 and params.eps_E > 0):
         raise ParamError("theorem2_lower_bound needs eps_A > 0 and eps_E > 0 "
                          "so that eta = eps_E / eps_A is finite")
     if params.m_A < 1:
         raise ParamError("echo-protocol bounds need m_A >= 1")
-    terms = theorem1_draw_terms(params, n_draws, rng_seed)
+    terms = _draws_of(params, n_draws, rng_seed, terms)
     values: dict[str, float] = {}
     stderr: dict[str, float] = {}
     for name in ("alpha_prime", "xi_BA_prime"):
@@ -344,24 +330,24 @@ def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
 
 
 def theorem2_lower_bound(params: SystemParams, n_draws: int = 10_000,
-                         rng_seed: int = 0) -> RateReport:
+                         rng_seed: int = 0, *, terms=None) -> RateReport:
     """Achievable secrecy rate of the analog echo protocol, bits per session.
 
-    C'_B >= alpha' + m_A xi'_BA + m_A log2(eta) with eta = eps_E / eps_A,
-    valid for eps_A, eps_E well below sigma_B2.  The three addends are
-    reported separately (keys alpha_prime, xi_BA_prime, eta_term).
+    C'_B >= alpha' + m_A xi'_BA + m_A log2(eta) with eta = eps_E / eps_A, valid
+    for eps_A, eps_E well below sigma_B2.  The addends are reported apart (keys
+    alpha_prime, xi_BA_prime, eta_term); ``terms`` as in ``theorem1_bounds``.
     """
-    return _echo_bound_report(params, n_draws, rng_seed, with_eta=True)
+    return _echo_bound_report(params, n_draws, rng_seed, True, terms)
 
 
 def theorem3_lower_bound(params: SystemParams, n_draws: int = 10_000,
-                         rng_seed: int = 0) -> RateReport:
+                         rng_seed: int = 0, *, terms=None) -> RateReport:
     """Eta-free echo-protocol bound: alpha' + m_A xi'_BA.
 
-    Identical computation to ``theorem2_lower_bound`` without the
+    Computed as ``theorem2_lower_bound``, ``terms`` included, without the
     m_A log2(eta) term, so it is invariant to the return-noise ratio.
     """
-    return _echo_bound_report(params, n_draws, rng_seed, with_eta=False)
+    return _echo_bound_report(params, n_draws, rng_seed, False, terms)
 
 
 # =====================================================================

@@ -1,4 +1,5 @@
 """Harness behavior: subcommands, determinism, config, error handling."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -57,29 +58,13 @@ def test_run_rates_samples_one_channel_batch(monkeypatch):
         return sample_channel_batch(*args)
 
     monkeypatch.setattr(rates, "sample_channel_batch", counting)
-    # every bound in the report reduces the batch run_rates holds, and
-    # the batch is released with the report, so a later call samples anew
+    # every bound in the report reduces the batch run_rates passes it, and
+    # nothing keeps that batch, so a later call samples anew
     key = (SystemParams(rho=0.3, m_A=3), 700, 41)
     run_rates(*key)
     assert len(calls) == 1
     rates.theorem1_draw_terms(*key)
     assert len(calls) == 2
-
-
-def test_run_rates_releases_its_batch_when_a_bound_raises(monkeypatch):
-    key = (SystemParams(), 300, 2)
-    writeable = []
-
-    def failing(*args):
-        terms = rates.theorem1_draw_terms(*args)
-        writeable.append(terms["xi_BA"].flags.writeable)
-        raise RuntimeError("bound failed")
-
-    monkeypatch.setattr(cli, "theorem2_lower_bound", failing)
-    with pytest.raises(RuntimeError, match="bound failed"):
-        run_rates(*key)
-    assert writeable == [False]   # inside the report: the held batch
-    assert rates.theorem1_draw_terms(*key)["xi_BA"].flags.writeable
 
 
 @pytest.mark.parametrize("workers, n_points", [(2, 4), (4, 16)])
@@ -96,18 +81,17 @@ def test_parallel_sweep_samples_one_batch_per_point(monkeypatch, workers,
                      grid=tuple(k / 20 for k in range(1, n_points + 1)),
                      n_draws=2000, rng_seed=6)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # workers switch often, so holds interleave
+    sys.setswitchinterval(1e-6)   # workers switch often, so points interleave
     try:
         rows = run_sweep(spec, workers=workers)
     finally:
         sys.setswitchinterval(interval)
-    # a hold lost to another worker would sample its point again
+    # a point whose bounds sampled their own batches would count more
     assert len(calls) == n_points
     assert rows == run_sweep(spec, workers=1)
 
 
 def test_run_rates_no_probes_skips_echo_metrics():
-    import dataclasses
     p = dataclasses.replace(SystemParams(), m_A=0, m_B=3)
     rep = run_rates(p, n_draws=800, rng_seed=1)
     assert "theorem3_lower" not in rep.values
@@ -117,7 +101,7 @@ def test_run_rates_no_probes_skips_echo_metrics():
 
 # ---------------------------------------------------------------- sweeps
 
-def test_sweep_rows_and_worker_independence():
+def test_sweep_rows_and_worker_independence(monkeypatch):
     spec = SweepSpec(base=SystemParams(), field_name="rho",
                      grid=(0.2, 0.5, 0.8), n_draws=400, rng_seed=3)
     serial = run_sweep(spec, workers=1)
@@ -125,6 +109,14 @@ def test_sweep_rows_and_worker_independence():
     assert serial == parallel
     assert [r["value"] for r in serial] == [0.2, 0.5, 0.8]
     assert serial[0]["alpha"] < serial[2]["alpha"]
+    # one draw per point, the least run_rates takes, sweeps too
+    one = dataclasses.replace(spec, n_draws=1)
+    assert run_sweep(one, workers=1) == run_sweep(one, workers=3)
+    calls = []
+    monkeypatch.setattr(cli, "run_rates", lambda *a: calls.append(a))
+    with pytest.raises(ParamError, match=r"^n_draws must be >= 1, got 0$"):
+        run_sweep(dataclasses.replace(spec, n_draws=0), workers=3)
+    assert calls == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
@@ -386,6 +378,7 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     # checks, the worker pool, or the key (max_key_len is 121 here)
     ("verify-bounds", "--n-realizations", "0"),
     ("sweep", "--field", "rho", "--grid", "0.2", "--workers", "0"),
+    ("sweep", "--field", "rho", "--grid", "0.2", "--n-draws", "0"),
     ("simulate-digital", "--m_A", "2000", "--target-len", "0"),
     ("simulate-digital", "--m_A", "2000", "--target-len", "-4"),
     # flags the chosen model never reads, and a plot file with no metric

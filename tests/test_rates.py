@@ -12,6 +12,7 @@ from steeplab import (ChannelRealization, ParamError, SystemParams, alpha,
                       per_realization_rates, phi, power_budget,
                       sample_channels, theorem1_bounds, theorem2_lower_bound,
                       theorem3_lower_bound, validate, xi_tilde_analog)
+from steeplab import rates
 from steeplab.channel import sample_channel_batch
 from steeplab.rates import theorem1_draw_terms
 
@@ -334,12 +335,40 @@ def test_batch_terms_equal_per_draw_terms():
         assert np.array_equal(recv, np.square(np.abs(gains[1])) * p.p_A)
 
 
-def test_bound_calls_hold_no_batch_and_return_writable_terms():
-    theorem3_lower_bound(BASE, n_draws=500, rng_seed=3)
-    # a held batch would be read-only
+def test_draw_terms_are_writable_and_resampled_with_the_same_bits():
     terms = theorem1_draw_terms(BASE, 500, 3)
     assert all(arr.flags.writeable for arr in terms.values())
     terms["xi_BA"] *= 2
     # each call samples the batch afresh, with the same bits
     again = theorem1_draw_terms(BASE, 500, 3)
     assert np.array_equal(2 * again["xi_BA"], terms["xi_BA"])
+
+
+def _outputs(result):
+    if isinstance(result, float):
+        return result
+    return result.values, result.stderr, result.notes
+
+
+@pytest.mark.parametrize("bound", [theorem1_bounds, corollary1_capacity,
+                                   theorem2_lower_bound, theorem3_lower_bound],
+                         ids=lambda bound: bound.__name__)
+def test_bound_reduces_given_terms_without_sampling(monkeypatch, bound):
+    key = (BASE, 600, 9)
+    terms = theorem1_draw_terms(*key)
+    before = {name: arr.copy() for name, arr in terms.items()}
+    other = theorem1_draw_terms(BASE, 599, 9)
+    want = _outputs(bound(*key))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_channel_batch(*args)
+
+    monkeypatch.setattr(rates, "sample_channel_batch", counting)
+    assert _outputs(bound(*key, terms=terms)) == want
+    assert calls == []
+    # the bounds of one report share the batch, so none may write to it
+    assert all(np.array_equal(terms[name], before[name]) for name in before)
+    with pytest.raises(ParamError, match="n_draws = 600"):
+        bound(*key, terms=other)
