@@ -31,8 +31,8 @@ def main() -> int:
 
     sweep_path = args.out_dir / "rho_sweep.csv"
     plot_path = args.out_dir / "rho_sweep_ckey.csv"
-    rows_to_csv(rows, path=sweep_path)
-    emit_plotdata(rows, "C_key_one_way", path=plot_path)
+    sweep_path.write_bytes(rows_to_csv(rows).encode("utf-8"))
+    plot_path.write_bytes(emit_plotdata(rows, "C_key_one_way").encode("utf-8"))
 
     print(f"wrote {sweep_path} and {plot_path}")
     for row in rows:

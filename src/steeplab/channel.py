@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -500,8 +499,8 @@ def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
     yield b"\n"
 
 
-def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> str:
-    """Render an episode as columnar CSV text (and optionally write it).
+def episode_to_csv(episode: AnalogEpisode) -> str:
+    """Render an episode as columnar CSV text.
 
     Incomplete episodes leave the echo columns empty.  Every float is
     written as ``repr(float(v))``, the shortest text that parses back to
@@ -512,11 +511,7 @@ def episode_to_csv(episode: AnalogEpisode, path: str | Path | None = None) -> st
     or from 2**52) is formatted by ``repr`` itself.  The blocks are
     formatted on the CPUs the process may use; the text never depends on
     how many there are.  Every field is an int, a repr float or empty, so
-    none ever needs CSV quoting.  The file holds exactly the returned text,
-    encoded as ASCII, with '\\n' line ends on every platform.  A batch
-    episode has no row layout and raises ``ParamError``.
+    none ever needs CSV quoting; the text is ASCII with '\\n' line ends.  A
+    batch episode has no row layout and raises ``ParamError``.
     """
-    text = b"".join(_episode_csv_parts(episode))
-    if path is not None:
-        Path(path).write_bytes(text)
-    return text.decode("ascii")
+    return b"".join(_episode_csv_parts(episode)).decode("ascii")

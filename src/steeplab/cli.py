@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,13 +184,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
                                                 False), items, workers))
 
 
-def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:
-    """Stable-column CSV; floats rendered with repr for reproducibility.
+def rows_to_csv(rows: list[dict]) -> str:
+    """Stable-column CSV text; floats rendered with repr for reproducibility.
 
     Columns are field and value, then the union of every row's keys in
     sorted order; a row without one of them leaves that cell empty.  A
-    NumPy float is written as the Python float it equals.  The file holds
-    exactly the returned text, with '\\n' line ends on every platform.
+    NumPy float is written as the Python float it equals.  Lines end in
+    '\\n' on every platform.
     """
     if not rows:
         raise ParamError("no rows to serialize")
@@ -201,10 +202,7 @@ def rows_to_csv(rows: list[dict], path: str | Path | None = None) -> str:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_cell(row.get(c, "")) for c in columns])
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_bytes(text.encode("utf-8"))
-    return text
+    return buf.getvalue()
 
 
 def _cell(v) -> str:
@@ -213,11 +211,10 @@ def _cell(v) -> str:
     return str(v)
 
 
-def emit_plotdata(rows: list[dict], style: str,
-                  path: str | Path | None = None) -> str:
-    """Plot-ready CSV with columns x, y, y_err for one chosen metric."""
+def emit_plotdata(rows: list[dict], style: str) -> str:
+    """Plot-ready CSV text with columns x, y, y_err for one chosen metric."""
     if not rows:
-        raise ParamError("no sweep rows; run the sweep first")
+        raise ParamError("no sweep row has rates to plot")
     missing = [r["value"] for r in rows if style not in r]
     if missing:
         available = ", ".join(sorted(set.intersection(*map(set, rows))
@@ -227,7 +224,7 @@ def emit_plotdata(rows: list[dict], style: str,
                          f"{available}")
     return rows_to_csv([{"x": float(r["value"]), "y": float(r[style]),
                          "y_err": float(r.get(f"{style}_stderr", 0.0))}
-                        for r in rows], path)
+                        for r in rows])
 
 
 # =====================================================================
@@ -273,13 +270,37 @@ def _grid(text: str) -> tuple[float, ...]:
 
 def _check_out_paths(*paths: Path | None) -> None:
     """Fail before the work, not after it, when an output path is a
-    directory or its directory does not exist."""
+    directory, its directory does not exist, or two outputs are one file."""
+    real = [os.path.realpath(p) for p in filter(None, paths)]
     for path in filter(None, paths):
         if path.is_dir():
             raise ParamError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise ParamError(f"cannot write {path}: directory {path.parent} "
                              "does not exist")
+        if real.count(os.path.realpath(path)) > 1:
+            raise ParamError(f"cannot write two outputs to {path}")
+
+
+def _write_parts(path: Path, parts) -> None:
+    """Write an output file's bytes-like parts: a pipe or device in place,
+    any other path, resolved through symlinks, as a temporary file beside
+    it with its mode, renamed into place or, on any failure, removed."""
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            if path.exists():
+                shutil.copymode(path, tmp)
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _print(*args, **kwargs) -> None:
@@ -309,7 +330,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     _check_out_paths(args.json_out)
     report = run_rates(params, n_draws=args.n_draws, rng_seed=args.seed)
     if args.json_out:
-        Path(args.json_out).write_bytes(report.to_json().encode("utf-8"))
+        _write_parts(args.json_out, [report.to_json().encode("utf-8")])
     width = max(len(k) for k in report.values)
     for key in sorted(report.values):
         line = f"{key:<{width}}  {report.values[key]: .6f}"
@@ -331,8 +352,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(base=base, field_name=args.field, grid=args.grid,
                      n_draws=args.n_draws, rng_seed=args.seed)
     rows = run_sweep(spec, workers=args.workers)
-    text = rows_to_csv(rows, path=args.out)
+    text = rows_to_csv(rows)
     if args.out:
+        _write_parts(args.out, [text.encode("utf-8")])
         _print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         _print(text, end="")
@@ -342,31 +364,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if args.plot_metric:
         plot_text = emit_plotdata([r for r in rows if "status" not in r],
-                                  args.plot_metric, path=args.plot_out)
+                                  args.plot_metric)
         if args.plot_out:
+            _write_parts(args.plot_out, [plot_text.encode("utf-8")])
             _print(f"wrote {args.plot_out}")
         else:
             _print(plot_text, end="")
     return 1 if failed else 0
-
-
-def _write_parts(path: Path, parts) -> None:
-    """Write the bytes-like parts to path as they come.  A file goes through
-    a temporary file beside it: on any failure path is left as it was and
-    the temporary file is removed.  A pipe or device is written in place,
-    since renaming onto it would replace it."""
-    if path.exists() and not path.is_file():
-        with open(path, "wb") as fh:
-            fh.writelines(parts)
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _cmd_simulate_analog(args: argparse.Namespace) -> int:
@@ -433,7 +437,7 @@ def _cmd_simulate_digital(args: argparse.Namespace) -> int:
         payload["keys_agree"] = False
         payload["note"] = "no distillable key at this operating point"
     if args.transcript_out:
-        Path(args.transcript_out).write_bytes(episode.to_bytes())
+        _write_parts(args.transcript_out, [episode.to_bytes()])
         payload["transcript"] = str(args.transcript_out)
     _print_json(payload)
     return 0
@@ -445,7 +449,8 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     reports = run_oracle_suite(params, rng_seed=args.seed,
                                n_realizations=args.n_realizations)
     if args.csv_out:
-        rows_to_csv([dataclasses.asdict(r) for r in reports], path=args.csv_out)
+        text = rows_to_csv([dataclasses.asdict(r) for r in reports])
+        _write_parts(args.csv_out, [text.encode("utf-8")])
     width = max(len(r.name) for r in reports)
     failures = 0
     for r in reports:

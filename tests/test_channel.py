@@ -266,28 +266,24 @@ def _use_cpus(monkeypatch, n):
     monkeypatch.setattr(_workers, "usable_cpus", lambda: n)
 
 
-def test_episode_csv_rejects_a_batch(tmp_path, monkeypatch):
+def test_episode_csv_rejects_a_batch(monkeypatch):
     _use_cpus(monkeypatch, 2)
     formatted = []
     monkeypatch.setattr(channel, "_csv_float_fields",
                         lambda *args: formatted.append(args))
     p = dataclasses.replace(SystemParams(), m_A=2500)
-    path = tmp_path / "ep.csv"
     with pytest.raises(ParamError, match="one episode"):
-        episode_to_csv(simulate_episode(p, [1, 2]), path)
-    assert not path.exists() and not formatted
+        episode_to_csv(simulate_episode(p, [1, 2]))
+    assert not formatted
 
 
-def test_episode_csv_layout_and_determinism(tmp_path):
+def test_episode_csv_layout_and_determinism():
     p = dataclasses.replace(SystemParams(), m_A=8, n_E=2)
     ep = simulate_episode(p, 21)
-    path_a = tmp_path / "a.csv"
-    path_b = tmp_path / "b.csv"
-    episode_to_csv(ep, path_a)
-    episode_to_csv(simulate_episode(p, 21), path_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
+    text = episode_to_csv(ep)
+    assert episode_to_csv(simulate_episode(p, 21)) == text
 
-    lines = path_a.read_text().splitlines()
+    lines = text.splitlines()
     header = lines[0].split(",")
     expected = list(EPISODE_CSV_COLUMNS) + [
         "e_A0_re", "e_A0_im", "e_A1_re", "e_A1_im"]
@@ -341,15 +337,12 @@ def _reference_episode_csv(episode):
 @pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500])
 @pytest.mark.parametrize("n_E", [1, 3])
 @pytest.mark.parametrize("complete", [True, False])
-def test_episode_csv_matches_reference(tmp_path, m_A, n_E, complete):
+def test_episode_csv_matches_reference(m_A, n_E, complete):
     p = dataclasses.replace(SystemParams(), m_A=m_A, n_E=n_E)
     seed = 1000 * m_A + n_E
     ep = (simulate_episode(p, seed) if complete
           else run_probing(p, sample_channels(p, seed), seed))
-    expected = _reference_episode_csv(ep)
-    path = tmp_path / "ep.csv"
-    assert episode_to_csv(ep, path) == expected
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert episode_to_csv(ep) == _reference_episode_csv(ep)
 
 
 def test_cli_simulate_analog_csv_pinned(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from steeplab import (BscParams, DigitalEpisode, ParamError, RateReport,
-                      SweepSpec, SystemParams, emit_plotdata, run_rates,
-                      run_sweep)
+                      SweepSpec, SystemParams, emit_plotdata, episode_to_csv,
+                      reconcile_and_amplify, reconcile_plan,
+                      run_digital_episode, run_oracle_suite, run_rates,
+                      run_sweep, simulate_episode)
 import steeplab
 from steeplab import _workers, cli, rates
 from steeplab.channel import sample_channel_batch
@@ -282,28 +285,6 @@ def test_rows_to_csv_writes_numpy_scalars_as_python_values():
     assert rows_to_csv(rows) == "a,b,c\n1.5,3,True\n"
 
 
-def test_text_outputs_skip_newline_translation(tmp_path, monkeypatch,
-                                               capsys):
-    # Path.write_text turns '\n' into os.linesep, so on Windows a file
-    # would differ from the returned text and from the pinned digests
-    def write_text(*args, **kwargs):
-        raise AssertionError("text written with newline translation")
-    monkeypatch.setattr(Path, "write_text", write_text)
-    rows_path = tmp_path / "rows.csv"
-    text = rows_to_csv([{"field": "rho", "value": 0.5}], rows_path)
-    assert rows_path.read_bytes() == text.encode()
-    ep_path = tmp_path / "ep.csv"
-    text = steeplab.episode_to_csv(
-        steeplab.simulate_episode(SystemParams(m_A=3), 1), ep_path)
-    assert ep_path.read_bytes() == text.encode()
-    json_path = tmp_path / "r.json"
-    code, _, _ = run_cli(capsys, "rates", "--n-draws", "300", "--json-out",
-                         str(json_path))
-    assert code == 0
-    report = RateReport.from_json(json_path.read_bytes().decode())
-    assert json_path.read_bytes() == report.to_json().encode()
-
-
 def test_sweep_csv_header_independent_of_row_order(capsys):
     # the m_A = 0 row lacks the 16 echo metrics and the m_A = 4 row lacks
     # C_key_one_way: whichever row comes first, the header is the union
@@ -403,8 +384,12 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     # efficiencies no syndrome length can be rounded from
     ("simulate-digital", "--m_A", "2000", "--efficiency", "inf"),
     ("simulate-digital", "--m_A", "2000", "--efficiency", "nan"),
+    # two outputs to one file, which would keep only the plot
+    ("sweep", "--field", "rho", "--grid", "0.3", "--n-draws", "100",
+     "--out", "same.csv", "--plot-metric", "alpha", "--plot-out", "same.csv"),
 ])
-def test_cli_bad_input_exits_1(capsys, argv):
+def test_cli_bad_input_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -443,15 +428,24 @@ def test_cli_missing_output_directory_fails_before_the_work(
         "exist\n".format(argv[-1].rsplit("/", 1)[1])
 
 
-@pytest.mark.parametrize("worker, argv, flag", [
-    ("run_rates", ("rates",), "--json-out"),
-    ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2"), "--out"),
+# every output flag: the worker that runs before the file is written, and
+# the command that writes it
+_OUTPUTS = [
+    ("run_rates", ("rates", "--n-draws", "300"), "--json-out"),
     ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",
-                   "--plot-metric", "alpha"), "--plot-out"),
-    ("simulate_episode", ("simulate-analog",), "--out"),
-    ("run_digital_episode", ("simulate-digital",), "--transcript-out"),
-    ("run_oracle_suite", ("verify-bounds",), "--csv-out"),
-])
+                   "--n-draws", "300"), "--out"),
+    ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",
+                   "--n-draws", "300", "--plot-metric", "alpha"),
+     "--plot-out"),
+    ("simulate_episode", ("simulate-analog", "--m_A", "2500"), "--out"),
+    ("run_digital_episode", ("simulate-digital", "--m_A", "2000"),
+     "--transcript-out"),
+    ("run_oracle_suite", ("verify-bounds", "--n-realizations", "5"),
+     "--csv-out"),
+]
+
+
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
 def test_cli_output_path_that_is_a_directory_fails_before_the_work(
         tmp_path, monkeypatch, capsys, worker, argv, flag):
     def reached(*args, **kwargs):
@@ -461,6 +455,110 @@ def test_cli_output_path_that_is_a_directory_fails_before_the_work(
     assert code == 1 and out == ""
     assert err == f"error: cannot write {tmp_path}: it is a directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _transcript_bytes() -> bytes:
+    bsc = BscParams(m_A=2000)
+    episode = run_digital_episode(bsc, 0)
+    target = reconcile_plan(bsc, efficiency=1.6, safety_margin=0.2).max_key_len
+    result = reconcile_and_amplify(episode, bsc, target, 0, efficiency=1.6,
+                                   safety_margin=0.2)
+    return dataclasses.replace(episode, key_A=result.key_A,
+                               key_B=result.key_B).to_bytes()
+
+
+def _sweep_rows():
+    return run_sweep(SweepSpec(SystemParams(), "rho", (0.2,), n_draws=300))
+
+
+# what the library returns for each output of _OUTPUTS, at seed 0
+_LIBRARY_BYTES = {
+    ("rates", "--json-out"):
+        lambda: run_rates(SystemParams(), 300, 0).to_json().encode(),
+    ("sweep", "--out"): lambda: rows_to_csv(_sweep_rows()).encode(),
+    ("sweep", "--plot-out"):
+        lambda: emit_plotdata(_sweep_rows(), "alpha").encode(),
+    ("simulate-analog", "--out"): lambda: episode_to_csv(
+        simulate_episode(SystemParams(m_A=2500), 0)).encode(),
+    ("simulate-digital", "--transcript-out"): _transcript_bytes,
+    ("verify-bounds", "--csv-out"): lambda: rows_to_csv(
+        [dataclasses.asdict(r) for r in run_oracle_suite(
+            SystemParams(), 0, n_realizations=5)]).encode(),
+}
+
+
+def _run_output(capsys, argv, flag, path):
+    """Run argv writing its output to path; return the exit code, the stderr
+    text and the bytes the library returns for that output."""
+    code, _, err = run_cli(capsys, *argv, flag, str(path))
+    return code, err, _LIBRARY_BYTES[argv[0], flag]()
+
+
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
+def test_cli_output_holds_the_library_bytes(tmp_path, capsys, worker, argv,
+                                            flag):
+    # the exact bytes, so '\n' line ends stay '\n' on every platform
+    out = tmp_path / "out"
+    code, err, want = _run_output(capsys, argv, flag, out)
+    assert code == 0 and err == ""
+    assert out.read_bytes() == want
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
+def test_cli_output_keeps_an_earlier_file_when_the_rename_fails(
+        tmp_path, monkeypatch, capsys, worker, argv, flag):
+    def replace(*args):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", replace)
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier run\n")
+    code, err, _ = _run_output(capsys, argv, flag, out)
+    assert code == 1 and err == "error: rename failed\n"
+    assert out.read_bytes() == b"earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
+def test_cli_output_keeps_the_file_mode(tmp_path, capsys, worker, argv, flag):
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier run\n")
+    out.chmod(0o600)
+    code, err, want = _run_output(capsys, argv, flag, out)
+    assert code == 0 and err == ""
+    assert out.read_bytes() == want
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
+def test_cli_output_writes_through_a_symlink(tmp_path, capsys, worker, argv,
+                                             flag):
+    target = tmp_path / "target"
+    target.write_bytes(b"earlier run\n")
+    link = tmp_path / "link"
+    link.symlink_to(target.name)
+    code, err, want = _run_output(capsys, argv, flag, link)
+    assert code == 0 and err == ""
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == want
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
+def test_cli_output_writes_into_a_fifo(tmp_path, capsys, worker, argv, flag):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, err, want = _run_output(capsys, argv, flag, fifo)
+    reader.join(timeout=60)
+    assert code == 0 and err == "" and not reader.is_alive()
+    assert got == [want]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
@@ -523,6 +621,20 @@ def test_cli_sweep_digital_keeps_rows_outside_regime(capsys):
     assert rows[1]["xi_digital"] == rows[1]["xi_lower"] == ""
     assert rows[0]["status"] == rows[2]["status"] == ""
     assert float(rows[0]["xi_digital"]) < float(rows[2]["xi_digital"])
+
+
+def test_cli_sweep_plot_with_no_row_in_regime(capsys):
+    # the sweep ran; its one point has no rates, so there is nothing to plot
+    code, out, err = run_cli(capsys, "sweep", "--digital", "--field", "P_EA",
+                             "--grid", "0.5", "--P_BA", "0.5",
+                             "--plot-metric", "xi_digital")
+    assert code == 1
+    assert out.splitlines()[0] == "field,value,status"
+    assert err == ("error: P_EA = 0.5: secrecy formula outside stated "
+                   "regime: P_E|B >= 1/2\n"
+                   "error: no sweep row has rates to plot\n")
+    with pytest.raises(ParamError, match="^no sweep row has rates to plot$"):
+        emit_plotdata([], "xi_digital")
 
 
 def test_cli_sweep_digital_rejects_grid_outside_unit_half(capsys):
