@@ -56,31 +56,27 @@ def pool() -> ThreadPoolExecutor:
 
 
 def in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
-    """The result of each ``fn(item)`` in the order of items, where ``fn``
-    returns ``(result, alone)``.
+    """``fn(item)`` for each item, in the order of items.
 
     With w = min(workers, usable CPUs, len(items)), this thread runs every
     w-th item and the pool the others, at most w items ahead; an item the
-    pool has not started when it is due runs here.  The first ``alone``
-    (an item that held the GIL) ends all hand-offs to the pool.  Pending
-    jobs are cancelled when the consumer stops.
+    pool has not started when it is due runs here.  Pending jobs are
+    cancelled when the consumer stops.
     """
     w = min(workers, usable_cpus(), len(items))
     pending: dict[int, Future] = {}
-    ahead, alone = 0, False   # ahead: the next item to hand out
+    ahead = 0   # the next item to hand out
     try:
         for i, item in enumerate(items):
-            while not alone and ahead < min(i + w, len(items)):
+            while ahead < min(i + w, len(items)):
                 if ahead % w:
                     pending[ahead] = pool().submit(fn, items[ahead])
                 ahead += 1
             job = pending.pop(i, None)
             if job is None or job.cancel():   # not started: run it here
-                result, held = fn(item)
+                yield fn(item)
             else:
-                result, held = job.result()
-            alone |= held
-            yield result
+                yield job.result()
     finally:
         for job in pending.values():
             job.cancel()

@@ -466,12 +466,9 @@ def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
     rows = min(_CSV_BLOCK_ROWS, m)
     # a row: '\n' ending the line before, the index, then 48-byte fields
     n_start = (len(str(m - 1)) + 8) // 8
-    n_values = 2 * sum(b - a for a, b in runs)
     local = threading.local()   # each thread's block and values buffers
 
-    def block_bytes(lo: int) -> tuple[np.ndarray, bool]:
-        """The block's bytes and whether most of its values took ``repr``,
-        which holds the GIL."""
+    def block_bytes(lo: int) -> np.ndarray:
         bufs = getattr(local, "bufs", None)
         if bufs is None:
             block = np.zeros((rows, 8 * n_start + 96 * len(signals)), np.uint8)
@@ -482,17 +479,15 @@ def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
                                  np.empty((rows, 2 * len(signals))))
         block, words, fields, values = bufs
         n = min(rows, m - lo)
-        fallbacks = 0
         for a, b in runs:
             for i in range(a, b):
                 values[:n, 2 * i] = signals[i].real[lo:lo + n]
                 values[:n, 2 * i + 1] = signals[i].imag[lo:lo + n]
-            fallbacks += _csv_float_fields(values[:n, 2 * a:2 * b],
-                                           fields[:n, 2 * a:2 * b])
+            _csv_float_fields(values[:n, 2 * a:2 * b], fields[:n, 2 * a:2 * b])
         words[:n, :n_start] = _csv_row_starts(np.arange(lo, lo + n, dtype=_I),
                                               n_start)
         flat = block[:n].ravel()
-        return flat[flat != 0], 2 * fallbacks > n * n_values
+        return flat[flat != 0]
 
     yield from _workers.in_order(block_bytes, range(0, m, _CSV_BLOCK_ROWS),
                                  _workers.usable_cpus())

@@ -180,8 +180,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
         raise ParamError(f"workers must be >= 1, got {workers}")
     # every point is built, and so validated, before any point runs
     items = list(enumerate(_sweep_value(spec, v) for v in spec.grid))
-    return list(_workers.in_order(lambda item: (_sweep_point(spec, item),
-                                                False), items, workers))
+    return list(_workers.in_order(functools.partial(_sweep_point, spec),
+                                  items, workers))
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -268,38 +268,47 @@ def _grid(text: str) -> tuple[float, ...]:
             f"grid must be comma-separated numbers, got {text!r}") from exc
 
 
+def _out_target(path: Path) -> Path:
+    """A pipe or device output as given, any other output's realpath."""
+    if path.exists() and not path.is_file():
+        return path
+    return Path(os.path.realpath(path))
+
+
 def _check_out_paths(*paths: Path | None) -> None:
-    """Fail before the work, not after it, when an output path is a
+    """Fail before the work, not after it, when an output's target is a
     directory, its directory does not exist, or two outputs are one file."""
-    real = [os.path.realpath(p) for p in filter(None, paths)]
-    for path in filter(None, paths):
-        if path.is_dir():
+    outs = [(path, _out_target(path)) for path in filter(None, paths)]
+    for path, target in outs:
+        if target.is_dir():
             raise ParamError(f"cannot write {path}: it is a directory")
-        if not path.parent.is_dir():
-            raise ParamError(f"cannot write {path}: directory {path.parent} "
+        if not target.parent.is_dir():
+            raise ParamError(f"cannot write {path}: directory {target.parent} "
                              "does not exist")
-        if real.count(os.path.realpath(path)) > 1:
+        if [t for _, t in outs].count(target) > 1:
             raise ParamError(f"cannot write two outputs to {path}")
 
 
 def _write_parts(path: Path, parts) -> None:
-    """Write an output file's bytes-like parts: a pipe or device in place,
-    any other path, resolved through symlinks, as a temporary file beside
-    it with its mode, renamed into place or, on any failure, removed."""
-    if path.exists() and not path.is_file():
+    """Write an output file's bytes-like parts to its ``_out_target``, a
+    file as a temporary file beside it with its mode, renamed into place
+    or, on any failure, removed; an OS error names the output path."""
+    target = _out_target(path)
+    if target is path:   # a pipe or device, written in place
         with open(path, "wb") as fh:
             fh.writelines(parts)
         return
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            if path.exists():
-                shutil.copymode(path, tmp)
+            if target.exists():
+                shutil.copymode(target, tmp)
             fh.writelines(parts)
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, target)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

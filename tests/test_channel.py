@@ -414,21 +414,24 @@ def test_episode_csv_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, m_A):
                                           for c in (1, 2, 3)]
 
 
-def test_episode_csv_formats_repr_heavy_blocks_serially(monkeypatch):
-    # values near 1e-12 all take repr, which holds the GIL: once such a
-    # block is done, no further block goes to the pool
-    _use_cpus(monkeypatch, 2)
+def test_episode_csv_keeps_the_bytes_of_repr_heavy_blocks(monkeypatch):
+    # values near 1e-12 all take repr, on pool threads as in this one
     powers = dict.fromkeys(("p_A", "sigma_B2", "sigma_EA2", "sigma_s2",
                             "eps_A", "eps_E"), 1e-24)
     p = dataclasses.replace(SystemParams(), m_A=5000, **powers)
     ep = simulate_episode(p, 3)
+    want = _reference_episode_csv(ep)
     kernel = _KernelCalls(monkeypatch)
-    kernel.hold = True
-    same = episode_to_csv(ep) == _reference_episode_csv(ep)
-    assert same
-    assert len(kernel.calls) == 5
-    assert all(fallbacks == size for _, fallbacks, size in kernel.calls)
-    assert kernel.pool_calls() == 1
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        kernel.hold = cpus > 1
+        kernel.calls.clear()
+        kernel.pool_started.clear()
+        same = episode_to_csv(ep) == want
+        assert same, cpus
+        assert len(kernel.calls) == 5
+        assert all(fallbacks == size for _, fallbacks, size in kernel.calls)
+        assert (kernel.pool_calls() > 0) == (cpus > 1), cpus
 
 
 def test_episode_csv_does_not_wait_for_a_busy_pool(monkeypatch):

@@ -1,5 +1,6 @@
 """Harness behavior: subcommands, determinism, config, error handling."""
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -406,6 +407,12 @@ def test_cli_reuses_one_parser_across_calls(capsys):
     assert cli._parser() is cli._parser()
 
 
+def _fail_if_reached(monkeypatch, worker):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before the output path was checked")
+    monkeypatch.setattr(f"steeplab.cli.{worker}", reached)
+
+
 @pytest.mark.parametrize("worker, argv", [
     ("run_rates", ("rates", "--json-out", "/nodir/r.json")),
     ("run_sweep", ("sweep", "--field", "rho", "--grid", "0.2",
@@ -419,9 +426,7 @@ def test_cli_reuses_one_parser_across_calls(capsys):
 ])
 def test_cli_missing_output_directory_fails_before_the_work(
         monkeypatch, capsys, worker, argv):
-    def reached(*args, **kwargs):
-        raise AssertionError(f"{worker} ran before the output path was checked")
-    monkeypatch.setattr(f"steeplab.cli.{worker}", reached)
+    _fail_if_reached(monkeypatch, worker)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: cannot write /nodir/{}: directory /nodir does not " \
@@ -448,12 +453,47 @@ _OUTPUTS = [
 @pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
 def test_cli_output_path_that_is_a_directory_fails_before_the_work(
         tmp_path, monkeypatch, capsys, worker, argv, flag):
-    def reached(*args, **kwargs):
-        raise AssertionError(f"{worker} ran before the output path was checked")
-    monkeypatch.setattr(f"steeplab.cli.{worker}", reached)
+    _fail_if_reached(monkeypatch, worker)
     code, out, err = run_cli(capsys, *argv, flag, str(tmp_path))
     assert code == 1 and out == ""
     assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("worker, argv, flag", _OUTPUTS)
+def test_cli_output_link_into_a_missing_directory_fails_before_the_work(
+        tmp_path, monkeypatch, capsys, worker, argv, flag):
+    _fail_if_reached(monkeypatch, worker)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "out")
+    code, out, err = run_cli(capsys, *argv, flag, str(link))
+    assert code == 1 and out == ""
+    missing = os.path.realpath(tmp_path / "missing")
+    assert err == f"error: cannot write {link}: directory {missing} does " \
+        "not exist\n"
+    assert list(tmp_path.iterdir()) == [link]
+
+
+def _failing_parts():
+    yield b"a first part\n"
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+
+@pytest.mark.parametrize("stage", ["create", "write", "rename"])
+def test_write_parts_errors_name_the_output(tmp_path, monkeypatch, stage):
+    out = tmp_path / ("gone/out" if stage == "create" else "out")
+    parts = _failing_parts() if stage == "write" else [b"text\n"]
+    if stage == "rename":
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError) as raised:
+        cli._write_parts(out, parts)
+    assert raised.value.filename == str(out)
+    assert raised.value.filename2 is None
+    assert ".tmp" not in str(raised.value)
     assert list(tmp_path.iterdir()) == []
 
 
