@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParamError
+from . import _workers
+from .params import ParamError, _is_int
 from .seeds import stream
 
 __all__ = [
@@ -93,6 +94,11 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     2^16 checks), which gives the unique stable order without a comparison
     sort.
     """
+    for name, v in (("n_bits", n_bits), ("n_checks", n_checks),
+                    ("col_weight", col_weight)):
+        if not _is_int(v):
+            raise ParamError(f"{name} must be an integer, got {v!r}")
+    n_bits, n_checks, col_weight = int(n_bits), int(n_checks), int(col_weight)
     if not (1 <= n_checks < n_bits):
         raise ParamError(f"need 1 <= n_checks < n_bits, got {n_checks}, {n_bits}")
     if not 1 <= col_weight <= n_checks:
@@ -178,21 +184,31 @@ def _fold_columns(op: np.ufunc, block: np.ndarray, out: np.ndarray) -> None:
         op(out, block[:, j], out=out)
 
 
-def _parity(code: LdpcCode, runs: list[tuple[int, int, int, int]],
-            bits: np.ndarray) -> np.ndarray:
-    """H bits mod 2 for a uint8 0/1 vector: per run of checks, the exact XOR
-    of its block's columns."""
+def syndrome_of(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
+    """H bits mod 2 as a uint8 vector of length n_checks (bits are 0/1):
+    per run of checks, the exact XOR of its block's columns."""
+    bits = _as_bits(bits)
+    if bits.shape != (code.n_bits,):
+        raise ParamError(f"need {code.n_bits} bits in one dimension, got "
+                         f"shape {bits.shape}")
     edge_bits = bits[code.var]
     out = np.zeros(code.n_checks, dtype=np.uint8)
-    for e0, c0, k, d in runs:
+    for e0, c0, k, d in _degree_runs(code):
         _fold_columns(np.bitwise_xor, edge_bits[e0:e0 + k * d].reshape(k, d),
                       out[c0:c0 + k])
     return out
 
 
-def syndrome_of(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
-    """H bits mod 2 as a uint8 vector of length n_checks (bits are 0/1)."""
-    return _parity(code, _degree_runs(code), _as_bits(bits))
+def _check_ranges(runs: list[tuple[int, int, int, int]],
+                  parts: int) -> list[tuple[slice, slice, int]]:
+    """Each run cut into ``parts`` contiguous check ranges of near-equal
+    size, empty ones dropped, as (edge slice, check slice, degree)."""
+    ranges = []
+    for e0, c0, k, d in runs:
+        cuts = [k * i // parts for i in range(parts + 1)]
+        ranges += [(slice(e0 + lo * d, e0 + hi * d), slice(c0 + lo, c0 + hi), d)
+                   for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    return ranges
 
 
 def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
@@ -203,59 +219,79 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     bounds the iterations.  Returns the hard-decision pattern and a flag
     telling whether it reproduces the syndrome exactly (the usual
     convergence criterion).  The edge messages live in buffers allocated
-    once and updated in place; the check side runs over the dense blocks of
-    ``_degree_runs``, the variable side over the whole edge list.
+    once and updated in place.  A check reads only its own edges, so
+    everything but the variable side's sum runs per check range, one
+    range per usable CPU in each ``_degree_runs`` block, on the shared
+    pool; that sum stays one ``np.bincount`` over the whole edge list,
+    whose edge order fixes every posterior bit for bit.
     """
     if not 0.0 < p < 0.5:
         raise ParamError(f"decoder prior must lie in (0, 0.5), got {p}")
-    if max_iter < 1:
-        raise ParamError(f"max_iter must be >= 1, got {max_iter}")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise ParamError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     syndrome = _as_bits(syndrome)
     if syndrome.shape != (code.n_checks,):
         raise ParamError("syndrome length does not match the code")
     var = code.var
-    runs = _degree_runs(code)
+    cpus = _workers.usable_cpus()
+    ranges = _check_ranges(_degree_runs(code), cpus)
     llr0 = float(np.log((1.0 - p) / p))
     # 2 * (-1)^syndrome of each edge's check: the factor 2 of 2 atanh and
     # the syndrome sign in one exact multiply
     scale = (2.0 - 4.0 * syndrome.astype(np.float64))[code.chk]
     n_edges = var.shape[0]
-    m_v2c = np.full(n_edges, llr0)    # variable-to-check messages
-    t = np.empty(n_edges)             # tanh(m_v2c / 2), away from 0 and 1
-    m_c2v = np.empty(n_edges)         # check-to-variable messages
-    # per run: its blocks of t and m_c2v, and a column for its check products
-    blocks = [(t[e0:e0 + k * d].reshape(k, d),
-               m_c2v[e0:e0 + k * d].reshape(k, d), np.empty((k, 1)))
-              for e0, _, k, d in runs]
-    e_hat = np.zeros(code.n_bits, dtype=np.uint8)
-    for _ in range(max_iter):
-        np.clip(m_v2c, -30.0, 30.0, out=t)
-        np.multiply(t, 0.5, out=t)
-        np.tanh(t, out=t)
+    # t holds each edge's posterior, then its variable-to-check message,
+    # then tanh(message / 2) away from 0 and 1; m_c2v starts at 0, so the
+    # first pass sends llr0 - 0.0 = llr0
+    t = np.full(n_edges, llr0)
+    m_c2v = np.zeros(n_edges)             # check-to-variable messages
+    prod = np.empty((code.n_checks, 1))   # each check's product of its t
+    hard = np.empty(n_edges, dtype=bool)  # each edge's hard decision
+    # H e_hat mod 2; a check of degree 0 is in no range, so its parity
+    # stays 0 and a syndrome bit 1 there is never met
+    parity = np.zeros(code.n_checks, dtype=np.uint8)
+
+    def messages(edges: slice, checks: slice, d: int) -> None:
+        """Both message updates on one check range's edges."""
+        t_r, c2v = t[edges], m_c2v[edges]
+        np.subtract(t_r, c2v, out=t_r)
+        np.clip(t_r, -30.0, 30.0, out=t_r)
+        np.multiply(t_r, 0.5, out=t_r)
+        np.tanh(t_r, out=t_r)
         # clip |t| into [1e-12, 1 - 1e-15] and put the sign back; adding
         # 0.0 turns -0.0 into +0.0, so a zero still maps to +1e-12
-        np.add(t, 0.0, out=t)
-        np.abs(t, out=m_c2v)
-        np.clip(m_c2v, 1e-12, 1.0 - 1e-15, out=m_c2v)
-        np.copysign(m_c2v, t, out=t)
+        np.add(t_r, 0.0, out=t_r)
+        np.abs(t_r, out=c2v)
+        np.clip(c2v, 1e-12, 1.0 - 1e-15, out=c2v)
+        np.copysign(c2v, t_r, out=t_r)
         # each check's product of its edges; the extrinsic message of an
         # edge leaves its own factor out
-        for t_blk, m_blk, prod in blocks:
-            _fold_columns(np.multiply, t_blk, prod[:, 0])
-            np.divide(prod, t_blk, out=m_blk)
-        np.clip(m_c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=m_c2v)
-        np.arctanh(m_c2v, out=m_c2v)
-        np.multiply(m_c2v, scale, out=m_c2v)
-        post = np.bincount(var, weights=m_c2v, minlength=code.n_bits)
-        np.add(post, llr0, out=post)
+        t_blk = t_r.reshape(-1, d)
+        _fold_columns(np.multiply, t_blk, prod[checks, 0])
+        np.divide(prod[checks], t_blk, out=c2v.reshape(-1, d))
+        np.clip(c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=c2v)
+        np.arctanh(c2v, out=c2v)
+        np.multiply(c2v, scale[edges], out=c2v)
+
+    def gather(post: np.ndarray, edges: slice, checks: slice, d: int) -> None:
+        """One range's posteriors into t, the parity of their hard
+        decisions into parity."""
         # the indices are in range; mode="clip" writes to out directly
         # where the default mode would fill a temporary first
-        np.take(post, var, out=m_v2c, mode="clip")
-        np.subtract(m_v2c, m_c2v, out=m_v2c)
-        e_hat = (post < 0.0).view(np.uint8)
-        if np.array_equal(_parity(code, runs, e_hat), syndrome):
-            return e_hat, True
-    return e_hat, False
+        np.take(post, var[edges], out=t[edges], mode="clip")
+        np.less(t[edges], 0.0, out=hard[edges])
+        _fold_columns(np.bitwise_xor,
+                      hard[edges].view(np.uint8).reshape(-1, d),
+                      parity[checks])
+
+    for _ in range(max_iter):
+        list(_workers.in_order(lambda r: messages(*r), ranges, cpus))
+        post = np.bincount(var, weights=m_c2v, minlength=code.n_bits)
+        np.add(post, llr0, out=post)
+        list(_workers.in_order(lambda r: gather(post, *r), ranges, cpus))
+        if np.array_equal(parity, syndrome):
+            return (post < 0.0).view(np.uint8), True
+    return (post < 0.0).view(np.uint8), False
 
 
 # =====================================================================
@@ -276,6 +312,12 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     an integer.
     """
     bits = _as_bits(bits)
+    if bits.ndim != 1:
+        raise ParamError(f"can only hash a 1-D bit vector, got shape "
+                         f"{bits.shape}")
+    if not _is_int(out_len):
+        raise ParamError(f"out_len must be an integer, got {out_len!r}")
+    out_len = int(out_len)
     n = bits.shape[0]
     if out_len < 0:
         raise ParamError(f"out_len must be >= 0, got {out_len}")

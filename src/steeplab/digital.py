@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .codes import (_COL_WEIGHT, decode_syndrome, make_ldpc, pack_bit_record,
                     syndrome_of, toeplitz_hash, unpack_bit_record)
 from .params import ParamError, _is_int, _is_real
@@ -318,29 +319,37 @@ def reconcile_and_amplify(episode: DigitalEpisode, bsc: BscParams,
     if episode.m_A != bsc.m_A:
         raise ParamError("episode length does not match bsc.m_A")
     plan = reconcile_plan(bsc, efficiency=efficiency, safety_margin=safety_margin)
-    if target_len < 1:
-        raise ParamError(f"target_len must be >= 1, got {target_len}")
+    if not (_is_int(target_len) and target_len >= 1):
+        raise ParamError(f"target_len must be an integer >= 1, got "
+                         f"{target_len!r}")
     if target_len > plan.max_key_len:
         raise ParamError(
             f"target_len {target_len} exceeds the distillable maximum "
             f"{plan.max_key_len} for this operating point"
         )
 
-    if plan.syndrome_bits == 0:
-        corrected = episode.bbar_AB.copy()
-        converged = True
-    else:
+    hash_seed = subseed(rng_seed, "toeplitz")
+
+    def alice_side() -> tuple[np.ndarray, bool]:
+        """Alice's key and whether her decoder converged."""
+        if plan.syndrome_bits == 0:
+            return toeplitz_hash(episode.bbar_AB, target_len, hash_seed), True
         code = make_ldpc(bsc.m_A, plan.syndrome_bits,
                          subseed(rng_seed, "ldpc"))
         syn_b = syndrome_of(code, episode.b_s)
         syn_a = syndrome_of(code, episode.bbar_AB)
         err, converged = decode_syndrome(code, syn_a ^ syn_b,
                                          plan.p_a_given_b)
-        corrected = episode.bbar_AB ^ err
+        return (toeplitz_hash(episode.bbar_AB ^ err, target_len, hash_seed),
+                converged)
 
-    hash_seed = subseed(rng_seed, "toeplitz")
-    key_b = toeplitz_hash(episode.b_s, target_len, hash_seed)
-    key_a = toeplitz_hash(corrected, target_len, hash_seed)
+    def bob_side() -> np.ndarray:
+        return toeplitz_hash(episode.b_s, target_len, hash_seed)
+
+    # Bob's hash needs nothing from Alice's side, so the pool runs it while
+    # this thread runs hers
+    (key_a, converged), key_b = _workers.in_order(
+        lambda side: side(), (alice_side, bob_side), 2)
     return ReconcileResult(
         key_A=key_a, key_B=key_b,
         leak_bits=plan.leak_bits, syndrome_bits=plan.syndrome_bits,

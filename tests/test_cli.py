@@ -745,27 +745,35 @@ def test_cli_simulate_digital_without_a_buildable_code(capsys):
     assert payload["note"] == "no distillable key at this operating point"
 
 
-def _digital_transcript_sha256(tmp_path, capsys, m_A):
+def _digital_transcript_sha256s(tmp_path, capsys, monkeypatch, m_A):
+    """The transcript digest of `simulate-digital --seed 11` at 1, 2 and 3
+    usable CPUs, which split the decoder's checks and overlap the hashes."""
+    digests = set()
     blob = tmp_path / "transcript.bin"
-    code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", m_A,
-                         "--seed", "11", "--transcript-out", str(blob))
-    assert code == 0
-    return hashlib.sha256(blob.read_bytes()).hexdigest()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+        code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", m_A,
+                             "--seed", "11", "--transcript-out", str(blob))
+        assert code == 0
+        digests.add(hashlib.sha256(blob.read_bytes()).hexdigest())
+    return digests
 
 
-def test_cli_simulate_digital_transcript_pinned(tmp_path, capsys):
+def test_cli_simulate_digital_transcript_pinned(tmp_path, capsys, monkeypatch):
     # bytes written by the dense-matrix Toeplitz hash; the FFT hash and any
     # later change to the pipeline must reproduce them exactly
-    assert _digital_transcript_sha256(tmp_path, capsys, "20000") == (
-        "e522f2f04977f80a32e13a67433f6184c9a9ffafb15e633173ededd43608f3c8")
+    assert _digital_transcript_sha256s(tmp_path, capsys, monkeypatch,
+                                       "20000") == {
+        "e522f2f04977f80a32e13a67433f6184c9a9ffafb15e633173ededd43608f3c8"}
 
 
-def test_cli_simulate_digital_transcript_pinned_past_2_16_checks(tmp_path,
-                                                                 capsys):
+def test_cli_simulate_digital_transcript_pinned_past_2_16_checks(
+        tmp_path, capsys, monkeypatch):
     # 75,040 checks, so the LDPC edge sort runs its high 16-bit pass;
     # measured while the edges were ordered by a comparison sort
-    assert _digital_transcript_sha256(tmp_path, capsys, "100000") == (
-        "ed5eb034023a48786a3de90f1ea035295169928c3c649edbc3440c160ebbad79")
+    assert _digital_transcript_sha256s(tmp_path, capsys, monkeypatch,
+                                       "100000") == {
+        "ed5eb034023a48786a3de90f1ea035295169928c3c649edbc3440c160ebbad79"}
 
 
 @pytest.mark.parametrize("extra, digest", [

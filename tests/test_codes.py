@@ -11,7 +11,8 @@ from steeplab import (BscParams, LdpcCode, ParamError, decode_syndrome,
                       reconcile_and_amplify, reconcile_plan,
                       run_digital_episode, syndrome_of, toeplitz_hash,
                       unpack_bit_record)
-from steeplab.codes import _degree_runs
+from steeplab import _workers
+from steeplab.codes import _check_ranges, _degree_runs
 from steeplab.seeds import stream, subseed
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
@@ -155,6 +156,13 @@ def test_syndrome_of_rejects_non_binary(bad):
         syndrome_of(code, bits)
 
 
+@pytest.mark.parametrize("shape", [(21,), (19,), (2, 10), (20, 1), ()])
+def test_syndrome_of_rejects_bits_of_another_shape(shape):
+    code = make_ldpc(20, 8, rng_seed=1)
+    with pytest.raises(ParamError, match="20 bits in one dimension"):
+        syndrome_of(code, np.zeros(shape, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("bad", [2, -1])
 def test_decode_rejects_non_binary_syndrome(bad):
     code = make_ldpc(40, 30, rng_seed=0)
@@ -190,21 +198,26 @@ def _reference_decode(code, syndrome, p, max_iter=100):
     return e_hat, False
 
 
+_CPU_COUNTS = (1, 2, 3)   # the decoder splits each degree run this many ways
+
+
 @pytest.mark.parametrize("n_bits, n_checks, seed", [
     (2000, 1500, 2), (1000, 750, 4), (20_000, 15_000, 9), (500, 120, 1),
 ])
-def test_decode_matches_fresh_temporaries(n_bits, n_checks, seed):
+def test_decode_matches_fresh_temporaries(n_bits, n_checks, seed, monkeypatch):
     code = make_ldpc(n_bits, n_checks, rng_seed=seed)
     rng = stream(seed, "flips")
     results = set()
     for p, max_iter in ((0.02, 100), (0.1, 100), (0.2, 30), (0.3, 10)):
         e = (rng.random(n_bits) < p).astype(np.uint8)
         syn = syndrome_of(code, e)
-        got, ok = decode_syndrome(code, syn, p, max_iter)
         want, want_ok = _reference_decode(code, syn, p, max_iter)
-        assert ok == want_ok and got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        results.add(ok)
+        for cpus in _CPU_COUNTS:
+            monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+            got, ok = decode_syndrome(code, syn, p, max_iter)
+            assert ok == want_ok and got.dtype == want.dtype, cpus
+            assert np.array_equal(got, want), cpus
+        results.add(want_ok)
     assert results == {True, False}
 
 
@@ -255,6 +268,7 @@ def test_decode_of_each_run_layout_matches_every_iteration(layout, monkeypatch):
     # stopping after 1..8 iterations exposes each iteration's hard decision;
     # the check-to-variable messages, taken where both decoders pass them
     # to bincount, must also agree bit for bit, so the float order holds
+    # however many check ranges the runs are split into
     code = _RUN_LAYOUTS[layout]()
     messages = []
     bincount = np.bincount
@@ -270,19 +284,70 @@ def test_decode_of_each_run_layout_matches_every_iteration(layout, monkeypatch):
         e = (rng.random(code.n_bits) < p).astype(np.uint8)
         syn = syndrome_of(code, e)
         for max_iter in range(1, 9):
-            got, ok = decode_syndrome(code, syn, p, max_iter)
-            got_messages = messages[:]
-            messages.clear()
             want, want_ok = _reference_decode(code, syn, p, max_iter)
-            assert ok == want_ok and np.array_equal(got, want), max_iter
-            assert got_messages == messages, max_iter
+            want_messages = messages[:]
             messages.clear()
+            for cpus in _CPU_COUNTS:
+                monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+                got, ok = decode_syndrome(code, syn, p, max_iter)
+                assert ok == want_ok, (max_iter, cpus)
+                assert np.array_equal(got, want), (max_iter, cpus)
+                assert messages == want_messages, (max_iter, cpus)
+                messages.clear()
+
+
+def test_check_ranges_cover_each_run_in_order():
+    # 3 checks cut 2, 3 or 4 ways; a run of fewer checks than parts leaves
+    # some parts empty, and those are dropped
+    runs = _degree_runs(_RUN_LAYOUTS["all-checks"]())
+    assert _check_ranges(runs, 2) == [(slice(0, 40), slice(0, 1), 40),
+                                      (slice(40, 120), slice(1, 3), 40)]
+    assert [r[1] for r in _check_ranges(runs, 3)] == [
+        slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert [r[1] for r in _check_ranges(runs, 4)] == [
+        slice(0, 1), slice(1, 2), slice(2, 3)]
+    for layout in sorted(_RUN_LAYOUTS):
+        runs = _degree_runs(_RUN_LAYOUTS[layout]())
+        for parts in (1, 2, 3, 16):
+            ranges = _check_ranges(runs, parts)
+            edges = [i for r in ranges for i in range(r[0].start, r[0].stop)]
+            checks = [c for r in ranges for c in range(r[1].start, r[1].stop)]
+            assert edges == [i for e0, _, k, d in runs
+                             for i in range(e0, e0 + k * d)]
+            assert checks == [c for _, c0, k, _ in runs
+                              for c in range(c0, c0 + k)]
+            assert all((r[0].stop - r[0].start) == r[2] * (r[1].stop - r[1].start)
+                       for r in ranges)
+            assert len(ranges) <= parts * len(runs)
+
+
+def test_decode_never_meets_a_one_on_a_check_of_degree_0(monkeypatch):
+    # the hand-built code's check 80 holds no edge, so its parity is 0
+    # whatever the decoder decides; a syndrome bit 1 there must keep the
+    # decoder from reporting convergence at every split
+    code = _RUN_LAYOUTS["hand-built"]()
+    assert code.ptr[80] == code.ptr[81]
+    syn = np.zeros(code.n_checks, dtype=np.uint8)
+    syn[80] = 1
+    want, want_ok = _reference_decode(code, syn, 0.1, 5)
+    assert not want_ok
+    for cpus in _CPU_COUNTS:
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+        got, ok = decode_syndrome(code, syn, 0.1, 5)
+        assert not ok and np.array_equal(got, want), cpus
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_decode_rejects_no_iterations(max_iter):
     code = make_ldpc(40, 30, rng_seed=0)
     with pytest.raises(ParamError, match="max_iter"):
+        decode_syndrome(code, np.zeros(30, dtype=np.uint8), 0.1, max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, None])
+def test_decode_rejects_a_max_iter_that_is_not_an_integer(max_iter):
+    code = make_ldpc(40, 30, rng_seed=0)
+    with pytest.raises(ParamError, match="max_iter must be an integer"):
         decode_syndrome(code, np.zeros(30, dtype=np.uint8), 0.1, max_iter)
 
 
@@ -315,6 +380,23 @@ def test_make_ldpc_rejects_bad_shapes():
 def test_make_ldpc_rejects_column_weight_out_of_range(col_weight):
     with pytest.raises(ParamError, match="col_weight"):
         make_ldpc(10, 3, rng_seed=0, col_weight=col_weight)
+
+
+@pytest.mark.parametrize("args", [
+    (20.0, 8, 1, 3), (20, 8.0, 1, 3), (20, 8, 1, 3.0), (20, True, 1, 3),
+    (20, 8, 1, True), (np.float64(20), 8, 1, 3),
+], ids=["n_bits-float", "n_checks-float", "col_weight-float",
+        "n_checks-bool", "col_weight-bool", "n_bits-np-float"])
+def test_make_ldpc_rejects_sizes_that_are_not_integers(args):
+    n_bits, n_checks, rng_seed, col_weight = args
+    with pytest.raises(ParamError, match="must be an integer"):
+        make_ldpc(n_bits, n_checks, rng_seed, col_weight)
+
+
+def test_make_ldpc_takes_numpy_integer_sizes():
+    code = make_ldpc(np.int64(20), np.int32(8), 1, np.uint8(3))
+    ref = make_ldpc(20, 8, 1, 3)
+    assert np.array_equal(code.var, ref.var) and code.n_checks == 8
 
 
 # ---------------------------------------------------------------- hashing
@@ -386,6 +468,24 @@ def test_toeplitz_hash_guard_rejects_inexact_product(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
     with pytest.raises(FloatingPointError, match="not exact"):
         toeplitz_hash(np.ones(100, np.uint8), 10, hash_seed=0)
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (12, 1), ()])
+def test_toeplitz_hash_rejects_bits_that_are_not_1d(shape):
+    with pytest.raises(ParamError, match="1-D"):
+        toeplitz_hash(np.ones(shape, dtype=np.uint8), 1, hash_seed=0)
+
+
+@pytest.mark.parametrize("out_len", [2.0, 2.5, True, False, "2", None])
+def test_toeplitz_hash_rejects_an_out_len_that_is_not_an_integer(out_len):
+    with pytest.raises(ParamError, match="out_len must be an integer"):
+        toeplitz_hash(np.ones(16, dtype=np.uint8), out_len, hash_seed=0)
+
+
+def test_toeplitz_hash_takes_a_numpy_integer_length():
+    bits = stream(0, "x").integers(0, 2, 100, dtype=np.uint8)
+    assert np.array_equal(toeplitz_hash(bits, np.int64(12), hash_seed=3),
+                          toeplitz_hash(bits, 12, hash_seed=3))
 
 
 def test_toeplitz_hash_rejects_expansion():

@@ -1,6 +1,7 @@
 """Digital protocol: BSC algebra, episodes, reconciliation."""
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       reconcile_and_amplify,
                       reconcile_plan, run_digital_episode,
                       validate_bsc, xi_digital)
+from steeplab import _workers
 from steeplab.codes import _COL_WEIGHT
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
@@ -270,6 +272,34 @@ def test_reconcile_rejects_bad_target():
     ep = run_digital_episode(DEFAULT, 103)
     with pytest.raises(ParamError):
         reconcile_and_amplify(ep, DEFAULT, target_len=0, rng_seed=0)
+
+
+@pytest.mark.parametrize("target_len", [2.5, 64.0, True, "64"])
+def test_reconcile_rejects_a_target_that_is_not_an_integer(target_len):
+    ep = run_digital_episode(DEFAULT, 103)
+    with pytest.raises(ParamError, match="target_len must be an integer"):
+        reconcile_and_amplify(ep, DEFAULT, target_len=target_len, rng_seed=0)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_reconcile_and_amplify_from_a_busy_pool_job(monkeypatch, cpus):
+    # with every other pool thread held, the call runs on the last one: the
+    # hash and decoder jobs it hands the pool are never started there, so
+    # they must run on the calling pool thread instead of waiting
+    ep = run_digital_episode(DEFAULT, 105)
+    want = reconcile_and_amplify(ep, DEFAULT, target_len=610, rng_seed=9)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+    release = threading.Event()
+    held = [_workers.pool().submit(release.wait, 60) for _ in range(cpus - 2)]
+    try:
+        job = _workers.pool().submit(reconcile_and_amplify, ep, DEFAULT, 610, 9)
+        got = job.result(timeout=60)
+    finally:
+        release.set()
+    assert all(h.result(timeout=60) for h in held)
+    assert got.success and got.decoder_converged == want.decoder_converged
+    assert np.array_equal(got.key_A, want.key_A)
+    assert np.array_equal(got.key_B, want.key_B)
 
 
 def test_reconcile_key_looks_balanced():
