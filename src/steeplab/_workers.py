@@ -1,7 +1,8 @@
-"""The one thread pool: sweep points, episode CSV blocks, the LDPC
-decoder's check ranges and Bob's privacy-amplification hash (beside Alice's
-decode) run in parallel only through ``in_order``.  No other module starts a
-thread or asks which CPUs the process may use.
+"""The one thread pool: sweep points, the signal roles of each simulation
+phase, episode CSV blocks, the LDPC decoder's check ranges and Bob's
+privacy-amplification hash (beside Alice's decode) run in parallel only
+through ``in_order``.  No other module starts a thread or asks which CPUs
+the process may use.
 
 ``in_order`` may be called inside an item of another ``in_order``, as the
 decoder is inside a reconciliation, and from a pool job: an item the busy
@@ -67,8 +68,11 @@ def in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
     With w = min(workers, usable CPUs, len(items)), this thread runs every
     w-th item and the pool the others, at most w items ahead; an item the
     pool has not started when it is due runs here.  Pending jobs are
-    cancelled when the consumer stops.
+    cancelled when the consumer stops.  A ``workers`` below 1 raises
+    ``ValueError`` before any item runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     w = min(workers, usable_cpus(), len(items))
     pending: dict[int, Future] = {}
     ahead = 0   # the next item to hand out

@@ -25,7 +25,11 @@ keeps its own role-tagged streams.  An int seed is the batch of one,
 returned without the trial axis.
 
 All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
-``sample_channel_batch`` and ``sample_channels`` from one call of it.
+``sample_channel_batch`` and ``sample_channels`` from one call of it.  The
+probing and the echo phase each draw their three roles side by side, one
+role per item of the shared pool's ``_workers.in_order``, every seed of a
+batch in that item.  Each role reads only its own streams, so an episode
+has the same bits at any CPU count.
 """
 from __future__ import annotations
 
@@ -77,18 +81,19 @@ def _check_batch(shape: tuple, seeds: list[int], batched: bool) -> None:
 
 
 def _cnormal_rows(seeds: list[int], batched: bool, role: str,
-                  shapes: Sequence[tuple], var: float) -> list[np.ndarray]:
-    """CN(0, var) samples of each shape in turn for every seed: array k is
-    (T, *shapes[k]), row t one fill of ``stream(seeds[t], role)``, real and
-    then imaginary parts of variance var/2; without ``batched`` it drops
-    its trial axis.  An array turns complex, and frees its normals, once
-    its last row is filled, so one seed holds the normals of one array at
-    a time (``np.empty`` commits no memory before a fill)."""
+                  normals: list[np.ndarray | None],
+                  var: float) -> list[np.ndarray]:
+    """CN(0, var) samples for every seed into each buffer of ``normals`` in
+    turn: buffer k, ``np.empty((T, 2, *shape_k))``, gives the (T, *shape_k)
+    array k, row t one fill of ``stream(seeds[t], role)``, real and then
+    imaginary parts of variance var/2; without ``batched`` it drops its
+    trial axis.  A buffer turns complex, and leaves ``normals``, once its
+    last row is filled, so one seed holds the normals of one array at a
+    time (``np.empty`` commits no memory before a fill)."""
     scale = np.sqrt(var / 2.0)
-    normals: list = [np.empty((len(seeds), 2, *shape)) for shape in shapes]
     out = []
     for t, rng in enumerate(_streams(seeds, role), 1):
-        for k in range(len(shapes)):
+        for k in range(len(normals)):
             rng.standard_normal(out=normals[k][t - 1])
             if t == len(seeds):   # the bits of scale * (re + 1j * im)
                 z = 1j * normals[k][:, 1]
@@ -97,6 +102,20 @@ def _cnormal_rows(seeds: list[int], batched: bool, role: str,
                 z *= scale
                 out.append(z)
     return out if batched else [z[0] for z in out]
+
+
+def _phase_signals(seeds: list[int], batched: bool,
+                   roles: Sequence[tuple[str, tuple, float]]
+                   ) -> list[np.ndarray]:
+    """The ``_cnormal_rows`` array of each (role, shape, var) of one phase,
+    for every seed.  Each role is one item of ``_workers.in_order``, so the
+    roles are drawn side by side.  Every role's normals are allocated here,
+    on the calling thread, before dispatch: taken from a pool thread's
+    malloc arena, they would fault in fresh pages on every call."""
+    jobs = [(role, [np.empty((len(seeds), 2, *shape))], var)
+            for role, shape, var in roles]
+    return [z for [z] in _workers.in_order(
+        lambda job: _cnormal_rows(seeds, batched, *job), jobs, len(jobs))]
 
 
 # =====================================================================
@@ -110,8 +129,9 @@ def _channel_gains(params: SystemParams, seeds: list[int],
     g_B, all CN(0, 1), and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w gives
     E{h_AB conj(h_BA)} = rho exactly."""
     h, g = draws, (*draws, params.n_E)
-    h_AB, w, g_A, g_B = _cnormal_rows(seeds, True, "channels", (h, h, g, g),
-                                      1.0)
+    h_AB, w, g_A, g_B = _cnormal_rows(
+        seeds, True, "channels",
+        [np.empty((len(seeds), 2, *shape)) for shape in (h, h, g, g)], 1.0)
     rho = complex(params.rho)
     h_BA = np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
     return h_AB, h_BA, g_A, g_B
@@ -193,11 +213,12 @@ def run_probing(params: SystemParams, realization: ChannelRealization,
     seeds, batched = _seeds(rng_seed)
     _check_batch(np.shape(realization.h_BA), seeds, batched)
     m = params.m_A
-    [x_A] = _cnormal_rows(seeds, batched, "probe", [(m,)], params.p_A)
-    [w_B] = _cnormal_rows(seeds, batched, "noise_b", [(m,)], params.sigma_B2)
+    # noise_ea, the n_E x m role, second: with two CPUs it has a thread alone
+    x_A, w_EA, w_B = _phase_signals(seeds, batched, [
+        ("probe", (m,), params.p_A),
+        ("noise_ea", (params.n_E, m), params.sigma_EA2),
+        ("noise_b", (m,), params.sigma_B2)])
     y_B = np.expand_dims(realization.h_BA, -1) * x_A + w_B
-    [w_EA] = _cnormal_rows(seeds, batched, "noise_ea", [(params.n_E, m)],
-                           params.sigma_EA2)
     e_A = (np.expand_dims(realization.g_A, -1) * np.expand_dims(x_A, -2)
            + w_EA)
     return AnalogEpisode(realization=realization, x_A=x_A, y_B=y_B, e_A=e_A)
@@ -218,10 +239,11 @@ def run_echo(params: SystemParams, episode: AnalogEpisode,
     seeds, batched = _seeds(rng_seed)
     _check_batch(episode.x_A.shape[:-1], seeds, batched)
     m = episode.m_A
-    [s] = _cnormal_rows(seeds, batched, "secret", [(m,)], params.sigma_s2)
+    s, v_A, v_E = _phase_signals(seeds, batched, [
+        ("secret", (m,), params.sigma_s2),
+        ("noise_va", (m,), params.eps_A),
+        ("noise_ve", (m,), params.eps_E)])
     r = episode.y_B + s
-    [v_A] = _cnormal_rows(seeds, batched, "noise_va", [(m,)], params.eps_A)
-    [v_E] = _cnormal_rows(seeds, batched, "noise_ve", [(m,)], params.eps_E)
     return replace(episode, s=s, r=r, y_AB=r + v_A, y_EB=r + v_E)
 
 

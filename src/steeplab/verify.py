@@ -398,6 +398,9 @@ def theorem1_term_oracles(params: SystemParams,
 # realizations per stacked call of theorem1_term_oracles in run_oracle_suite;
 # fixed, so memory stays bounded at any n_realizations
 _TERM_BLOCK = 256
+# most samples per signal in one batch episode of the MMSE trials: the size
+# of the suite's SNR episode, so a large m_A does not raise peak memory
+_MMSE_CHUNK = 100_000
 
 
 def _regime(params: SystemParams) -> SystemParams:
@@ -454,28 +457,32 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
         discrete_mi_enumerate(pmf, ((0,), (1,))), 1e-12))
 
     # --- estimator MSE oracles (paired Monte Carlo) --------------------
-    # one batch episode, trial t the episode of its own seed
+    # batch episodes of consecutive trials, trial t the episode of its own
+    # seed, each of at most _MMSE_CHUNK samples per signal or of one trial
     reg = _regime(params)
     n_trials = 200
     mmse_params = dc_replace(reg, m_A=max(reg.m_A, 500))
-    episode = simulate_episode(
-        mmse_params, _subseeds(rng_seed, "mmse", range(n_trials)))
-    probe = eve_estimate_xA(episode, mmse_params)
-    results = {
-        "Alice secret-estimate MSE vs conditional closed form":
-            alice_estimate_s(episode, mmse_params),
-        "Eve probe-estimate MSE vs closed form": probe,
-        "Eve secret-estimate MSE vs closed form":
-            eve_estimate_s(episode, mmse_params, probe_estimate=probe),
-    }
-    for label, res in results.items():
-        diff = res.empirical_mse - res.closedform_mse
-        se = float(np.std(diff, ddof=1) / math.sqrt(n_trials))
+    chunk = max(1, _MMSE_CHUNK // mmse_params.m_A)
+    labels = ("Alice secret-estimate MSE vs conditional closed form",
+              "Eve probe-estimate MSE vs closed form",
+              "Eve secret-estimate MSE vs closed form")
+    mses: dict[str, tuple[list, list]] = {label: ([], []) for label in labels}
+    for lo in range(0, n_trials, chunk):
+        episode = simulate_episode(mmse_params, _subseeds(
+            rng_seed, "mmse", range(lo, min(lo + chunk, n_trials))))
+        probe = eve_estimate_xA(episode, mmse_params)
+        results = (alice_estimate_s(episode, mmse_params), probe,
+                   eve_estimate_s(episode, mmse_params, probe_estimate=probe))
+        for label, res in zip(labels, results):
+            mses[label][0].append(res.empirical_mse)
+            mses[label][1].append(res.closedform_mse)
+    for label, (emp, closed) in mses.items():
+        emp, closed = np.concatenate(emp), np.concatenate(closed)
+        se = float(np.std(emp - closed, ddof=1) / math.sqrt(n_trials))
         reports.append(OracleReport.build(
-            label, float(np.mean(res.closedform_mse)),
-            float(np.mean(res.empirical_mse)),
+            label, float(np.mean(closed)), float(np.mean(emp)),
             max(3.0 * se, 1e-15), n_samples=n_trials * mmse_params.m_A))
-    # The batch goes before the same-sized 10^5-probe episode below is drawn.
+    # The last batch goes before the 10^5-probe episode below is drawn.
     # The last estimate (res) stays referenced until the suite returns, so
     # the heap keeps the freed batch pages for that episode instead of
     # handing them back to the OS: about 5,600 rather than 10,000 page

@@ -216,6 +216,101 @@ def test_batch_of_one_keeps_its_trial_axis():
     assert batch.y_EB[0].tobytes() == one.y_EB.tobytes()
 
 
+def _reference_phases(params, realization, seeds, batched):
+    """The signals of both phases drawn role after role on the calling
+    thread, each role one ``_cnormal_rows`` call."""
+    def draw(role, shape, var):
+        [z] = channel._cnormal_rows(seeds, batched, role,
+                                    [np.empty((len(seeds), 2, *shape))], var)
+        return z
+
+    m = params.m_A
+    x_A = draw("probe", (m,), params.p_A)
+    y_B = (np.expand_dims(realization.h_BA, -1) * x_A
+           + draw("noise_b", (m,), params.sigma_B2))
+    e_A = (np.expand_dims(realization.g_A, -1) * np.expand_dims(x_A, -2)
+           + draw("noise_ea", (params.n_E, m), params.sigma_EA2))
+    s = draw("secret", (m,), params.sigma_s2)
+    r = y_B + s
+    return dict(x_A=x_A, y_B=y_B, e_A=e_A, s=s, r=r,
+                y_AB=r + draw("noise_va", (m,), params.eps_A),
+                y_EB=r + draw("noise_ve", (m,), params.eps_E))
+
+
+def _assert_signals(episode, want, names=SIGNALS):
+    for name in names:
+        got = getattr(episode, name)
+        assert got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("n_E", [1, 3])
+@pytest.mark.parametrize("batched", [False, True])
+def test_phases_keep_their_bits_at_any_cpu_count(monkeypatch, n_E, batched):
+    p = SystemParams(rho=0.3 + 0.4j, n_E=n_E, m_A=500)
+    seeds = [subseed(23, "cpus", t) for t in range(200)] if batched else [23]
+    rng_seed = seeds if batched else seeds[0]
+    realization = sample_channels(p, rng_seed)
+    want = _reference_phases(p, realization, seeds, batched)
+    for cpus in (1, 2, 4):
+        _use_cpus(monkeypatch, cpus)
+        probed = run_probing(p, realization, rng_seed)
+        assert probed.s is None and probed.y_EB is None
+        _assert_signals(probed, want, ("x_A", "y_B", "e_A"))
+        _assert_signals(run_echo(p, probed, rng_seed), want)
+        whole = simulate_episode(p, rng_seed)
+        _assert_signals(whole, want)
+        for name in GAINS:
+            assert np.asarray(getattr(whole.realization, name)).tobytes() == \
+                np.asarray(getattr(realization, name)).tobytes(), name
+
+
+def test_phases_draw_their_roles_side_by_side(monkeypatch):
+    # two CPUs: the calling thread draws the first and third role of each
+    # phase, a pool thread the second, which in probing is Eve's n_E x m noise
+    _use_cpus(monkeypatch, 2)
+    kernel = channel._cnormal_rows
+    on_pool = threading.Event()
+    threads = {}
+
+    def recording(seeds, batched, role, normals, var):
+        pool = threading.current_thread().name.startswith("steeplab-pool")
+        threads[role] = "pool" if pool else "caller"
+        if pool:
+            on_pool.set()
+        elif role in ("probe", "secret"):   # let the pool start its role
+            assert on_pool.wait(timeout=30)
+            on_pool.clear()
+        return kernel(seeds, batched, role, normals, var)
+
+    monkeypatch.setattr(channel, "_cnormal_rows", recording)
+    p = dataclasses.replace(SystemParams(), n_E=3, m_A=500)
+    simulate_episode(p, [1, 2, 3])
+    assert threads == {"channels": "caller", "probe": "caller",
+                       "noise_ea": "pool", "noise_b": "caller",
+                       "secret": "caller", "noise_va": "pool",
+                       "noise_ve": "caller"}
+
+
+def test_episode_from_a_pool_job_while_the_pool_is_held(monkeypatch):
+    # three CPUs: a pool of two threads, one held and one running the
+    # episode, so every role the episode hands out runs in its own thread
+    _use_cpus(monkeypatch, 3)
+    p = SystemParams(n_E=3, m_A=500)
+    seeds = [subseed(31, "held", t) for t in range(200)]
+    realization = sample_channels(p, seeds)
+    want = _reference_phases(p, realization, seeds, True)
+    release = threading.Event()
+    busy = _workers.pool().submit(release.wait, 60)
+    try:
+        job = _workers.pool().submit(simulate_episode, p, seeds)
+        episode = job.result(timeout=60)
+    finally:
+        release.set()
+    assert busy.result(timeout=60)
+    _assert_signals(episode, want)
+
+
 @pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2)])
 def test_channel_draws_are_single_draws_of_the_batch_sampler(rho, n_E):
     # sample_channels draws all seeds of a batch through one re-keyed

@@ -457,12 +457,34 @@ def _reference_mmse_reports(params, rng_seed):
 @pytest.mark.parametrize("overrides, seed", [
     ({}, 3),
     (dict(n_E=3, rho=0.3 + 0.4j, m_A=700, **_POWERS), 20231),
+    (dict(m_A=501), 5),                     # chunks of 199 and 1 trials
+    (dict(n_E=2, m_A=2001, **_POWERS), 7),  # four of 49 trials, then 4
 ])
 def test_batched_mmse_reports_equal_one_trial_at_a_time(overrides, seed):
     params = dataclasses.replace(SystemParams(), **overrides)
     got = [r for r in run_oracle_suite(params, rng_seed=seed, n_realizations=2)
            if "MSE" in r.name]
     assert repr(got) == repr(_reference_mmse_reports(params, seed))
+
+
+@pytest.mark.parametrize("m_A, chunks", [(8, [200]),
+                                         (2001, [49, 49, 49, 49, 4])])
+def test_mmse_trials_run_in_chunks_of_bounded_size(monkeypatch, m_A, chunks):
+    calls = []
+
+    def recording(params, rng_seed):
+        episode = simulate_episode(params, rng_seed)
+        calls.append(episode.x_A.shape)
+        return episode
+
+    monkeypatch.setattr(verify, "simulate_episode", recording)
+    run_oracle_suite(dataclasses.replace(SystemParams(), m_A=m_A),
+                     rng_seed=1, n_realizations=2)
+    m = max(m_A, 500)
+    *mmse, snr = calls
+    assert mmse == [(t, m) for t in chunks]
+    assert all(t * m <= verify._MMSE_CHUNK for t in chunks)
+    assert snr == (100_000,)
 
 
 def test_full_suite_green_and_deterministic():

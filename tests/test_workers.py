@@ -24,6 +24,15 @@ def test_in_order_is_map(monkeypatch, cpus):
                 assert got == list(map(fn, items)), (workers, items)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_in_order_rejects_no_workers(workers):
+    # workers 0 used to run the first item, then divide by zero
+    ran = []
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        list(_workers.in_order(ran.append, [1, 2, 3], workers))
+    assert ran == []
+
+
 class _Boom(RuntimeError):
     pass
 
