@@ -15,6 +15,8 @@ import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 
+from .params import _integer
+
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -68,12 +70,10 @@ def in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
     With w = min(workers, usable CPUs, len(items)), this thread runs every
     w-th item and the pool the others, at most w items ahead; an item the
     pool has not started when it is due runs here.  Pending jobs are
-    cancelled when the consumer stops.  A ``workers`` below 1 raises
-    ``ValueError`` before any item runs.
+    cancelled when the consumer stops.  A ``workers`` that is not an
+    integer >= 1 raises ``ParamError`` before any item runs.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    w = min(workers, usable_cpus(), len(items))
+    w = min(_integer("workers", workers, 1), usable_cpus(), len(items))
     pending: dict[int, Future] = {}
     ahead = 0   # the next item to hand out
     try:

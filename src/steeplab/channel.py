@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _workers
-from .params import ChannelRealization, ParamError, SystemParams
-from .seeds import _streams
+from .params import ChannelRealization, ParamError, SystemParams, _integer
+from .seeds import _one_value, _streams
 
 __all__ = [
     "SimulationError",
@@ -61,9 +61,9 @@ class SimulationError(RuntimeError):
 
 
 def _seeds(rng_seed: int | Sequence[int]) -> tuple[list[int], bool]:
-    """The seeds of a call and whether they make a batch; an int seed is
-    the batch of one, whose trial axis the caller drops."""
-    if isinstance(rng_seed, (int, np.integer)):
+    """The seeds of a call and whether they make a batch; a seed that is
+    not a sequence is the batch of one, whose trial axis the caller drops."""
+    if _one_value(rng_seed):
         return [rng_seed], False
     seeds = list(rng_seed)
     if not seeds:
@@ -164,8 +164,7 @@ def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
         (n, n_E).  The batch for a given ``(params, rng_seed, n_draws)`` is
         deterministic.
     """
-    if n_draws < 1:
-        raise ParamError(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = _integer("n_draws", n_draws, 1)
     return tuple(g[0] for g in _channel_gains(params, [rng_seed], (n_draws,)))
 
 

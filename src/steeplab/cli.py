@@ -37,7 +37,7 @@ from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
                       reconcile_plan, run_digital_episode, xi_digital)
 from .codes import hexdump
 from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
-                     _field_types, _replace_from_text, read_config)
+                     _field_types, _integer, _replace_from_text, read_config)
 from .rates import (_mean_se, corollary1_capacity, power_budget,
                     theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
@@ -129,8 +129,7 @@ class SweepSpec:
         for v in self.grid:
             if not math.isfinite(v):
                 raise ParamError(f"sweep grid value {v!r} is not finite")
-        if self.n_draws < 1:
-            raise ParamError(f"n_draws must be >= 1, got {self.n_draws}")
+        _integer("n_draws", self.n_draws, 1)
         return self
 
 
@@ -176,8 +175,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """Evaluate the sweep grid, at most ``workers`` points at a time; rows
     never depend on ``workers``, as every point derives its own seed."""
     spec.check()
-    if workers < 1:
-        raise ParamError(f"workers must be >= 1, got {workers}")
     # every point is built, and so validated, before any point runs
     items = list(enumerate(_sweep_value(spec, v) for v in spec.grid))
     return list(_workers.in_order(functools.partial(_sweep_point, spec),

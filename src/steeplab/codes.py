@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _workers
-from .params import ParamError, _is_int
+from .params import ParamError, _integer, _real
 from .seeds import stream
 
 __all__ = [
@@ -94,11 +94,9 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     2^16 checks), which gives the unique stable order without a comparison
     sort.
     """
-    for name, v in (("n_bits", n_bits), ("n_checks", n_checks),
-                    ("col_weight", col_weight)):
-        if not _is_int(v):
-            raise ParamError(f"{name} must be an integer, got {v!r}")
-    n_bits, n_checks, col_weight = int(n_bits), int(n_checks), int(col_weight)
+    n_bits = _integer("n_bits", n_bits)
+    n_checks = _integer("n_checks", n_checks)
+    col_weight = _integer("col_weight", col_weight)
     if not (1 <= n_checks < n_bits):
         raise ParamError(f"need 1 <= n_checks < n_bits, got {n_checks}, {n_bits}")
     if not 1 <= col_weight <= n_checks:
@@ -225,10 +223,8 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     pool; that sum stays one ``np.bincount`` over the whole edge list,
     whose edge order fixes every posterior bit for bit.
     """
-    if not 0.0 < p < 0.5:
-        raise ParamError(f"decoder prior must lie in (0, 0.5), got {p}")
-    if not (_is_int(max_iter) and max_iter >= 1):
-        raise ParamError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _real("decoder prior", p, "lie in (0, 0.5)", lambda v: 0.0 < v < 0.5)
+    max_iter = _integer("max_iter", max_iter, 1)
     syndrome = _as_bits(syndrome)
     if syndrome.shape != (code.n_checks,):
         raise ParamError("syndrome length does not match the code")
@@ -315,12 +311,8 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     if bits.ndim != 1:
         raise ParamError(f"can only hash a 1-D bit vector, got shape "
                          f"{bits.shape}")
-    if not _is_int(out_len):
-        raise ParamError(f"out_len must be an integer, got {out_len!r}")
-    out_len = int(out_len)
+    out_len = _integer("out_len", out_len, 0)
     n = bits.shape[0]
-    if out_len < 0:
-        raise ParamError(f"out_len must be >= 0, got {out_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
     if n == 0:
@@ -385,5 +377,5 @@ def unpack_bit_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray | None, i
 def hexdump(data: bytes, width: int = 32) -> str:
     """Plain hex rendering, ``width`` bytes per line."""
     hexstr = data.hex()
-    step = 2 * width
+    step = 2 * _integer("width", width, 1)
     return "\n".join(hexstr[i:i + step] for i in range(0, len(hexstr), step))

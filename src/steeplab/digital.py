@@ -41,7 +41,7 @@ import numpy as np
 from . import _workers
 from .codes import (_COL_WEIGHT, decode_syndrome, make_ldpc, pack_bit_record,
                     syndrome_of, toeplitz_hash, unpack_bit_record)
-from .params import ParamError, _is_int, _is_real
+from .params import ParamError, _integer, _real
 from .seeds import stream, subseed
 
 __all__ = [
@@ -85,11 +85,9 @@ class BscParams:
 
 def validate_bsc(bsc: BscParams) -> BscParams:
     for name in ("P_BA", "P_EA", "P_AB", "P_EB"):
-        v = getattr(bsc, name)
-        if not (_is_real(v) and math.isfinite(v) and 0.0 <= v <= 0.5):
-            raise ParamError(f"{name} must lie in [0, 0.5], got {v!r}")
-    if not (_is_int(bsc.m_A) and bsc.m_A >= 1):
-        raise ParamError(f"m_A must be an integer >= 1, got {bsc.m_A!r}")
+        _real(name, getattr(bsc, name), "lie in [0, 0.5]",
+              lambda v: 0.0 <= v <= 0.5)
+    _integer("m_A", bsc.m_A, 1)
     return bsc
 
 
@@ -268,10 +266,9 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     budget m_A xi - leak_bits.  No LDPC code has fewer checks than its
     column weight, so neither does a plan with a key.
     """
-    if not 1.0 <= efficiency < math.inf:
-        raise ParamError(f"efficiency must lie in [1, inf), got {efficiency}")
-    if not 0.0 <= safety_margin < 1.0:
-        raise ParamError(f"safety_margin must lie in [0, 1), got {safety_margin}")
+    _real("efficiency", efficiency, "lie in [1, inf)", lambda v: v >= 1.0)
+    _real("safety_margin", safety_margin, "lie in [0, 1)",
+          lambda v: 0.0 <= v < 1.0)
     p_ab, p_eb = effective_error_rates(bsc, mode="exact")
     xi = xi_digital(bsc, mode="exact")
     ideal = bsc.m_A * binary_entropy(p_ab)
@@ -319,9 +316,7 @@ def reconcile_and_amplify(episode: DigitalEpisode, bsc: BscParams,
     if episode.m_A != bsc.m_A:
         raise ParamError("episode length does not match bsc.m_A")
     plan = reconcile_plan(bsc, efficiency=efficiency, safety_margin=safety_margin)
-    if not (_is_int(target_len) and target_len >= 1):
-        raise ParamError(f"target_len must be an integer >= 1, got "
-                         f"{target_len!r}")
+    _integer("target_len", target_len, 1)
     if target_len > plan.max_key_len:
         raise ParamError(
             f"target_len {target_len} exceeds the distillable maximum "

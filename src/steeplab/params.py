@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,33 +88,44 @@ def validate(params: SystemParams) -> SystemParams:
         ParamError: naming the first violated invariant.
     """
     for name in _POSITIVE_FIELDS:
-        v = getattr(params, name)
-        if not (_is_real(v) and math.isfinite(v) and v > 0):
-            raise ParamError(f"{name} must be a finite positive number, got {v!r}")
+        _real(name, getattr(params, name), "be a finite positive number",
+              lambda v: v > 0)
     for name in ("eps_A", "eps_E"):
-        v = getattr(params, name)
-        if not (_is_real(v) and math.isfinite(v) and v >= 0):
-            raise ParamError(f"{name} must be finite and >= 0, got {v!r}")
+        _real(name, getattr(params, name), "be finite and >= 0",
+              lambda v: v >= 0)
     r = params.rho
-    if not (_is_real(r) or isinstance(r, (complex, np.complexfloating))):
+    if not isinstance(r, (int, float, complex, np.number)) or isinstance(r, bool):
         raise ParamError(f"rho must be a real or complex number, got {r!r}")
     if not (cmath.isfinite(r) and abs(r) < 1):
         raise ParamError("|rho| must be < 1")
-    if not (_is_int(params.n_E) and params.n_E >= 1):
-        raise ParamError(f"n_E must be an integer >= 1, got {params.n_E!r}")
-    for name in ("m_A", "m_B"):
-        v = getattr(params, name)
-        if not (_is_int(v) and v >= 0):
-            raise ParamError(f"{name} must be an integer >= 0, got {v!r}")
+    _integer("n_E", params.n_E, 1)
+    _integer("m_A", params.m_A, 0)
+    _integer("m_B", params.m_B, 0)
     return params
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+# The two argument rules: every seed, count and real argument is checked by
+# one of them, and a bad one raises ParamError naming it.
+
+def _integer(name: str, v, lo: int | None = None) -> int:
+    """``v`` as an int: an int or numpy integer, never a bool or a float,
+    at least ``lo`` when one is given."""
+    if type(v) is not int:   # a plain int, as every batch seed is, passes
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ParamError(f"{name} must be an integer, got {v!r}")
+        v = int(v)
+    if lo is not None and v < lo:
+        raise ParamError(f"{name} must be >= {lo}, got {v}")
+    return v
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def _real(name: str, v, want: str, ok: Callable[[float], bool]) -> None:
+    """Raise ParamError ``"{name} must {want}, got {v!r}"`` unless ``v`` is
+    a finite int, float or numpy real, never a bool, a string or None, for
+    which ``ok`` holds."""
+    if not (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and math.isfinite(v) and ok(v)):
+        raise ParamError(f"{name} must {want}, got {v!r}")
 
 
 # =====================================================================

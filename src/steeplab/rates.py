@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_channel_batch
-from .params import ChannelRealization, ParamError, RateReport, SystemParams
+from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
+                     _integer)
 from .seeds import stream
 
 __all__ = [
@@ -223,6 +224,7 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
 
 def _draws_of(params, n_draws, rng_seed, terms) -> dict[str, np.ndarray]:
     """The given ``terms``, of ``n_draws`` draws, or a batch sampled anew."""
+    n_draws = _integer("n_draws", n_draws, 1)
     if terms is None:
         return theorem1_draw_terms(params, n_draws, rng_seed)
     if len(terms["xi_BA"]) != n_draws:
@@ -301,11 +303,13 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
 # Echo-protocol lower bounds (no public-discussion idealization)
 # =====================================================================
 
-def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
-                       with_eta: bool, terms) -> RateReport:
-    if with_eta and not (params.eps_A > 0 and params.eps_E > 0):
-        raise ParamError("theorem2_lower_bound needs eps_A > 0 and eps_E > 0 "
-                         "so that eta = eps_E / eps_A is finite")
+def theorem3_lower_bound(params: SystemParams, n_draws: int = 10_000,
+                         rng_seed: int = 0, *, terms=None) -> RateReport:
+    """Eta-free echo-protocol bound: alpha' + m_A xi'_BA, bits per session.
+
+    It has no m_A log2(eta) term, so it is invariant to the return-noise
+    ratio; ``terms`` as in ``theorem1_bounds``.
+    """
     if params.m_A < 1:
         raise ParamError("echo-protocol bounds need m_A >= 1")
     terms = _draws_of(params, n_draws, rng_seed, terms)
@@ -313,20 +317,9 @@ def _echo_bound_report(params: SystemParams, n_draws: int, rng_seed: int,
     stderr: dict[str, float] = {}
     for name in ("alpha_prime", "xi_BA_prime"):
         values[name], stderr[name] = _mean_se(terms[name])
-    total = values["alpha_prime"] + params.m_A * values["xi_BA_prime"]
-    values["theorem3_lower"] = total
-    notes = []
-    if with_eta:
-        eta = params.eps_E / params.eps_A
-        values["eta"] = eta
-        values["eta_term"] = params.m_A * math.log2(eta)
-        values["theorem2_lower"] = total + values["eta_term"]
-        notes.append(
-            "eta is the Eve-to-Alice return-noise ratio eps_E / eps_A; the "
-            "eta-free bound drops this term by letting Bob hash his secret "
-            "sequence before privacy amplification"
-        )
-    return RateReport(params=params, values=values, stderr=stderr, notes=notes).check()
+    values["theorem3_lower"] = (values["alpha_prime"]
+                                + params.m_A * values["xi_BA_prime"])
+    return RateReport(params=params, values=values, stderr=stderr).check()
 
 
 def theorem2_lower_bound(params: SystemParams, n_draws: int = 10_000,
@@ -334,20 +327,24 @@ def theorem2_lower_bound(params: SystemParams, n_draws: int = 10_000,
     """Achievable secrecy rate of the analog echo protocol, bits per session.
 
     C'_B >= alpha' + m_A xi'_BA + m_A log2(eta) with eta = eps_E / eps_A, valid
-    for eps_A, eps_E well below sigma_B2.  The addends are reported apart (keys
-    alpha_prime, xi_BA_prime, eta_term); ``terms`` as in ``theorem1_bounds``.
+    for eps_A, eps_E well below sigma_B2: the ``theorem3_lower_bound`` report
+    of the same arguments plus the eta term.  The addends are reported apart
+    (keys alpha_prime, xi_BA_prime, eta_term).
     """
-    return _echo_bound_report(params, n_draws, rng_seed, True, terms)
-
-
-def theorem3_lower_bound(params: SystemParams, n_draws: int = 10_000,
-                         rng_seed: int = 0, *, terms=None) -> RateReport:
-    """Eta-free echo-protocol bound: alpha' + m_A xi'_BA.
-
-    Computed as ``theorem2_lower_bound``, ``terms`` included, without the
-    m_A log2(eta) term, so it is invariant to the return-noise ratio.
-    """
-    return _echo_bound_report(params, n_draws, rng_seed, False, terms)
+    if not (params.eps_A > 0 and params.eps_E > 0):
+        raise ParamError("theorem2_lower_bound needs eps_A > 0 and eps_E > 0 "
+                         "so that eta = eps_E / eps_A is finite")
+    report = theorem3_lower_bound(params, n_draws, rng_seed, terms=terms)
+    values = report.values
+    values["eta"] = params.eps_E / params.eps_A
+    values["eta_term"] = params.m_A * math.log2(values["eta"])
+    values["theorem2_lower"] = values["theorem3_lower"] + values["eta_term"]
+    report.notes.append(
+        "eta is the Eve-to-Alice return-noise ratio eps_E / eps_A; the "
+        "eta-free bound drops this term by letting Bob hash his secret "
+        "sequence before privacy amplification"
+    )
+    return report.check()
 
 
 # =====================================================================

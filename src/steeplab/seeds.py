@@ -19,11 +19,11 @@ of building one ``SeedSequence`` and one ``Philox`` per seed.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .params import ParamError
+from .params import ParamError, _integer
 
 __all__ = ["stream", "subseed"]
 
@@ -32,11 +32,9 @@ _MASK32 = (1 << 32) - 1
 
 
 def _seed_int(seed: int) -> int:
-    # a bool would alias seed 1; masking a seed outside [0, 2**64) would
-    # alias it to another seed's streams
-    if isinstance(seed, (bool, np.bool_)):
-        raise ParamError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+    # a bool or a float would alias an integer seed; masking a seed outside
+    # [0, 2**64) would alias it to another seed's streams
+    seed = _integer("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ParamError(f"seed must be in [0, 2**64), got {seed}")
     return seed
@@ -59,8 +57,8 @@ def stream(seed: int, *tags: int | str) -> np.random.Generator:
     """Independent generator for the role identified by ``tags``.
 
     Philox is counter-based: streams for different tag tuples are
-    statistically independent.  A bool seed raises ``ParamError`` and a
-    bool tag ``TypeError``: neither aliases 1.
+    statistically independent.  A non-integer seed raises ``ParamError``
+    and a bool tag ``TypeError``: neither aliases an integer.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, tags)))
 
@@ -139,6 +137,12 @@ def _int_words(value: int) -> list[int]:
     return words
 
 
+def _one_value(value) -> bool:
+    """Whether a seed or tag argument is one value, not one per row: a
+    string or anything that is not iterable, such as a float seed."""
+    return isinstance(value, str) or not isinstance(value, Iterable)
+
+
 def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
           ) -> np.ndarray:
     """The (T, 2) uint64 Philox keys of ``stream(seed, *tags)`` for T rows:
@@ -151,7 +155,7 @@ def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
     are hashed in separate groups.
     """
     def column(value, to_int):
-        if isinstance(value, (str, int, np.integer, np.bool_)):
+        if _one_value(value):
             return to_int(value)
         return np.array([to_int(v) for v in value], dtype=np.uint64)
 

@@ -35,9 +35,9 @@ from .channel import sample_channels, simulate_episode
 from .digital import (BscParams, _exact_rates, _xi_of_rates, binary_entropy,
                       bsc_convolve)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
-from .params import ChannelRealization, ParamError, SystemParams
-from .rates import (_realization_terms, per_realization_rates, power_budget,
-                    theorem1_draw_terms)
+from .params import ChannelRealization, ParamError, SystemParams, _integer
+from .rates import (_realization_terms, alpha, per_realization_rates,
+                    power_budget, theorem1_draw_terms)
 from .seeds import _subseeds, subseed
 
 __all__ = [
@@ -339,7 +339,7 @@ def theorem1_term_oracles(params: SystemParams,
 
     rho = complex(params.rho)
     cov_hh = np.array([[1.0, rho], [np.conj(rho), 1.0]])
-    checks.append(("alpha", [-math.log2(1.0 - abs(rho) ** 2)],
+    checks.append(("alpha", [alpha(params)],
                    [gaussian_mi_logdet([[1.0]], [[1.0]], cov_hh)], 1e-12))
 
     sides = (("BA", params.p_A, "h_BA", "g_A", params.sigma_B2,
@@ -418,8 +418,7 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     return noises to 1e-9 sigma_B2, inside the regime the closed forms
     assume; everything else runs at the given parameters.
     """
-    if n_realizations < 1:
-        raise ParamError(f"n_realizations must be >= 1, got {n_realizations}")
+    n_realizations = _integer("n_realizations", n_realizations, 1)
     reports: list[OracleReport] = []
 
     # --- per-realization information terms, worst case over draws -----

@@ -103,6 +103,15 @@ def test_run_rates_no_probes_skips_echo_metrics():
     assert any("m_A = 0" in n for n in rep.notes)
 
 
+def test_run_rates_without_return_noise_skips_the_eta_bound():
+    p = dataclasses.replace(SystemParams(), eps_A=0.0)
+    rep = run_rates(p, n_draws=500, rng_seed=2)
+    assert "theorem3_lower" in rep.values
+    assert "theorem2_lower" not in rep.values and "eta" not in rep.values
+    assert rep.notes == ["eta-dependent lower bound skipped: needs "
+                         "eps_A > 0 and eps_E > 0"]
+
+
 # ---------------------------------------------------------------- sweeps
 
 def test_sweep_rows_and_worker_independence(monkeypatch):
@@ -266,6 +275,18 @@ def test_cli_sweep_plot_bytes_pinned(tmp_path, capsys):
                                 "0.6,2.442650536135378,0.09339862676033651\n")
 
 
+def test_cli_sweep_plot_without_plot_out_follows_the_sweep_csv(capsys):
+    argv = ("sweep", "--field", "rho", "--grid", "0.2,0.6", "--n-draws",
+            "300", "--seed", "5")
+    code, sweep_csv, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--plot-metric", "C_B")
+    assert code == 0 and err == ""
+    assert out == sweep_csv + ("x,y,y_err\n"
+                               "0.2,1.720744561211421,0.09063350392541435\n"
+                               "0.6,2.442650536135378,0.09339862676033651\n")
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sweep_rejects_nonpositive_workers(workers):
     spec = SweepSpec(base=SystemParams(), field_name="rho", grid=(0.2,),
@@ -382,6 +403,8 @@ def test_cli_rejects_malformed_flag(capsys, flag, text):
     ("simulate-analog", "--m_A", "5", "--seed", str((1 << 65) - 1)),
     ("sweep", "--field", "rho", "--grid", "0.2,0.3", "--n-draws", "100",
      "--workers", "2", "--seed", "-1"),
+    # a grid value that is not finite
+    ("sweep", "--field", "rho", "--grid", "nan", "--n-draws", "100"),
     # efficiencies no syndrome length can be rounded from
     ("simulate-digital", "--m_A", "2000", "--efficiency", "inf"),
     ("simulate-digital", "--m_A", "2000", "--efficiency", "nan"),

@@ -14,7 +14,7 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       reconcile_and_amplify,
                       reconcile_plan, run_digital_episode,
                       validate_bsc, xi_digital)
-from steeplab import _workers
+from steeplab import _workers, digital
 from steeplab.codes import _COL_WEIGHT
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
@@ -251,6 +251,20 @@ def test_reconcile_and_amplify_success():
     assert res.key_A.shape == (610,)
     assert res.syndrome_bits == 7504
     assert res.max_key_len == 610
+
+
+def test_reconcile_and_amplify_with_no_syndrome_builds_no_code(monkeypatch):
+    # a noiseless probing channel leaves Alice's folded view equal to b_s:
+    # nothing is published or decoded, both sides hash the same bits
+    bsc = BscParams(P_BA=0.0, P_EA=0.2, m_A=2000)
+    plan = reconcile_plan(bsc)
+    assert (plan.syndrome_bits, plan.max_key_len) == (0, 1155)
+    monkeypatch.setattr(digital, "make_ldpc", None)
+    res = reconcile_and_amplify(run_digital_episode(bsc, 0), bsc,
+                                plan.max_key_len, 0)
+    assert res.syndrome_bits == 0 and res.leak_bits == 0.0
+    assert res.success and res.decoder_converged
+    assert res.key_A.shape == (1155,)
 
 
 def test_reconcile_and_amplify_deterministic():

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from steeplab import (BscParams, ParamError, RateReport, SystemParams,
-                      format_config, parse_config, read_config, validate,
+from steeplab import (BscParams, ParamError, RateReport, SweepSpec,
+                      SystemParams, decode_syndrome, format_config, hexdump,
+                      make_ldpc, parse_config, read_config, reconcile_plan,
+                      run_digital_episode, run_oracle_suite, run_rates,
+                      run_sweep, simulate_episode, theorem1_bounds, validate,
                       validate_bsc)
+from steeplab.params import _integer, _real
+from steeplab.seeds import subseed
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6,
                        allow_nan=False, allow_infinity=False)
@@ -237,3 +242,72 @@ def test_rate_report_from_json_validates_params():
     payload["params"]["rho"] = 1.5
     with pytest.raises(ParamError, match=r"\|rho\| must be < 1"):
         RateReport.from_json(json.dumps(payload))
+
+
+# --------------------------------------------------------- argument rules
+
+@pytest.mark.parametrize("v", [3, np.int64(3), np.uint8(3)])
+def test_integer_rule_returns_an_int(v):
+    got = _integer("n", v, 3)
+    assert got == 3 and type(got) is int
+
+
+@pytest.mark.parametrize("v", [True, np.True_, 2.0, np.float64(2.0), "2",
+                               None])
+def test_integer_rule_rejects_what_is_not_an_integer(v):
+    with pytest.raises(ParamError) as err:
+        _integer("n", v, 1)
+    assert str(err.value) == f"n must be an integer, got {v!r}"
+
+
+def test_integer_rule_names_its_bound():
+    with pytest.raises(ParamError, match=r"^n must be >= 1, got 0$"):
+        _integer("n", np.int64(0), 1)
+
+
+@pytest.mark.parametrize("v", [0.5, 1, np.float32(0.5), np.int8(1)])
+def test_real_rule_accepts_finite_reals(v):
+    _real("x", v, "lie in (0, 1]", lambda x: 0 < x <= 1)
+
+
+@pytest.mark.parametrize("v", [True, np.True_, "0.5", None, 0.5j, math.nan,
+                               math.inf, np.float64(-math.inf), 0.0, 2])
+def test_real_rule_rejects(v):
+    with pytest.raises(ParamError) as err:
+        _real("x", v, "lie in (0, 1]", lambda x: 0 < x <= 1)
+    assert str(err.value) == f"x must lie in (0, 1], got {v!r}"
+
+
+_CODE = make_ldpc(20, 8, 1)
+_SWEEP = SweepSpec(base=SystemParams(), field_name="rho", grid=(0.3,),
+                   n_draws=100)
+
+
+@pytest.mark.parametrize("call, name", [
+    # seeds that are not integers, which ran as the integer below them
+    (lambda: theorem1_bounds(SystemParams(), 100, 2.5), "seed"),
+    (lambda: subseed(2.9, "x"), "seed"),
+    (lambda: run_digital_episode(BscParams(), 3.7), "seed"),
+    (lambda: simulate_episode(SystemParams(), [2.5, 3]), "seed"),
+    (lambda: simulate_episode(SystemParams(), 2.5), "seed"),
+    (lambda: run_oracle_suite(SystemParams(), 1.5), "seed"),
+    # bools and floats where a count or a real is wanted
+    (lambda: reconcile_plan(BscParams(), efficiency=True), "efficiency"),
+    (lambda: reconcile_plan(BscParams(), safety_margin=None),
+     "safety_margin"),
+    (lambda: run_oracle_suite(SystemParams(), 0, True), "n_realizations"),
+    (lambda: run_sweep(_SWEEP, workers=1.5), "workers"),
+    (lambda: theorem1_bounds(SystemParams(), n_draws=True), "n_draws"),
+    (lambda: run_rates(SystemParams(), 2.5), "n_draws"),
+    (lambda: decode_syndrome(_CODE, np.zeros(8, np.uint8), "0.1"),
+     "decoder prior"),
+    (lambda: hexdump(b"abc", -1), "width"),
+    (lambda: hexdump(b"abc", 0), "width"),
+], ids=["theorem1-seed", "subseed-seed", "digital-seed", "batch-seed",
+        "episode-seed", "oracle-seed", "efficiency", "safety_margin",
+        "n_realizations", "workers", "theorem1-n_draws", "rates-n_draws",
+        "prior", "width-negative", "width-zero"])
+def test_bad_argument_raises_param_error_naming_it(call, name):
+    with pytest.raises(ParamError) as err:
+        call()
+    assert str(err.value).startswith(f"{name} must ")

@@ -302,6 +302,20 @@ def test_theorem3_ignores_return_noise_ratio():
         rep3.values["theorem3_lower"] + p.m_A * math.log2(eta), rel=1e-12)
 
 
+def test_theorem2_report_is_the_theorem3_report_plus_the_eta_term():
+    p = dataclasses.replace(BASE, eps_A=0.5, eps_E=2.0)
+    rep3 = theorem3_lower_bound(p, n_draws=500, rng_seed=3)
+    rep2 = theorem2_lower_bound(p, n_draws=500, rng_seed=3)
+    assert list(rep2.values) == [*rep3.values, "eta", "eta_term",
+                                 "theorem2_lower"]
+    assert {k: rep2.values[k] for k in rep3.values} == rep3.values
+    assert rep2.stderr == rep3.stderr and rep3.notes == []
+    assert rep2.values["eta_term"] == p.m_A * math.log2(4.0)
+    assert rep2.values["theorem2_lower"] == (rep3.values["theorem3_lower"]
+                                             + rep2.values["eta_term"])
+    assert len(rep2.notes) == 1 and "eta" in rep2.notes[0]
+
+
 def test_echo_bounds_never_exceed_one_way_capacity():
     # alpha' <= alpha and xi' <= xi, so the echo bound sits below C_key
     for seed in (0, 4):

@@ -15,7 +15,7 @@ from steeplab import (BscParams, ChannelRealization, OracleReport,
                       mac_bounds_digital, per_realization_rates,
                       run_oracle_suite, sample_channels, simulate_episode,
                       theorem1_term_oracles, xi_digital)
-from steeplab import verify
+from steeplab import rates, verify
 from steeplab.verify import _TERM_BLOCK, _logdet2, _xi_by_enumeration
 from steeplab.seeds import stream, subseed
 
@@ -506,6 +506,21 @@ def test_suite_honors_parameter_overrides():
     alpha_report = next(r for r in reports if r.name == "alpha")
     assert alpha_report.closed_form == pytest.approx(-math.log2(1 - 0.64),
                                                      abs=1e-12)
+
+
+def test_alpha_oracle_checks_the_shipped_alpha(monkeypatch):
+    # the row's closed form is rates.alpha itself, not a copy of it
+    p = dataclasses.replace(SystemParams(), rho=0.7)
+
+    def alpha_row():
+        return next(r for r in theorem1_term_oracles(p, sample_channels(p, 0))
+                    if r.name == "alpha")
+
+    assert alpha_row().passed
+    assert alpha_row().closed_form == rates.alpha(p)
+    monkeypatch.setattr(verify, "alpha", lambda params: rates.alpha(params)
+                        + 1e-6)
+    assert not alpha_row().passed
 
 
 @pytest.mark.parametrize("n", [0, -1])
