@@ -22,7 +22,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import os
 import shutil
 import sys
@@ -37,7 +36,8 @@ from .digital import (BscParams, effective_error_rates, reconcile_and_amplify,
                       reconcile_plan, run_digital_episode, xi_digital)
 from .codes import hexdump
 from .params import (ChannelRealization, ParamError, RateReport, SystemParams,
-                     _field_types, _integer, _replace_from_text, read_config)
+                     _field_types, _integer, _real, _replace_from_text,
+                     read_config)
 from .rates import (_mean_se, corollary1_capacity, power_budget,
                     theorem1_bounds, theorem1_draw_terms,
                     theorem2_lower_bound, theorem3_lower_bound)
@@ -127,8 +127,11 @@ class SweepSpec:
         if not self.grid:
             raise ParamError("sweep grid must not be empty")
         for v in self.grid:
-            if not math.isfinite(v):
-                raise ParamError(f"sweep grid value {v!r} is not finite")
+            try:
+                _real("sweep grid value", v, "be finite", lambda _: True)
+            except ParamError:
+                raise ParamError(
+                    f"sweep grid value {v!r} is not finite") from None
         _integer("n_draws", self.n_draws, 1)
         return self
 

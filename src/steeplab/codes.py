@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _workers
 from .params import ParamError, _integer, _real
-from .seeds import stream
+from .seeds import _seed_int, stream
 
 __all__ = [
     "LdpcCode",
@@ -97,6 +97,7 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     n_bits = _integer("n_bits", n_bits)
     n_checks = _integer("n_checks", n_checks)
     col_weight = _integer("col_weight", col_weight)
+    rng_seed = _seed_int(rng_seed)
     if not (1 <= n_checks < n_bits):
         raise ParamError(f"need 1 <= n_checks < n_bits, got {n_checks}, {n_bits}")
     if not 1 <= col_weight <= n_checks:
@@ -312,6 +313,7 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
         raise ParamError(f"can only hash a 1-D bit vector, got shape "
                          f"{bits.shape}")
     out_len = _integer("out_len", out_len, 0)
+    hash_seed = _seed_int(hash_seed)
     n = bits.shape[0]
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import _workers
 from .channel import sample_channels, simulate_episode
 from .digital import (BscParams, _exact_rates, _xi_of_rates, binary_entropy,
                       bsc_convolve)
@@ -398,9 +399,10 @@ def theorem1_term_oracles(params: SystemParams,
 # realizations per stacked call of theorem1_term_oracles in run_oracle_suite;
 # fixed, so memory stays bounded at any n_realizations
 _TERM_BLOCK = 256
-# most samples per signal in one batch episode of the MMSE trials: the size
-# of the suite's SNR episode, so a large m_A does not raise peak memory
-_MMSE_CHUNK = 100_000
+# most samples per signal in one batch episode of the MMSE trials: a quarter
+# of the suite's SNR episode, which is drawn beside them, so a large m_A does
+# not raise peak memory
+_MMSE_CHUNK = 25_000
 
 
 def _regime(params: SystemParams) -> SystemParams:
@@ -409,19 +411,9 @@ def _regime(params: SystemParams) -> SystemParams:
     return dc_replace(params, eps_A=eps, eps_E=eps)
 
 
-def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
-                     n_realizations: int = 200) -> list[OracleReport]:
-    """Run every oracle at one parameter point; returns all reports.
-
-    Information-term oracles sweep ``n_realizations`` channel draws and
-    report the worst deviation.  Echo-phase empirical checks override the
-    return noises to 1e-9 sigma_B2, inside the regime the closed forms
-    assume; everything else runs at the given parameters.
-    """
-    n_realizations = _integer("n_realizations", n_realizations, 1)
-    reports: list[OracleReport] = []
-
-    # --- per-realization information terms, worst case over draws -----
+def _term_group(params: SystemParams, rng_seed: int,
+                n_realizations: int) -> list[OracleReport]:
+    """The per-realization information terms, worst case over the draws."""
     worst: dict[str, OracleReport] = {}
     for lo in range(0, n_realizations, _TERM_BLOCK):
         seeds = _subseeds(rng_seed, "oracle",
@@ -431,10 +423,12 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
             old = worst.get(rep.name)
             if old is None or rep.abs_dev > old.abs_dev:
                 worst[rep.name] = rep
-    for name, rep in worst.items():
-        reports.append(dc_replace(rep, n_samples=n_realizations))
+    return [dc_replace(rep, n_samples=n_realizations) for rep in worst.values()]
 
-    # --- digital closed forms vs exact enumeration --------------------
+
+def _exact_group() -> list[OracleReport]:
+    """The digital closed forms and the BSC capacity vs exact enumeration."""
+    reports = []
     # the worst point of the grid: the first of largest deviation, or
     # (0, 0) when every point agrees exactly
     xi, xi_enum, xi_l, xi_u = _digital_grid()
@@ -447,20 +441,20 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
         at = (closed[k], oracle[k]) if closed[k] != oracle[k] else (0.0, 0.0)
         reports.append(OracleReport.build(label, *at, 1e-12,
                                           n_samples="exact"))
-
-    # --- binary entropy vs channel MI ---------------------------------
     p = 0.1
     pmf = np.array([[0.5 * (1 - p), 0.5 * p], [0.5 * p, 0.5 * (1 - p)]])
     reports.append(OracleReport.build(
         "BSC(0.1) capacity 1 - f(0.1)", 1.0 - binary_entropy(p),
         discrete_mi_enumerate(pmf, ((0,), (1,))), 1e-12))
+    return reports
 
-    # --- estimator MSE oracles (paired Monte Carlo) --------------------
-    # batch episodes of consecutive trials, trial t the episode of its own
-    # seed, each of at most _MMSE_CHUNK samples per signal or of one trial
-    reg = _regime(params)
+
+def _mmse_group(params: SystemParams, rng_seed: int) -> list[OracleReport]:
+    """The estimator MSEs over paired Monte Carlo trials: batch episodes of
+    consecutive trials, trial t the episode of its own seed, each of at most
+    _MMSE_CHUNK samples per signal or of one trial."""
     n_trials = 200
-    mmse_params = dc_replace(reg, m_A=max(reg.m_A, 500))
+    mmse_params = dc_replace(_regime(params), m_A=max(params.m_A, 500))
     chunk = max(1, _MMSE_CHUNK // mmse_params.m_A)
     labels = ("Alice secret-estimate MSE vs conditional closed form",
               "Eve probe-estimate MSE vs closed form",
@@ -475,40 +469,39 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
         for label, res in zip(labels, results):
             mses[label][0].append(res.empirical_mse)
             mses[label][1].append(res.closedform_mse)
+    reports = []
     for label, (emp, closed) in mses.items():
         emp, closed = np.concatenate(emp), np.concatenate(closed)
         se = float(np.std(emp - closed, ddof=1) / math.sqrt(n_trials))
         reports.append(OracleReport.build(
             label, float(np.mean(closed)), float(np.mean(emp)),
             max(3.0 * se, 1e-15), n_samples=n_trials * mmse_params.m_A))
-    # The last batch goes before the 10^5-probe episode below is drawn.
-    # The last estimate (res) stays referenced until the suite returns, so
-    # the heap keeps the freed batch pages for that episode instead of
-    # handing them back to the OS: about 5,600 rather than 10,000 page
-    # faults per suite, for 1.6 MB more peak memory.
-    del episode, probe, results
+    return reports
 
-    # --- echo-phase SNRs from raw signals ------------------------------
-    snr_params = dc_replace(reg, m_A=100_000)
+
+def _echo_group(params: SystemParams, rng_seed: int) -> list[OracleReport]:
+    """Echo-phase SNRs from raw signals and the echo power budget, on one
+    10^5-probe episode, then the echo rate's high-secret-power limit."""
+    snr_params = dc_replace(_regime(params), m_A=100_000)
     episode = simulate_episode(snr_params, subseed(rng_seed, "snr"))
     terms = per_realization_rates(snr_params, episode.realization)
-    t_a = episode.y_AB - episode.realization.h_BA * episode.x_A
+    h_ba = episode.realization.h_BA
+    # each residual is freed once its SNR is fitted: the MMSE trials run
+    # beside this group, so its peak adds to theirs
+    snr_a = empirical_snr(episode.s, episode.y_AB - h_ba * episode.x_A)
     xhat = eve_estimate_xA(episode, snr_params).estimate
-    t_e = episode.y_EB - episode.realization.h_BA * xhat
-    for label, sig, want in (
-            ("Alice residual SNR", t_a, terms.snr_AB),
-            ("Eve residual SNR", t_e, terms.snr_EB)):
-        got = empirical_snr(episode.s, sig)
-        reports.append(OracleReport.build(
-            label, want, got, 0.03 * want, n_samples=snr_params.m_A))
+    snr_e = empirical_snr(episode.s, episode.y_EB - h_ba * xhat)
+    reports = [OracleReport.build(label, want, got, 0.03 * want,
+                                  n_samples=snr_params.m_A)
+               for label, want, got in (
+                   ("Alice residual SNR", terms.snr_AB, snr_a),
+                   ("Eve residual SNR", terms.snr_EB, snr_e))]
 
-    # --- echo power budget ---------------------------------------------
     p_r, _ = power_budget(snr_params, episode.realization)
     reports.append(OracleReport.build(
         "echo power identity", p_r, float(np.mean(np.abs(episode.r) ** 2)),
         0.02 * p_r, n_samples=snr_params.m_A))
 
-    # --- analog secrecy rate approaches its probing-limit cap ----------
     lim_params = dc_replace(params, sigma_s2=1e6 * params.sigma_B2)
     draws = theorem1_draw_terms(lim_params, 4000, subseed(rng_seed, "crn"))
     lim = float(np.mean(draws["xi_BA"]))
@@ -516,5 +509,32 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     reports.append(OracleReport.build(
         "high-secret-power limit of the echo rate", lim, got,
         0.005 * lim, n_samples=4000))
-
     return reports
+
+
+def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
+                     n_realizations: int = 200) -> list[OracleReport]:
+    """Run every oracle at one parameter point; returns all reports.
+
+    Information-term oracles sweep ``n_realizations`` channel draws and
+    report the worst deviation.  Echo-phase empirical checks override the
+    return noises to 1e-9 sigma_B2, inside the regime the closed forms
+    assume; everything else runs at the given parameters.
+
+    The exact digital and BSC checks run first.  Then the calling thread
+    runs the MMSE trials while the shared pool runs the information terms,
+    the echo episode's checks and the limit check: two groups that share
+    no data, handed to one ``_workers.in_order``.  Each group's own pool
+    calls run in its thread while the pool is busy, so the reports have
+    the same bits at any CPU count; they come back in a fixed order.
+    """
+    n_realizations = _integer("n_realizations", n_realizations, 1)
+    exact = _exact_group()
+    # Each group allocates in its own thread's malloc arena, so neither
+    # reuses the pages the other frees: about 6,600 minor page faults per
+    # suite at the defaults, where running the groups in turn took 5,600.
+    mmse, (terms, echo) = _workers.in_order(lambda group: group(), (
+        lambda: _mmse_group(params, rng_seed),
+        lambda: (_term_group(params, rng_seed, n_realizations),
+                 _echo_group(params, rng_seed))), 2)
+    return terms + exact + mmse + echo

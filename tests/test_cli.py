@@ -225,6 +225,13 @@ def test_sweep_rejects_bad_grid_value_before_any_point_runs(
     assert calls == []
 
 
+@pytest.mark.parametrize("value", ["0.3", None])
+def test_sweep_rejects_a_grid_value_that_is_not_a_number(value):
+    spec = SweepSpec(SystemParams(), "rho", (value,), 100)
+    with pytest.raises(ParamError, match="sweep grid value .* is not finite"):
+        run_sweep(spec)
+
+
 def test_sweep_rejects_unknown_field():
     spec = SweepSpec(base=SystemParams(), field_name="nope", grid=(1.0,))
     with pytest.raises(ParamError, match="unknown sweep field 'nope'"):

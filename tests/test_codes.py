@@ -382,6 +382,12 @@ def test_make_ldpc_rejects_column_weight_out_of_range(col_weight):
         make_ldpc(10, 3, rng_seed=0, col_weight=col_weight)
 
 
+def test_make_ldpc_checks_its_seed_when_every_column_holds_every_check():
+    # col_weight == n_checks builds the code without a stream
+    with pytest.raises(ParamError, match="seed must be an integer"):
+        make_ldpc(10, 3, 2.5)
+
+
 @pytest.mark.parametrize("args", [
     (20.0, 8, 1, 3), (20, 8.0, 1, 3), (20, 8, 1, 3.0), (20, True, 1, 3),
     (20, 8, 1, True), (np.float64(20), 8, 1, 3),
@@ -480,6 +486,12 @@ def test_toeplitz_hash_rejects_bits_that_are_not_1d(shape):
 def test_toeplitz_hash_rejects_an_out_len_that_is_not_an_integer(out_len):
     with pytest.raises(ParamError, match="out_len must be an integer"):
         toeplitz_hash(np.ones(16, dtype=np.uint8), out_len, hash_seed=0)
+
+
+def test_toeplitz_hash_checks_its_seed_before_an_empty_key():
+    # out_len 0 keys no stream, yet a seed that is not an integer is an error
+    with pytest.raises(ParamError, match="seed must be an integer"):
+        toeplitz_hash(np.ones(8, np.uint8), 0, 2.5)
 
 
 def test_toeplitz_hash_takes_a_numpy_integer_length():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from steeplab import (BscParams, ChannelRealization, OracleReport,
                       mac_bounds_digital, per_realization_rates,
                       run_oracle_suite, sample_channels, simulate_episode,
                       theorem1_term_oracles, xi_digital)
-from steeplab import rates, verify
+from steeplab import _workers, rates, verify
 from steeplab.verify import _TERM_BLOCK, _logdet2, _xi_by_enumeration
 from steeplab.seeds import stream, subseed
 
@@ -457,8 +458,8 @@ def _reference_mmse_reports(params, rng_seed):
 @pytest.mark.parametrize("overrides, seed", [
     ({}, 3),
     (dict(n_E=3, rho=0.3 + 0.4j, m_A=700, **_POWERS), 20231),
-    (dict(m_A=501), 5),                     # chunks of 199 and 1 trials
-    (dict(n_E=2, m_A=2001, **_POWERS), 7),  # four of 49 trials, then 4
+    (dict(m_A=501), 5),                     # four chunks of 49 trials, then 4
+    (dict(n_E=2, m_A=2001, **_POWERS), 7),  # 16 chunks of 12 trials, then 8
 ])
 def test_batched_mmse_reports_equal_one_trial_at_a_time(overrides, seed):
     params = dataclasses.replace(SystemParams(), **overrides)
@@ -467,8 +468,11 @@ def test_batched_mmse_reports_equal_one_trial_at_a_time(overrides, seed):
     assert repr(got) == repr(_reference_mmse_reports(params, seed))
 
 
-@pytest.mark.parametrize("m_A, chunks", [(8, [200]),
-                                         (2001, [49, 49, 49, 49, 4])])
+@pytest.mark.parametrize("m_A, chunks", [
+    (8, [50] * 4),
+    (2001, [12] * 16 + [8]),
+    (700, [35] * 5 + [25]),
+])
 def test_mmse_trials_run_in_chunks_of_bounded_size(monkeypatch, m_A, chunks):
     calls = []
 
@@ -481,10 +485,42 @@ def test_mmse_trials_run_in_chunks_of_bounded_size(monkeypatch, m_A, chunks):
     run_oracle_suite(dataclasses.replace(SystemParams(), m_A=m_A),
                      rng_seed=1, n_realizations=2)
     m = max(m_A, 500)
-    *mmse, snr = calls
+    # the SNR episode is drawn beside the MMSE trials, so it is told apart
+    # by its shape, not by its place among the calls
+    snr = [shape for shape in calls if len(shape) == 1]
+    mmse = [shape for shape in calls if len(shape) == 2]
     assert mmse == [(t, m) for t in chunks]
     assert all(t * m <= verify._MMSE_CHUNK for t in chunks)
-    assert snr == (100_000,)
+    assert snr == [(100_000,)]
+    assert len(calls) == len(chunks) + 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_suite_reports_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    params = dataclasses.replace(SystemParams(), m_A=700)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 1)
+    want = run_oracle_suite(params, rng_seed=11, n_realizations=30)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+    got = run_oracle_suite(params, rng_seed=11, n_realizations=30)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_suite_from_a_busy_pool_job(monkeypatch, cpus):
+    # with every other pool thread held, the suite runs on the last one: the
+    # group and role jobs it hands the pool are never started there, so
+    # they must run on the calling pool thread instead of waiting
+    want = run_oracle_suite(SystemParams(), rng_seed=12, n_realizations=30)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+    release = threading.Event()
+    held = [_workers.pool().submit(release.wait, 60) for _ in range(cpus - 2)]
+    try:
+        job = _workers.pool().submit(run_oracle_suite, SystemParams(), 12, 30)
+        got = job.result(timeout=60)
+    finally:
+        release.set()
+    assert all(h.result(timeout=60) for h in held)
+    assert repr(got) == repr(want)
 
 
 def test_full_suite_green_and_deterministic():
