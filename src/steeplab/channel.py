@@ -25,14 +25,15 @@ keeps its own role-tagged streams.  An int seed is the batch of one,
 returned without the trial axis.
 
 All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
-``sample_channel_batch`` and ``sample_channels`` from one call of it.  The
-probing and the echo phase each draw their three roles side by side, one
-role per item of the shared pool's ``_workers.in_order``, every seed of a
-batch in that item.  Each role reads only its own streams, so an episode
+``sample_channel_batch`` and ``sample_channels`` from one call of it, into
+one complex buffer.  The probing and the echo phase each draw their three
+roles side by side, one role per item of the shared pool's
+``_workers.in_order``, every seed of a batch in that item.  Each role reads only its own streams, so an episode
 has the same bits at any CPU count.
 """
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -81,26 +82,27 @@ def _check_batch(shape: tuple, seeds: list[int], batched: bool) -> None:
 
 
 def _cnormal_rows(seeds: list[int], batched: bool, role: str,
-                  normals: list[np.ndarray | None],
-                  var: float) -> list[np.ndarray]:
+                  normals: list[np.ndarray | None], var: float,
+                  out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """CN(0, var) samples for every seed into each buffer of ``normals`` in
     turn: buffer k, ``np.empty((T, 2, *shape_k))``, gives the (T, *shape_k)
     array k, row t one fill of ``stream(seeds[t], role)``, real and then
     imaginary parts of variance var/2; without ``batched`` it drops its
-    trial axis.  A buffer turns complex, and leaves ``normals``, once its
-    last row is filled, so one seed holds the normals of one array at a
-    time (``np.empty`` commits no memory before a fill)."""
+    trial axis.  Array k is ``out[k]`` when given, else a new one.  Once its
+    last row is filled, a buffer leaves ``normals`` and is composed straight
+    into its array, each part one product with sqrt(var/2): the bits of
+    sqrt(var/2) * (re + 1j * im).  So one seed holds the normals of one
+    array at a time (``np.empty`` commits no memory before a fill)."""
     scale = np.sqrt(var / 2.0)
-    out = []
+    if out is None:
+        out = [np.empty((b.shape[0], *b.shape[2:]), complex) for b in normals]
     for t, rng in enumerate(_streams(seeds, role), 1):
-        for k in range(len(normals)):
+        for k, z in enumerate(out):
             rng.standard_normal(out=normals[k][t - 1])
-            if t == len(seeds):   # the bits of scale * (re + 1j * im)
-                z = 1j * normals[k][:, 1]
-                z += normals[k][:, 0]
+            if t == len(seeds):
+                np.multiply(normals[k][:, 0], scale, out=z.real)
+                np.multiply(normals[k][:, 1], scale, out=z.imag)
                 normals[k] = None
-                z *= scale
-                out.append(z)
     return out if batched else [z[0] for z in out]
 
 
@@ -125,16 +127,22 @@ def _phase_signals(seeds: list[int], batched: bool,
 def _channel_gains(params: SystemParams, seeds: list[int],
                    draws: tuple) -> tuple[np.ndarray, ...]:
     """h_AB, h_BA, g_A, g_B of each seed, (T, *draws) and (T, *draws, n_E)
-    for ``draws`` (n,) or ().  The "channels" stream draws h_AB, w, g_A and
-    g_B, all CN(0, 1), and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w gives
+    for ``draws`` (n,) or (), views of one complex buffer.  The "channels"
+    stream draws h_AB, w, g_A and g_B, all CN(0, 1), and h_BA =
+    conj(rho) h_AB + sqrt(1-|rho|^2) w, formed in w's slot, gives
     E{h_AB conj(h_BA)} = rho exactly."""
-    h, g = draws, (*draws, params.n_E)
+    t, h, g = len(seeds), draws, (*draws, params.n_E)
+    n = t * math.prod(h)
+    gains = [part.reshape(t, *shape) for part, shape in zip(
+        np.split(np.empty((2 + 2 * params.n_E) * n, complex),
+                 [n, 2 * n, (2 + params.n_E) * n]), (h, h, g, g))]
     h_AB, w, g_A, g_B = _cnormal_rows(
         seeds, True, "channels",
-        [np.empty((len(seeds), 2, *shape)) for shape in (h, h, g, g)], 1.0)
+        [np.empty((t, 2, *shape)) for shape in (h, h, g, g)], 1.0, gains)
     rho = complex(params.rho)
-    h_BA = np.conj(rho) * h_AB + np.sqrt(1.0 - abs(rho) ** 2) * w
-    return h_AB, h_BA, g_A, g_B
+    np.multiply(np.sqrt(1.0 - abs(rho) ** 2), w, out=w)
+    np.add(np.conj(rho) * h_AB, w, out=w)
+    return h_AB, w, g_A, g_B
 
 
 def sample_channels(params: SystemParams,

@@ -86,6 +86,37 @@ def alpha(params: SystemParams) -> float:
     return float(-np.log2(1.0 - abs(complex(params.rho)) ** 2))
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit for a >= 0, by adds of whole columns
+    in numpy's pairwise order.  Below 8 columns they are added in turn.  Up
+    to 128, eight running sums of every eighth column are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the columns past
+    the last multiple of 8 are added in turn.  Above 128, the two halves,
+    split at a multiple of 8, are summed apart.  (numpy also adds each sum
+    to a zero start, which changes no sum of nonnegative terms.)"""
+    k = a.shape[-1]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        out = _row_sum(a[..., :half])
+        out += _row_sum(a[..., half:])
+        return out
+    done = k - k % 8
+    if done == 0:
+        out, done = a[..., 0].copy(), 1
+    else:
+        r = a[..., :8].copy()
+        for i in range(8, done, 8):
+            r += a[..., i:i + 8]
+        out = r[..., 0] + r[..., 1]
+        out += r[..., 2] + r[..., 3]
+        high = r[..., 4] + r[..., 5]
+        high += r[..., 6] + r[..., 7]
+        out += high
+    for i in range(done, k):
+        out += a[..., i]
+    return out
+
+
 def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
                xnorm2=None) -> dict[str, np.ndarray]:
     """Every per-draw term of the bounds, for a batch of channel draws.
@@ -94,8 +125,9 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
     draw, and ``g_A``, ``g_B`` that shape plus (n_E,); only magnitudes
     enter.  ``alpha_prime`` needs ``xnorm2``, the energy ||x_A||^2 of
     Alice's probe sequence in each draw.  Returns arrays of the batch
-    shape; t = sigma_s2 / sigma_B2 and XY is a probing direction (BA:
-    Alice's probes at Bob and Eve; AB swaps every role):
+    shape, numpy scalars for one draw; t = sigma_s2 / sigma_B2 and XY is a
+    probing direction (BA: Alice's probes at Bob and Eve; AB swaps every
+    role):
 
         main_XY, eve_XY  probing SNRs p_A |h_BA|^2 / sigma_B2 (Bob) and
                          p_A ||g_A||^2 / sigma_EA2 (Eve)
@@ -108,33 +140,73 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
                          t / (phi_BA + 1) at Eve
         alpha_prime      log2((u + 1 / (1 - |rho|^2)) / (u + 1)),
                          u = xnorm2 / (sigma_s2 + sigma_B2)
+
+    Each term is one new array, built in place by the operations of its
+    formula in their written order; Eve's sums over antennas are
+    ``_row_sum``'s.  One draw runs as the batch of one, so it gets its
+    draw's bits in any batch.
     """
-    # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which rounds
-    # unlike a product, so one draw would not match its batch bit for bit
-    sides = (
-        ("BA", params.p_A * np.square(np.abs(h_BA)) / params.sigma_B2,
-         params.p_A * np.square(np.abs(g_A)).sum(axis=-1) / params.sigma_EA2),
-        ("AB", params.p_B * np.square(np.abs(h_AB)) / params.sigma_A2,
-         params.p_B * np.square(np.abs(g_B)).sum(axis=-1) / params.sigma_EB2),
-    )
+    one = np.ndim(h_BA) == 0
+    if one:
+        h_AB, h_BA, g_A, g_B = (np.expand_dims(a, 0)
+                                for a in (h_AB, h_BA, g_A, g_B))
+        xnorm2 = None if xnorm2 is None else np.expand_dims(xnorm2, 0)
+    terms = _power_terms(params, *map(_power, (h_AB, h_BA, g_A, g_B)),
+                         xnorm2)
+    return {name: a[0] for name, a in terms.items()} if one else terms
+
+
+def _power(gain) -> np.ndarray:
+    """np.square(np.abs(gain)) as a new float array, squared in place."""
+    power = np.abs(gain, dtype=float)
+    return np.square(power, out=power)
+
+
+def _power_terms(params: SystemParams, hh_AB: np.ndarray, hh_BA: np.ndarray,
+                 gg_A: np.ndarray, gg_B: np.ndarray,
+                 xnorm2) -> dict[str, np.ndarray]:
+    """``draw_terms`` of a batch from the squared gain magnitudes, which it
+    takes over: ``hh_BA`` and ``hh_AB`` become main_BA and main_AB."""
     terms: dict[str, np.ndarray] = {}
-    for side, main, eve in sides:
-        phi_ = main / (eve + 1.0)
+    for side, p, main, power, var_main, var_eve in (
+            ("BA", params.p_A, hh_BA, gg_A, params.sigma_B2, params.sigma_EA2),
+            ("AB", params.p_B, hh_AB, gg_B, params.sigma_A2, params.sigma_EB2)):
+        np.multiply(p, main, out=main)
+        np.divide(main, var_main, out=main)
+        eve = _row_sum(power)
+        np.multiply(p, eve, out=eve)
+        np.divide(eve, var_eve, out=eve)
+        eve_1 = eve + 1.0
+        phi_ = main / eve_1
+        xi = np.add(1.0, phi_)
+        gamma = np.add(main, 1.0)
+        np.divide(gamma, eve_1, out=gamma)
         terms[f"main_{side}"] = main
         terms[f"eve_{side}"] = eve
         terms[f"phi_{side}"] = phi_
-        terms[f"xi_{side}"] = np.log2(1.0 + phi_)
-        terms[f"gamma_{side}"] = np.log2((main + 1.0) / (eve + 1.0))
+        terms[f"xi_{side}"] = np.log2(xi, out=xi)
+        terms[f"gamma_{side}"] = np.log2(gamma, out=gamma)
     phi_ba = terms["phi_BA"]
     t = params.sigma_s2 / params.sigma_B2
-    terms["xi_BA_prime"] = np.log2(1.0 + phi_ba * t / (1.0 + phi_ba + t))
-    terms["xi_bar_BA"] = np.log2(1.0 + t / (t + 1.0) * phi_ba)
+    prime = phi_ba * t
+    rest = np.add(1.0, phi_ba)
+    rest += t
+    prime /= rest
+    prime += 1.0
+    terms["xi_BA_prime"] = np.log2(prime, out=prime)
+    bar = np.multiply(t / (t + 1.0), phi_ba, out=rest)
+    bar += 1.0
+    terms["xi_bar_BA"] = np.log2(bar, out=bar)
     terms["snr_AB"] = np.full(np.shape(phi_ba), t)
-    terms["snr_EB"] = t / (phi_ba + 1.0)
+    snr_eb = phi_ba + 1.0
+    terms["snr_EB"] = np.divide(t, snr_eb, out=snr_eb)
     if xnorm2 is not None:
-        u = xnorm2 / (params.sigma_s2 + params.sigma_B2)
+        u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2)
         leak = 1.0 / (1.0 - abs(complex(params.rho)) ** 2)
-        terms["alpha_prime"] = np.log2((u + leak) / (u + 1.0))
+        ratio = u + leak
+        u += 1.0
+        ratio /= u
+        terms["alpha_prime"] = np.log2(ratio, out=ratio)
     return terms
 
 
@@ -212,13 +284,14 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     CN(0, p_A) probes is (p_A / 2) chi^2 with 2 m_A degrees of freedom.
     Each call samples afresh and returns writable arrays: a bound's ``terms``.
     """
-    # magnitudes are all the kernel reads; the complex batch goes first
-    batch = [np.abs(a) for a in sample_channel_batch(params, rng_seed, n_draws)]
+    # the kernel reads only squared magnitudes; the complex batch goes first
+    powers = [_power(a) for a in sample_channel_batch(params, rng_seed,
+                                                       n_draws)]
     xnorm2 = None
     if params.m_A >= 1:
         xnorm2 = 0.5 * params.p_A * stream(rng_seed, "xnorm").chisquare(
             2 * params.m_A, size=n_draws)
-    terms = draw_terms(params, *batch, xnorm2)
+    terms = _power_terms(params, *powers, xnorm2)
     return {name: terms[name] for name in _SHARED_TERMS if name in terms}
 
 
@@ -233,9 +306,16 @@ def _draws_of(params, n_draws, rng_seed, terms) -> dict[str, np.ndarray]:
 
 
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:
+    """``(np.mean(arr), np.std(arr, ddof=1) / sqrt(n))`` as floats, bit for
+    bit, from one shared sum by numpy's own steps for the variance; the
+    standard error of one draw is 0."""
     n = arr.shape[0]
-    se = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(arr)), se
+    mean = arr.sum() / n
+    if n == 1:
+        return float(mean), 0.0
+    dev = arr - mean
+    np.multiply(dev, dev, out=dev)
+    return float(mean), float(np.sqrt(dev.sum() / (n - 1)) / math.sqrt(n))
 
 
 # =====================================================================
@@ -260,11 +340,15 @@ def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
         values[name], stderr[name] = _mean_se(terms[name])
 
     m_A, m_B = params.m_A, params.m_B
-    c_a = a + m_B * terms["xi_AB"] + m_A * terms["gamma_BA"]
-    c_b = a + m_A * terms["xi_BA"] + m_B * terms["gamma_AB"]
-    c_e = a + m_A * terms["xi_BA"] + m_B * terms["xi_AB"]
-    for name, draws in (("C_A", c_a), ("C_B", c_b), ("C_E", c_e)):
-        values[name], stderr[name] = _mean_se(draws)
+    # each total is a + m_1 x_1 + m_2 x_2, summed left to right in place
+    total, addend = np.empty_like(terms["xi_BA"]), np.empty_like(terms["xi_BA"])
+    for name, m_1, x_1, m_2, x_2 in (("C_A", m_B, "xi_AB", m_A, "gamma_BA"),
+                                     ("C_B", m_A, "xi_BA", m_B, "gamma_AB"),
+                                     ("C_E", m_A, "xi_BA", m_B, "xi_AB")):
+        np.multiply(m_1, terms[x_1], out=total)
+        np.add(a, total, out=total)
+        total += np.multiply(m_2, terms[x_2], out=addend)
+        values[name], stderr[name] = _mean_se(total)
 
     notes = []
     if m_A > 0 and m_B > 0:
@@ -293,10 +377,10 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
     # same per-draw combination as theorem1_bounds so the results agree
     # bit for bit, not just statistically
     if params.m_B == 0:
-        draws = alpha(params) + params.m_A * terms["xi_BA"]
+        draws = np.multiply(params.m_A, terms["xi_BA"])
     else:
-        draws = alpha(params) + params.m_B * terms["xi_AB"]
-    return _mean_se(draws)[0]
+        draws = np.multiply(params.m_B, terms["xi_AB"])
+    return _mean_se(np.add(alpha(params), draws, out=draws))[0]
 
 
 # =====================================================================

@@ -35,22 +35,27 @@ def test_gain_variance_split():
         assert abs(np.mean(z)) < 0.02
 
 
+def _reference_cn(rng, shape, var):
+    """CN(0, var) samples as specified: one fill of real and then imaginary
+    normals, times sqrt(var/2)."""
+    re, im = rng.standard_normal((2, *shape))
+    return np.sqrt(var / 2) * (re + 1j * im)
+
+
 def _reference_channel_batch(params, rng_seed, n):
-    """The channel batch drawn gain by gain from one stream: real and then
-    imaginary normals, scaled by sqrt(1/2)."""
+    """The channel batch drawn gain by gain from one "channels" stream:
+    h_AB, w, g_A and g_B, with h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w."""
     rng = stream(rng_seed, "channels")
-
-    def cn(shape):
-        re = rng.standard_normal(shape)
-        return np.sqrt(0.5) * (re + 1j * rng.standard_normal(shape))
-
-    h_ab, w = cn((n,)), cn((n,))
+    h_ab, w = _reference_cn(rng, (n,), 1.0), _reference_cn(rng, (n,), 1.0)
+    g_a = _reference_cn(rng, (n, params.n_E), 1.0)
+    g_b = _reference_cn(rng, (n, params.n_E), 1.0)
     rho = complex(params.rho)
     h_ba = np.conj(rho) * h_ab + np.sqrt(1.0 - abs(rho) ** 2) * w
-    return h_ab, h_ba, cn((n, params.n_E)), cn((n, params.n_E))
+    return h_ab, h_ba, g_a, g_b
 
 
-@pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2)])
+@pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2),
+                                      (0.8, 9)])
 def test_channel_batch_layout(rho, n_E):
     p = SystemParams(rho=rho, n_E=n_E)
     for seed, n in ((0, 1), (3, 17), ((1 << 64) - 1, 1000)):
@@ -217,12 +222,11 @@ def test_batch_of_one_keeps_its_trial_axis():
 
 
 def _reference_phases(params, realization, seeds, batched):
-    """The signals of both phases drawn role after role on the calling
-    thread, each role one ``_cnormal_rows`` call."""
+    """The signals of both phases, each role drawn for each seed as one
+    ``_reference_cn`` fill of ``stream(seed, role)``."""
     def draw(role, shape, var):
-        [z] = channel._cnormal_rows(seeds, batched, role,
-                                    [np.empty((len(seeds), 2, *shape))], var)
-        return z
+        rows = [_reference_cn(stream(seed, role), shape, var) for seed in seeds]
+        return np.stack(rows) if batched else rows[0]
 
     m = params.m_A
     x_A = draw("probe", (m,), params.p_A)
@@ -273,7 +277,7 @@ def test_phases_draw_their_roles_side_by_side(monkeypatch):
     on_pool = threading.Event()
     threads = {}
 
-    def recording(seeds, batched, role, normals, var):
+    def recording(seeds, batched, role, *args):
         pool = threading.current_thread().name.startswith("steeplab-pool")
         threads[role] = "pool" if pool else "caller"
         if pool:
@@ -281,7 +285,7 @@ def test_phases_draw_their_roles_side_by_side(monkeypatch):
         elif role in ("probe", "secret"):   # let the pool start its role
             assert on_pool.wait(timeout=30)
             on_pool.clear()
-        return kernel(seeds, batched, role, normals, var)
+        return kernel(seeds, batched, role, *args)
 
     monkeypatch.setattr(channel, "_cnormal_rows", recording)
     p = dataclasses.replace(SystemParams(), n_E=3, m_A=500)

@@ -821,6 +821,24 @@ def test_cli_sweep_bytes_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("extra, digest", [
+    (("--n_E", "1"),
+     "514dd85e6176f008f10936866562d2eeed37de2ccd6334f720b10c66a1d3e1ea"),
+    (("--n_E", "9"),
+     "17578458f2c2de61a8452b56e2dfc2931cec3e3aeebbd3d702596c7cf7f9f129"),
+    (("--n_E", "9", "--rho", "0.3+0.4j"),
+     "5b961b3aa47ea9e71c5bc5bc5e54c5d983e97cbd4142821e1744dd9f7b1faf1b"),
+], ids=["nE1", "nE9", "nE9-complex-rho"])
+def test_cli_rates_json_bytes_pinned(tmp_path, capsys, extra, digest):
+    # measured while Eve's antenna sums were numpy's own .sum(axis=-1); from
+    # 8 antennas on numpy adds them pairwise, not in turn
+    out_json = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "rates", "--n-draws", "5000", "--seed", "4",
+                         *extra, "--json-out", str(out_json))
+    assert code == 0
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
+
+
 def test_cli_sweep_digital_bytes_pinned(capsys):
     # measured while the bounds were still enumerated in steeplab.digital
     code, out, _ = run_cli(capsys, "sweep", "--digital", "--field", "P_EA",

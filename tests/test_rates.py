@@ -386,3 +386,42 @@ def test_bound_reduces_given_terms_without_sampling(monkeypatch, bound):
     assert all(np.array_equal(terms[name], before[name]) for name in before)
     with pytest.raises(ParamError, match="n_draws = 600"):
         bound(*key, terms=other)
+
+
+# ------------------------------------------------------- exact reductions
+
+@pytest.mark.parametrize("k", [*range(1, 41), 63, 64, 65, 127, 128, 129, 200,
+                               257])
+def test_row_sum_is_numpy_sum_bit_for_bit(k):
+    # numpy sums a row pairwise from 8 columns on; column adds in any
+    # other order change the last bits of Eve's probing SNR
+    rng = np.random.default_rng(k)
+    for n in (1, 1000):
+        z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        a = np.square(np.abs(z))
+        assert rates._row_sum(a).tobytes() == a.sum(axis=-1).tobytes(), n
+    # a batch of one draw keeps its shape
+    assert rates._row_sum(a[0]).tobytes() == a[0].sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n_E", [1, 9, 130])
+def test_eve_snr_is_the_sum_over_antennas(n_E):
+    p = SystemParams(n_E=n_E, p_A=1.7, sigma_EA2=0.3)
+    h_AB, h_BA, g_A, g_B = sample_channel_batch(p, 6, 500)
+    terms = rates.draw_terms(p, h_AB, h_BA, g_A, g_B)
+    want = p.p_A * np.square(np.abs(g_A)).sum(axis=-1) / p.sigma_EA2
+    assert terms["eve_BA"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100_001])
+@pytest.mark.parametrize("kind", ["constant", "negative", "mixed"])
+def test_mean_se_is_numpy_mean_and_std(n, kind):
+    rng = np.random.default_rng(n)
+    a = {"constant": np.full(n, 0.1),
+         "negative": -rng.exponential(3.0, n),
+         "mixed": rng.standard_normal(n) * 1e3 + 0.5}[kind]
+    mean, se = rates._mean_se(a)
+    assert type(mean) is float and type(se) is float
+    assert mean.hex() == float(np.mean(a)).hex()
+    want = 0.0 if n == 1 else float(np.std(a, ddof=1) / math.sqrt(n))
+    assert se.hex() == want.hex()
