@@ -83,6 +83,36 @@ class LdpcCode:
 _COL_WEIGHT = 3   # checks per bit, so a code needs at least this many
 
 
+def _drawn_columns(row_w: np.ndarray, n_bits: int, col_weight: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The (n_bits, col_weight) checks of the columns: the row_w[c] sockets
+    of each check c shuffled, then swapped with random other columns until
+    no column holds a check twice."""
+    sockets = np.repeat(np.arange(row_w.size, dtype=np.int64), row_w)
+    rng.shuffle(sockets)
+    cols = sockets.reshape(n_bits, col_weight)
+    pairs = [(a, b) for b in range(col_weight) for a in range(b)]
+    for _ in range(200):
+        dup = np.zeros(n_bits, dtype=bool)
+        for a, b in pairs:
+            dup |= cols[:, a] == cols[:, b]
+        bad = np.flatnonzero(dup)
+        if bad.size == 0:
+            return cols
+        for j in bad:
+            row = cols[j]
+            seen: set[int] = set()
+            for slot in range(col_weight):
+                if int(row[slot]) in seen:
+                    k = int(rng.integers(n_bits))
+                    other = int(rng.integers(col_weight))
+                    row[slot], cols[k, other] = cols[k, other], row[slot]
+                else:
+                    seen.add(int(row[slot]))
+    raise ParamError("could not build a duplicate-free parity structure; "
+                     "lower col_weight or raise n_checks")
+
+
 def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
               col_weight: int = _COL_WEIGHT) -> LdpcCode:
     """Random regular-column-weight LDPC with near-uniform check degrees.
@@ -103,45 +133,16 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     if not 1 <= col_weight <= n_checks:
         raise ParamError(f"need 1 <= col_weight <= n_checks, got {col_weight}, "
                          f"{n_checks}")
-    if col_weight == n_checks:
-        # every column holds every check: the one such code, built directly
-        checks = np.arange(n_checks, dtype=np.int64)
-        return LdpcCode(n_bits=n_bits, n_checks=n_checks,
-                        chk=np.repeat(checks, n_bits),
-                        var=np.tile(np.arange(n_bits), n_checks),
-                        ptr=checks * n_bits)
-    rng = stream(rng_seed, "code")
     total = col_weight * n_bits
     base, extra = divmod(total, n_checks)
     row_w = np.full(n_checks, base, dtype=np.int64)
     row_w[:extra] += 1
-    sockets = np.repeat(np.arange(n_checks, dtype=np.int64), row_w)
-    rng.shuffle(sockets)
-    cols = sockets.reshape(n_bits, col_weight)
-    pairs = [(a, b) for b in range(col_weight) for a in range(b)]
-
-    # repair columns that drew the same check twice by swapping sockets
-    # with a random other column until all columns are duplicate-free
-    for _ in range(200):
-        dup = np.zeros(n_bits, dtype=bool)
-        for a, b in pairs:
-            dup |= cols[:, a] == cols[:, b]
-        bad = np.flatnonzero(dup)
-        if bad.size == 0:
-            break
-        for j in bad:
-            row = cols[j]
-            seen: set[int] = set()
-            for slot in range(col_weight):
-                if int(row[slot]) in seen:
-                    k = int(rng.integers(n_bits))
-                    other = int(rng.integers(col_weight))
-                    row[slot], cols[k, other] = cols[k, other], row[slot]
-                else:
-                    seen.add(int(row[slot]))
+    if col_weight == n_checks:
+        # every column holds every check: the one such code, so none is drawn
+        cols = np.tile(np.arange(n_checks, dtype=np.int64), (n_bits, 1))
     else:
-        raise ParamError("could not build a duplicate-free parity structure; "
-                         "lower col_weight or raise n_checks")
+        cols = _drawn_columns(row_w, n_bits, col_weight,
+                              stream(rng_seed, "code"))
 
     # edge e = col_weight * v + slot sits in column v; sort the edges by
     # check with one stable pass per 16-bit digit, low digit first (the

@@ -87,13 +87,14 @@ def alpha(params: SystemParams) -> float:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)`` bit for bit for a >= 0, by adds of whole columns
-    in numpy's pairwise order.  Below 8 columns they are added in turn.  Up
-    to 128, eight running sums of every eighth column are combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the columns past
-    the last multiple of 8 are added in turn.  Above 128, the two halves,
-    split at a multiple of 8, are summed apart.  (numpy also adds each sum
-    to a zero start, which changes no sum of nonnegative terms.)"""
+    """``a.sum(axis=-1)`` bit for bit for any signs, by adds of whole
+    columns in numpy's pairwise order.  Below 8 columns they are added in
+    turn.  Up to 128, eight running sums of every eighth column are
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    columns past the last multiple of 8 are added in turn.  Above 128, the
+    two halves, split at a multiple of 8, are summed apart.  numpy adds
+    each sum to a zero start; adding the zero last gives the same bits,
+    since addition commutes and 0.0 changes only the sign of -0.0."""
     k = a.shape[-1]
     if k > 128:
         half = k // 2 - k // 2 % 8
@@ -114,6 +115,7 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
         out += high
     for i in range(done, k):
         out += a[..., i]
+    out += 0.0   # numpy's start: a sum of only -0.0 terms is 0.0
     return out
 
 

@@ -1,9 +1,9 @@
 """Deterministic, role-tagged random streams.
 
 Every random draw in the package flows from an explicit integer seed in
-[0, 2**64) plus a tuple of role tags (small ints or short strings).  Each
-distinct ``(seed, *tags)`` combination yields an independent counter-based
-stream, so
+[0, 2**64) plus a tuple of role tags (short strings or ints in the same
+range).  Each distinct ``(seed, *tags)`` combination yields an independent
+counter-based stream, so
 
 * identical inputs reproduce identical draws bit for bit,
 * distinct signal roles inside one episode never share a stream, and
@@ -31,21 +31,19 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
 
-def _seed_int(seed: int) -> int:
-    # a bool or a float would alias an integer seed; masking a seed outside
-    # [0, 2**64) would alias it to another seed's streams
-    seed = _integer("seed", seed)
-    if not 0 <= seed <= _MASK64:
-        raise ParamError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+def _seed_int(value: int, name: str = "seed") -> int:
+    # a bool or a float would alias an integer seed or tag; masking one
+    # outside [0, 2**64) would alias it to another one's streams
+    value = _integer(name, value)
+    if not 0 <= value <= _MASK64:
+        raise ParamError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 def _tag_int(tag: int | str) -> int:
-    if isinstance(tag, (int, np.integer)) and not isinstance(tag, bool):
-        return int(tag) & _MASK64
     if isinstance(tag, str):
         return zlib.crc32(tag.encode("utf-8"))
-    raise TypeError(f"stream tags must be int or str, got {type(tag).__name__}")
+    return _seed_int(tag, "stream tag")
 
 
 def _seed_sequence(seed: int, tags: tuple) -> np.random.SeedSequence:
@@ -57,8 +55,9 @@ def stream(seed: int, *tags: int | str) -> np.random.Generator:
     """Independent generator for the role identified by ``tags``.
 
     Philox is counter-based: streams for different tag tuples are
-    statistically independent.  A non-integer seed raises ``ParamError``
-    and a bool tag ``TypeError``: neither aliases an integer.
+    statistically independent.  The seed is an int in [0, 2**64) and each
+    tag a str or such an int; any other seed or tag, a bool or a float
+    among them, raises ``ParamError`` naming it, so none aliases another.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, tags)))
 

@@ -10,7 +10,8 @@ Routes kept deliberately separate from the formulas they test:
   ``run_oracle_suite`` passes its draws in blocks of a fixed size.
 * Discrete informations are recomputed by exact joint-PMF summation
   (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound,
-  each one array kernel for the per-point functions and the suite's grid.
+  each one array kernel for the per-point functions and the suite's grid,
+  whose sums are ``rates._row_sum``'s, in ``np.sum``'s order.
 * Estimator MSEs, effective SNRs, and powers are recomputed from simulated
   signals.  Their sample reductions are numpy sums, never BLAS calls,
   whose split of a long sum depends on the BLAS thread count.
@@ -21,7 +22,8 @@ covariances passed in are interpreted under the same convention.
 
 One-sided bounds are verified as bounds (the oracle must not exceed /
 undershoot them); equalities are verified against tolerances recorded in
-the reports.
+the reports.  A check over many draws or grid points reports the point of
+its largest deviation, the first on a tie (``_worst``).
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from .digital import (BscParams, _exact_rates, _xi_of_rates, binary_entropy,
                       bsc_convolve)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams, _integer
-from .rates import (_realization_terms, alpha, per_realization_rates,
-                    power_budget, theorem1_draw_terms)
+from .rates import (_realization_terms, _row_sum, alpha,
+                    per_realization_rates, power_budget, theorem1_draw_terms)
 from .seeds import _subseeds, subseed
 
 __all__ = [
@@ -81,6 +83,16 @@ class OracleReport:
             n_samples=n_samples, tolerance=float(tolerance),
             passed=bool(abs_dev <= tolerance),
         )
+
+
+def _worst(name: str, closed_form, oracle, tolerance: float,
+           n_samples: int | str = "exact") -> OracleReport:
+    """The report of one check over many points, at the point of largest
+    deviation, the first on a tie."""
+    closed_form, oracle = np.asarray(closed_form), np.asarray(oracle)
+    k = int(np.argmax(np.abs(closed_form - oracle)))
+    return OracleReport.build(name, float(closed_form[k]), float(oracle[k]),
+                              tolerance, n_samples)
 
 
 # =====================================================================
@@ -174,29 +186,24 @@ def _joint_pmf(rates, derive) -> np.ndarray:
     return pmf
 
 
-def _numpy_sum(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Entrywise sum over the first axis (at most 8 entries) of the terms
-    where ``mask`` holds, as ``np.sum`` adds them in a 1-D array: onto 0.0,
-    in turn below 8 entries, by its pairwise tree at 8; other terms are 0."""
-    total = 0.0
-    for t in terms:
-        total = total + t
-    if len(terms) < 8:
-        return total
-    t = terms
-    tree = 0.0 + (((t[0] + t[1]) + (t[2] + t[3]))
-                  + ((t[4] + t[5]) + (t[6] + t[7])))
-    return np.where(mask.all(axis=0), tree, total)
-
-
 def _sum_plog2(pmf: np.ndarray, denom, points: tuple) -> np.ndarray:
     """Sum of pmf log2(pmf / denom) over the positive entries at each point
     of a (2, ..., 2) + points PMF, as ``np.sum`` adds them: minus the entropy
-    for ``denom`` 1, the MI of two bits for the product of their marginals."""
+    for ``denom`` 1, the MI of two bits for the product of their marginals.
+
+    ``rates._row_sum`` adds every entry's term in ``np.sum``'s order, a
+    zero one for the other entries, which changes no bit below 8 entries.
+    At 8, a zero entry leaves ``np.sum`` fewer than 8 terms, which it adds
+    in turn, not by its pairwise tree."""
     mask = pmf > 0.0
     ratio = np.divide(pmf, denom, out=np.ones_like(pmf), where=mask)
-    terms = (pmf * np.log2(ratio)).reshape(-1, *points)
-    return _numpy_sum(terms, mask.reshape(terms.shape))
+    terms = np.moveaxis((pmf * np.log2(ratio)).reshape(-1, *points), 0, -1)
+    total = _row_sum(terms)
+    if terms.shape[-1] == 8:
+        in_turn = _row_sum(terms[..., :7])
+        in_turn += terms[..., 7]
+        total = np.where(mask.reshape(8, *points).all(axis=0), total, in_turn)
+    return total
 
 
 def _xi_enumerated(p_ba, p_ea, p_ab, p_eb):
@@ -223,11 +230,6 @@ def _mac_bounds(p_ba, p_ea):
     return xi_l, (h_b_ea - h_ea) - (h_a_b_ea - h_a_ea)
 
 
-def _xi_by_enumeration(bsc: BscParams) -> float:
-    """xi recomputed by exact enumeration over all five bit variables."""
-    return float(_xi_enumerated(bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB))
-
-
 def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
     """Lower and upper secret-key bounds for the probing data sets.
 
@@ -241,9 +243,9 @@ def mac_bounds_digital(bsc: BscParams) -> tuple[float, float]:
 
 
 def _digital_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``xi_digital(bsc)``, ``_xi_by_enumeration(bsc)`` and the two values
-    of ``mac_bounds_digital(bsc)`` from their kernels, as arrays over the
-    81 points of the suite's grid: every (P_BA, P_EA) pair of
+    """``xi_digital(bsc)``, its enumeration ``_xi_enumerated`` and the two
+    values of ``mac_bounds_digital(bsc)`` from their kernels, as arrays over
+    the 81 points of the suite's grid: every (P_BA, P_EA) pair of
     ``np.arange(0.05, 0.50, 0.05)``, P_BA outer, and P_AB = P_EB = 0.01."""
     grid = np.arange(0.05, 0.50, 0.05)
     p_ba, p_ea = np.repeat(grid, grid.size), np.tile(grid, grid.size)
@@ -382,14 +384,7 @@ def theorem1_term_oracles(params: SystemParams,
                            closed("xi_BA"), t2, tol))
 
     n_samples = "exact" if np.ndim(r.h_BA) == 0 else n_draws
-    reports: list[OracleReport] = []
-    for name, closed_form, oracle, tolerance in checks:
-        closed_form, oracle = np.asarray(closed_form), np.asarray(oracle)
-        worst = int(np.argmax(np.abs(closed_form - oracle)))
-        reports.append(OracleReport.build(
-            name, float(closed_form[worst]), float(oracle[worst]), tolerance,
-            n_samples))
-    return reports
+    return [_worst(*check, n_samples) for check in checks]
 
 
 # =====================================================================
@@ -428,19 +423,12 @@ def _term_group(params: SystemParams, rng_seed: int,
 
 def _exact_group() -> list[OracleReport]:
     """The digital closed forms and the BSC capacity vs exact enumeration."""
-    reports = []
-    # the worst point of the grid: the first of largest deviation, or
-    # (0, 0) when every point agrees exactly
     xi, xi_enum, xi_l, xi_u = _digital_grid()
-    for label, closed, oracle in (
-            ("xi_digital vs joint-PMF enumeration (worst on 9x9 grid)",
-             xi, xi_enum),
-            ("digital secret-key bounds coincide (worst on 9x9 grid)",
-             xi_l, xi_u)):
-        k = int(np.argmax(np.abs(closed - oracle)))
-        at = (closed[k], oracle[k]) if closed[k] != oracle[k] else (0.0, 0.0)
-        reports.append(OracleReport.build(label, *at, 1e-12,
-                                          n_samples="exact"))
+    reports = [
+        _worst("xi_digital vs joint-PMF enumeration (worst on 9x9 grid)",
+               xi, xi_enum, 1e-12),
+        _worst("digital secret-key bounds coincide (worst on 9x9 grid)",
+               xi_l, xi_u, 1e-12)]
     p = 0.1
     pmf = np.array([[0.5 * (1 - p), 0.5 * p], [0.5 * p, 0.5 * (1 - p)]])
     reports.append(OracleReport.build(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -920,6 +921,91 @@ def test_cli_verify_bounds(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "oracle checks passed" in out
+
+
+# a point where no two powers, variances or return noises are equal, so a
+# formula that reads the wrong one of them gives a wrong number
+_GENERIC = ("--p_A", "1.3", "--p_B", "0.7", "--sigma_A2", "0.6",
+            "--sigma_B2", "1.1", "--sigma_EA2", "0.8", "--sigma_EB2", "1.7",
+            "--sigma_s2", "2.3", "--eps_A", "0.4", "--eps_E", "0.9")
+
+
+@pytest.mark.parametrize("seed", ["1", "20231"])
+def test_cli_verify_bounds_at_a_generic_point(capsys, seed):
+    code, out, _ = run_cli(capsys, "verify-bounds", *_GENERIC, "--seed", seed)
+    assert code == 0
+    assert out.splitlines()[-1] == "20/20 oracle checks passed"
+
+
+def _xfail_until(item):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"the suite misses it until {item}")
+
+
+# one-line formula bugs: (file, text, its replacement); the oracle suite at
+# the generic point must catch each one, and the rows it misses name the
+# ROADMAP item meant to catch them
+_MUTANTS = [
+    pytest.param("rates.py",
+                 "gg_A, params.sigma_B2, params.sigma_EA2)",
+                 "gg_A, params.sigma_B2, params.sigma_EB2)",
+                 id="M1-eve-BA-snr-divides-by-sigma_EB2"),
+    pytest.param("rates.py",
+                 "    t = params.sigma_s2 / params.sigma_B2\n    prime",
+                 "    t = params.sigma_s2 / params.sigma_A2\n    prime",
+                 id="M2-t-over-sigma_A2"),
+    pytest.param("rates.py",
+                 "u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2)",
+                 "u = np.divide(xnorm2, params.sigma_s2 + params.sigma_A2)",
+                 id="M3-alpha-prime-u-uses-sigma_A2",
+                 marks=_xfail_until("item 2")),
+    pytest.param("channel.py",
+                 '("noise_ea", (params.n_E, m), params.sigma_EA2)',
+                 '("noise_ea", (params.n_E, m), params.sigma_EB2)',
+                 id="M4-eve-probing-noise-drawn-with-sigma_EB2"),
+    pytest.param("mmse.py",
+                 "params.p_A * gnorm2 / params.sigma_EA2 + 1.0",
+                 "params.p_A * gnorm2 / params.sigma_EB2 + 1.0",
+                 id="M5-eve-xA-mse-uses-sigma_EB2"),
+    pytest.param("mmse.py",
+                 "g = params.sigma_s2 + params.sigma_B2 + params.eps_A",
+                 "g = params.sigma_s2 + params.sigma_B2 + params.eps_E",
+                 id="M6-alice-s-mse-uses-eps_E",
+                 marks=_xfail_until("item 2")),
+    pytest.param("rates.py",
+                 '("BA", params.p_A, hh_BA',
+                 '("BA", params.p_B, hh_BA',
+                 id="M7-BA-probing-snr-uses-p_B"),
+    pytest.param("channel.py",
+                 '("secret", (m,), params.sigma_s2)',
+                 '("secret", (m,), 1.01 * params.sigma_s2)',
+                 id="M8-secret-drawn-at-1.01-sigma_s2",
+                 marks=_xfail_until("items 3 and 14")),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("module, text, mutated", _MUTANTS)
+def test_oracle_suite_catches_one_line_mutants(tmp_path, module, text,
+                                               mutated):
+    src = Path(steeplab.__file__).resolve().parents[1]
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "steeplab" / module
+    code = path.read_text()
+    if code.count(text) != 1:
+        pytest.fail(f"{module} holds the mutant's text {code.count(text)} "
+                    "times, not once")
+    path.write_text(code.replace(text, mutated))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steeplab", "verify-bounds", *_GENERIC,
+         "--seed", "1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(copy)),
+        capture_output=True, text=True)
+    if proc.returncode not in (0, 2):
+        pytest.fail(f"verify-bounds ended with {proc.returncode}: "
+                    f"{proc.stderr}")
+    assert proc.returncode == 2, "the oracle suite passed the mutant"
 
 
 # ------------------------------------------------------- CLI: closed stdout

@@ -402,6 +402,14 @@ def test_row_sum_is_numpy_sum_bit_for_bit(k):
         assert rates._row_sum(a).tobytes() == a.sum(axis=-1).tobytes(), n
     # a batch of one draw keeps its shape
     assert rates._row_sum(a[0]).tobytes() == a[0].sum(axis=-1).tobytes()
+    # any signs: rows of mixed signs, of -0.0 (numpy's sum starts at 0.0,
+    # so they sum to 0.0) and of -0.0 among negative terms
+    b = rng.standard_normal((1000, k)) * np.logspace(0, 12, k)
+    b[:10] = -0.0
+    b[10:20] = -np.abs(b[10:20])
+    b[10:20, ::2] = -0.0
+    assert rates._row_sum(b).tobytes() == b.sum(axis=-1).tobytes()
+    assert rates._row_sum(b[0]).tobytes() == b[0].sum(axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("n_E", [1, 9, 130])

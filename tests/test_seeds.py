@@ -63,22 +63,21 @@ _seeds = st.lists(st.one_of(st.sampled_from(_EDGE_SEEDS),
                             st.integers(0, (1 << 64) - 1)),
                   min_size=1, max_size=12)
 _tags = st.lists(st.one_of(st.text(max_size=6),
-                           st.integers(-(1 << 70), 1 << 70)), max_size=6)
+                           st.integers(0, (1 << 64) - 1)), max_size=6)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seeds=_seeds, tags=_tags)
 def test_batch_keys_are_seed_sequence_keys(seeds, tags):
     # seeds of one and two words mix in one batch; int tags of two words
-    # and negative ones (masked to 64 bits) lengthen the entropy past the
-    # four-word pool
+    # lengthen the entropy past the four-word pool
     want = np.array([_reference_key(s, *tags) for s in seeds])
     np.testing.assert_array_equal(_keys(seeds, *tags), want)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, (1 << 64) - 1),
-       rows=st.lists(st.integers(-(1 << 65), 1 << 65), min_size=1,
+       rows=st.lists(st.integers(0, (1 << 64) - 1), min_size=1,
                      max_size=8))
 def test_batch_keys_with_a_tag_per_row(seed, rows):
     want = np.array([_reference_key(seed, "oracle", t) for t in rows])
@@ -132,7 +131,26 @@ def test_bool_seed_or_tag_is_rejected(flag):
         subseed(flag, "a")
     with pytest.raises(ParamError, match="seed must be an integer"):
         _keys([1, flag], "a")
-    with pytest.raises(TypeError, match="bool"):
+    with pytest.raises(ParamError, match="stream tag must be an integer"):
         stream(1, flag)
-    with pytest.raises(TypeError, match="bool"):
+    with pytest.raises(ParamError, match="stream tag must be an integer"):
         _keys([1, 2], "a", [0, flag])
+
+
+@pytest.mark.parametrize("tag, why", [
+    (True, "an integer, got True"), (np.True_, "an integer, got np.True_"),
+    (1.0, "an integer, got 1.0"), (-1, r"in \[0, 2\*\*64\), got -1"),
+    (1 << 64, r"in \[0, 2\*\*64\), got 18446744073709551616")],
+    ids=["bool", "numpy-bool", "float", "negative", "2**64"])
+def test_tag_outside_the_seed_rule_is_rejected(tag, why):
+    # an int tag keeps the seed rule: no bool or float, and [0, 2**64),
+    # outside which masking would run -1 as 2**64 - 1 and 2**64 as 0
+    match = "stream tag must be " + why
+    with pytest.raises(ParamError, match=match):
+        stream(1, tag)
+    with pytest.raises(ParamError, match=match):
+        subseed(1, tag)
+    with pytest.raises(ParamError, match=match):
+        _keys([1, 2], "a", [0, tag])
+    with pytest.raises(ParamError, match=match):
+        _subseeds(1, "oracle", [tag, 3])

@@ -17,7 +17,7 @@ from steeplab import (BscParams, ChannelRealization, OracleReport,
                       run_oracle_suite, sample_channels, simulate_episode,
                       theorem1_term_oracles, xi_digital)
 from steeplab import _workers, rates, verify
-from steeplab.verify import _TERM_BLOCK, _logdet2, _xi_by_enumeration
+from steeplab.verify import _TERM_BLOCK, _logdet2
 from steeplab.seeds import stream, subseed
 
 
@@ -127,11 +127,17 @@ def test_discrete_mi_groups_must_partition():
         discrete_mi_enumerate(pmf, ([0], [0]))
 
 
+def _enumerated_xi(bsc):
+    """xi of one parameter set by the 5-bit enumeration, as a float."""
+    return float(verify._xi_enumerated(bsc.P_BA, bsc.P_EA, bsc.P_AB,
+                                       bsc.P_EB))
+
+
 def test_digital_enumerations_pinned():
     # both enumeration oracles on the oracle suite's 9x9 grid, return rates
     # 0 and 0.01; measured while each hand-rolled its own joint-PMF loop
     grid = np.arange(0.05, 0.50, 0.05)
-    values = [(mac_bounds_digital(bsc), _xi_by_enumeration(bsc))
+    values = [(mac_bounds_digital(bsc), _enumerated_xi(bsc))
               for r in (0.0, 0.01) for p_ba in grid for p_ea in grid
               for bsc in [BscParams(P_BA=float(p_ba), P_EA=float(p_ea),
                                     P_AB=r, P_EB=r, m_A=8)]]
@@ -150,7 +156,7 @@ def _reference_digital_reports():
             bsc = BscParams(P_BA=float(p_ba), P_EA=float(p_ea),
                             P_AB=0.01, P_EB=0.01, m_A=8)
             closed = xi_digital(bsc, mode="exact")
-            oracle = _xi_by_enumeration(bsc)
+            oracle = _enumerated_xi(bsc)
             if abs(closed - oracle) > dev_xi:
                 dev_xi, at_xi = abs(closed - oracle), (closed, oracle)
             xi_l, xi_u = mac_bounds_digital(bsc)
@@ -169,7 +175,7 @@ def test_digital_grid_equals_the_per_point_oracles():
     grid = np.arange(0.05, 0.50, 0.05)
     points = [BscParams(P_BA=float(p_ba), P_EA=float(p_ea), P_AB=0.01,
                         P_EB=0.01, m_A=8) for p_ba in grid for p_ea in grid]
-    want = np.array([(xi_digital(bsc, mode="exact"), _xi_by_enumeration(bsc),
+    want = np.array([(xi_digital(bsc, mode="exact"), _enumerated_xi(bsc),
                       *mac_bounds_digital(bsc)) for bsc in points])
     got = np.stack(verify._digital_grid(), axis=1)
     assert got.shape == (81, 4)
@@ -179,20 +185,29 @@ def test_digital_grid_equals_the_per_point_oracles():
         _reference_digital_reports())
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 9, 17, 130, 300])
 def test_numpy_sum_order(n):
-    # the enumerations' short sums add the terms of a PMF's positive
-    # entries in np.sum's order for a 1-D array of just those terms;
-    # columns 0-499 have every entry positive, columns 500-599 hold -0.0
+    # rates._row_sum adds every entry in np.sum's order at any length, onto
+    # its zero start: columns 500-599 hold -0.0 and sum to 0.0
     rng = stream(n, "sum")
     terms = rng.standard_normal((n, 2000)) * np.logspace(0, 12, n)[:, None]
-    pmf = np.where(rng.random((n, 2000)) < 0.3, 0.0, 0.5)
-    pmf[:, :500] = 0.5
     terms[:, 500:600] = -0.0
-    terms[pmf == 0.0] = 0.0
+    want = [np.sum(terms[:, k]) for k in range(2000)]
+    assert rates._row_sum(terms.T).tobytes() == np.array(want).tobytes()
+    if n > 8:
+        return
+    # the enumerations add the terms p log2(p / d) of a PMF's positive
+    # entries in np.sum's order for a 1-D array of just those terms; with
+    # p / d = 2**e the term is p * e exactly; columns 0-499 have every
+    # entry positive
+    pmf = np.where(rng.random((n, 2000)) < 0.3, 0.0,
+                   rng.random((n, 2000)) * np.logspace(0, -12, n)[:, None])
+    pmf[:, :500] = 0.5
+    e = rng.integers(-40, 41, (n, 2000)).astype(float)
+    terms = pmf * e
     want = [np.sum(terms[pmf[:, k] > 0.0, k]) for k in range(2000)]
-    assert verify._numpy_sum(terms, pmf > 0.0).tobytes() == \
-        np.array(want).tobytes()
+    got = verify._sum_plog2(pmf, pmf * 2.0 ** -e, (2000,))
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def _entropy(pmf):
@@ -200,8 +215,8 @@ def _entropy(pmf):
     return float(-np.sum(q * np.log2(q)))
 
 
-def _reference_xi_by_enumeration(bsc):
-    """``_xi_by_enumeration`` one PMF at a time, through the public
+def _reference_xi_enumerated(bsc):
+    """``_xi_enumerated`` one PMF at a time, through the public
     ``discrete_mi_enumerate``."""
     pmf = verify._joint_pmf((bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB),
                             lambda b_s, w_ba, w_ea, w_ab, w_eb:
@@ -231,8 +246,8 @@ def test_digital_kernels_equal_the_per_point_reference():
     values = (0.0, 5e-324, 1e-300, 1e-12, 0.01, 0.1, 0.25, 0.3, 0.49, 0.5)
     points = [BscParams(*rates, m_A=8)
               for rates in itertools.product(values, repeat=4)]
-    got = [(_xi_by_enumeration(b), *mac_bounds_digital(b)) for b in points]
-    want = [(_reference_xi_by_enumeration(b),
+    got = [(_enumerated_xi(b), *mac_bounds_digital(b)) for b in points]
+    want = [(_reference_xi_enumerated(b),
              *_reference_mac_bounds_digital(b)) for b in points]
     assert repr(got) == repr(want)
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
