@@ -64,20 +64,43 @@ def _as_bits(bits) -> np.ndarray:
 class LdpcCode:
     """Sparse parity-check matrix in edge-list form, sorted by check.
 
-    ``chk[e]`` / ``var[e]`` give the check and variable of edge e; edges are
-    grouped by check and ``ptr`` holds the first edge of each check.  A run
-    of consecutive checks of equal degree d owns a contiguous slice of the
-    edges, read as a (checks, d) block with one check per row.  The order
-    is a stable radix sort by check, so within a check the edges keep their
-    column order; that order fixes the float order of the decoder's check
-    products, which multiply a block's columns left to right.
+    ``var[e]`` is the variable of edge e; edges are grouped by check and
+    ``ptr`` holds the first edge of each check, from which ``chk[e]``, the
+    check of edge e, is derived.  A run of consecutive checks of equal
+    degree d owns a contiguous slice of the edges, read as a (checks, d)
+    block with one check per row.  The order is a stable radix sort by
+    check, so within a check the edges keep their column order; that order
+    fixes the float order of the decoder's check products, which multiply
+    a block's columns left to right.  ParamError unless ``var`` is a 1-D
+    integer array in [0, n_bits) and ``ptr`` holds n_checks >= 1
+    non-decreasing entries from 0 to at most ``len(var)``.
     """
 
     n_bits: int
     n_checks: int
-    chk: np.ndarray
     var: np.ndarray
     ptr: np.ndarray
+
+    def __post_init__(self):
+        n_bits = _integer("n_bits", self.n_bits, 1)
+        n_checks = _integer("n_checks", self.n_checks, 1)
+        var, ptr = self.var, self.ptr
+        for name, a in (("var", var), ("ptr", ptr)):
+            if not (isinstance(a, np.ndarray) and a.ndim == 1
+                    and a.dtype.kind in "iu" and np.can_cast(a.dtype, np.intp)):
+                raise ParamError(f"{name} must be a 1-D integer array")
+        if var.size and not (var.min() >= 0 and var.max() < n_bits):
+            raise ParamError(f"var entries must lie in [0, {n_bits})")
+        if not (ptr.shape == (n_checks,) and ptr[0] == 0
+                and np.all(ptr[1:] >= ptr[:-1]) and ptr[-1] <= var.size):
+            raise ParamError(f"ptr must hold {n_checks} non-decreasing edge "
+                             f"indices from 0 to at most {var.size}")
+
+    @property
+    def chk(self) -> np.ndarray:
+        """The check of each edge, as a new int64 array built from ``ptr``."""
+        return np.repeat(np.arange(self.n_checks, dtype=np.int64),
+                         np.diff(self.ptr, append=self.var.size))
 
 
 _COL_WEIGHT = 3   # checks per bit, so a code needs at least this many
@@ -148,16 +171,14 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
     # check with one stable pass per 16-bit digit, low digit first (the
     # uint16 casts keep the low 16 bits; check indices fit in 32, and in 16
     # up to 2^16 checks, where the high digits are all zero)
-    chk = cols.reshape(-1)
-    order = np.argsort(chk.astype(np.uint16), kind="stable")
+    key = cols.reshape(-1)
+    order = np.argsort(key.astype(np.uint16), kind="stable")
     if n_checks > 1 << 16:
-        high = (chk[order] >> 16).astype(np.uint16)
+        high = (key[order] >> 16).astype(np.uint16)
         order = order[np.argsort(high, kind="stable")]
-    # the swaps only move sockets, so check c still holds row_w[c] edges
-    # and the sorted check column is the unshuffled socket list
-    return LdpcCode(n_bits=n_bits, n_checks=n_checks,
-                    chk=np.repeat(np.arange(n_checks, dtype=np.int64), row_w),
-                    var=order // col_weight,
+    # the swaps only move sockets, so check c still holds row_w[c] edges,
+    # and ptr is their running sum
+    return LdpcCode(n_bits=n_bits, n_checks=n_checks, var=order // col_weight,
                     ptr=np.concatenate(([0], np.cumsum(row_w)[:-1])))
 
 
@@ -219,7 +240,8 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     bounds the iterations.  Returns the hard-decision pattern and a flag
     telling whether it reproduces the syndrome exactly (the usual
     convergence criterion).  The edge messages live in buffers allocated
-    once and updated in place.  A check reads only its own edges, so
+    once and updated in place; each check's syndrome sign multiplies its
+    row of a (checks, degree) block.  A check reads only its own edges, so
     everything but the variable side's sum runs per check range, one
     range per usable CPU in each ``_degree_runs`` block, on the shared
     pool; that sum stays one ``np.bincount`` over the whole edge list,
@@ -234,9 +256,9 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     cpus = _workers.usable_cpus()
     ranges = _check_ranges(_degree_runs(code), cpus)
     llr0 = float(np.log((1.0 - p) / p))
-    # 2 * (-1)^syndrome of each edge's check: the factor 2 of 2 atanh and
-    # the syndrome sign in one exact multiply
-    scale = (2.0 - 4.0 * syndrome.astype(np.float64))[code.chk]
+    # 2 * (-1)^syndrome of each check: the factor 2 of 2 atanh and the
+    # syndrome sign in one exact multiply of each row of a block
+    sign = (2.0 - 4.0 * syndrome)[:, None]
     n_edges = var.shape[0]
     # t holds each edge's posterior, then its variable-to-check message,
     # then tanh(message / 2) away from 0 and 1; m_c2v starts at 0, so the
@@ -264,18 +286,19 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
         np.copysign(c2v, t_r, out=t_r)
         # each check's product of its edges; the extrinsic message of an
         # edge leaves its own factor out
-        t_blk = t_r.reshape(-1, d)
+        t_blk, c2v_blk = t_r.reshape(-1, d), c2v.reshape(-1, d)
         _fold_columns(np.multiply, t_blk, prod[checks, 0])
-        np.divide(prod[checks], t_blk, out=c2v.reshape(-1, d))
+        np.divide(prod[checks], t_blk, out=c2v_blk)
         np.clip(c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=c2v)
         np.arctanh(c2v, out=c2v)
-        np.multiply(c2v, scale[edges], out=c2v)
+        np.multiply(c2v_blk, sign[checks], out=c2v_blk)
 
     def gather(post: np.ndarray, edges: slice, checks: slice, d: int) -> None:
         """One range's posteriors into t, the parity of their hard
         decisions into parity."""
-        # the indices are in range; mode="clip" writes to out directly
-        # where the default mode would fill a temporary first
+        # LdpcCode keeps var in [0, n_bits), so mode="clip" clips nothing;
+        # it writes to out directly where the default mode would fill a
+        # temporary first
         np.take(post, var[edges], out=t[edges], mode="clip")
         np.less(t[edges], 0.0, out=hard[edges])
         _fold_columns(np.bitwise_xor,

@@ -87,33 +87,17 @@ def alpha(params: SystemParams) -> float:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)`` bit for bit for any signs, by adds of whole
-    columns in numpy's pairwise order.  Below 8 columns they are added in
-    turn.  Up to 128, eight running sums of every eighth column are
-    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    columns past the last multiple of 8 are added in turn.  Above 128, the
-    two halves, split at a multiple of 8, are summed apart.  numpy adds
-    each sum to a zero start; adding the zero last gives the same bits,
-    since addition commutes and 0.0 changes only the sign of -0.0."""
-    k = a.shape[-1]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        out = _row_sum(a[..., :half])
-        out += _row_sum(a[..., half:])
-        return out
-    done = k - k % 8
-    if done == 0:
-        out, done = a[..., 0].copy(), 1
-    else:
-        r = a[..., :8].copy()
-        for i in range(8, done, 8):
-            r += a[..., i:i + 8]
-        out = r[..., 0] + r[..., 1]
-        out += r[..., 2] + r[..., 3]
-        high = r[..., 4] + r[..., 5]
-        high += r[..., 6] + r[..., 7]
-        out += high
-    for i in range(done, k):
+    """``a.sum(axis=-1)`` of a C-contiguous ``a``, bit for bit for any
+    signs.  Below 8 columns numpy adds them in turn, and so does this, by
+    adds of whole columns; numpy adds the sum to a zero start, and adding
+    the zero last gives the same bits, since addition commutes and 0.0
+    changes only the sign of -0.0.  From 8 columns on numpy sums each row
+    pairwise, and that order follows the memory layout, so a view is
+    summed as its contiguous copy."""
+    if a.shape[-1] >= 8:
+        return np.ascontiguousarray(a).sum(axis=-1)
+    out = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
         out += a[..., i]
     out += 0.0   # numpy's start: a sum of only -0.0 terms is 0.0
     return out

@@ -227,8 +227,7 @@ def _hand_built_code(degrees, n_bits, seed):
     rng = stream(seed, "hand")
     degrees = np.asarray(degrees, dtype=np.int64)
     var = np.concatenate([rng.permutation(n_bits)[:d] for d in degrees])
-    return LdpcCode(n_bits=n_bits, n_checks=degrees.size,
-                    chk=np.repeat(np.arange(degrees.size), degrees), var=var,
+    return LdpcCode(n_bits=n_bits, n_checks=degrees.size, var=var,
                     ptr=np.concatenate(([0], np.cumsum(degrees)[:-1])))
 
 
@@ -403,6 +402,77 @@ def test_make_ldpc_takes_numpy_integer_sizes():
     code = make_ldpc(np.int64(20), np.int32(8), 1, np.uint8(3))
     ref = make_ldpc(20, 8, 1, 3)
     assert np.array_equal(code.var, ref.var) and code.n_checks == 8
+
+
+@pytest.mark.parametrize("n_bits, n_checks, col_weight", [
+    (10, 3, 3), (1333, 1000, 3), (7, 5, 3), (14, 7, 5),
+    # past 2^16 checks, where make_ldpc sorts by a second digit
+    (260_000, 200_000, 3),
+])
+def test_chk_is_each_check_repeated_by_its_degree(n_bits, n_checks,
+                                                  col_weight):
+    code = make_ldpc(n_bits, n_checks, 1, col_weight)
+    base, extra = divmod(col_weight * n_bits, n_checks)
+    row_w = np.full(n_checks, base)
+    row_w[:extra] += 1
+    assert code.chk.dtype == np.int64
+    assert np.array_equal(code.chk, np.repeat(np.arange(n_checks), row_w))
+
+
+def _six_bit_code(var, ptr=(0, 3)):
+    """A hand-built code over 6 bits, one check per entry of ``ptr``."""
+    return LdpcCode(n_bits=6, n_checks=len(ptr), var=np.asarray(var),
+                    ptr=np.asarray(ptr))
+
+
+# unchecked, a variable of 6 made decode_syndrome return a 7-bit pattern
+# and report convergence and made syndrome_of raise IndexError; a variable
+# of -1 wrapped to bit 5 in syndrome_of and made np.bincount raise
+@pytest.mark.parametrize("bad, use", [
+    (6, lambda code: decode_syndrome(code, np.zeros(2, np.uint8), 0.1)),
+    (6, lambda code: syndrome_of(code, np.ones(6, np.uint8))),
+    (-1, lambda code: syndrome_of(code, np.ones(6, np.uint8))),
+    (-1, lambda code: decode_syndrome(code, np.zeros(2, np.uint8), 0.1)),
+], ids=["6-decode", "6-syndrome", "-1-syndrome", "-1-decode"])
+def test_a_code_with_a_variable_outside_its_bits_is_rejected(bad, use):
+    with pytest.raises(ParamError, match=r"var entries must lie in \[0, 6\)"):
+        use(_six_bit_code([0, 1, bad, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("var, ptr, match", [
+    ([[0, 1], [2, 3]], (0, 3), "var must be a 1-D integer array"),
+    ([0.0, 1.0, 2.0], (0, 1), "var must be a 1-D integer array"),
+    ([True, False], (0, 1), "var must be a 1-D integer array"),
+    (np.arange(4, dtype=np.uint64), (0, 2), "var must be a 1-D integer array"),
+    ([0, 1, 2, 3], (0.0, 2.0), "ptr must be a 1-D integer array"),
+    ([0, 1, 2, 3], [[0, 2]], "ptr must be a 1-D integer array"),
+    ([0, 1, 2, 3], (1, 2), "ptr must hold 2 non-decreasing"),
+    ([0, 1, 2, 3], (0, 3, 2), "ptr must hold 3 non-decreasing"),
+    ([0, 1, 2, 3], (0, 5), "at most 4"),
+])
+def test_a_code_whose_edges_are_not_check_ranges_is_rejected(var, ptr, match):
+    with pytest.raises(ParamError, match=match):
+        _six_bit_code(var, ptr)
+
+
+def test_a_code_needs_a_check_and_a_bit():
+    with pytest.raises(ParamError, match="n_checks must be >= 1"):
+        LdpcCode(n_bits=6, n_checks=0, var=np.arange(0), ptr=np.arange(0))
+    with pytest.raises(ParamError, match="n_bits must be >= 1"):
+        LdpcCode(n_bits=0, n_checks=1, var=np.arange(0), ptr=np.zeros(1, int))
+    with pytest.raises(ParamError, match="n_checks must be an integer"):
+        LdpcCode(n_bits=6, n_checks=1.0, var=np.arange(0),
+                 ptr=np.zeros(1, int))
+
+
+def test_checks_of_degree_0_still_build():
+    # a last check of degree 0 starts at len(var); a code may hold no edge
+    code = _six_bit_code([0, 1, 2, 3], (0, 4))
+    assert np.array_equal(code.chk, [0, 0, 0, 0])
+    assert np.array_equal(syndrome_of(code, np.ones(6, np.uint8)), [0, 0])
+    empty = _six_bit_code(np.arange(0), (0, 0, 0))
+    assert empty.chk.size == 0
+    assert np.array_equal(syndrome_of(empty, np.ones(6, np.uint8)), [0, 0, 0])
 
 
 # ---------------------------------------------------------------- hashing

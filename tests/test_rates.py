@@ -412,6 +412,16 @@ def test_row_sum_is_numpy_sum_bit_for_bit(k):
     assert rates._row_sum(b[0]).tobytes() == b[0].sum(axis=-1).tobytes()
 
 
+@pytest.mark.parametrize("k", [8, 9, 130])
+def test_row_sum_of_a_view_is_the_sum_of_its_contiguous_copy(k):
+    # from 8 columns numpy's sum order follows the memory layout, so a
+    # strided view is summed as its copy, whatever order the view would get
+    a = np.random.default_rng(k).standard_normal((k, 5000)) ** 2
+    v = np.moveaxis(a, 0, -1)
+    want = np.ascontiguousarray(v).sum(-1)
+    assert rates._row_sum(v).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n_E", [1, 9, 130])
 def test_eve_snr_is_the_sum_over_antennas(n_E):
     p = SystemParams(n_E=n_E, p_A=1.7, sigma_EA2=0.3)
