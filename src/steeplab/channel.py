@@ -28,8 +28,11 @@ All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
 ``sample_channel_batch`` and ``sample_channels`` from one call of it, into
 one complex buffer.  The probing and the echo phase each draw their three
 roles side by side, one role per item of the shared pool's
-``_workers.in_order``, every seed of a batch in that item.  Each role reads only its own streams, so an episode
-has the same bits at any CPU count.
+``_workers.in_order``, every seed of a batch in that item.  Each role reads
+only its own streams, so an episode has the same bits at any CPU count.  A
+batch episode derives the Philox keys of all seven roles' streams in one
+pass of the ``SeedSequence`` hash (``seeds._role_keys``), on the calling
+thread, and hands each stage its roles' key rows.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import _workers
 from .params import ChannelRealization, ParamError, SystemParams, _integer
-from .seeds import _one_value, _streams
+from .seeds import _one_value, _role_keys, _streams
 
 __all__ = [
     "SimulationError",
@@ -81,22 +84,41 @@ def _check_batch(shape: tuple, seeds: list[int], batched: bool) -> None:
                          f"which give {want}")
 
 
+#: the stream roles of an episode: the channels, then each phase's three
+_EPISODE_ROLES = ("channels", "probe", "noise_ea", "noise_b",
+                  "secret", "noise_va", "noise_ve")
+
+
+def _keys_by_role(seeds: list[int], roles: Sequence[str]
+                  ) -> dict[str, np.ndarray | None]:
+    """Each role's (T, 2) key rows for a batch of seeds, all from one
+    ``_role_keys`` pass that checks each seed and role tag once.  One seed
+    maps every role to None, so each role opens ``stream`` itself: seven
+    ``SeedSequence``s cost less than one pass."""
+    if len(seeds) == 1:
+        return dict.fromkeys(roles)
+    return dict(zip(roles, _role_keys(seeds, roles)))
+
+
 def _cnormal_rows(seeds: list[int], batched: bool, role: str,
+                  keys: np.ndarray | None,
                   normals: list[np.ndarray | None], var: float,
                   out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """CN(0, var) samples for every seed into each buffer of ``normals`` in
     turn: buffer k, ``np.empty((T, 2, *shape_k))``, gives the (T, *shape_k)
     array k, row t one fill of ``stream(seeds[t], role)``, real and then
     imaginary parts of variance var/2; without ``batched`` it drops its
-    trial axis.  Array k is ``out[k]`` when given, else a new one.  Once its
-    last row is filled, a buffer leaves ``normals`` and is composed straight
-    into its array, each part one product with sqrt(var/2): the bits of
-    sqrt(var/2) * (re + 1j * im).  So one seed holds the normals of one
-    array at a time (``np.empty`` commits no memory before a fill)."""
+    trial axis.  ``keys`` are the streams' key rows, or None to derive
+    them (see ``_streams``).  Array k is ``out[k]`` when given, else a new
+    one.  Once its last row is filled, a buffer leaves ``normals`` and is
+    composed straight into its array, each part one product with
+    sqrt(var/2): the bits of sqrt(var/2) * (re + 1j * im).  So one seed
+    holds the normals of one array at a time (``np.empty`` commits no
+    memory before a fill)."""
     scale = np.sqrt(var / 2.0)
     if out is None:
         out = [np.empty((b.shape[0], *b.shape[2:]), complex) for b in normals]
-    for t, rng in enumerate(_streams(seeds, role), 1):
+    for t, rng in enumerate(_streams(seeds, role, keys=keys), 1):
         for k, z in enumerate(out):
             rng.standard_normal(out=normals[k][t - 1])
             if t == len(seeds):
@@ -107,14 +129,19 @@ def _cnormal_rows(seeds: list[int], batched: bool, role: str,
 
 
 def _phase_signals(seeds: list[int], batched: bool,
-                   roles: Sequence[tuple[str, tuple, float]]
+                   roles: Sequence[tuple[str, tuple, float]],
+                   keys: dict[str, np.ndarray | None] | None
                    ) -> list[np.ndarray]:
     """The ``_cnormal_rows`` array of each (role, shape, var) of one phase,
-    for every seed.  Each role is one item of ``_workers.in_order``, so the
-    roles are drawn side by side.  Every role's normals are allocated here,
-    on the calling thread, before dispatch: taken from a pool thread's
-    malloc arena, they would fault in fresh pages on every call."""
-    jobs = [(role, [np.empty((len(seeds), 2, *shape))], var)
+    for every seed, its streams keyed by ``keys[role]``; without ``keys``
+    they are derived here (``_keys_by_role``).  Each role is one item of
+    ``_workers.in_order``, so the roles are drawn side by side.  Their keys
+    and normals are made here, on the calling thread, before dispatch: the
+    hash pass holds the GIL, and normals taken from a pool thread's malloc
+    arena would fault in fresh pages on every call."""
+    if keys is None:
+        keys = _keys_by_role(seeds, [role for role, _, _ in roles])
+    jobs = [(role, keys[role], [np.empty((len(seeds), 2, *shape))], var)
             for role, shape, var in roles]
     return [z for [z] in _workers.in_order(
         lambda job: _cnormal_rows(seeds, batched, *job), jobs, len(jobs))]
@@ -124,20 +151,20 @@ def _phase_signals(seeds: list[int], batched: bool,
 # Channel sampling
 # =====================================================================
 
-def _channel_gains(params: SystemParams, seeds: list[int],
-                   draws: tuple) -> tuple[np.ndarray, ...]:
+def _channel_gains(params: SystemParams, seeds: list[int], draws: tuple,
+                   keys: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """h_AB, h_BA, g_A, g_B of each seed, (T, *draws) and (T, *draws, n_E)
     for ``draws`` (n,) or (), views of one complex buffer.  The "channels"
-    stream draws h_AB, w, g_A and g_B, all CN(0, 1), and h_BA =
-    conj(rho) h_AB + sqrt(1-|rho|^2) w, formed in w's slot, gives
-    E{h_AB conj(h_BA)} = rho exactly."""
+    stream, keyed by ``keys`` as in ``_cnormal_rows``, draws h_AB, w, g_A
+    and g_B, all CN(0, 1), and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w,
+    formed in w's slot, gives E{h_AB conj(h_BA)} = rho exactly."""
     t, h, g = len(seeds), draws, (*draws, params.n_E)
     n = t * math.prod(h)
     gains = [part.reshape(t, *shape) for part, shape in zip(
         np.split(np.empty((2 + 2 * params.n_E) * n, complex),
                  [n, 2 * n, (2 + params.n_E) * n]), (h, h, g, g))]
     h_AB, w, g_A, g_B = _cnormal_rows(
-        seeds, True, "channels",
+        seeds, True, "channels", keys,
         [np.empty((t, 2, *shape)) for shape in (h, h, g, g)], 1.0, gains)
     rho = complex(params.rho)
     np.multiply(np.sqrt(1.0 - abs(rho) ** 2), w, out=w)
@@ -154,7 +181,13 @@ def sample_channels(params: SystemParams,
     h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).
     """
     seeds, batched = _seeds(rng_seed)
-    gains = _channel_gains(params, seeds, ())
+    return _sample_channels(params, seeds, batched)
+
+
+def _sample_channels(params: SystemParams, seeds: list[int], batched: bool,
+                     keys: np.ndarray | None = None) -> ChannelRealization:
+    """``sample_channels`` of the seeds, keyed as in ``_channel_gains``."""
+    gains = _channel_gains(params, seeds, (), keys)
     if batched:
         return ChannelRealization(*gains)
     h_AB, h_BA, g_A, g_B = (g[0] for g in gains)
@@ -214,17 +247,25 @@ def run_probing(params: SystemParams, realization: ChannelRealization,
 
     A batch realization of T draws takes a sequence of T seeds.
     """
+    seeds, batched = _seeds(rng_seed)
+    return _run_probing(params, realization, seeds, batched)
+
+
+def _run_probing(params: SystemParams, realization: ChannelRealization,
+                 seeds: list[int], batched: bool,
+                 keys: dict[str, np.ndarray | None] | None = None
+                 ) -> AnalogEpisode:
+    """``run_probing`` of the seeds, keyed as in ``_phase_signals``."""
     realization.check_for(params)
     if params.m_A < 1:
         raise SimulationError("nothing to probe: m_A must be >= 1")
-    seeds, batched = _seeds(rng_seed)
     _check_batch(np.shape(realization.h_BA), seeds, batched)
     m = params.m_A
     # noise_ea, the n_E x m role, second: with two CPUs it has a thread alone
     x_A, w_EA, w_B = _phase_signals(seeds, batched, [
         ("probe", (m,), params.p_A),
         ("noise_ea", (params.n_E, m), params.sigma_EA2),
-        ("noise_b", (m,), params.sigma_B2)])
+        ("noise_b", (m,), params.sigma_B2)], keys)
     y_B = np.expand_dims(realization.h_BA, -1) * x_A + w_B
     e_A = (np.expand_dims(realization.g_A, -1) * np.expand_dims(x_A, -2)
            + w_EA)
@@ -239,17 +280,25 @@ def run_echo(params: SystemParams, episode: AnalogEpisode,
     a noiseless feedback channel, which the model excludes.  A batch
     episode of T trials takes a sequence of T seeds.
     """
+    seeds, batched = _seeds(rng_seed)
+    return _run_echo(params, episode, seeds, batched)
+
+
+def _run_echo(params: SystemParams, episode: AnalogEpisode,
+              seeds: list[int], batched: bool,
+              keys: dict[str, np.ndarray | None] | None = None
+              ) -> AnalogEpisode:
+    """``run_echo`` of the seeds, keyed as in ``_phase_signals``."""
     if episode.complete:
         raise SimulationError("episode already contains an echo phase")
     if not (params.eps_A > 0 and params.eps_E > 0):
         raise SimulationError("run_echo requires eps_A > 0 and eps_E > 0")
-    seeds, batched = _seeds(rng_seed)
     _check_batch(episode.x_A.shape[:-1], seeds, batched)
     m = episode.m_A
     s, v_A, v_E = _phase_signals(seeds, batched, [
         ("secret", (m,), params.sigma_s2),
         ("noise_va", (m,), params.eps_A),
-        ("noise_ve", (m,), params.eps_E)])
+        ("noise_ve", (m,), params.eps_E)], keys)
     r = episode.y_B + s
     return replace(episode, s=s, r=r, y_AB=r + v_A, y_EB=r + v_E)
 
@@ -259,14 +308,18 @@ def simulate_episode(params: SystemParams,
     """Sample channels, probe, and echo under one seed, or as one batch
     under a sequence of seeds (see the module docstring).
 
-    Each stage derives its own role-tagged streams from ``rng_seed``, so the
-    result is identical to calling the three stages with the same seed.
+    Each stage draws its own role-tagged streams of ``rng_seed``, so the
+    result is identical to calling the three stages with the same seed.  A
+    batch derives the keys of all seven roles' streams here, on the calling
+    thread, in one pass of the ``SeedSequence`` hash that checks each seed
+    once, and hands each stage its roles' keys; one seed opens each role's
+    stream with ``seeds.stream``.
     """
     seeds, batched = _seeds(rng_seed)
-    rng_seed = seeds if batched else seeds[0]
-    realization = sample_channels(params, rng_seed)
-    episode = run_probing(params, realization, rng_seed)
-    return run_echo(params, episode, rng_seed)
+    keys = _keys_by_role(seeds, _EPISODE_ROLES)
+    realization = _sample_channels(params, seeds, batched, keys["channels"])
+    episode = _run_probing(params, realization, seeds, batched, keys)
+    return _run_echo(params, episode, seeds, batched, keys)
 
 
 # =====================================================================

@@ -14,7 +14,10 @@ The stream of ``(seed, *tags)`` is ``Philox`` keyed by numpy's
 ``SeedSequence((seed, *tags))``.  Philox is counter-based, so its 128-bit
 key sets the whole stream.  A batch of streams derives all its keys in one
 pass of the ``SeedSequence`` hash over uint32 arrays (``_keys``), instead
-of building one ``SeedSequence`` and one ``Philox`` per seed.
+of building one ``SeedSequence`` and one ``Philox`` per seed.  A pass costs
+about the same at 1 row as at a few hundred, so the streams of several
+roles of one batch take one pass too (``_role_keys``), and ``_streams``
+re-keys a generator from the key rows it is given.
 """
 from __future__ import annotations
 
@@ -138,27 +141,26 @@ def _int_words(value: int) -> list[int]:
 
 def _one_value(value) -> bool:
     """Whether a seed or tag argument is one value, not one per row: a
-    string or anything that is not iterable, such as a float seed."""
-    return isinstance(value, str) or not isinstance(value, Iterable)
+    string, anything that is not iterable, such as a float seed, or a 0-d
+    array, which numpy makes iterable only to raise ``TypeError``.  Not
+    ``np.ndim(value) == 0``: that holds for a generator of seeds too."""
+    return (isinstance(value, str) or not isinstance(value, Iterable)
+            or isinstance(value, np.ndarray) and value.ndim == 0)
 
 
-def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
-          ) -> np.ndarray:
-    """The (T, 2) uint64 Philox keys of ``stream(seed, *tags)`` for T rows:
-    bit for bit ``SeedSequence((seed, *tags)).generate_state(2,
-    np.uint64)`` of each row.
+def _column(value, to_int) -> int | np.ndarray:
+    """One checked seed or tag argument: an int shared by every row, or a
+    uint64 array of one int per row."""
+    if _one_value(value):
+        return to_int(value)
+    return np.array([to_int(v) for v in value], dtype=np.uint64)
 
-    ``seed`` and each tag are one value shared by every row or a sequence
-    of T ints, one per row.  Every seed and tag is checked before any key
-    is derived.  Rows whose values take different numbers of uint32 words
-    are hashed in separate groups.
-    """
-    def column(value, to_int):
-        if _one_value(value):
-            return to_int(value)
-        return np.array([to_int(v) for v in value], dtype=np.uint64)
 
-    values = [column(seed, _seed_int)] + [column(t, _tag_int) for t in tags]
+def _hash_keys(values: list[int | np.ndarray]) -> np.ndarray:
+    """The (T, 2) keys of T rows of checked entropy values, each an int in
+    [0, 2**64) shared by every row or a uint64 array of T of them: the
+    hash core of ``_keys``.  Rows whose values take different numbers of
+    uint32 words are hashed in separate groups."""
     lengths = {v.size for v in values if isinstance(v, np.ndarray)}
     if len(lengths) != 1 or 0 in lengths:
         raise ParamError("a batch needs at least one row and one length for "
@@ -191,30 +193,63 @@ def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
     return keys
 
 
+def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
+          ) -> np.ndarray:
+    """The (T, 2) uint64 Philox keys of ``stream(seed, *tags)`` for T rows:
+    bit for bit ``SeedSequence((seed, *tags)).generate_state(2,
+    np.uint64)`` of each row.
+
+    ``seed`` and each tag are one value shared by every row or a sequence
+    of T ints, one per row.  Every seed and tag is checked before any key
+    is derived.
+    """
+    return _hash_keys([_column(seed, _seed_int)]
+                      + [_column(t, _tag_int) for t in tags])
+
+
+def _role_keys(seeds: Sequence[int], roles: Sequence[int | str]
+               ) -> np.ndarray:
+    """The (R, T, 2) Philox keys of R roles for T seeds: row [r, t] is the
+    key of ``stream(seeds[t], roles[r])``.  Each seed and each role tag is
+    checked once, and all R * T keys come from one hash pass."""
+    seeds = _column(seeds, _seed_int)
+    tags = _column(roles, _tag_int)
+    keys = _hash_keys([np.tile(seeds, tags.size), np.repeat(tags, seeds.size)])
+    return keys.reshape(tags.size, seeds.size, 2)
+
+
 def _subseeds(seed: int | Sequence[int], *tags: int | str | Sequence[int]
               ) -> list[int]:
     """``subseed`` of each row, with rows as in ``_keys``."""
     return _keys(seed, *tags)[:, 0].tolist()
 
 
-def _streams(seeds: Sequence[int], *tags: int | str
+def _streams(seeds: Sequence[int], *tags: int | str,
+             keys: np.ndarray | None = None
              ) -> Iterator[np.random.Generator]:
     """The generator ``stream(seed, *tags)`` of each seed in turn.
 
     One ``Philox`` is re-keyed through its public state (the key, counter
     0, an empty buffer), so a yielded generator draws its row's stream
-    only until the next one is yielded.  All keys are derived, and every
-    seed checked, before the first yield.  One seed gets ``stream`` itself:
-    one ``SeedSequence`` costs less than the array pass.
+    only until the next one is yielded.  Given ``keys``, the (T, 2) key
+    rows of these streams as ``_keys`` or one role of ``_role_keys`` gives
+    them, it derives no key and checks no seed again.  Otherwise all keys
+    are derived, and every seed checked, before the first yield, and one
+    seed gets ``stream`` itself: one ``SeedSequence`` costs less than the
+    array pass.
     """
-    if len(seeds) == 1:
-        yield stream(seeds[0], *tags)
-        return
-    keys = _keys(seeds, *tags)
+    if keys is None:
+        if len(seeds) == 1:
+            yield stream(seeds[0], *tags)
+            return
+        keys = _keys(seeds, *tags)
     bitgen = np.random.Philox(0)
     state = bitgen.state          # a fresh state: counter 0, buffer empty
+    # Python lists and ints: the state setter reads them in half the time
+    # it takes for numpy arrays
+    state["state"]["counter"] = state["buffer"] = [0] * 4
     rng = np.random.Generator(bitgen)
-    for key in keys:
+    for key in keys.tolist():
         state["state"]["key"] = key
         bitgen.state = state
         yield rng

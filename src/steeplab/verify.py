@@ -41,7 +41,7 @@ from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams, _integer
 from .rates import (_realization_terms, _row_sum, alpha,
                     per_realization_rates, power_budget, theorem1_draw_terms)
-from .seeds import _subseeds, subseed
+from .seeds import _seed_int, _subseeds, subseed
 
 __all__ = [
     "OracleReport",
@@ -440,7 +440,8 @@ def _exact_group() -> list[OracleReport]:
 def _mmse_group(params: SystemParams, rng_seed: int) -> list[OracleReport]:
     """The estimator MSEs over paired Monte Carlo trials: batch episodes of
     consecutive trials, trial t the episode of its own seed, each of at most
-    _MMSE_CHUNK samples per signal or of one trial."""
+    _MMSE_CHUNK samples per signal or of one trial.  The trial seeds come
+    from one ``_subseeds`` pass."""
     n_trials = 200
     mmse_params = dc_replace(_regime(params), m_A=max(params.m_A, 500))
     chunk = max(1, _MMSE_CHUNK // mmse_params.m_A)
@@ -448,9 +449,9 @@ def _mmse_group(params: SystemParams, rng_seed: int) -> list[OracleReport]:
               "Eve probe-estimate MSE vs closed form",
               "Eve secret-estimate MSE vs closed form")
     mses: dict[str, tuple[list, list]] = {label: ([], []) for label in labels}
+    seeds = _subseeds(rng_seed, "mmse", range(n_trials))
     for lo in range(0, n_trials, chunk):
-        episode = simulate_episode(mmse_params, _subseeds(
-            rng_seed, "mmse", range(lo, min(lo + chunk, n_trials))))
+        episode = simulate_episode(mmse_params, seeds[lo:lo + chunk])
         probe = eve_estimate_xA(episode, mmse_params)
         results = (alice_estimate_s(episode, mmse_params), probe,
                    eve_estimate_s(episode, mmse_params, probe_estimate=probe))
@@ -515,7 +516,9 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     no data, handed to one ``_workers.in_order``.  Each group's own pool
     calls run in its thread while the pool is busy, so the reports have
     the same bits at any CPU count; they come back in a fixed order.
+    ``rng_seed`` is one seed, checked on entry.
     """
+    rng_seed = _seed_int(rng_seed)
     n_realizations = _integer("n_realizations", n_realizations, 1)
     exact = _exact_group()
     # Each group allocates in its own thread's malloc arena, so neither

@@ -22,7 +22,7 @@ from steeplab import (ParamError, SimulationError, SystemParams, _workers,
 from steeplab.channel import (EPISODE_CSV_COLUMNS, _csv_float_fields,
                               _csv_row_starts)
 from steeplab.cli import main
-from steeplab.seeds import stream, subseed
+from steeplab.seeds import _state, stream, subseed
 
 
 def test_gain_variance_split():
@@ -331,11 +331,56 @@ def test_channel_draws_are_single_draws_of_the_batch_sampler(rho, n_E):
 
 
 def test_bool_seed_is_rejected():
-    # True used to run as seed 1
+    # True used to run as seed 1; a 0-d array, taken for a sequence, used to
+    # raise TypeError
     p = SystemParams()
-    for seed in (True, [3, False]):
+    for seed in (True, [3, False], np.array(3)):
         with pytest.raises(ParamError, match="seed must be an integer"):
             simulate_episode(p, seed)
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 64, True, 1.0, np.array(3)])
+def test_one_bad_seed_in_a_batch_episode_raises_before_any_draw(monkeypatch,
+                                                                 bad):
+    drawn = []
+    monkeypatch.setattr(channel, "_cnormal_rows",
+                        lambda *args: drawn.append(args))
+    p = dataclasses.replace(SystemParams(), m_A=4)
+    with pytest.raises(ParamError, match="seed must be"):
+        simulate_episode(p, [3, bad, 4])
+    assert not drawn
+
+
+def _count_hash_passes(monkeypatch) -> list:
+    """Record a call of the SeedSequence hash per group of rows: one per
+    pass when every seed of a pass takes the same number of uint32 words."""
+    calls = []
+
+    def counting(words):
+        calls.append(len(words[0]))
+        return _state(words)
+
+    monkeypatch.setattr("steeplab.seeds._state", counting)
+    return calls
+
+
+def test_a_batch_episode_keys_its_seven_roles_in_one_pass(monkeypatch):
+    p = dataclasses.replace(SystemParams(), m_A=8, n_E=2)
+    batch = [subseed(41, "pass", t) for t in range(50)]
+    assert all(s >> 32 for s in batch)     # every seed takes two words
+    want = _reference_phases(p, sample_channels(p, batch), batch, True)
+    passes = _count_hash_passes(monkeypatch)
+    _assert_signals(simulate_episode(p, batch), want)
+    assert passes == [7 * 50]
+    # alone, each stage keys its own roles in one pass
+    passes.clear()
+    run_echo(p, run_probing(p, sample_channels(p, batch), batch), batch)
+    assert passes == [50, 3 * 50, 3 * 50]
+    # one seed keeps stream's SeedSequence per role: no pass
+    passes.clear()
+    simulate_episode(p, batch[0])
+    simulate_episode(p, batch[:1])
+    assert passes == []
 
 
 def test_empty_seed_sequence_is_rejected():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steeplab import ParamError
-from steeplab.seeds import (_keys, _streams, _subseeds, _tag_int, stream,
-                            subseed)
+from steeplab.seeds import (_keys, _role_keys, _streams, _subseeds, _tag_int,
+                            stream, subseed)
 
 
 def test_stream_deterministic_per_tag():
@@ -100,6 +100,42 @@ def test_batch_streams_draw_what_each_stream_draws():
         np.testing.assert_array_equal(uniforms, rng.random(2))
 
 
+_EPISODE_ROLES = ("channels", "probe", "noise_ea", "noise_b", "secret",
+                  "noise_va", "noise_ve")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=_seeds,
+       roles=st.lists(st.one_of(st.sampled_from(_EPISODE_ROLES),
+                                st.text(max_size=6),
+                                st.sampled_from(_EDGE_SEEDS),
+                                st.integers(0, (1 << 64) - 1)),
+                      min_size=1, max_size=7))
+def test_role_keys_are_each_roles_keys(seeds, roles):
+    # one pass over roles x seeds, seeds and int roles of one and two words
+    # mixed, gives each role the keys of its own pass
+    got = _role_keys(seeds, roles)
+    assert got.shape == (len(roles), len(seeds), 2)
+    for keys, role in zip(got, roles):
+        np.testing.assert_array_equal(keys, _keys(seeds, role))
+    got = [rng.standard_normal(3)
+           for rng in _streams(seeds, roles[0], keys=got[0])]
+    want = [stream(seed, roles[0]).standard_normal(3) for seed in seeds]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seeds, roles, match", [
+    ([3, -1], ["probe"], r"seed must be in \[0, 2\*\*64\), got -1"),
+    ([3, True], ["probe", "secret"], "seed must be an integer, got True"),
+    ([3, np.array(4)], ["probe"], r"seed must be an integer, got array\(4\)"),
+    ([3, 4], ["probe", 1.0], "stream tag must be an integer, got 1.0"),
+    ([3, 4], ["probe", 1 << 64], r"stream tag must be in \[0, 2\*\*64\)"),
+])
+def test_role_keys_check_every_seed_and_role(seeds, roles, match):
+    with pytest.raises(ParamError, match=match):
+        _role_keys(seeds, roles)
+
+
 def test_batch_subseeds_equal_subseed():
     seeds = _EDGE_SEEDS + [99]
     assert _subseeds(seeds, "ldpc") == [subseed(s, "ldpc") for s in seeds]
@@ -122,19 +158,24 @@ def test_batch_rows_must_agree():
         _keys([1, 2], "probe", [1, 2, 3])
 
 
-@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.array(3)])
 def test_bool_seed_or_tag_is_rejected(flag):
-    # a bool used to run as the seed or tag 1 (or 0)
+    # a bool used to run as the seed or tag 1 (or 0); a 0-d array, taken for
+    # a sequence of one per row, used to raise TypeError
     with pytest.raises(ParamError, match="seed must be an integer"):
         stream(flag, "a")
     with pytest.raises(ParamError, match="seed must be an integer"):
         subseed(flag, "a")
     with pytest.raises(ParamError, match="seed must be an integer"):
         _keys([1, flag], "a")
+    with pytest.raises(ParamError, match="seed must be an integer"):
+        _keys(flag, "a", [1, 2])
     with pytest.raises(ParamError, match="stream tag must be an integer"):
         stream(1, flag)
     with pytest.raises(ParamError, match="stream tag must be an integer"):
         _keys([1, 2], "a", [0, flag])
+    with pytest.raises(ParamError, match="stream tag must be an integer"):
+        _keys([1, 2], "a", flag)
 
 
 @pytest.mark.parametrize("tag, why", [

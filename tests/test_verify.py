@@ -18,7 +18,7 @@ from steeplab import (BscParams, ChannelRealization, OracleReport,
                       theorem1_term_oracles, xi_digital)
 from steeplab import _workers, rates, verify
 from steeplab.verify import _TERM_BLOCK, _logdet2
-from steeplab.seeds import stream, subseed
+from steeplab.seeds import _state, stream, subseed
 
 
 # ------------------------------------------------------------- gaussian MI
@@ -579,3 +579,32 @@ def test_oracle_suite_rejects_no_realizations(n):
     # zero draws used to drop the ten per-realization checks and still pass
     with pytest.raises(ParamError, match="n_realizations must be >= 1"):
         run_oracle_suite(SystemParams(), n_realizations=n)
+
+
+@pytest.mark.parametrize("seed, match", [
+    ([1, 2], "an integer, got"), (list(range(200)), "an integer, got"),
+    (np.array(3), "an integer, got"), (True, "an integer, got True"),
+    (-1, r"in \[0, 2\*\*64\)")])
+def test_oracle_suite_checks_its_seed_on_entry(monkeypatch, seed, match):
+    # a list used to fail in the MMSE trials with a message about batch
+    # lengths; unchecked, a list of 200 would pass as the trials' seeds
+    ran = []
+    monkeypatch.setattr(verify, "_exact_group", lambda: ran.append(1))
+    with pytest.raises(ParamError, match="seed must be " + match):
+        run_oracle_suite(SystemParams(), seed, 5)
+    assert not ran
+
+
+def test_default_suite_makes_at_most_eight_hash_passes(monkeypatch):
+    # two for the term draws' seeds and channels, one for the 200 MMSE trial
+    # seeds and one per batch episode of 50 trials; the echo group's single
+    # seeds hash no array.  Seven passes per batch episode made 34.
+    calls = []
+
+    def counting(words):
+        calls.append(len(words[0]))
+        return _state(words)
+
+    monkeypatch.setattr("steeplab.seeds._state", counting)
+    run_oracle_suite(SystemParams(), rng_seed=1)
+    assert len(calls) <= 8
