@@ -6,20 +6,26 @@ syndrome of her own copy and decodes the resulting error-pattern syndrome
 under a memoryless BSC prior.  The default H is a column-weight-3 regular
 LDPC decoded by sum-product message passing; its check count (hence the
 disclosure) is set by the caller from the target crossover rate.  The
-edge list is put in check order by a stable radix sort.  Consecutive
-checks of equal degree then own a dense (checks, degree) block of edges,
-and a built code has at most two such blocks, so every per-check step
-runs as column operations over a block: the decoder's check products
-multiply the columns left to right, and every parity (the published
-syndromes and the decoder's stop test) XORs them exactly over uint8
-bits.  Bit inputs must hold only 0 and 1.
+edge list is put in stable check order.  Consecutive checks of equal
+degree then own a dense (checks, degree) block of edges, and a built
+code has at most two such blocks, so every per-check step runs as column
+operations over a block: the decoder's check products multiply the
+columns left to right, and every parity (the published syndromes and the
+decoder's stop test) XORs them exactly over uint8 bits.  The decoder
+keeps its messages at half scale, the argument of the tanh rule, and
+applies only the clamps that can bind: |tanh| >= 1e-12 everywhere, and
+|extrinsic product| <= 1 - 1e-15 at checks of degree 1 (tanh(15) =
+1 - 1.87e-13 bounds every other product below that).  Its per-check work
+runs on the shared pool over check ranges, each block cut in proportion
+to its share of the edges.  Bit inputs must hold only 0 and 1.
 
 Privacy amplification is seeded binary Toeplitz hashing: key = T bits mod 2
 with T[i, j] = seed_bits[i - j + n - 1], a universal-hash family, applied
 identically by both sides from a public seed.  T is never formed: T bits is
 a slice of the convolution of seed_bits with bits, computed by FFT in
-O((n + out_len) log(n + out_len)) time and O(n + out_len) memory, and a
-guard checks that the float result rounds to exact integers.
+O((n + out_len) log(n + out_len)) time and O(n + out_len) memory at the
+smallest 5-smooth length that holds it, and a guard checks that the float
+result rounds to exact integers.
 
 Serialized bit material uses one layout everywhere: a record is a 1-byte
 presence flag, and if present a little-endian uint32 bit count followed by
@@ -142,10 +148,8 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
 
     Columns never repeat a check (no double edges), which removes the
     dominant short-cycle failure mode at desk scale.  The edges are put in
-    check order by a stable LSD radix sort over 16-bit digits of the check
-    index (numpy sorts 16-bit keys by radix; the high pass runs only above
-    2^16 checks), which gives the unique stable order without a comparison
-    sort.
+    stable check order by one sort of integer keys that pack each edge's
+    check above its variable.
     """
     n_bits = _integer("n_bits", n_bits)
     n_checks = _integer("n_checks", n_checks)
@@ -167,18 +171,22 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
         cols = _drawn_columns(row_w, n_bits, col_weight,
                               stream(rng_seed, "code"))
 
-    # edge e = col_weight * v + slot sits in column v; sort the edges by
-    # check with one stable pass per 16-bit digit, low digit first (the
-    # uint16 casts keep the low 16 bits; check indices fit in 32, and in 16
-    # up to 2^16 checks, where the high digits are all zero)
-    key = cols.reshape(-1)
-    order = np.argsort(key.astype(np.uint16), kind="stable")
-    if n_checks > 1 << 16:
-        high = (key[order] >> 16).astype(np.uint16)
-        order = order[np.argsort(high, kind="stable")]
+    # edge e = col_weight * v + slot holds variable v, so the edges of a
+    # check in column order are its variables in increasing order: one sort
+    # of the keys (check << vbits) | variable gives the variables of the
+    # stable sort by check (keys that tie hold the same variable).  The
+    # keys fit in 32 bits up to 2^16 bits, and in 64 at any size.
+    vbits = (n_bits - 1).bit_length()
+    dtype = (np.uint32 if vbits + (n_checks - 1).bit_length() <= 32
+             else np.uint64)
+    packed = cols.reshape(-1).astype(dtype) << vbits
+    packed |= np.repeat(np.arange(n_bits, dtype=dtype), col_weight)
+    packed.sort()
+    packed &= (1 << vbits) - 1
     # the swaps only move sockets, so check c still holds row_w[c] edges,
     # and ptr is their running sum
-    return LdpcCode(n_bits=n_bits, n_checks=n_checks, var=order // col_weight,
+    return LdpcCode(n_bits=n_bits, n_checks=n_checks,
+                    var=packed.astype(np.int64),
                     ptr=np.concatenate(([0], np.cumsum(row_w)[:-1])))
 
 
@@ -222,11 +230,16 @@ def syndrome_of(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
 
 def _check_ranges(runs: list[tuple[int, int, int, int]],
                   parts: int) -> list[tuple[slice, slice, int]]:
-    """Each run cut into ``parts`` contiguous check ranges of near-equal
-    size, empty ones dropped, as (edge slice, check slice, degree)."""
+    """Each run cut into contiguous check ranges of near-equal size, as
+    (edge slice, check slice, degree).  A run gets ``parts`` times its
+    share of all the runs' edges, rounded, and at least one range, so a
+    run of a few checks beside a large one is not cut up; empty ranges
+    are dropped."""
+    total = sum(k * d for _, _, k, d in runs)
     ranges = []
     for e0, c0, k, d in runs:
-        cuts = [k * i // parts for i in range(parts + 1)]
+        n = max(1, (2 * parts * k * d + total) // (2 * total))
+        cuts = [k * i // n for i in range(n + 1)]
         ranges += [(slice(e0 + lo * d, e0 + hi * d), slice(c0 + lo, c0 + hi), d)
                    for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     return ranges
@@ -239,13 +252,17 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     ``p`` is the BSC crossover prior on each error bit; ``max_iter`` >= 1
     bounds the iterations.  Returns the hard-decision pattern and a flag
     telling whether it reproduces the syndrome exactly (the usual
-    convergence criterion).  The edge messages live in buffers allocated
-    once and updated in place; each check's syndrome sign multiplies its
-    row of a (checks, degree) block.  A check reads only its own edges, so
-    everything but the variable side's sum runs per check range, one
-    range per usable CPU in each ``_degree_runs`` block, on the shared
-    pool; that sum stays one ``np.bincount`` over the whole edge list,
-    whose edge order fixes every posterior bit for bit.
+    convergence criterion).  Posteriors and check-to-variable messages are
+    kept at half scale, L / 2, which is the argument of the tanh rule:
+    scaling by 2 is exact, so every message and hard decision is the same
+    bit for bit as at full scale.  The edge messages live in buffers
+    allocated once and updated in place; each check's syndrome sign
+    multiplies its product once.  A check reads only its own edges, so
+    everything but the variable side's sum runs per check range on the
+    shared pool: each ``_degree_runs`` block gets ranges in proportion to
+    its share of the edges, about one per usable CPU in all and at least
+    one per block.  That sum stays one ``np.bincount`` over the whole edge
+    list, whose edge order fixes every posterior bit for bit.
     """
     _real("decoder prior", p, "lie in (0, 0.5)", lambda v: 0.0 < v < 0.5)
     max_iter = _integer("max_iter", max_iter, 1)
@@ -255,17 +272,15 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     var = code.var
     cpus = _workers.usable_cpus()
     ranges = _check_ranges(_degree_runs(code), cpus)
-    llr0 = float(np.log((1.0 - p) / p))
-    # 2 * (-1)^syndrome of each check: the factor 2 of 2 atanh and the
-    # syndrome sign in one exact multiply of each row of a block
-    sign = (2.0 - 4.0 * syndrome)[:, None]
+    half_llr0 = 0.5 * float(np.log((1.0 - p) / p))
+    sign = (1.0 - 2.0 * syndrome)[:, None]   # (-1)^syndrome of each check
     n_edges = var.shape[0]
-    # t holds each edge's posterior, then its variable-to-check message,
-    # then tanh(message / 2) away from 0 and 1; m_c2v starts at 0, so the
-    # first pass sends llr0 - 0.0 = llr0
-    t = np.full(n_edges, llr0)
-    m_c2v = np.zeros(n_edges)             # check-to-variable messages
-    prod = np.empty((code.n_checks, 1))   # each check's product of its t
+    # t holds each edge's half-scale posterior, then its variable-to-check
+    # message, then tanh of it away from 0; m_c2v starts at 0, so the first
+    # pass sends llr0 / 2 - 0.0 = llr0 / 2
+    t = np.full(n_edges, half_llr0)
+    m_c2v = np.zeros(n_edges)             # half-scale check-to-variable messages
+    prod = np.empty((code.n_checks, 1))   # each check's signed product of its t
     hard = np.empty(n_edges, dtype=bool)  # each edge's hard decision
     # H e_hat mod 2; a check of degree 0 is in no range, so its parity
     # stays 0 and a syndrome bit 1 there is never met
@@ -275,23 +290,31 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
         """Both message updates on one check range's edges."""
         t_r, c2v = t[edges], m_c2v[edges]
         np.subtract(t_r, c2v, out=t_r)
-        np.clip(t_r, -30.0, 30.0, out=t_r)
-        np.multiply(t_r, 0.5, out=t_r)
+        np.clip(t_r, -15.0, 15.0, out=t_r)
         np.tanh(t_r, out=t_r)
-        # clip |t| into [1e-12, 1 - 1e-15] and put the sign back; adding
-        # 0.0 turns -0.0 into +0.0, so a zero still maps to +1e-12
-        np.add(t_r, 0.0, out=t_r)
+        # raise |t| to at least 1e-12 and put the sign back, in the rare
+        # range where some |t| is below it.  copysign would send -0.0 to
+        # -1e-12, but no t here is -0.0: a posterior is a sum with
+        # llr0 / 2 > 0, a difference of two doubles is -0.0 only for
+        # -0.0 - (+0.0), and tanh keeps a nonzero argument nonzero.
+        # tanh(15) = 1 - 1.87e-13, so |t| needs no upper clamp.
         np.abs(t_r, out=c2v)
-        np.clip(c2v, 1e-12, 1.0 - 1e-15, out=c2v)
-        np.copysign(c2v, t_r, out=t_r)
-        # each check's product of its edges; the extrinsic message of an
-        # edge leaves its own factor out
+        if c2v.min() < 1e-12:
+            np.maximum(c2v, 1e-12, out=c2v)
+            np.copysign(c2v, t_r, out=t_r)
+        # each check's product of its edges, signed by its syndrome bit;
+        # the extrinsic message of an edge leaves its own factor out
         t_blk, c2v_blk = t_r.reshape(-1, d), c2v.reshape(-1, d)
         _fold_columns(np.multiply, t_blk, prod[checks, 0])
+        np.multiply(prod[checks], sign[checks], out=prod[checks])
         np.divide(prod[checks], t_blk, out=c2v_blk)
-        np.clip(c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=c2v)
+        # at degree d >= 2 the extrinsic product has d - 1 factors of at
+        # most tanh(15) and d rounding steps, so its magnitude is at most
+        # tanh(15)^(d-1) * (1 + (d+1) 2^-53) < 1 - 1e-15 and arctanh stays
+        # finite; at degree 1 it is exactly +-1 and must be clamped
+        if d == 1:
+            np.clip(c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=c2v)
         np.arctanh(c2v, out=c2v)
-        np.multiply(c2v_blk, sign[checks], out=c2v_blk)
 
     def gather(post: np.ndarray, edges: slice, checks: slice, d: int) -> None:
         """One range's posteriors into t, the parity of their hard
@@ -308,7 +331,7 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     for _ in range(max_iter):
         list(_workers.in_order(lambda r: messages(*r), ranges, cpus))
         post = np.bincount(var, weights=m_c2v, minlength=code.n_bits)
-        np.add(post, llr0, out=post)
+        np.add(post, half_llr0, out=post)
         list(_workers.in_order(lambda r: gather(post, *r), ranges, cpus))
         if np.array_equal(parity, syndrome):
             return (post < 0.0).view(np.uint8), True
@@ -319,6 +342,21 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
 # Toeplitz hashing
 # =====================================================================
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1), an FFT length numpy's
+    pocketfft runs fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that is >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     """Compress ``bits`` to ``out_len`` bits with a seeded Toeplitz matrix.
 
@@ -328,9 +366,10 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     output bit with probability 1/2.
 
     T bits is computed as an FFT convolution in O((n + out_len) log(n +
-    out_len)) time and O(n + out_len) memory.  Raises FloatingPointError,
-    rather than return a key, if the float sums were not all within 0.25 of
-    an integer.
+    out_len)) time and O(n + out_len) memory, at the smallest 2^a 3^b 5^c
+    length of at least n + out_len - 1 (about half the next power of two
+    at n = 10^6).  Raises FloatingPointError, rather than return a key, if
+    the float sums were not all within 0.25 of an integer.
     """
     bits = _as_bits(bits)
     if bits.ndim != 1:
@@ -352,7 +391,7 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, hash_seed: int) -> np.ndarray:
     # (T bits)[i] = conv(seed_bits, bits)[i + n - 1].  A cyclic convolution
     # of size >= n_seed wraps only terms past index n_seed - 1 onto indices
     # below n - 1, so the slice taken here is the linear convolution.
-    size = 1 << (n_seed - 1).bit_length()
+    size = _smooth_length(n_seed)
     acc = np.fft.irfft(np.fft.rfft(seed_bits, size) * np.fft.rfft(bits, size),
                        size)[n - 1:n_seed]
     sums = np.rint(acc)

@@ -12,7 +12,7 @@ from steeplab import (BscParams, LdpcCode, ParamError, decode_syndrome,
                       run_digital_episode, syndrome_of, toeplitz_hash,
                       unpack_bit_record)
 from steeplab import _workers
-from steeplab.codes import _check_ranges, _degree_runs
+from steeplab.codes import _check_ranges, _degree_runs, _smooth_length
 from steeplab.seeds import stream, subseed
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
@@ -109,8 +109,11 @@ def _reference_make_ldpc(n_bits, n_checks, rng_seed, col_weight=3):
 @pytest.mark.parametrize("n_bits, n_checks, rng_seed, col_weight", [
     (10, 3, 0, 3), (40, 39, 1, 3), (1200, 900, 0, 3), (600, 450, 5, 3),
     (500, 20, 2, 5), (400, 30, 3, 4),
-    # one radix pass below and at 2^16 checks, two passes above
+    # sort keys of exactly 32 bits (2^16 bits, 2^16 - 1 checks) and of 33,
+    # which take 64; check indices of 16 bits and of 17, around 2^16 checks
+    (65_536, 65_535, 9, 3), (65_537, 65_536, 9, 3),
     (90_000, 65_535, 7, 3), (90_000, 65_536, 7, 3), (90_000, 65_537, 7, 3),
+    (100_000, 70_000, 8, 3),
 ])
 def test_make_ldpc_matches_stable_argsort(n_bits, n_checks, rng_seed,
                                           col_weight):
@@ -123,7 +126,7 @@ def test_make_ldpc_matches_stable_argsort(n_bits, n_checks, rng_seed,
 
 def test_ldpc_syndrome_pinned_past_2_16_checks():
     # the code and secret of `simulate-digital --m_A 100000 --seed 11`
-    # (75,040 checks, so both radix passes run); the transcript pin holds
+    # (75,040 checks, so 64-bit sort keys); the transcript pin holds
     # no syndrome, so only this pin sees a wrong code at that size
     bsc = BscParams(m_A=100_000)
     plan = reconcile_plan(bsc)
@@ -198,7 +201,8 @@ def _reference_decode(code, syndrome, p, max_iter=100):
     return e_hat, False
 
 
-_CPU_COUNTS = (1, 2, 3)   # the decoder splits each degree run this many ways
+_CPU_COUNTS = (1, 2, 3)   # the decoder cuts its degree runs into about this
+                          # many check ranges
 
 
 @pytest.mark.parametrize("n_bits, n_checks, seed", [
@@ -232,13 +236,17 @@ def _hand_built_code(degrees, n_bits, seed):
 
 
 # one and two degree runs as make_ldpc builds them; every check in every
-# column; non-monotone runs of degrees 2, 3, 1, 3 with a check of degree 0
+# column; non-monotone runs of degrees 2, 3, 1, 3 with a check of degree 0;
+# one run of degree 2; one check of degree 2,000 between runs of degree 3
 _RUN_LAYOUTS = {
     "one-run": lambda: make_ldpc(600, 450, rng_seed=3),
     "two-run": lambda: make_ldpc(2000, 1499, rng_seed=1),
     "all-checks": lambda: make_ldpc(40, 3, rng_seed=0),
     "hand-built": lambda: _hand_built_code(
         [2] * 40 + [3] * 30 + [1] * 10 + [0] + [3] * 20, 120, seed=5),
+    "degree-2": lambda: _hand_built_code([2] * 300, 200, seed=7),
+    "degree-2000": lambda: _hand_built_code(
+        [3] * 400 + [2000] + [3] * 400, 2400, seed=8),
 }
 
 
@@ -250,6 +258,9 @@ def test_degree_runs_of_each_layout():
     # 6000 edges on 1499 checks: 4 checks of degree 5, then degree 4
     assert _degree_runs(_RUN_LAYOUTS["two-run"]()) == [
         (0, 0, 4, 5), (20, 4, 1495, 4)]
+    assert _degree_runs(_RUN_LAYOUTS["degree-2"]()) == [(0, 0, 300, 2)]
+    assert _degree_runs(_RUN_LAYOUTS["degree-2000"]()) == [
+        (0, 0, 400, 3), (1200, 400, 1, 2000), (3200, 401, 400, 3)]
 
 
 @pytest.mark.parametrize("layout", sorted(_RUN_LAYOUTS))
@@ -267,14 +278,17 @@ def test_decode_of_each_run_layout_matches_every_iteration(layout, monkeypatch):
     # stopping after 1..8 iterations exposes each iteration's hard decision;
     # the check-to-variable messages, taken where both decoders pass them
     # to bincount, must also agree bit for bit, so the float order holds
-    # however many check ranges the runs are split into
+    # however many check ranges the runs are split into.  The decoder keeps
+    # its messages at half scale, so twice its messages must be the
+    # reference's; the reference applies every clamp, so this also shows
+    # that the clamps the decoder leaves out never bind
     code = _RUN_LAYOUTS[layout]()
     messages = []
     bincount = np.bincount
 
     def recording(x, weights=None, minlength=0):
         if x is code.var:
-            messages.append(weights.tobytes())
+            messages.append(weights.copy())
         return bincount(x, weights=weights, minlength=minlength)
 
     monkeypatch.setattr(np, "bincount", recording)
@@ -284,20 +298,21 @@ def test_decode_of_each_run_layout_matches_every_iteration(layout, monkeypatch):
         syn = syndrome_of(code, e)
         for max_iter in range(1, 9):
             want, want_ok = _reference_decode(code, syn, p, max_iter)
-            want_messages = messages[:]
+            want_messages = [m.tobytes() for m in messages]
             messages.clear()
             for cpus in _CPU_COUNTS:
                 monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
                 got, ok = decode_syndrome(code, syn, p, max_iter)
                 assert ok == want_ok, (max_iter, cpus)
                 assert np.array_equal(got, want), (max_iter, cpus)
-                assert messages == want_messages, (max_iter, cpus)
+                assert [(2.0 * m).tobytes() for m in messages] == \
+                    want_messages, (max_iter, cpus)
                 messages.clear()
 
 
 def test_check_ranges_cover_each_run_in_order():
-    # 3 checks cut 2, 3 or 4 ways; a run of fewer checks than parts leaves
-    # some parts empty, and those are dropped
+    # one run of 3 checks cut 2, 3 or 4 ways; a run of fewer checks than
+    # parts leaves some parts empty, and those are dropped
     runs = _degree_runs(_RUN_LAYOUTS["all-checks"]())
     assert _check_ranges(runs, 2) == [(slice(0, 40), slice(0, 1), 40),
                                       (slice(40, 120), slice(1, 3), 40)]
@@ -305,6 +320,17 @@ def test_check_ranges_cover_each_run_in_order():
         slice(0, 1), slice(1, 2), slice(2, 3)]
     assert [r[1] for r in _check_ranges(runs, 4)] == [
         slice(0, 1), slice(1, 2), slice(2, 3)]
+    # the code of m_A 5e4: 37,440 checks of degree 4, then 80 of degree 3,
+    # which hold 0.16% of the edges and get one range of their own
+    runs = _degree_runs(make_ldpc(50_000, 37_520, rng_seed=1))
+    assert runs == [(0, 0, 37_440, 4), (149_760, 37_440, 80, 3)]
+    assert _check_ranges(runs, 2) == [
+        (slice(0, 74_880), slice(0, 18_720), 4),
+        (slice(74_880, 149_760), slice(18_720, 37_440), 4),
+        (slice(149_760, 150_000), slice(37_440, 37_520), 3)]
+    assert [r[1] for r in _check_ranges(runs, 3)] == [
+        slice(0, 12_480), slice(12_480, 24_960), slice(24_960, 37_440),
+        slice(37_440, 37_520)]
     for layout in sorted(_RUN_LAYOUTS):
         runs = _degree_runs(_RUN_LAYOUTS[layout]())
         for parts in (1, 2, 3, 16):
@@ -317,7 +343,8 @@ def test_check_ranges_cover_each_run_in_order():
                               for c in range(c0, c0 + k)]
             assert all((r[0].stop - r[0].start) == r[2] * (r[1].stop - r[1].start)
                        for r in ranges)
-            assert len(ranges) <= parts * len(runs)
+            # each run gets at most its rounded share of parts, or one
+            assert len(ranges) < parts + len(runs)
 
 
 def test_decode_never_meets_a_one_on_a_check_of_degree_0(monkeypatch):
@@ -510,6 +537,8 @@ def _dense_toeplitz_hash(bits, out_len, hash_seed):
     # n and n + out_len - 1 just below, at and above a power of two
     (4095, 1), (4096, 1), (4097, 1), (2048, 2048), (2049, 2048),
     (4000, 96), (4000, 97), (4000, 98), (4097, 2049),
+    # n + out_len - 1 just below, at and above the 5-smooth 3000 and 6075
+    (2950, 50), (2950, 51), (2950, 52), (6000, 75), (6000, 76), (6000, 77),
 ])
 def test_toeplitz_hash_matches_definition(n, out_len):
     rng = stream(n * 7919 + out_len, "ref")
@@ -518,6 +547,18 @@ def test_toeplitz_hash_matches_definition(n, out_len):
         for hash_seed in (0, 1, 12345):
             assert np.array_equal(toeplitz_hash(bits, out_len, hash_seed),
                                   _dense_toeplitz_hash(bits, out_len, hash_seed))
+
+
+def test_smooth_length_is_the_next_5_smooth_integer():
+    def smooth(k):
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        return k == 1
+    want = [next(m for m in range(n, 2 * n + 1) if smooth(m))
+            for n in range(1, 5000)]
+    assert [_smooth_length(n) for n in range(1, 5000)] == want
+    assert _smooth_length(1_061_081) == 1_062_882   # 2 * 3^12, at m_A 10^6
 
 
 def test_toeplitz_hash_scales_in_linear_memory():
