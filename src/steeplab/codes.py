@@ -11,13 +11,17 @@ degree then own a dense (checks, degree) block of edges, and a built
 code has at most two such blocks, so every per-check step runs as column
 operations over a block: the decoder's check products multiply the
 columns left to right, and every parity (the published syndromes and the
-decoder's stop test) XORs them exactly over uint8 bits.  The decoder
-keeps its messages at half scale, the argument of the tanh rule, and
-applies only the clamps that can bind: |tanh| >= 1e-12 everywhere, and
-|extrinsic product| <= 1 - 1e-15 at checks of degree 1 (tanh(15) =
-1 - 1.87e-13 bounds every other product below that).  Its per-check work
-runs on the shared pool over check ranges, each block cut in proportion
-to its share of the edges.  Bit inputs must hold only 0 and 1.
+decoder's stop test) XORs them exactly over uint8 bits.  The blocks are
+found once per code.  The decoder keeps its messages at half scale, the
+argument of the tanh rule, in float32; it sums each posterior in float64
+and stores it in float32.  It applies only the clamps that can bind:
+each message is clipped to +-8 before tanh (float32 tanh(8) = 1 - 4 *
+2^-24), |tanh| >= 1e-12, and at checks of degree 1 the extrinsic
+product, exactly +-1, is clamped to the largest float32 below 1.  At
+degree d >= 2 no extrinsic product reaches +-1, so no arctanh argument
+does (``decode_syndrome`` gives the proof).  Its per-check work runs on the
+shared pool over check ranges, each block cut in proportion to its share
+of the edges.  Bit inputs must hold only 0 and 1.
 
 Privacy amplification is seeded binary Toeplitz hashing: key = T bits mod 2
 with T[i, j] = seed_bits[i - j + n - 1], a universal-hash family, applied
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,12 +79,12 @@ class LdpcCode:
     ``ptr`` holds the first edge of each check, from which ``chk[e]``, the
     check of edge e, is derived.  A run of consecutive checks of equal
     degree d owns a contiguous slice of the edges, read as a (checks, d)
-    block with one check per row.  The order is a stable radix sort by
-    check, so within a check the edges keep their column order; that order
-    fixes the float order of the decoder's check products, which multiply
-    a block's columns left to right.  ParamError unless ``var`` is a 1-D
-    integer array in [0, n_bits) and ``ptr`` holds n_checks >= 1
-    non-decreasing entries from 0 to at most ``len(var)``.
+    block with one check per row.  The order is a stable sort by check, so
+    within a check the edges keep their column order; that order fixes the
+    float order of the decoder's check products, which multiply a block's
+    columns left to right.  ParamError unless ``var`` is a 1-D integer
+    array in [0, n_bits) and ``ptr`` holds n_checks >= 1 non-decreasing
+    entries from 0 to at most ``len(var)``.
     """
 
     n_bits: int
@@ -107,6 +112,23 @@ class LdpcCode:
         """The check of each edge, as a new int64 array built from ``ptr``."""
         return np.repeat(np.arange(self.n_checks, dtype=np.int64),
                          np.diff(self.ptr, append=self.var.size))
+
+    @cached_property
+    def _degree_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Maximal runs of consecutive checks of equal, nonzero degree,
+        found once per code.
+
+        Each run is (first edge, first check, check count, degree); its
+        edges are the dense block ``[first edge, first edge + count *
+        degree)``.  A ``make_ldpc`` code has at most two runs.  A check of
+        degree 0 holds no edge, so it is in no run: its parity is 0 and it
+        sends no message.
+        """
+        deg = np.diff(self.ptr, append=self.var.shape[0])
+        first = np.flatnonzero(np.diff(deg, prepend=-1))
+        count = np.diff(first, append=self.n_checks)
+        return tuple((int(self.ptr[c]), int(c), int(k), int(deg[c]))
+                     for c, k in zip(first, count) if deg[c])
 
 
 _COL_WEIGHT = 3   # checks per bit, so a code needs at least this many
@@ -190,21 +212,6 @@ def make_ldpc(n_bits: int, n_checks: int, rng_seed: int,
                     ptr=np.concatenate(([0], np.cumsum(row_w)[:-1])))
 
 
-def _degree_runs(code: LdpcCode) -> list[tuple[int, int, int, int]]:
-    """Maximal runs of consecutive checks of equal, nonzero degree.
-
-    Each run is (first edge, first check, check count, degree); its edges
-    are the dense block ``[first edge, first edge + count * degree)``.  A
-    ``make_ldpc`` code has at most two runs.  A check of degree 0 holds no
-    edge, so it is in no run: its parity is 0 and it sends no message.
-    """
-    deg = np.diff(code.ptr, append=code.var.shape[0])
-    first = np.flatnonzero(np.diff(deg, prepend=-1))
-    count = np.diff(first, append=code.n_checks)
-    return [(int(code.ptr[c]), int(c), int(k), int(deg[c]))
-            for c, k in zip(first, count) if deg[c]]
-
-
 def _fold_columns(op: np.ufunc, block: np.ndarray, out: np.ndarray) -> None:
     """``out`` = op over each row of ``block``, column by column left to
     right, so a product keeps the edge order of its check."""
@@ -222,13 +229,13 @@ def syndrome_of(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
                          f"shape {bits.shape}")
     edge_bits = bits[code.var]
     out = np.zeros(code.n_checks, dtype=np.uint8)
-    for e0, c0, k, d in _degree_runs(code):
+    for e0, c0, k, d in code._degree_runs:
         _fold_columns(np.bitwise_xor, edge_bits[e0:e0 + k * d].reshape(k, d),
                       out[c0:c0 + k])
     return out
 
 
-def _check_ranges(runs: list[tuple[int, int, int, int]],
+def _check_ranges(runs: tuple[tuple[int, int, int, int], ...],
                   parts: int) -> list[tuple[slice, slice, int]]:
     """Each run cut into contiguous check ranges of near-equal size, as
     (edge slice, check slice, degree).  A run gets ``parts`` times its
@@ -245,6 +252,11 @@ def _check_ranges(runs: list[tuple[int, int, int, int]],
     return ranges
 
 
+_HALF_CLIP = 8.0     # |half-scale message| bound; tanh(8) <= 1 - 3 * 2^-24
+_TANH_FLOOR = 1e-12  # |tanh| floor, a normal float32, so no divisor is 0
+_EXT_MAX = np.float32(1.0 - 2.0 ** -24)   # the largest float32 below 1
+
+
 def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
                     max_iter: int = 100) -> tuple[np.ndarray, bool]:
     """Sum-product estimate of the error pattern with H e = syndrome.
@@ -253,9 +265,8 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     bounds the iterations.  Returns the hard-decision pattern and a flag
     telling whether it reproduces the syndrome exactly (the usual
     convergence criterion).  Posteriors and check-to-variable messages are
-    kept at half scale, L / 2, which is the argument of the tanh rule:
-    scaling by 2 is exact, so every message and hard decision is the same
-    bit for bit as at full scale.  The edge messages live in buffers
+    kept at half scale, L / 2, which is the argument of the tanh rule, so
+    no pass scales by 2 and back.  The edge messages live in buffers
     allocated once and updated in place; each check's syndrome sign
     multiplies its product once.  A check reads only its own edges, so
     everything but the variable side's sum runs per check range on the
@@ -263,6 +274,30 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
     its share of the edges, about one per usable CPU in all and at least
     one per block.  That sum stays one ``np.bincount`` over the whole edge
     list, whose edge order fixes every posterior bit for bit.
+
+    Precision.  The check side runs in float32, with unit roundoff
+    u = 2^-24: each edge's variable-to-check message, its tanh, each
+    check's product, the extrinsic products and their arctanh, the
+    check-to-variable messages.  ``np.bincount`` sums those messages from
+    a float64 copy, so each posterior is a float64 sum, stored rounded to
+    float32.  No arctanh argument reaches +-1:
+
+    * a message is clipped to [-8, 8], which numpy's float32 tanh maps into
+      [-T, T] with T = tanh(8) = 1 - 4u.  The proof needs only T <= 1 - 3u,
+      which a test checks, with |tanh x| <= T for every float32 x from 0.5
+      to 8 (below 0.5, |tanh x| <= |x|);
+    * |tanh| is raised to at least 1e-12, a normal float32, so no divisor
+      is 0;
+    * at degree d >= 2 an edge's extrinsic product is the product of the
+      other d - 1 factors after d roundings (d - 1 products and one
+      quotient; the syndrome sign is exact).  If every partial product is
+      a normal float32, each rounding is within a factor 1 + u, so the
+      magnitude is at most T^(d-1) (1 + u)^d <= exp(u (3 - 2d)) < 1, by
+      ln(1 - 3u) <= -3u and ln(1 + u) <= u.  The factors are at most 1 in
+      magnitude, so a partial product that falls below 2^-126 stays below
+      it, and its quotient by |tanh| >= 1e-12 is below 1e-25;
+    * at degree 1 the extrinsic product is +-t / t = +-1 exactly; it is
+      clamped to the largest float32 below 1, whose arctanh is 8.66.
     """
     _real("decoder prior", p, "lie in (0, 0.5)", lambda v: 0.0 < v < 0.5)
     max_iter = _integer("max_iter", max_iter, 1)
@@ -271,16 +306,20 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
         raise ParamError("syndrome length does not match the code")
     var = code.var
     cpus = _workers.usable_cpus()
-    ranges = _check_ranges(_degree_runs(code), cpus)
+    ranges = _check_ranges(code._degree_runs, cpus)
     half_llr0 = 0.5 * float(np.log((1.0 - p) / p))
-    sign = (1.0 - 2.0 * syndrome)[:, None]   # (-1)^syndrome of each check
+    sign = (1.0 - 2.0 * syndrome).astype(np.float32)   # (-1)^syndrome
     n_edges = var.shape[0]
-    # t holds each edge's half-scale posterior, then its variable-to-check
-    # message, then tanh of it away from 0; m_c2v starts at 0, so the first
-    # pass sends llr0 / 2 - 0.0 = llr0 / 2
-    t = np.full(n_edges, half_llr0)
-    m_c2v = np.zeros(n_edges)             # half-scale check-to-variable messages
-    prod = np.empty((code.n_checks, 1))   # each check's signed product of its t
+    # t holds each edge's posterior, then its variable-to-check message,
+    # then tanh of it away from 0.  c2v holds the check-to-variable
+    # messages from one iteration to the next, and |t| and then the
+    # extrinsic products within one.  c2v starts at 0, so the first pass
+    # sends llr0 / 2 - 0
+    t = np.full(n_edges, half_llr0, dtype=np.float32)
+    c2v = np.zeros(n_edges, dtype=np.float32)
+    weights = np.empty(n_edges)          # c2v as float64, for bincount
+    post = np.empty(code.n_bits, dtype=np.float32)   # posteriors
+    prod = np.empty(code.n_checks, dtype=np.float32)   # signed products
     hard = np.empty(n_edges, dtype=bool)  # each edge's hard decision
     # H e_hat mod 2; a check of degree 0 is in no range, so its parity
     # stays 0 and a syndrome bit 1 there is never met
@@ -288,35 +327,35 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
 
     def messages(edges: slice, checks: slice, d: int) -> None:
         """Both message updates on one check range's edges."""
-        t_r, c2v = t[edges], m_c2v[edges]
-        np.subtract(t_r, c2v, out=t_r)
-        np.clip(t_r, -15.0, 15.0, out=t_r)
+        t_r, c_r = t[edges], c2v[edges]
+        np.subtract(t_r, c_r, out=t_r)
+        np.clip(t_r, -_HALF_CLIP, _HALF_CLIP, out=t_r)
         np.tanh(t_r, out=t_r)
         # raise |t| to at least 1e-12 and put the sign back, in the rare
         # range where some |t| is below it.  copysign would send -0.0 to
-        # -1e-12, but no t here is -0.0: a posterior is a sum with
-        # llr0 / 2 > 0, a difference of two doubles is -0.0 only for
-        # -0.0 - (+0.0), and tanh keeps a nonzero argument nonzero.
-        # tanh(15) = 1 - 1.87e-13, so |t| needs no upper clamp.
-        np.abs(t_r, out=c2v)
-        if c2v.min() < 1e-12:
-            np.maximum(c2v, 1e-12, out=c2v)
-            np.copysign(c2v, t_r, out=t_r)
+        # -1e-12, but no t here is -0.0: no posterior is (see below), a
+        # difference of two floats is -0.0 only for -0.0 - (+0.0), and
+        # tanh keeps a nonzero argument nonzero
+        np.abs(t_r, out=c_r)
+        if c_r.min() < _TANH_FLOOR:
+            np.maximum(c_r, _TANH_FLOOR, out=c_r)
+            np.copysign(c_r, t_r, out=t_r)
         # each check's product of its edges, signed by its syndrome bit;
-        # the extrinsic message of an edge leaves its own factor out
-        t_blk, c2v_blk = t_r.reshape(-1, d), c2v.reshape(-1, d)
-        _fold_columns(np.multiply, t_blk, prod[checks, 0])
-        np.multiply(prod[checks], sign[checks], out=prod[checks])
-        np.divide(prod[checks], t_blk, out=c2v_blk)
-        # at degree d >= 2 the extrinsic product has d - 1 factors of at
-        # most tanh(15) and d rounding steps, so its magnitude is at most
-        # tanh(15)^(d-1) * (1 + (d+1) 2^-53) < 1 - 1e-15 and arctanh stays
-        # finite; at degree 1 it is exactly +-1 and must be clamped
+        # the extrinsic product of an edge leaves its own factor out.  The
+        # quotient runs column by column, each a long inner loop, where one
+        # broadcast over the block would loop d elements at a time
+        t_blk, c_blk = t_r.reshape(-1, d), c_r.reshape(-1, d)
+        p_r = prod[checks]
+        _fold_columns(np.multiply, t_blk, p_r)
+        np.multiply(p_r, sign[checks], out=p_r)
+        for j in range(d):
+            np.divide(p_r, t_blk[:, j], out=c_blk[:, j])
         if d == 1:
-            np.clip(c2v, -(1.0 - 1e-15), 1.0 - 1e-15, out=c2v)
-        np.arctanh(c2v, out=c2v)
+            np.clip(c_r, -_EXT_MAX, _EXT_MAX, out=c_r)
+        np.arctanh(c_r, out=c_r)
+        np.copyto(weights[edges], c_r)
 
-    def gather(post: np.ndarray, edges: slice, checks: slice, d: int) -> None:
+    def gather(edges: slice, checks: slice, d: int) -> None:
         """One range's posteriors into t, the parity of their hard
         decisions into parity."""
         # LdpcCode keeps var in [0, n_bits), so mode="clip" clips nothing;
@@ -330,9 +369,13 @@ def decode_syndrome(code: LdpcCode, syndrome: np.ndarray, p: float,
 
     for _ in range(max_iter):
         list(_workers.in_order(lambda r: messages(*r), ranges, cpus))
-        post = np.bincount(var, weights=m_c2v, minlength=code.n_bits)
-        np.add(post, half_llr0, out=post)
-        list(_workers.in_order(lambda r: gather(post, *r), ranges, cpus))
+        # each posterior is a float64 sum with llr0 / 2 > 2^-54, so it is
+        # +0.0 or at least 2^-107 in magnitude, far above the least
+        # float32, 2^-149: rounding it to float32 keeps its sign and hard
+        # decision, and never gives -0.0
+        np.add(np.bincount(var, weights=weights, minlength=code.n_bits),
+               half_llr0, out=post)
+        list(_workers.in_order(lambda r: gather(*r), ranges, cpus))
         if np.array_equal(parity, syndrome):
             return (post < 0.0).view(np.uint8), True
     return (post < 0.0).view(np.uint8), False

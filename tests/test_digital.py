@@ -16,6 +16,7 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       validate_bsc, xi_digital)
 from steeplab import _workers, digital
 from steeplab.codes import _COL_WEIGHT
+from steeplab.verify import _joint_pmf, _xi_enumerated
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 
@@ -138,6 +139,56 @@ def test_episode_statistics():
     emp_eb = np.mean(ep.bbar_EB ^ ep.b_s)
     assert abs(emp_ab - 0.1) < 0.004
     assert abs(emp_eb - 0.26) < 0.005
+
+
+# every rate distinct, P_AB != P_EB in particular, so a closed form that
+# reads one return rate for the other is off by several percent
+GENERIC = BscParams(P_BA=0.07, P_EA=0.13, P_AB=0.02, P_EB=0.045,
+                    m_A=100_000)
+
+
+def _enumerated_rates(bsc):
+    """(P_A|B, P_E|B) summed from the exact joint PMF of (b_s, bbar_AB,
+    bbar_EB) over the secret bit and the four channel flips."""
+    pmf = _joint_pmf((bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB),
+                     lambda b_s, w_ba, w_ea, w_ab, w_eb:
+                     (b_s, b_s ^ w_ba ^ w_ab, b_s ^ w_ea ^ w_ba ^ w_eb))
+    return (float(pmf[0, 1].sum() + pmf[1, 0].sum()),
+            float(pmf[0, :, 1].sum() + pmf[1, :, 0].sum()))
+
+
+def _assert_closed_forms_match_enumeration(bsc):
+    p_ab, p_eb = _enumerated_rates(bsc)
+    plan = reconcile_plan(bsc)
+    for got in (effective_error_rates(bsc),
+                (plan.p_a_given_b, plan.p_e_given_b)):
+        assert got == pytest.approx((p_ab, p_eb), rel=1e-13, abs=1e-15)
+    xi_enum = float(_xi_enumerated(bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB))
+    assert xi_digital(bsc) == pytest.approx(xi_enum, abs=1e-12)
+    assert plan.xi == xi_digital(bsc)
+
+
+def test_closed_forms_match_enumeration_with_distinct_return_rates():
+    _assert_closed_forms_match_enumeration(GENERIC)
+
+
+@given(rates=st.tuples(*[st.floats(min_value=0.0, max_value=0.45)] * 4))
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_enumeration_at_any_point(rates):
+    p_ba, p_ea, p_ab, p_eb = rates
+    _assert_closed_forms_match_enumeration(
+        BscParams(P_BA=p_ba, P_EA=p_ea, P_AB=p_ab, P_EB=p_eb, m_A=1000))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_episode_crossovers_match_the_closed_forms_with_distinct_return_rates(
+        seed):
+    # each view of b_s through its effective BSC, within 4 standard errors
+    ep = run_digital_episode(GENERIC, seed)
+    for view, p in zip((ep.bbar_AB, ep.bbar_EB),
+                       effective_error_rates(GENERIC)):
+        se = math.sqrt(p * (1.0 - p) / GENERIC.m_A)
+        assert abs(float(np.mean(view ^ ep.b_s)) - p) < 4.0 * se
 
 
 def test_episode_deterministic():
