@@ -1,15 +1,13 @@
-"""The one thread pool: sweep points, the signal roles of each simulation
-phase, episode CSV blocks, the LDPC decoder's check ranges, Bob's
-privacy-amplification hash (beside Alice's decode) and the oracle suite's
-term and echo-phase checks (beside its MMSE trials) run in parallel only
-through ``in_order``.  No other module starts a thread or asks which CPUs
-the process may use.
+"""The one thread pool: sweep points, episode CSV blocks, the LDPC
+decoder's check ranges, Bob's privacy-amplification hash (beside Alice's
+decode) and the oracle suite's term and echo-phase checks (beside its MMSE
+trials) run in parallel only through ``in_order``.  No other module starts
+a thread or asks which CPUs the process may use.
 
 ``in_order`` may be called inside an item of another ``in_order``, as the
-decoder is inside a reconciliation and an episode's roles inside a group of
-the oracle suite, and from a pool job: an item the busy pool has not
-started when it is due runs in the calling thread, so no thread waits on a
-job queued behind itself."""
+decoder is inside a reconciliation, and from a pool job: an item the busy
+pool has not started when it is due runs in the calling thread, so no
+thread waits on a job queued behind itself."""
 from __future__ import annotations
 
 import os

@@ -27,12 +27,11 @@ returned without the trial axis.
 All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
 ``sample_channel_batch`` and ``sample_channels`` from one call of it, into
 one complex buffer.  The probing and the echo phase each draw their three
-roles side by side, one role per item of the shared pool's
-``_workers.in_order``, every seed of a batch in that item.  Each role reads
-only its own streams, so an episode has the same bits at any CPU count.  A
-batch episode derives the Philox keys of all seven roles' streams in one
-pass of the ``SeedSequence`` hash (``seeds._role_keys``), on the calling
-thread, and hands each stage its roles' key rows.
+roles in turn on the calling thread, every seed of a batch in one call.
+Each role reads only its own streams, so an episode has the same bits
+whichever thread runs it.  A batch episode derives the Philox keys of all
+seven roles' streams in one pass of the ``SeedSequence`` hash
+(``seeds._role_keys``) and hands each stage its roles' key rows.
 """
 from __future__ import annotations
 
@@ -134,17 +133,14 @@ def _phase_signals(seeds: list[int], batched: bool,
                    ) -> list[np.ndarray]:
     """The ``_cnormal_rows`` array of each (role, shape, var) of one phase,
     for every seed, its streams keyed by ``keys[role]``; without ``keys``
-    they are derived here (``_keys_by_role``).  Each role is one item of
-    ``_workers.in_order``, so the roles are drawn side by side.  Their keys
-    and normals are made here, on the calling thread, before dispatch: the
-    hash pass holds the GIL, and normals taken from a pool thread's malloc
-    arena would fault in fresh pages on every call."""
+    they are derived here (``_keys_by_role``).  The roles are drawn in
+    turn, but every role's normals buffer is made before the first draw:
+    made one role at a time, they raised the oracle suite's peak RSS."""
     if keys is None:
         keys = _keys_by_role(seeds, [role for role, _, _ in roles])
-    jobs = [(role, keys[role], [np.empty((len(seeds), 2, *shape))], var)
-            for role, shape, var in roles]
-    return [z for [z] in _workers.in_order(
-        lambda job: _cnormal_rows(seeds, batched, *job), jobs, len(jobs))]
+    normals = [[np.empty((len(seeds), 2, *shape))] for _, shape, _ in roles]
+    return [_cnormal_rows(seeds, batched, role, keys[role], buf, var)[0]
+            for (role, _, var), buf in zip(roles, normals)]
 
 
 # =====================================================================
@@ -261,7 +257,6 @@ def _run_probing(params: SystemParams, realization: ChannelRealization,
         raise SimulationError("nothing to probe: m_A must be >= 1")
     _check_batch(np.shape(realization.h_BA), seeds, batched)
     m = params.m_A
-    # noise_ea, the n_E x m role, second: with two CPUs it has a thread alone
     x_A, w_EA, w_B = _phase_signals(seeds, batched, [
         ("probe", (m,), params.p_A),
         ("noise_ea", (params.n_E, m), params.sigma_EA2),
@@ -310,10 +305,10 @@ def simulate_episode(params: SystemParams,
 
     Each stage draws its own role-tagged streams of ``rng_seed``, so the
     result is identical to calling the three stages with the same seed.  A
-    batch derives the keys of all seven roles' streams here, on the calling
-    thread, in one pass of the ``SeedSequence`` hash that checks each seed
-    once, and hands each stage its roles' keys; one seed opens each role's
-    stream with ``seeds.stream``.
+    batch derives the keys of all seven roles' streams here, in one pass of
+    the ``SeedSequence`` hash that checks each seed once, and hands each
+    stage its roles' keys; one seed opens each role's stream with
+    ``seeds.stream``.
     """
     seeds, batched = _seeds(rng_seed)
     keys = _keys_by_role(seeds, _EPISODE_ROLES)

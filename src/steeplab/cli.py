@@ -158,11 +158,11 @@ def _sweep_point(spec: SweepSpec,
                     for k, v in sorted(report.stderr.items())})
     else:
         try:
-            xi = xi_digital(point, mode="exact")
+            xi = xi_digital(point)
         except ParamError as exc:  # a valid point outside the formula's regime
             row["status"] = str(exc)
             return row
-        p_ab, p_eb = effective_error_rates(point, mode="exact")
+        p_ab, p_eb = effective_error_rates(point)
         xi_l, xi_u = mac_bounds_digital(point)
         row.update({
             "P_A_given_B": p_ab,

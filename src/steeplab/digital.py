@@ -15,7 +15,9 @@ p * q = p(1-q) + q(1-p):
     P_A|B = P_BA * P_AB            (~ P_BA when the return channel is clean)
     P_E|B = P_EA * P_BA * P_EB     (~ P_BA + P_EA (1 - 2 P_BA))
 
-and the per-bit secrecy rate is xi = f(P_E|B) - f(P_A|B) with f the binary
+The clean-return forms on the right only explain the exact ones, which are
+what ``effective_error_rates`` computes; they drop P_AB and P_EB.  The
+per-bit secrecy rate is xi = f(P_E|B) - f(P_A|B) with f the binary
 entropy in bits.  The same number is both the lower and the upper
 secret-key bound for the probing data sets; ``steeplab.verify`` shows it by
 exact enumeration.
@@ -33,7 +35,6 @@ disclosed syndrome bits over that ideal, and the distillable length is
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,38 +122,20 @@ def _xi_of_rates(p_ab, p_eb):
     return binary_entropy(p_eb) - binary_entropy(p_ab)
 
 
-def effective_error_rates(bsc: BscParams, mode: str = "exact") -> tuple[float, float]:
-    """End-to-end crossover rates (P_A|B, P_E|B) of the two effective BSCs.
-
-    ``mode="exact"`` composes all hops with the binary convolution.
-    ``mode="approx"`` uses the clean-return-channel forms P_A|B = P_BA and
-    P_E|B = P_BA + P_EA (1 - 2 P_BA), warning when the neglected return
-    rates are not actually negligible next to P_BA.
-    """
-    if mode == "exact":
-        p_ab, p_eb = _exact_rates(bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB)
-    elif mode == "approx":
-        floor = max(bsc.P_BA, 1e-12) / 100.0
-        if bsc.P_AB > floor or bsc.P_EB > floor:
-            warnings.warn(
-                "return-channel rates are not negligible next to P_BA; the "
-                "approximate effective rates drop them, use mode='exact'",
-                stacklevel=2,
-            )
-        p_ab = bsc.P_BA
-        p_eb = bsc.P_BA + bsc.P_EA * (1.0 - 2.0 * bsc.P_BA)
-    else:
-        raise ParamError(f"mode must be 'exact' or 'approx', got {mode!r}")
+def effective_error_rates(bsc: BscParams) -> tuple[float, float]:
+    """End-to-end crossover rates (P_A|B, P_E|B) of the two effective BSCs,
+    every hop composed with the binary convolution."""
+    p_ab, p_eb = _exact_rates(bsc.P_BA, bsc.P_EA, bsc.P_AB, bsc.P_EB)
     return float(p_ab), float(p_eb)
 
 
-def xi_digital(bsc: BscParams, mode: str = "exact") -> float:
+def xi_digital(bsc: BscParams) -> float:
     """Per-bit secrecy rate xi = f(P_E|B) - f(P_A|B), in bits.
 
     Raises when P_E|B reaches 1/2 (Eve's view pure noise only happens on
     the degenerate boundary where the formula's premises fail).
     """
-    p_ab, p_eb = effective_error_rates(bsc, mode=mode)
+    p_ab, p_eb = effective_error_rates(bsc)
     if p_eb >= 0.5:
         raise ParamError("secrecy formula outside stated regime: P_E|B >= 1/2")
     return float(_xi_of_rates(p_ab, p_eb))
@@ -269,8 +252,8 @@ def reconcile_plan(bsc: BscParams, efficiency: float = 1.6,
     _real("efficiency", efficiency, "lie in [1, inf)", lambda v: v >= 1.0)
     _real("safety_margin", safety_margin, "lie in [0, 1)",
           lambda v: 0.0 <= v < 1.0)
-    p_ab, p_eb = effective_error_rates(bsc, mode="exact")
-    xi = xi_digital(bsc, mode="exact")
+    p_ab, p_eb = effective_error_rates(bsc)
+    xi = xi_digital(bsc)
     ideal = bsc.m_A * binary_entropy(p_ab)
     if p_ab == 0.0:
         syndrome_bits = 0

@@ -17,10 +17,7 @@ secret.  Her floor is governed by phi_BA: the residual probe energy she
 cannot remove acts as extra noise of variance |h_BA|^2 r_dx = phi_BA
 sigma_B2.
 
-By default Eve is granted exact knowledge of h_BA (worst case for secrecy);
-pass ``grant_channel=False`` to withhold it, in which case she falls back to
-the prior-mean linear estimate and the reported closed form is the actual
-MSE of that mismatched filter.
+Eve is granted exact knowledge of h_BA, the worst case for secrecy.
 
 Every estimator takes one episode or a batch episode (see
 ``channel.simulate_episode``) and works along the last axis: a batch gives
@@ -160,47 +157,35 @@ def eve_estimate_xA(episode: AnalogEpisode, params: SystemParams) -> EstimateRes
     return _result(estimate, empirical, closed)
 
 
-def eve_estimate_s(episode: AnalogEpisode, params: SystemParams,
-                   grant_channel: bool = True,
+def eve_estimate_s(episode: AnalogEpisode, params: SystemParams, *,
                    probe_estimate: EstimateResult | None = None
                    ) -> EstimateResult:
     """Eve's linear MMSE estimate of the secret from her return observation.
 
-    With h_BA granted (default, worst case) she subtracts h_BA xhat_A and
-    scalar-MMSE-filters what is left; the residual probe energy she cannot
-    cancel has variance phi_BA sigma_B2, giving
+    With h_BA granted she subtracts h_BA xhat_A and scalar-MMSE-filters what
+    is left; the residual probe energy she cannot cancel has variance
+    phi_BA sigma_B2, giving
 
         r_ds_E = sigma_s2 (phi_BA + 1) / (sigma_s2 / sigma_B2 + phi_BA + 1).
 
     ``probe_estimate`` is ``eve_estimate_xA`` of the same episode, computed
-    here when not given.  With the channel withheld her best linear filter
-    treats h_BA x_A as prior noise of variance p_A and ignores
-    ``probe_estimate``; the closed form reported is then the true MSE of
-    that filter under the realized h_BA.
+    here when not given.
     """
     _require_echo(episode)
+    xr = probe_estimate
+    if xr is None:
+        xr = eve_estimate_xA(episode, params)
+    if xr.estimate.shape != episode.x_A.shape:
+        raise ParamError(f"probe estimate of shape {xr.estimate.shape} "
+                         f"for probes of shape {episode.x_A.shape}")
     h = episode.realization.h_BA
-    h_abs2 = np.square(np.abs(h))
+    noise = np.square(np.abs(h)) * xr.closedform_mse + params.sigma_B2
+    c = params.sigma_s2 / (params.sigma_s2 + noise)
+    estimate = c[..., None] * (
+        episode.y_EB - np.expand_dims(h, -1) * xr.estimate)
+    p = _realization_terms(params, episode.realization)["phi_BA"]
     t = params.sigma_s2 / params.sigma_B2
-    if grant_channel:
-        xr = probe_estimate
-        if xr is None:
-            xr = eve_estimate_xA(episode, params)
-        if xr.estimate.shape != episode.x_A.shape:
-            raise ParamError(f"probe estimate of shape {xr.estimate.shape} "
-                             f"for probes of shape {episode.x_A.shape}")
-        noise = h_abs2 * xr.closedform_mse + params.sigma_B2
-        c = params.sigma_s2 / (params.sigma_s2 + noise)
-        estimate = c[..., None] * (
-            episode.y_EB - np.expand_dims(h, -1) * xr.estimate)
-        p = _realization_terms(params, episode.realization)["phi_BA"]
-        closed = params.sigma_s2 * (p + 1.0) / (t + p + 1.0)
-    else:
-        prior_noise = params.p_A + params.sigma_B2 + params.eps_E
-        c = params.sigma_s2 / (params.sigma_s2 + prior_noise)
-        estimate = c * episode.y_EB
-        actual_noise = h_abs2 * params.p_A + params.sigma_B2 + params.eps_E
-        closed = (params.sigma_s2 * (1.0 - c) ** 2 + c ** 2 * actual_noise)
+    closed = params.sigma_s2 * (p + 1.0) / (t + p + 1.0)
     empirical = np.mean(np.abs(estimate - episode.s) ** 2, axis=-1)
     return _result(estimate, empirical, closed)
 

@@ -104,11 +104,16 @@ def _logdet2(cov: np.ndarray) -> float | np.ndarray:
 
     ``cov`` is one matrix, which gives a float, or a stack ``(..., k, k)``,
     which gives an array of its leading shape from one Hermitian check and
-    one Cholesky; any bad matrix in the stack raises."""
+    one Cholesky; any bad matrix in the stack raises.  A matrix is Hermitian
+    when its largest |C - C^H| is at most 1e-10 of its largest |entry|:
+    Cholesky reads one triangle, so a looser check would let the two
+    triangles give two answers."""
     cov = np.atleast_2d(np.asarray(cov))
     if cov.shape[-2] != cov.shape[-1]:
         raise ParamError(f"covariance must be square, got {cov.shape}")
-    if not np.allclose(cov, np.conj(np.swapaxes(cov, -1, -2)), atol=1e-10):
+    skew = np.abs(cov - np.conj(np.swapaxes(cov, -1, -2)))
+    if not np.all(skew.max(axis=(-2, -1), initial=0.0)
+                  <= 1e-10 * np.abs(cov).max(axis=(-2, -1), initial=0.0)):
         raise ParamError("covariance matrix is not Hermitian")
     try:
         chol = np.linalg.cholesky(cov)
@@ -513,8 +518,8 @@ def run_oracle_suite(params: SystemParams, rng_seed: int = 0,
     The exact digital and BSC checks run first.  Then the calling thread
     runs the MMSE trials while the shared pool runs the information terms,
     the echo episode's checks and the limit check: two groups that share
-    no data, handed to one ``_workers.in_order``.  Each group's own pool
-    calls run in its thread while the pool is busy, so the reports have
+    no data, handed to one ``_workers.in_order``.  Neither group calls the
+    pool itself, and each draws only its own streams, so the reports have
     the same bits at any CPU count; they come back in a fixed order.
     ``rng_seed`` is one seed, checked on entry.
     """

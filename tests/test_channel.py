@@ -269,36 +269,9 @@ def test_phases_keep_their_bits_at_any_cpu_count(monkeypatch, n_E, batched):
                 np.asarray(getattr(realization, name)).tobytes(), name
 
 
-def test_phases_draw_their_roles_side_by_side(monkeypatch):
-    # two CPUs: the calling thread draws the first and third role of each
-    # phase, a pool thread the second, which in probing is Eve's n_E x m noise
-    _use_cpus(monkeypatch, 2)
-    kernel = channel._cnormal_rows
-    on_pool = threading.Event()
-    threads = {}
-
-    def recording(seeds, batched, role, *args):
-        pool = threading.current_thread().name.startswith("steeplab-pool")
-        threads[role] = "pool" if pool else "caller"
-        if pool:
-            on_pool.set()
-        elif role in ("probe", "secret"):   # let the pool start its role
-            assert on_pool.wait(timeout=30)
-            on_pool.clear()
-        return kernel(seeds, batched, role, *args)
-
-    monkeypatch.setattr(channel, "_cnormal_rows", recording)
-    p = dataclasses.replace(SystemParams(), n_E=3, m_A=500)
-    simulate_episode(p, [1, 2, 3])
-    assert threads == {"channels": "caller", "probe": "caller",
-                       "noise_ea": "pool", "noise_b": "caller",
-                       "secret": "caller", "noise_va": "pool",
-                       "noise_ve": "caller"}
-
-
 def test_episode_from_a_pool_job_while_the_pool_is_held(monkeypatch):
     # three CPUs: a pool of two threads, one held and one running the
-    # episode, so every role the episode hands out runs in its own thread
+    # episode, whose roles draw the same bits in a pool thread
     _use_cpus(monkeypatch, 3)
     p = SystemParams(n_E=3, m_A=500)
     seeds = [subseed(31, "held", t) for t in range(200)]

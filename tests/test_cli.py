@@ -981,6 +981,51 @@ _MUTANTS = [
                  '("secret", (m,), 1.01 * params.sigma_s2)',
                  id="M8-secret-drawn-at-1.01-sigma_s2",
                  marks=_xfail_until("items 3 and 14")),
+    pytest.param("digital.py",
+                 "return (bsc_convolve(p_ba, p_ab),",
+                 "return (bsc_convolve(p_ba, p_eb),",
+                 id="D1-P_A_given_B-convolves-P_EB",
+                 marks=_xfail_until("item 21 step 2")),
+    pytest.param("digital.py",
+                 "bsc_convolve(bsc_convolve(p_ea, p_ba), p_eb))",
+                 "bsc_convolve(bsc_convolve(p_ea, p_ba), p_ab))",
+                 id="D2-P_E_given_B-convolves-P_AB",
+                 marks=_xfail_until("item 21 step 2")),
+    pytest.param("digital.py",
+                 "leak = max(0.0, syndrome_bits - ideal)",
+                 "leak = 0.0",
+                 id="D3-reconcile-plan-charges-no-leak",
+                 marks=_xfail_until("items 6 and 7")),
+    pytest.param("digital.py",
+                 '"w_ea", m, bsc.P_EA',
+                 '"w_ba", m, bsc.P_EA',
+                 id="D4-eve-probing-flips-from-bobs-stream",
+                 marks=_xfail_until("item 21 step 2")),
+    pytest.param("digital.py",
+                 "bbar_EB=b_eb ^ b_ea",
+                 "bbar_EB=b_eb ^ b_a",
+                 id="D5-eve-folds-with-alices-probes",
+                 marks=_xfail_until("item 21 step 2")),
+    pytest.param("rates.py",
+                 "t / (t + 1.0), phi_ba",
+                 "1.0 / (t + 1.0), phi_ba",
+                 id="R1-xi_bar_BA-uses-1-over-t-plus-1",
+                 marks=_xfail_until("a new ROADMAP item (none names it yet)")),
+    pytest.param("rates.py",
+                 "params.eps_E / params.eps_A",
+                 "params.eps_A / params.eps_E",
+                 id="R2-eta-is-eps_A-over-eps_E",
+                 marks=_xfail_until("item 2")),
+    pytest.param("rates.py",
+                 "dev.sum() / (n - 1)",
+                 "dev.sum() / n",
+                 id="R3-standard-error-with-ddof-0",
+                 marks=_xfail_until("a new ROADMAP item (none names it yet)")),
+    pytest.param("rates.py",
+                 '("C_A", m_B, "xi_AB"',
+                 '("C_A", m_B, "xi_BA"',
+                 id="R4-C_A-adds-xi_BA",
+                 marks=_xfail_until("item 21 step 2")),
 ]
 
 

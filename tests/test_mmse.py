@@ -98,13 +98,14 @@ def test_eve_secret_estimate_frozen_example():
     assert out.closedform_mse == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_eve_channel_grant_flag():
-    p = dataclasses.replace(QUIET, m_A=2000)
+def test_eve_probe_estimate_is_keyword_only():
+    # a positional third argument is never taken for a probe estimate
+    p = dataclasses.replace(QUIET, m_A=8)
     ep = simulate_episode(p, 11)
-    granted = eve_estimate_s(ep, p, grant_channel=True)
-    withheld = eve_estimate_s(ep, p, grant_channel=False)
-    # knowing h_BA can only help
-    assert granted.closedform_mse <= withheld.closedform_mse + 1e-12
+    with pytest.raises(TypeError):
+        eve_estimate_s(ep, p, eve_estimate_xA(ep, p))
+    with pytest.raises(TypeError):
+        eve_estimate_s(ep, p, True)
 
 
 # ---------------------------------------------------------------- eta
@@ -121,6 +122,24 @@ def test_eta_frozen_examples():
     assert phi(p, r_phi_half, "BA") == pytest.approx(0.5)
     assert mse_ratio_eta(p_big_t, r_phi_half) == pytest.approx(2.0 / 3.0,
                                                                abs=1e-6)
+
+
+def test_eta_is_the_ratio_of_alice_and_eve_closed_forms():
+    # eta = alice_limit_mse / r_ds_E: the large-m_A ratio of the two MSE
+    # closed forms, per realization, for single and batch episodes
+    p = dataclasses.replace(QUIET, rho=0.3 + 0.4j, n_E=2, sigma_s2=2.3,
+                            sigma_B2=1.1, m_A=16)
+    limit = alice_limit_mse(p)
+    for seed in range(4):
+        ep = simulate_episode(p, seed)
+        eve = eve_estimate_s(ep, p).closedform_mse
+        assert limit / eve == pytest.approx(mse_ratio_eta(p, ep.realization),
+                                            rel=1e-12, abs=0)
+    seeds = [subseed(41, "eta", t) for t in range(5)]
+    eve = eve_estimate_s(simulate_episode(p, seeds), p).closedform_mse
+    # trial t of the batch has the channels of seed t
+    want = [mse_ratio_eta(p, sample_channels(p, seed)) for seed in seeds]
+    np.testing.assert_allclose(limit / eve, want, rtol=1e-12, atol=0)
 
 
 @given(habs2=st.floats(min_value=1e-3, max_value=1e3),
@@ -150,7 +169,6 @@ def _estimates(episode, p, probe=None):
         "alice": alice_estimate_s(episode, p),
         "eve_x": eve_estimate_xA(episode, p),
         "eve_s": eve_estimate_s(episode, p, probe_estimate=probe),
-        "eve_s_withheld": eve_estimate_s(episode, p, grant_channel=False),
     }
 
 

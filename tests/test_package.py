@@ -55,3 +55,37 @@ def test_params_are_validated_only_when_built():
                 _check_calls(f) for f in ast.walk(tree)
                 if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"))
     assert found == {"digital.py": (1, 1), "params.py": (1, 1)}
+
+
+def _pool_callers(node, owner=None):
+    """(function, call) for each call of ``in_order`` under node, the
+    function being the innermost ``def`` around the call."""
+    if isinstance(node, ast.FunctionDef):
+        owner = node.name
+    if isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) == "in_order":
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from _pool_callers(child, owner)
+
+
+def test_the_pool_has_the_callers_its_docstring_names():
+    # the _workers docstring lists every fan-out; a new one comes with a
+    # measured gain and an edit of this list
+    callers, spawners = set(), {}
+    for path in sorted(Path(steeplab.__file__).parent.glob("*.py")):
+        if path.name == "_workers.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers.update(f"{path.stem}.{f}" for f in _pool_callers(tree))
+        names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", "")))
+                 for n in ast.walk(tree)}
+        hits = names & {"ThreadPoolExecutor", "Thread", "cpu_count",
+                        "sched_getaffinity"}
+        if hits:
+            spawners[path.name] = hits
+    assert callers == {"cli.run_sweep", "channel._episode_csv_parts",
+                       "codes.decode_syndrome",
+                       "digital.reconcile_and_amplify",
+                       "verify.run_oracle_suite"}
+    assert spawners == {}

@@ -83,6 +83,26 @@ def test_logdet_rejects_indefinite():
         gaussian_mi_logdet(bad, good, joint)
 
 
+def test_logdet_rejects_a_matrix_off_hermitian_in_the_5th_digit():
+    # Cholesky reads one triangle, so the two triangles gave 0.4150452 and
+    # 0.4150375; numpy's default rtol of 1e-5 used to let this through
+    joint = np.array([[1.0, 0.5], [0.500004, 1.0]])
+    for cov in (joint, joint.T):
+        with pytest.raises(ParamError, match="not Hermitian"):
+            gaussian_mi_logdet(np.eye(1), np.eye(1), cov)
+
+
+def test_logdet_hermitian_check_scales_with_the_entries():
+    # at p_A = 1e8 a probe covariance is off Hermitian by far more than
+    # 1e-10, one ulp of its largest entries, and its oracles still run
+    p = SystemParams(p_A=1e8)
+    r = sample_channels(p, range(40))
+    cov = verify._probe_covariance(p.p_A, r.h_BA, r.g_A, p.sigma_B2,
+                                   p.sigma_EA2)
+    assert np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))).max() > 1e-10
+    assert len(theorem1_term_oracles(p, r)) == 10
+
+
 # ------------------------------------------------------------- discrete MI
 
 def test_discrete_mi_perfect_correlation():
@@ -155,7 +175,7 @@ def _reference_digital_reports():
         for p_ea in grid:
             bsc = BscParams(P_BA=float(p_ba), P_EA=float(p_ea),
                             P_AB=0.01, P_EB=0.01, m_A=8)
-            closed = xi_digital(bsc, mode="exact")
+            closed = xi_digital(bsc)
             oracle = _enumerated_xi(bsc)
             if abs(closed - oracle) > dev_xi:
                 dev_xi, at_xi = abs(closed - oracle), (closed, oracle)
@@ -175,7 +195,7 @@ def test_digital_grid_equals_the_per_point_oracles():
     grid = np.arange(0.05, 0.50, 0.05)
     points = [BscParams(P_BA=float(p_ba), P_EA=float(p_ea), P_AB=0.01,
                         P_EB=0.01, m_A=8) for p_ba in grid for p_ea in grid]
-    want = np.array([(xi_digital(bsc, mode="exact"), _enumerated_xi(bsc),
+    want = np.array([(xi_digital(bsc), _enumerated_xi(bsc),
                       *mac_bounds_digital(bsc)) for bsc in points])
     got = np.stack(verify._digital_grid(), axis=1)
     assert got.shape == (81, 4)
