@@ -29,9 +29,10 @@ All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
 one complex buffer.  The probing and the echo phase each draw their three
 roles in turn on the calling thread, every seed of a batch in one call.
 Each role reads only its own streams, so an episode has the same bits
-whichever thread runs it.  A batch episode derives the Philox keys of all
-seven roles' streams in one pass of the ``SeedSequence`` hash
-(``seeds._role_keys``) and hands each stage its roles' key rows.
+whichever thread runs it.  Only the public functions turn seeds into the
+Philox keys of their roles' streams, with one ``seeds._role_keys`` call,
+which decides how one seed and a batch are keyed; each private stage
+takes its roles' key rows.
 """
 from __future__ import annotations
 
@@ -74,94 +75,79 @@ def _seeds(rng_seed: int | Sequence[int]) -> tuple[list[int], bool]:
     return seeds, True
 
 
-def _check_batch(shape: tuple, seeds: list[int], batched: bool) -> None:
+def _check_batch(shape: tuple, n_seeds: int, batched: bool) -> None:
     """Raise ParamError unless the gains or signals have the batch shape of
     the seeds: () for an int seed, (T,) for T seeds."""
-    want = (len(seeds),) if batched else ()
+    want = (n_seeds,) if batched else ()
     if shape != want:
         raise ParamError(f"batch shape {shape} does not match the seeds, "
                          f"which give {want}")
 
 
-#: the stream roles of an episode: the channels, then each phase's three
-_EPISODE_ROLES = ("channels", "probe", "noise_ea", "noise_b",
-                  "secret", "noise_va", "noise_ve")
+#: the stream roles of each stage of an episode, in the order drawn
+_CHANNEL_ROLES = ("channels",)
+_PROBE_ROLES = ("probe", "noise_ea", "noise_b")
+_ECHO_ROLES = ("secret", "noise_va", "noise_ve")
 
 
-def _keys_by_role(seeds: list[int], roles: Sequence[str]
-                  ) -> dict[str, np.ndarray | None]:
-    """Each role's (T, 2) key rows for a batch of seeds, all from one
-    ``_role_keys`` pass that checks each seed and role tag once.  One seed
-    maps every role to None, so each role opens ``stream`` itself: seven
-    ``SeedSequence``s cost less than one pass."""
-    if len(seeds) == 1:
-        return dict.fromkeys(roles)
-    return dict(zip(roles, _role_keys(seeds, roles)))
-
-
-def _cnormal_rows(seeds: list[int], batched: bool, role: str,
-                  keys: np.ndarray | None,
+def _cnormal_rows(keys: np.ndarray, batched: bool,
                   normals: list[np.ndarray | None], var: float,
                   out: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """CN(0, var) samples for every seed into each buffer of ``normals`` in
-    turn: buffer k, ``np.empty((T, 2, *shape_k))``, gives the (T, *shape_k)
-    array k, row t one fill of ``stream(seeds[t], role)``, real and then
-    imaginary parts of variance var/2; without ``batched`` it drops its
-    trial axis.  ``keys`` are the streams' key rows, or None to derive
-    them (see ``_streams``).  Array k is ``out[k]`` when given, else a new
-    one.  Once its last row is filled, a buffer leaves ``normals`` and is
-    composed straight into its array, each part one product with
-    sqrt(var/2): the bits of sqrt(var/2) * (re + 1j * im).  So one seed
-    holds the normals of one array at a time (``np.empty`` commits no
-    memory before a fill)."""
+    """CN(0, var) samples for each of the T (T, 2) key rows ``keys`` into
+    each buffer of ``normals`` in turn: buffer k, ``np.empty((T, 2,
+    *shape_k))``, gives the (T, *shape_k) array k, row t one fill of the
+    stream keyed by ``keys[t]``, real and then imaginary parts of variance
+    var/2; without ``batched`` it drops its trial axis.  Array k is
+    ``out[k]`` when given, else a new one.  Once its last row is filled, a
+    buffer leaves ``normals`` and is composed straight into its array, each
+    part one product with sqrt(var/2): the bits of sqrt(var/2) * (re + 1j *
+    im).  So one seed holds the normals of one array at a time
+    (``np.empty`` commits no memory before a fill)."""
     scale = np.sqrt(var / 2.0)
     if out is None:
         out = [np.empty((b.shape[0], *b.shape[2:]), complex) for b in normals]
-    for t, rng in enumerate(_streams(seeds, role, keys=keys), 1):
+    for t, rng in enumerate(_streams(keys), 1):
         for k, z in enumerate(out):
             rng.standard_normal(out=normals[k][t - 1])
-            if t == len(seeds):
+            if t == len(keys):
                 np.multiply(normals[k][:, 0], scale, out=z.real)
                 np.multiply(normals[k][:, 1], scale, out=z.imag)
                 normals[k] = None
     return out if batched else [z[0] for z in out]
 
 
-def _phase_signals(seeds: list[int], batched: bool,
-                   roles: Sequence[tuple[str, tuple, float]],
-                   keys: dict[str, np.ndarray | None] | None
-                   ) -> list[np.ndarray]:
-    """The ``_cnormal_rows`` array of each (role, shape, var) of one phase,
-    for every seed, its streams keyed by ``keys[role]``; without ``keys``
-    they are derived here (``_keys_by_role``).  The roles are drawn in
-    turn, but every role's normals buffer is made before the first draw:
-    made one role at a time, they raised the oracle suite's peak RSS."""
-    if keys is None:
-        keys = _keys_by_role(seeds, [role for role, _, _ in roles])
-    normals = [[np.empty((len(seeds), 2, *shape))] for _, shape, _ in roles]
-    return [_cnormal_rows(seeds, batched, role, keys[role], buf, var)[0]
-            for (role, _, var), buf in zip(roles, normals)]
+def _phase_signals(keys: np.ndarray, batched: bool,
+                   roles: Sequence[tuple[tuple, float]]) -> list[np.ndarray]:
+    """The ``_cnormal_rows`` array of each (shape, var) of one phase's
+    roles, role r drawn from its key rows ``keys[r]`` (``_role_keys``).
+    The roles are drawn in turn, but every role's normals buffer is made
+    before the first draw: made one role at a time, they raised the oracle
+    suite's peak RSS."""
+    normals = [[np.empty((keys.shape[1], 2, *shape))] for shape, _ in roles]
+    return [_cnormal_rows(rows, batched, buf, var)[0]
+            for rows, (_, var), buf in zip(keys, roles, normals)]
 
 
 # =====================================================================
 # Channel sampling
 # =====================================================================
 
-def _channel_gains(params: SystemParams, seeds: list[int], draws: tuple,
-                   keys: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def _channel_gains(params: SystemParams, keys: np.ndarray, draws: tuple
+                   ) -> tuple[np.ndarray, ...]:
     """h_AB, h_BA, g_A, g_B of each seed, (T, *draws) and (T, *draws, n_E)
     for ``draws`` (n,) or (), views of one complex buffer.  The "channels"
-    stream, keyed by ``keys`` as in ``_cnormal_rows``, draws h_AB, w, g_A
-    and g_B, all CN(0, 1), and h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w,
-    formed in w's slot, gives E{h_AB conj(h_BA)} = rho exactly."""
-    t, h, g = len(seeds), draws, (*draws, params.n_E)
+    stream of each seed, keyed by its row of ``keys`` as in
+    ``_cnormal_rows``, draws h_AB, w, g_A and g_B, all CN(0, 1), and h_BA =
+    conj(rho) h_AB + sqrt(1-|rho|^2) w, formed in w's slot, gives
+    E{h_AB conj(h_BA)} = rho exactly."""
+    t, h, g = len(keys), draws, (*draws, params.n_E)
     n = t * math.prod(h)
     gains = [part.reshape(t, *shape) for part, shape in zip(
         np.split(np.empty((2 + 2 * params.n_E) * n, complex),
                  [n, 2 * n, (2 + params.n_E) * n]), (h, h, g, g))]
     h_AB, w, g_A, g_B = _cnormal_rows(
-        seeds, True, "channels", keys,
-        [np.empty((t, 2, *shape)) for shape in (h, h, g, g)], 1.0, gains)
+        keys, True, [np.empty((t, 2, *shape)) for shape in (h, h, g, g)],
+        1.0, gains)
     rho = complex(params.rho)
     np.multiply(np.sqrt(1.0 - abs(rho) ** 2), w, out=w)
     np.add(np.conj(rho) * h_AB, w, out=w)
@@ -177,13 +163,14 @@ def sample_channels(params: SystemParams,
     h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).
     """
     seeds, batched = _seeds(rng_seed)
-    return _sample_channels(params, seeds, batched)
+    return _sample_channels(params, _role_keys(seeds, _CHANNEL_ROLES)[0],
+                            batched)
 
 
-def _sample_channels(params: SystemParams, seeds: list[int], batched: bool,
-                     keys: np.ndarray | None = None) -> ChannelRealization:
+def _sample_channels(params: SystemParams, keys: np.ndarray, batched: bool
+                     ) -> ChannelRealization:
     """``sample_channels`` of the seeds, keyed as in ``_channel_gains``."""
-    gains = _channel_gains(params, seeds, (), keys)
+    gains = _channel_gains(params, keys, ())
     if batched:
         return ChannelRealization(*gains)
     h_AB, h_BA, g_A, g_B = (g[0] for g in gains)
@@ -202,7 +189,8 @@ def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
         deterministic.
     """
     n_draws = _integer("n_draws", n_draws, 1)
-    return tuple(g[0] for g in _channel_gains(params, [rng_seed], (n_draws,)))
+    keys = _role_keys([rng_seed], _CHANNEL_ROLES)[0]
+    return tuple(g[0] for g in _channel_gains(params, keys, (n_draws,)))
 
 
 # =====================================================================
@@ -244,23 +232,22 @@ def run_probing(params: SystemParams, realization: ChannelRealization,
     A batch realization of T draws takes a sequence of T seeds.
     """
     seeds, batched = _seeds(rng_seed)
-    return _run_probing(params, realization, seeds, batched)
+    return _run_probing(params, realization, _role_keys(seeds, _PROBE_ROLES),
+                        batched)
 
 
 def _run_probing(params: SystemParams, realization: ChannelRealization,
-                 seeds: list[int], batched: bool,
-                 keys: dict[str, np.ndarray | None] | None = None
-                 ) -> AnalogEpisode:
-    """``run_probing`` of the seeds, keyed as in ``_phase_signals``."""
+                 keys: np.ndarray, batched: bool) -> AnalogEpisode:
+    """``run_probing`` of the seeds, keyed by the key rows of
+    ``_PROBE_ROLES`` as in ``_phase_signals``."""
     realization.check_for(params)
     if params.m_A < 1:
         raise SimulationError("nothing to probe: m_A must be >= 1")
-    _check_batch(np.shape(realization.h_BA), seeds, batched)
+    _check_batch(np.shape(realization.h_BA), keys.shape[1], batched)
     m = params.m_A
-    x_A, w_EA, w_B = _phase_signals(seeds, batched, [
-        ("probe", (m,), params.p_A),
-        ("noise_ea", (params.n_E, m), params.sigma_EA2),
-        ("noise_b", (m,), params.sigma_B2)], keys)
+    x_A, w_EA, w_B = _phase_signals(keys, batched, [
+        ((m,), params.p_A), ((params.n_E, m), params.sigma_EA2),
+        ((m,), params.sigma_B2)])
     y_B = np.expand_dims(realization.h_BA, -1) * x_A + w_B
     e_A = (np.expand_dims(realization.g_A, -1) * np.expand_dims(x_A, -2)
            + w_EA)
@@ -276,24 +263,21 @@ def run_echo(params: SystemParams, episode: AnalogEpisode,
     episode of T trials takes a sequence of T seeds.
     """
     seeds, batched = _seeds(rng_seed)
-    return _run_echo(params, episode, seeds, batched)
+    return _run_echo(params, episode, _role_keys(seeds, _ECHO_ROLES), batched)
 
 
 def _run_echo(params: SystemParams, episode: AnalogEpisode,
-              seeds: list[int], batched: bool,
-              keys: dict[str, np.ndarray | None] | None = None
-              ) -> AnalogEpisode:
-    """``run_echo`` of the seeds, keyed as in ``_phase_signals``."""
+              keys: np.ndarray, batched: bool) -> AnalogEpisode:
+    """``run_echo`` of the seeds, keyed by the key rows of ``_ECHO_ROLES``
+    as in ``_phase_signals``."""
     if episode.complete:
         raise SimulationError("episode already contains an echo phase")
     if not (params.eps_A > 0 and params.eps_E > 0):
         raise SimulationError("run_echo requires eps_A > 0 and eps_E > 0")
-    _check_batch(episode.x_A.shape[:-1], seeds, batched)
+    _check_batch(episode.x_A.shape[:-1], keys.shape[1], batched)
     m = episode.m_A
-    s, v_A, v_E = _phase_signals(seeds, batched, [
-        ("secret", (m,), params.sigma_s2),
-        ("noise_va", (m,), params.eps_A),
-        ("noise_ve", (m,), params.eps_E)], keys)
+    s, v_A, v_E = _phase_signals(keys, batched, [
+        ((m,), params.sigma_s2), ((m,), params.eps_A), ((m,), params.eps_E)])
     r = episode.y_B + s
     return replace(episode, s=s, r=r, y_AB=r + v_A, y_EB=r + v_E)
 
@@ -304,17 +288,17 @@ def simulate_episode(params: SystemParams,
     under a sequence of seeds (see the module docstring).
 
     Each stage draws its own role-tagged streams of ``rng_seed``, so the
-    result is identical to calling the three stages with the same seed.  A
-    batch derives the keys of all seven roles' streams here, in one pass of
-    the ``SeedSequence`` hash that checks each seed once, and hands each
-    stage its roles' keys; one seed opens each role's stream with
-    ``seeds.stream``.
+    result is identical to calling the three stages with the same seed.
+    The keys of all seven roles' streams come from one ``seeds._role_keys``
+    call here, which checks each seed once and keys one seed with
+    ``SeedSequence`` and a batch with one hash pass; each stage gets its
+    roles' key rows.
     """
     seeds, batched = _seeds(rng_seed)
-    keys = _keys_by_role(seeds, _EPISODE_ROLES)
-    realization = _sample_channels(params, seeds, batched, keys["channels"])
-    episode = _run_probing(params, realization, seeds, batched, keys)
-    return _run_echo(params, episode, seeds, batched, keys)
+    keys = _role_keys(seeds, _CHANNEL_ROLES + _PROBE_ROLES + _ECHO_ROLES)
+    realization = _sample_channels(params, keys[0], batched)
+    episode = _run_probing(params, realization, keys[1:4], batched)
+    return _run_echo(params, episode, keys[4:], batched)
 
 
 # =====================================================================

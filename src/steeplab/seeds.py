@@ -16,8 +16,10 @@ key sets the whole stream.  A batch of streams derives all its keys in one
 pass of the ``SeedSequence`` hash over uint32 arrays (``_keys``), instead
 of building one ``SeedSequence`` and one ``Philox`` per seed.  A pass costs
 about the same at 1 row as at a few hundred, so the streams of several
-roles of one batch take one pass too (``_role_keys``), and ``_streams``
-re-keys a generator from the key rows it is given.
+roles of one batch take one pass too.  ``_role_keys`` alone decides how
+keys are derived: one ``SeedSequence`` per role for one seed, which costs
+less than a pass, and one pass for a batch.  ``_streams`` only re-keys a
+generator from the key rows it is given.
 """
 from __future__ import annotations
 
@@ -211,9 +213,14 @@ def _role_keys(seeds: Sequence[int], roles: Sequence[int | str]
                ) -> np.ndarray:
     """The (R, T, 2) Philox keys of R roles for T seeds: row [r, t] is the
     key of ``stream(seeds[t], roles[r])``.  Each seed and each role tag is
-    checked once, and all R * T keys come from one hash pass."""
+    checked once.  One seed takes one ``SeedSequence`` per role, which
+    costs less than a hash pass; a batch takes one pass for all R * T."""
     seeds = _column(seeds, _seed_int)
     tags = _column(roles, _tag_int)
+    if seeds.size == 1:
+        return np.array([[np.random.SeedSequence((seeds.item(), tag))
+                          .generate_state(2, np.uint64)]
+                         for tag in tags.tolist()])
     keys = _hash_keys([np.tile(seeds, tags.size), np.repeat(tags, seeds.size)])
     return keys.reshape(tags.size, seeds.size, 2)
 
@@ -224,25 +231,15 @@ def _subseeds(seed: int | Sequence[int], *tags: int | str | Sequence[int]
     return _keys(seed, *tags)[:, 0].tolist()
 
 
-def _streams(seeds: Sequence[int], *tags: int | str,
-             keys: np.ndarray | None = None
-             ) -> Iterator[np.random.Generator]:
-    """The generator ``stream(seed, *tags)`` of each seed in turn.
+def _streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """The generator of each of the (T, 2) key rows in turn, as ``_keys``
+    or one role of ``_role_keys`` gives them: the streams of their seeds
+    and tags, with no key derived and no seed checked again.
 
     One ``Philox`` is re-keyed through its public state (the key, counter
     0, an empty buffer), so a yielded generator draws its row's stream
-    only until the next one is yielded.  Given ``keys``, the (T, 2) key
-    rows of these streams as ``_keys`` or one role of ``_role_keys`` gives
-    them, it derives no key and checks no seed again.  Otherwise all keys
-    are derived, and every seed checked, before the first yield, and one
-    seed gets ``stream`` itself: one ``SeedSequence`` costs less than the
-    array pass.
+    only until the next one is yielded.
     """
-    if keys is None:
-        if len(seeds) == 1:
-            yield stream(seeds[0], *tags)
-            return
-        keys = _keys(seeds, *tags)
     bitgen = np.random.Philox(0)
     state = bitgen.state          # a fresh state: counter 0, buffer empty
     # Python lists and ints: the state setter reads them in half the time

@@ -960,8 +960,8 @@ _MUTANTS = [
                  id="M3-alpha-prime-u-uses-sigma_A2",
                  marks=_xfail_until("item 2")),
     pytest.param("channel.py",
-                 '("noise_ea", (params.n_E, m), params.sigma_EA2)',
-                 '("noise_ea", (params.n_E, m), params.sigma_EB2)',
+                 "((params.n_E, m), params.sigma_EA2)",
+                 "((params.n_E, m), params.sigma_EB2)",
                  id="M4-eve-probing-noise-drawn-with-sigma_EB2"),
     pytest.param("mmse.py",
                  "params.p_A * gnorm2 / params.sigma_EA2 + 1.0",
@@ -977,8 +977,8 @@ _MUTANTS = [
                  '("BA", params.p_B, hh_BA',
                  id="M7-BA-probing-snr-uses-p_B"),
     pytest.param("channel.py",
-                 '("secret", (m,), params.sigma_s2)',
-                 '("secret", (m,), 1.01 * params.sigma_s2)',
+                 "((m,), params.sigma_s2)",
+                 "((m,), 1.01 * params.sigma_s2)",
                  id="M8-secret-drawn-at-1.01-sigma_s2",
                  marks=_xfail_until("items 3 and 14")),
     pytest.param("digital.py",

@@ -1,4 +1,6 @@
 """Hierarchical seed derivation: stability and stream independence."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,11 +91,11 @@ def test_batch_keys_with_a_tag_per_row(seed, rows):
 def test_batch_streams_draw_what_each_stream_draws():
     seeds = _EDGE_SEEDS + [12345, 7 << 40]
     for tags in [(), ("probe",), ("sweep", 3, 1 << 50)]:
-        got = [rng.standard_normal(9) for rng in _streams(seeds, *tags)]
+        got = [rng.standard_normal(9) for rng in _streams(_keys(seeds, *tags))]
         want = [stream(s, *tags).standard_normal(9) for s in seeds]
         np.testing.assert_array_equal(got, want)
     got = [(rng.standard_normal(3), rng.random(2))
-           for rng in _streams(seeds, "mixed")]
+           for rng in _streams(_keys(seeds, "mixed"))]
     for (normals, uniforms), seed in zip(got, seeds):
         rng = stream(seed, "mixed")
         np.testing.assert_array_equal(normals, rng.standard_normal(3))
@@ -118,10 +120,15 @@ def test_role_keys_are_each_roles_keys(seeds, roles):
     assert got.shape == (len(roles), len(seeds), 2)
     for keys, role in zip(got, roles):
         np.testing.assert_array_equal(keys, _keys(seeds, role))
-    got = [rng.standard_normal(3)
-           for rng in _streams(seeds, roles[0], keys=got[0])]
+    got = [rng.standard_normal(3) for rng in _streams(got[0])]
     want = [stream(seed, roles[0]).standard_normal(3) for seed in seeds]
     np.testing.assert_array_equal(got, want)
+    # one seed takes SeedSequence's keys, without an array hash pass
+    with mock.patch("steeplab.seeds._state") as state:
+        for seed in seeds:
+            want = [[_reference_key(seed, role)] for role in roles]
+            np.testing.assert_array_equal(_role_keys([seed], roles), want)
+    assert state.call_count == 0
 
 
 @pytest.mark.parametrize("seeds, roles, match", [
@@ -144,9 +151,8 @@ def test_batch_subseeds_equal_subseed():
 
 @pytest.mark.parametrize("bad", [-1, 1 << 64])
 def test_one_bad_seed_in_a_batch_raises_before_any_draw(bad):
-    streams = _streams([3, 4, bad], "probe")
     with pytest.raises(ParamError, match="seed must be in"):
-        next(streams)
+        _streams(_keys([3, 4, bad], "probe"))
     with pytest.raises(ParamError, match="seed must be in"):
         _subseeds([3, bad, 4], "ldpc")
 
