@@ -25,10 +25,15 @@ exact enumeration.
 ``reconcile_and_amplify`` turns an episode into identical keys: Bob
 discloses the syndrome of b_s under a public LDPC matrix (see
 ``steeplab.codes``), Alice decodes her error pattern, and both sides
-Toeplitz-hash down to the target length.  Disclosure accounting: the rate
-xi already charges the ideal reconciliation cost m_A f(P_A|B), so the
-leakage that must come out of the key budget is the *excess* of the
-disclosed syndrome bits over that ideal, and the distillable length is
+Toeplitz-hash their strings down to the target length with one public
+seed.  Bob's hash runs on the shared pool while Alice decodes.  A key is
+a function of its string alone, so Alice's string is hashed only when it
+differs from b_s; otherwise her key is a copy of Bob's.
+
+Disclosure accounting: the rate xi already charges the ideal
+reconciliation cost m_A f(P_A|B), so the leakage that must come out of
+the key budget is the *excess* of the disclosed syndrome bits over that
+ideal, and the distillable length is
 
     max_key_len = floor((m_A xi - leak_bits) (1 - safety_margin)).
 """
@@ -293,8 +298,12 @@ def reconcile_and_amplify(episode: DigitalEpisode, bsc: BscParams,
 
     Bob's secret b_s is the reference string.  Bob publishes its LDPC
     syndrome; Alice decodes her folded view bbar_AB against it and both
-    sides hash with a public Toeplitz seed.  A key mismatch is reported via
-    ``success=False``, never silently retried.
+    sides hash with a public Toeplitz seed.  Bob's key is hashed on the
+    shared pool while this thread builds the code and decodes.  Alice's
+    key is a copy of Bob's when her corrected string equals b_s, the same
+    bits her own hash would give; otherwise this thread hashes her
+    corrected string.  A key mismatch is reported via ``success=False``,
+    never silently retried.
     """
     if episode.m_A != bsc.m_A:
         raise ParamError("episode length does not match bsc.m_A")
@@ -309,25 +318,30 @@ def reconcile_and_amplify(episode: DigitalEpisode, bsc: BscParams,
     hash_seed = subseed(rng_seed, "toeplitz")
 
     def alice_side() -> tuple[np.ndarray, bool]:
-        """Alice's key and whether her decoder converged."""
+        """Alice's corrected string and whether her decoder converged."""
         if plan.syndrome_bits == 0:
-            return toeplitz_hash(episode.bbar_AB, target_len, hash_seed), True
+            return episode.bbar_AB, True
         code = make_ldpc(bsc.m_A, plan.syndrome_bits,
                          subseed(rng_seed, "ldpc"))
         syn_b = syndrome_of(code, episode.b_s)
         syn_a = syndrome_of(code, episode.bbar_AB)
         err, converged = decode_syndrome(code, syn_a ^ syn_b,
                                          plan.p_a_given_b)
-        return (toeplitz_hash(episode.bbar_AB ^ err, target_len, hash_seed),
-                converged)
+        return episode.bbar_AB ^ err, converged
 
     def bob_side() -> np.ndarray:
         return toeplitz_hash(episode.b_s, target_len, hash_seed)
 
     # Bob's hash needs nothing from Alice's side, so the pool runs it while
-    # this thread runs hers
-    (key_a, converged), key_b = _workers.in_order(
+    # this thread decodes
+    (corrected, converged), key_b = _workers.in_order(
         lambda side: side(), (alice_side, bob_side), 2)
+    # the key is a function of the string alone: when Alice recovered b_s,
+    # Bob's hash is hers too (copied, so the two keys share no memory)
+    if np.array_equal(corrected, episode.b_s):
+        key_a = key_b.copy()
+    else:
+        key_a = toeplitz_hash(corrected, target_len, hash_seed)
     return ReconcileResult(
         key_A=key_a, key_B=key_b,
         leak_bits=plan.leak_bits, syndrome_bits=plan.syndrome_bits,

@@ -23,6 +23,7 @@ generator from the key rows it is given.
 """
 from __future__ import annotations
 
+import functools
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -231,6 +232,14 @@ def _subseeds(seed: int | Sequence[int], *tags: int | str | Sequence[int]
     return _keys(seed, *tags)[:, 0].tolist()
 
 
+@functools.cache
+def _philox_seed() -> np.random.SeedSequence:
+    """The seed of the Philox that ``_streams`` re-keys: its key is
+    overwritten before any draw, and a built SeedSequence is not hashed
+    again.  Built on first use, since ``np.random`` is imported lazily."""
+    return np.random.SeedSequence(0)
+
+
 def _streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
     """The generator of each of the (T, 2) key rows in turn, as ``_keys``
     or one role of ``_role_keys`` gives them: the streams of their seeds
@@ -240,7 +249,7 @@ def _streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
     0, an empty buffer), so a yielded generator draws its row's stream
     only until the next one is yielded.
     """
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.Philox(_philox_seed())
     state = bitgen.state          # a fresh state: counter 0, buffer empty
     # Python lists and ints: the state setter reads them in half the time
     # it takes for numpy arrays

@@ -776,15 +776,18 @@ def test_cli_simulate_digital_without_a_buildable_code(capsys):
     assert payload["note"] == "no distillable key at this operating point"
 
 
-def _digital_transcript_sha256s(tmp_path, capsys, monkeypatch, m_A):
-    """The transcript digest of `simulate-digital --seed 11` at 1, 2 and 3
-    usable CPUs, which split the decoder's checks and overlap the hashes."""
+def _digital_transcript_sha256s(tmp_path, capsys, monkeypatch, m_A,
+                                *extra, seed="11"):
+    """The transcript digests of `simulate-digital` (seed 11 unless given)
+    at 1, 2 and 3 usable CPUs, which split the decoder's checks and overlap
+    the hashes.  The last transcript stays in tmp_path / "transcript.bin"."""
     digests = set()
     blob = tmp_path / "transcript.bin"
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
         code, _, _ = run_cli(capsys, "simulate-digital", "--m_A", m_A,
-                             "--seed", "11", "--transcript-out", str(blob))
+                             *extra, "--seed", seed,
+                             "--transcript-out", str(blob))
         assert code == 0
         digests.add(hashlib.sha256(blob.read_bytes()).hexdigest())
     return digests
@@ -805,6 +808,19 @@ def test_cli_simulate_digital_transcript_pinned_past_2_16_checks(
     assert _digital_transcript_sha256s(tmp_path, capsys, monkeypatch,
                                        "100000") == {
         "ed5eb034023a48786a3de90f1ea035295169928c3c649edbc3440c160ebbad79"}
+
+
+def test_cli_simulate_digital_failed_reconciliation_transcript_pinned(
+        tmp_path, capsys, monkeypatch):
+    # the decoder stops short of b_s, so Alice hashes her own corrected
+    # string; measured before a run whose keys agree stopped hashing twice
+    assert _digital_transcript_sha256s(tmp_path, capsys, monkeypatch,
+                                       "20000", "--efficiency", "1.2",
+                                       seed="3") == {
+        "6e564c5d1ccdd56bca2b2d6f938031baf0e0ac3a589d61d6f48492a096a08b4d"}
+    back = DigitalEpisode.from_bytes(
+        (tmp_path / "transcript.bin").read_bytes())
+    assert not np.array_equal(back.key_A, back.key_B)
 
 
 @pytest.mark.parametrize("extra, digest", [

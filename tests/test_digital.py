@@ -14,7 +14,9 @@ from steeplab import (BscParams, DigitalEpisode, ParamError, binary_entropy,
                       reconcile_plan, run_digital_episode,
                       validate_bsc, xi_digital)
 from steeplab import _workers, digital
-from steeplab.codes import _COL_WEIGHT
+from steeplab.codes import (_COL_WEIGHT, decode_syndrome, make_ldpc,
+                            syndrome_of, toeplitz_hash)
+from steeplab.seeds import subseed
 from steeplab.verify import _joint_pmf, _xi_enumerated
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
@@ -309,6 +311,61 @@ def test_reconcile_and_amplify_with_no_syndrome_builds_no_code(monkeypatch):
     assert res.syndrome_bits == 0 and res.leak_bits == 0.0
     assert res.success and res.decoder_converged
     assert res.key_A.shape == (1155,)
+
+
+def _count_hashes(monkeypatch):
+    """Patch ``digital.toeplitz_hash`` with a wrapper that records the
+    string each call hashes; return the list of those strings."""
+    hashed = []
+    real = digital.toeplitz_hash
+
+    def counting(bits, out_len, seed):
+        hashed.append(bits.copy())
+        return real(bits, out_len, seed)
+
+    monkeypatch.setattr(digital, "toeplitz_hash", counting)
+    return hashed
+
+
+@pytest.mark.parametrize("bsc, seed, target_len, rng_seed", [
+    (DEFAULT, 100, 610, 200),
+    (BscParams(P_BA=0.0, P_EA=0.2, m_A=2000), 0, 1155, 0),
+], ids=["decoded", "no_syndrome"])
+def test_agreeing_keys_hash_once(monkeypatch, bsc, seed, target_len,
+                                 rng_seed):
+    # a key is a function of its string alone, so when Alice recovers b_s
+    # only Bob's string is hashed and her key is a copy of his
+    ep = run_digital_episode(bsc, seed)
+    hashed = _count_hashes(monkeypatch)
+    res = reconcile_and_amplify(ep, bsc, target_len, rng_seed)
+    assert res.success and res.decoder_converged
+    assert len(hashed) == 1 and np.array_equal(hashed[0], ep.b_s)
+    assert np.array_equal(res.key_A, res.key_B)
+    assert not np.shares_memory(res.key_A, res.key_B)
+
+
+def test_failed_reconciliation_hashes_alices_own_string(monkeypatch):
+    # `simulate-digital --m_A 20000 --efficiency 1.2 --seed 3`: the decoder
+    # stops short of b_s, so Alice's key is the hash of her corrected string
+    bsc = BscParams(m_A=20000)
+    plan = reconcile_plan(bsc, efficiency=1.2)
+    ep = run_digital_episode(bsc, 3)
+    hashed = _count_hashes(monkeypatch)
+    res = reconcile_and_amplify(ep, bsc, plan.max_key_len, 3, efficiency=1.2)
+    assert not res.success and not res.decoder_converged
+    assert len(hashed) == 2
+    code = make_ldpc(bsc.m_A, plan.syndrome_bits, subseed(3, "ldpc"))
+    err, converged = decode_syndrome(
+        code, syndrome_of(code, ep.bbar_AB) ^ syndrome_of(code, ep.b_s),
+        plan.p_a_given_b)
+    assert not converged
+    corrected = ep.bbar_AB ^ err
+    assert not np.array_equal(corrected, ep.b_s)
+    hash_seed = subseed(3, "toeplitz")
+    assert np.array_equal(res.key_A, toeplitz_hash(corrected, plan.max_key_len,
+                                                   hash_seed))
+    assert np.array_equal(res.key_B, toeplitz_hash(ep.b_s, plan.max_key_len,
+                                                   hash_seed))
 
 
 def test_reconcile_and_amplify_deterministic():
