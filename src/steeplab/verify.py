@@ -2,11 +2,13 @@
 
 Routes kept deliberately separate from the formulas they test:
 
-* Gaussian mutual informations are recomputed from assembled covariance
-  matrices by log-determinants (Cholesky), never by the closed forms.
-  ``theorem1_term_oracles`` takes one channel realization or a batch
-  realization; the draws are one stack of covariances, so each log-det is
-  one Hermitian check and one Cholesky over all of them, and
+* Gaussian mutual informations are recomputed by log-determinants, never
+  by the closed forms.  ``theorem1_term_oracles`` builds each draw's
+  generator G (Cov = G G^H) and takes every log-det from a QR of rows of
+  G, without forming the covariance; only the public
+  ``gaussian_mi_logdet``, which takes covariances, uses Cholesky.  It takes
+  one channel realization or a batch realization; the draws are one stack
+  of generators, so each log-det is one stacked QR over all of them, and
   ``run_oracle_suite`` passes its draws in blocks of a fixed size.
 * Discrete informations are recomputed by exact joint-PMF summation
   (``_joint_pmf``): the digital xi and ``mac_bounds_digital``'s upper bound,
@@ -140,12 +142,20 @@ def gaussian_mi_logdet(cov_u: np.ndarray, cov_v: np.ndarray,
     return _logdet2(cov_u) + _logdet2(cov_v) - _logdet2(cov_joint)
 
 
-def _mi_of_groups(cov: np.ndarray, idx_u, idx_v) -> float | np.ndarray:
-    """MI between two index groups of a joint covariance (or of each
-    matrix in a stack; the groups index the last two axes)."""
-    idx_u, idx_v = list(idx_u), list(idx_v)
-    return gaussian_mi_logdet(*(cov[(..., *np.ix_(idx, idx))]
-                                for idx in (idx_u, idx_v, idx_u + idx_v)))
+def _mi_of_rows(gen: np.ndarray, idx_u: list[int],
+                idx_v: list[int]) -> np.ndarray:
+    """I(U; V) in bits between two row groups of each generator in a stack
+    (R, k, n), whose covariance is Cov = G G^H.
+
+    No covariance is formed: log2 det Cov_S is 2 sum log2 |R_ii| for the R
+    of a QR of G_S^H, the rows S of G, so the log-dets keep the generator's
+    condition number, where Cholesky of G G^H would square it."""
+    def logdet2(rows):
+        r = np.linalg.qr(np.conj(np.swapaxes(gen[:, rows], -1, -2)),
+                         mode="r")
+        return 2.0 * np.sum(np.log2(np.abs(
+            np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
+    return logdet2(idx_u) + logdet2(idx_v) - logdet2(idx_u + idx_v)
 
 
 # =====================================================================
@@ -290,45 +300,19 @@ def empirical_snr(s: np.ndarray, t: np.ndarray) -> float:
 # Per-realization information-term oracles
 # =====================================================================
 
-def _probe_covariance(p: float, h, g: np.ndarray, var_main: float,
-                      var_eve: float) -> np.ndarray:
-    """Joint covariances of (x, y, e_1..e_nE) for one probing direction,
-    one per draw: ``h`` holds R gains, ``g`` is (R, n_E), the result
-    (R, 2+n_E, 2+n_E).
-
-    Every entry keeps the operation order of a single draw, so a stack
-    gives the same bits as one draw at a time: the scalar products and
-    |h|^2 come from Python on each gain, the Eve block is p (g g^H).
-    """
-    n_e = g.shape[1]
-    cov = np.zeros((len(h), 2 + n_e, 2 + n_e), dtype=complex)
-    p_h = np.array([p * x for x in h], dtype=complex)
-    p_conj_h = p * np.conj(np.array(h, dtype=complex))
-    cov[:, 0, 0] = p
-    cov[:, 0, 1] = p_conj_h
-    cov[:, 1, 0] = p_h
-    cov[:, 1, 1] = [p * abs(x) ** 2 + var_main for x in h]
-    cov[:, 0, 2:] = p * np.conj(g)
-    cov[:, 2:, 0] = p * g
-    cov[:, 1, 2:] = p_h[:, None] * np.conj(g)
-    cov[:, 2:, 1] = p_conj_h[:, None] * g
-    cov[:, 2:, 2:] = (p * (g[:, :, None] * np.conj(g)[:, None, :])
-                      + var_eve * np.eye(n_e))
-    return cov
-
-
 def theorem1_term_oracles(params: SystemParams,
                           realizations: ChannelRealization) -> list[OracleReport]:
     """Check every per-realization log term against log-det recomputation.
 
     ``realizations`` is one draw or a batch realization.  The draws of a
-    batch are checked as one stack of covariances; then each check reports
-    the draw with the largest deviation (the first on a tie), with
-    ``n_samples`` the number of draws.  The closed forms come from one
-    ``rates.draw_terms`` call on the stacked draws, which gives each draw
-    the bits ``per_realization_rates`` gives it.  Covariances are assembled
-    for a single probe symbol; the probe count enters the session bounds
-    only as a multiplier, so one symbol settles the integrands.
+    batch are checked as one stack; then each check reports the draw with
+    the largest deviation (the first on a tie), with ``n_samples`` the
+    number of draws.  The closed forms come from one ``rates.draw_terms``
+    call on the stacked draws, which gives each draw the bits
+    ``per_realization_rates`` gives it.  Each draw's MIs come from its
+    generator for a single probe symbol (``_mi_of_rows``); the probe count
+    enters the session bounds only as a multiplier, so one symbol settles
+    the integrands.
     """
     r = realizations   # one draw is checked as the batch of one
     batch = ChannelRealization(np.atleast_1d(r.h_AB), np.atleast_1d(r.h_BA),
@@ -337,9 +321,6 @@ def theorem1_term_oracles(params: SystemParams,
     if n_draws == 0:
         raise ParamError("theorem1_term_oracles needs at least one realization")
     terms = _realization_terms(params, batch)
-
-    def closed(field):
-        return terms[field].tolist()
 
     tol = 1e-9
     # (name, closed form per draw, oracle per draw, tolerance)
@@ -355,38 +336,39 @@ def theorem1_term_oracles(params: SystemParams,
              ("AB", params.p_B, "h_AB", "g_B", params.sigma_A2,
               params.sigma_EB2))
     for side, p, h_name, g_name, var_main, var_eve in sides:
-        # Python scalars: _probe_covariance rounds each gain as one draw does
-        h = getattr(batch, h_name).tolist()
-        g = np.asarray(getattr(batch, g_name))
-        n_e = g.shape[1]
-        cov = _probe_covariance(p, h, g, var_main, var_eve)
-        e_axes = list(range(2, 2 + n_e))
-        i_xy = _mi_of_groups(cov, [0], [1])
-        i_xe = _mi_of_groups(cov, [0], e_axes)
-        i_x_ye = _mi_of_groups(cov, [0], [1] + e_axes)
+        # gains and noise variances of the observations y, e_1..e_nE
+        gains = np.concatenate((getattr(batch, h_name)[:, None],
+                                getattr(batch, g_name)), axis=1)
+        n_e = gains.shape[1] - 1
+        noise = np.array([var_main] + [var_eve] * n_e)
+        # rows x, y, e_1..e_nE; columns the white sources sqrt(p) w_x,
+        # sqrt(var_main) n and sqrt(var_eve) n_i
+        gen = np.zeros((n_draws, 2 + n_e, 2 + n_e), dtype=complex)
+        gen[:, 0, 0] = math.sqrt(p)
+        gen[:, 1:, 0] = math.sqrt(p) * gains
+        gen[:, 1:, 1:] = np.diag(np.sqrt(noise))
+        e_rows = list(range(2, 2 + n_e))
+        i_xy = _mi_of_rows(gen, [0], [1])
+        i_xe = _mi_of_rows(gen, [0], e_rows)
+        i_x_ye = _mi_of_rows(gen, [0], [1] + e_rows)
         checks += [
             (f"main-channel MI integrand {side}",
-             [math.log2(1.0 + v) for v in closed(f"main_{side}")], i_xy, tol),
+             np.log2(1.0 + terms[f"main_{side}"]), i_xy, tol),
             (f"eavesdropper MI integrand {side}",
-             [math.log2(1.0 + v) for v in closed(f"eve_{side}")], i_xe, tol),
+             np.log2(1.0 + terms[f"eve_{side}"]), i_xe, tol),
             (f"xi integrand {side} (conditional MI)",
-             closed(f"xi_{side}"), i_x_ye - i_xe, tol),
+             terms[f"xi_{side}"], i_x_ye - i_xe, tol),
             (f"gamma integrand {side} (MI difference)",
-             closed(f"gamma_{side}"), i_xy - i_xe, tol),
+             terms[f"gamma_{side}"], i_xy - i_xe, tol),
         ]
 
         if side == "BA":
             # independent second route for the same conditional-MI term:
             # whitened quadratic form over the stacked observation
-            g_prime = np.concatenate((np.array(h, dtype=complex)[:, None], g),
-                                     axis=1)
-            d_inv = np.concatenate(([1.0 / var_main],
-                                    np.full(n_e, 1.0 / var_eve)))
-            quad = np.real(np.sum(d_inv * np.abs(g_prime) ** 2, axis=-1))
-            t2 = [math.log2(p * q + 1.0) - math.log2(eve + 1.0)
-                  for q, eve in zip(quad.tolist(), closed("eve_BA"))]
+            quad = np.sum(1.0 / noise * np.abs(gains) ** 2, axis=-1)
+            t2 = np.log2(p * quad + 1.0) - np.log2(terms["eve_BA"] + 1.0)
             checks.append(("xi integrand BA (whitened quadratic form)",
-                           closed("xi_BA"), t2, tol))
+                           terms["xi_BA"], t2, tol))
 
     n_samples = "exact" if np.ndim(r.h_BA) == 0 else n_draws
     return [_worst(*check, n_samples) for check in checks]

@@ -150,8 +150,9 @@ def test_echo_model_and_guards():
         run_echo(p, ep, 4)
 
 
-def test_echo_rejects_zero_return_noise():
-    p = dataclasses.replace(SystemParams(), eps_A=0.0)
+@pytest.mark.parametrize("zero", ["eps_A", "eps_E"])
+def test_echo_rejects_zero_return_noise(zero):
+    p = dataclasses.replace(SystemParams(), **{zero: 0.0})
     r = sample_channels(p, 0)
     probed = run_probing(p, r, 0)
     with pytest.raises(SimulationError, match="eps_A > 0 and eps_E > 0"):

@@ -883,11 +883,11 @@ def test_cli_simulate_digital_overlong_target(capsys):
 
 _VERIFY_PINS = [
     (("--seed", "3", "--n-realizations", "200"),
-     "2d2918718b02824c421fa72a0f0b7260a4b75ea83722fb8c7bff1e88efb6f246",
-     "80f0ffe91ba7a9e7fb4a4a437e82d845f6c6419150f222f36599b9de2c25a09c"),
+     "d38c463f5eabbca165623f7c66f73b29f0b8f19998071d805a32f9dabfbd5ccc",
+     "d40f09ac4af028159afd7c9482e1e287f751e8da20563dd42f6f3105da3a43ec"),
     (("--n_E", "3", "--rho", "0.4", "--seed", "4"),
-     "5f02d492730069b139f8ec5427be26ad39bbae6af6b7533debe6e92d43eb36ce",
-     "3175b0ca92a0cacae2e1d1b5b3d026592adea0ee23ee909612d1e92d60a89fdd"),
+     "6a83861a63b8075ab5ee8c1b65f0b20ab67cdc5c067da38bfe680c93235d1fe9",
+     "d69774d9dc166f4c0f923c28bfa12e44c879f8091d015d2dc5f2f4abd57750f7"),
 ]
 
 
@@ -1026,7 +1026,7 @@ _MUTANTS = [
                  "t / (t + 1.0), phi_ba",
                  "1.0 / (t + 1.0), phi_ba",
                  id="R1-xi_bar_BA-uses-1-over-t-plus-1",
-                 marks=_xfail_until("a new ROADMAP item (none names it yet)")),
+                 marks=_xfail_until("item 26")),
     pytest.param("rates.py",
                  "params.eps_E / params.eps_A",
                  "params.eps_A / params.eps_E",
@@ -1036,12 +1036,12 @@ _MUTANTS = [
                  "dev.sum() / (n - 1)",
                  "dev.sum() / n",
                  id="R3-standard-error-with-ddof-0",
-                 marks=_xfail_until("a new ROADMAP item (none names it yet)")),
+                 marks=_xfail_until("item 26")),
     pytest.param("rates.py",
                  '("C_A", m_B, "xi_AB"',
                  '("C_A", m_B, "xi_BA"',
                  id="R4-C_A-adds-xi_BA",
-                 marks=_xfail_until("item 21 step 2")),
+                 marks=_xfail_until("item 26")),
 ]
 
 

@@ -272,9 +272,10 @@ def test_corollary_probing_by_bob():
 
 # ---------------------------------------------------------------- theorems 2/3
 
-def test_theorem2_requires_return_noise():
-    p = dataclasses.replace(BASE, eps_A=0.0)
-    with pytest.raises(ParamError):
+@pytest.mark.parametrize("zero", ["eps_A", "eps_E"])
+def test_theorem2_requires_return_noise(zero):
+    p = dataclasses.replace(BASE, **{zero: 0.0})
+    with pytest.raises(ParamError, match="eps_A > 0 and eps_E > 0"):
         theorem2_lower_bound(p, n_draws=100, rng_seed=0)
 
 

@@ -93,23 +93,22 @@ def test_logdet_rejects_a_matrix_off_hermitian_in_the_5th_digit():
 
 
 def test_logdet_hermitian_check_scales_with_the_entries():
-    # at p_A = 1e8 a probe covariance is off Hermitian by far more than
-    # 1e-10, one ulp of its largest entries, and its oracles still run
+    # at p_A = 1e8 a probe covariance G G^H one ulp off Hermitian is off by
+    # far more than 1e-10, and its log-det still runs
     p = SystemParams(p_A=1e8)
-    r = sample_channels(p, range(40))
-    cov = verify._probe_covariance(p.p_A, r.h_BA, r.g_A, p.sigma_B2,
-                                   p.sigma_EA2)
-    assert np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))).max() > 1e-10
-    assert len(theorem1_term_oracles(p, r)) == 10
+    r = sample_channels(p, 0)
+    cov = _generator(p.p_A, r.h_BA, r.g_A, p.sigma_B2, p.sigma_EA2)
+    cov = cov @ cov.conj().T
+    cov[1, 0] += np.spacing(cov[1, 0].real)
+    assert np.abs(cov - cov.conj().T).max() > 1e-10
+    assert np.isfinite(_logdet2(cov))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a false alarm at high SNR until ROADMAP item 14")
 def test_ba_logdet_checks_pass_at_high_snr():
     # `verify-bounds --p_A 1e8 --seed 1 --n-realizations 50` draws these 50
-    # realizations and reports 16/20: the closed forms are right, but the
-    # Cholesky of the joint covariance cancels p_A |h|^2 against itself,
-    # so the four BA log-det checks miss by 1.4e-7 to 2.3e-7 bits
+    # realizations.  A Cholesky of the joint covariance cancels p_A |h|^2
+    # against itself and missed the four BA checks by 1.4e-7 to 2.3e-7
+    # bits; the QR of the generator keeps them near 1e-14
     p = SystemParams(p_A=1e8)
     r = sample_channels(p, [subseed(1, "oracle", t) for t in range(50)])
     reports = {rep.name: rep for rep in theorem1_term_oracles(p, r)}
@@ -119,6 +118,26 @@ def test_ba_logdet_checks_pass_at_high_snr():
         "gamma integrand BA (MI difference)")]
     assert all(rep.tolerance == 1e-9 for rep in ba)
     assert all(rep.passed for rep in ba), [rep.abs_dev for rep in ba]
+
+
+def test_ba_main_check_catches_a_relative_1e_8_error_at_high_snr(monkeypatch):
+    # a negative control for the test above: main_BA scaled by 1 + 1e-8
+    # moves log2(1 + main_BA) by about 1.4e-8 bits, which the clean oracle
+    # resolves at p_A = 1e8
+    p = SystemParams(p_A=1e8)
+    r = sample_channels(p, [subseed(1, "oracle", t) for t in range(50)])
+    name = "main-channel MI integrand BA"
+    clean = {rep.name: rep for rep in theorem1_term_oracles(p, r)}[name]
+    assert clean.passed, clean.abs_dev
+
+    def scaled(params, realization):
+        terms = dict(rates._realization_terms(params, realization))
+        terms["main_BA"] = terms["main_BA"] * (1.0 + 1e-8)
+        return terms
+
+    monkeypatch.setattr(verify, "_realization_terms", scaled)
+    bad = {rep.name: rep for rep in theorem1_term_oracles(p, r)}[name]
+    assert not bad.passed and bad.abs_dev > 1e-8, bad.abs_dev
 
 
 # ------------------------------------------------------------- discrete MI
@@ -331,53 +350,53 @@ def test_empirical_snr_noiseless_is_astronomical():
 
 # ------------------------------------------------------------- suite
 
-def _reference_term_oracles(params, realization):
-    """The per-realization term oracles as one matrix at a time: every
-    log-det its own Hermitian check and Cholesky."""
-    def logdet2(cov):
-        assert np.allclose(cov, cov.conj().T, atol=1e-10)
-        return float(2.0 * np.sum(np.log2(np.real(np.diag(
-            np.linalg.cholesky(cov))))))
+def _generator(p, h, g, var_main, var_eve):
+    """One draw's generator G, Cov(x, y, e_1..e_nE) = G G^H: its columns
+    are the white sources sqrt(p) w_x, sqrt(var_main) n, sqrt(var_eve) n_i."""
+    n_e = g.shape[0]
+    gen = np.zeros((2 + n_e, 2 + n_e), dtype=complex)
+    gen[0, 0] = math.sqrt(p)
+    gen[1:, 0] = math.sqrt(p) * np.concatenate(([h], g))
+    gen[1, 1] = math.sqrt(var_main)
+    gen[2:, 2:] = math.sqrt(var_eve) * np.eye(n_e)
+    return gen
 
-    def mi(cov, idx_u, idx_v):
-        joint = idx_u + idx_v
-        return (logdet2(cov[np.ix_(idx_u, idx_u)])
-                + logdet2(cov[np.ix_(idx_v, idx_v)])
-                - logdet2(cov[np.ix_(joint, joint)]))
+
+def _reference_term_oracles(params, realization):
+    """The per-realization term oracles one draw at a time: every log-det
+    from that draw's own generator and its own QR."""
+    def logdet2(gen, rows):
+        r = np.linalg.qr(gen[rows].conj().T, mode="r")
+        return 2.0 * np.sum(np.log2(np.abs(np.diag(r))))
+
+    def mi(gen, idx_u, idx_v):
+        return (logdet2(gen, idx_u) + logdet2(gen, idx_v)
+                - logdet2(gen, idx_u + idx_v))
 
     terms = per_realization_rates(params, realization)
     rho = complex(params.rho)
     cov_hh = np.array([[1.0, rho], [np.conj(rho), 1.0]])
     reports = [OracleReport.build(
         "alpha", -math.log2(1.0 - abs(rho) ** 2),
-        mi(cov_hh, [0], [1]), 1e-12)]
+        gaussian_mi_logdet([[1.0]], [[1.0]], cov_hh), 1e-12)]
     for side, p, h, g, var_main, var_eve in (
             ("BA", params.p_A, realization.h_BA, realization.g_A,
              params.sigma_B2, params.sigma_EA2),
             ("AB", params.p_B, realization.h_AB, realization.g_B,
              params.sigma_A2, params.sigma_EB2)):
         n_e = g.shape[0]
-        cov = np.zeros((2 + n_e, 2 + n_e), dtype=complex)
-        cov[0, 0] = p
-        cov[0, 1] = p * np.conj(h)
-        cov[1, 0] = p * h
-        cov[1, 1] = p * abs(h) ** 2 + var_main
-        cov[0, 2:] = p * np.conj(g)
-        cov[2:, 0] = p * g
-        cov[1, 2:] = p * h * np.conj(g)
-        cov[2:, 1] = p * np.conj(h) * g
-        cov[2:, 2:] = p * np.outer(g, np.conj(g)) + var_eve * np.eye(n_e)
-        e_axes = list(range(2, 2 + n_e))
-        i_xy = mi(cov, [0], [1])
-        i_xe = mi(cov, [0], e_axes)
-        i_x_ye = mi(cov, [0], [1] + e_axes)
+        gen = _generator(p, h, g, var_main, var_eve)
+        e_rows = list(range(2, 2 + n_e))
+        i_xy = mi(gen, [0], [1])
+        i_xe = mi(gen, [0], e_rows)
+        i_x_ye = mi(gen, [0], [1] + e_rows)
         main, eve = getattr(terms, f"main_{side}"), getattr(terms, f"eve_{side}")
         xi, gamma = (getattr(terms, f"{k}_{side}_term") for k in ("xi", "gamma"))
         reports += [
             OracleReport.build(f"main-channel MI integrand {side}",
-                               math.log2(1.0 + main), i_xy, 1e-9),
+                               np.log2(1.0 + main), i_xy, 1e-9),
             OracleReport.build(f"eavesdropper MI integrand {side}",
-                               math.log2(1.0 + eve), i_xe, 1e-9),
+                               np.log2(1.0 + eve), i_xe, 1e-9),
             OracleReport.build(f"xi integrand {side} (conditional MI)",
                                xi, i_x_ye - i_xe, 1e-9),
             OracleReport.build(f"gamma integrand {side} (MI difference)",
@@ -387,7 +406,7 @@ def _reference_term_oracles(params, realization):
             d_inv = np.concatenate(([1.0 / var_main],
                                     np.full(n_e, 1.0 / var_eve)))
             quad = float(np.real(np.sum(d_inv * np.abs(g_prime) ** 2)))
-            t2 = math.log2(p * quad + 1.0) - math.log2(eve + 1.0)
+            t2 = np.log2(p * quad + 1.0) - np.log2(eve + 1.0)
             reports.append(OracleReport.build(
                 "xi integrand BA (whitened quadratic form)", xi, t2, 1e-9))
     return reports
@@ -460,6 +479,26 @@ def test_term_oracles_of_one_draw_and_of_a_sequence():
                                np.zeros((0, 3), complex))
     with pytest.raises(ParamError, match="at least one"):
         theorem1_term_oracles(p, empty)
+
+
+@pytest.mark.parametrize("powers", [{}, _POWERS], ids=["unit", "powers"])
+def test_qr_mis_agree_with_cholesky_of_the_covariance(powers):
+    # the QR route and the public Cholesky route on G G^H, at powers where
+    # forming G G^H loses nothing that matters
+    p = dataclasses.replace(SystemParams(), n_E=3, **powers)
+    r = sample_channels(p, range(20))
+    for h, g, power, var_main, var_eve in (
+            (r.h_BA, r.g_A, p.p_A, p.sigma_B2, p.sigma_EA2),
+            (r.h_AB, r.g_B, p.p_B, p.sigma_A2, p.sigma_EB2)):
+        gen = np.array([_generator(power, h[k], g[k], var_main, var_eve)
+                        for k in range(len(h))])
+        cov = gen @ np.conj(np.swapaxes(gen, -1, -2))
+        for u, v in (([0], [1]), ([0], [2, 3, 4]), ([0], [1, 2, 3, 4])):
+            joint = u + v
+            want = gaussian_mi_logdet(cov[:, u][:, :, u], cov[:, v][:, :, v],
+                                      cov[:, joint][:, :, joint])
+            got = verify._mi_of_rows(gen, u, v)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_term_oracles_pass_on_random_realizations():
