@@ -4,6 +4,10 @@ decode) and the oracle suite's term and echo-phase checks (beside its MMSE
 trials) run in parallel only through ``in_order``.  No other module starts
 a thread or asks which CPUs the process may use.
 
+With w threads at work, ``in_order`` hands the pool the items up to 3w
+past the one its caller takes next, so the pool keeps working while the
+caller formats or writes the items it has.
+
 ``in_order`` may be called inside an item of another ``in_order``, as the
 decoder is inside a reconciliation, and from a pool job: an item the busy
 pool has not started when it is due runs in the calling thread, so no
@@ -64,21 +68,27 @@ def pool() -> ThreadPoolExecutor:
         return _pool[1]
 
 
+#: in_order hands out the items up to _AHEAD * w past the one due
+_AHEAD = 3
+
+
 def in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
     """``fn(item)`` for each item, in the order of items.
 
     With w = min(workers, usable CPUs, len(items)), this thread runs every
-    w-th item and the pool the others, at most w items ahead; an item the
-    pool has not started when it is due runs here.  Pending jobs are
-    cancelled when the consumer stops.  A ``workers`` that is not an
-    integer >= 1 raises ``ParamError`` before any item runs.
+    w-th item and the pool the others, handed out while they are fewer than
+    ``_AHEAD`` * w (3w) items past the one due, so that the pool runs ahead
+    of a slow consumer instead of in step with it; an item the pool has not
+    started when it is due runs here.  Pending jobs are cancelled when the
+    consumer stops.  A ``workers`` that is not an integer >= 1 raises
+    ``ParamError`` before any item runs.
     """
     w = min(_integer("workers", workers, 1), usable_cpus(), len(items))
     pending: dict[int, Future] = {}
     ahead = 0   # the next item to hand out
     try:
         for i, item in enumerate(items):
-            while ahead < min(i + w, len(items)):
+            while ahead < min(i + _AHEAD * w, len(items)):
                 if ahead % w:
                     pending[ahead] = pool().submit(fn, items[ahead])
                 ahead += 1

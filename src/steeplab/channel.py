@@ -319,8 +319,12 @@ EPISODE_CSV_COLUMNS = (
 )
 
 
-#: Rows formatted per block; formatting whole columns would raise peak memory.
-_CSV_BLOCK_ROWS = 1024
+#: Rows formatted per block.  Each numpy call of the CSV kernels, some 130
+#: per block, hands the GIL to the other formatting thread and back, so a
+#: larger block waits less per value.  Whole columns would raise peak
+#: memory, and 3,072 or 4,096 rows took longer per episode at m_A 2·10^4 on
+#: a 2-vCPU VM.
+_CSV_BLOCK_ROWS = 2048
 
 _U, _I = np.uint64, np.int64
 
@@ -334,58 +338,103 @@ def _ascii_quads() -> np.ndarray:
         axis=1, dtype=_U)
 
 
-def _float_field_words() -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per word of a 48-byte float field: its byte mask and its fixed bytes
-    (None when it has none), as little-endian word values, in rows
-    (dp + 9) * 18 + nd for a value 0.d0d1...d(nd-1) * 10**dp with dp in
-    [-9, 16] and nd in [0, 17].
+def _float_field_words() -> tuple[np.ndarray, ...]:
+    """The byte tables of a 32-byte float field, per field word: the masks
+    of the digit words' first and second copy and the fixed bytes, as
+    little-endian word values in rows 2 * ((dp + 9) * 18 + nd) + s for a
+    value (-1)**s 0.d0d1...d(nd-1) * 10**dp with dp in [-9, 16] and nd in
+    [0, 17].
 
-    Bytes: 0 ','; 1 the sign; 2-6 '0.' and up to three zeros when
-    -3 <= dp <= 0; 3-19 the digits, kept below ``cut``; 20 '.'; 27-43 the
-    digits again, kept from ``cut`` below nd; 44-47 'e-XX' when dp <= -4.
-    ``cut`` is dp in '123.45', 0 in '0.00123' and 1 in '1.5e-07'.
+    The digit words hold '000' and 17 digits.  Bytes: 3-18 the first copy
+    of the digits, kept below ``cut``; from 8 on the second copy, kept from
+    ``cut`` below nd (digit d at 11 + d), after a '.' at 10 + cut, or after
+    '0.' and up to three zeros when -3 <= dp <= 0; then 'e-XX' when
+    dp <= -4; and the ',' and any '-' just before the text.  ``cut`` is dp
+    in '123.45', 0 in '0.00123' and 1 in '1.5e-07'.  A field's text so
+    comes in one run below 1, ',-0.00123', and in two from 1 on, ',12'
+    '.345' and ',1' '.5e-07'.
     """
-    dp = np.arange(-9, 17)[:, None, None]
-    nd = np.arange(18)[:, None]
-    byte = np.arange(48)
+    dp = np.arange(-9, 17)[:, None, None, None]
+    nd = np.arange(18)[:, None, None]
+    sign = np.arange(2)[:, None]
+    byte = np.arange(32)
     cut = np.where(dp >= 1, dp, np.where(dp >= -3, 0, 1))
-    digit = byte % 24 - 3
-    keep = np.where(byte < 24, (digit >= 0) & (digit < cut),
-                    (digit >= cut) & (digit < nd))
-    chars = np.zeros((26, 18, 48), np.uint8)
-    chars[..., 0] = ord(",")
-    zeros = np.where((dp <= 0) & (dp >= -3), 2 - dp, 0)
-    chars[..., 2:7] = np.where(np.arange(5) < zeros,
-                               np.frombuffer(b"0.000", np.uint8), 0)
-    chars[..., 20] = np.where((cut >= 1) & (nd > cut), ord("."), 0)[..., 0]
-    e = 1 - dp[:, 0]
-    exponent = np.stack(np.broadcast_arrays(ord("e"), ord("-"),
-                                            48 + e // 10, 48 + e % 10), -1)
-    chars[..., 44:] = np.where(dp <= -4, exponent, 0)
-    masks = np.where(keep, 255, 0).astype(np.uint8).view("<u8").reshape(-1, 6)
-    fixed = chars.view("<u8").reshape(-1, 6)
-    return [(masks[:, w].astype(_U),
-             fixed[:, w].astype(_U) if fixed[:, w].any() else None)
-            for w in range(6)]
+    first = (byte >= 3) & (byte - 3 < cut)
+    second = (byte - 11 >= cut) & (byte - 11 < nd)
+    # the text starts with a digit at byte 3 or with '0.' right before the
+    # second copy
+    start = np.where(cut >= 1, 3, 9 + dp)
+    prefix = np.frombuffer(b"0.000", np.uint8).take(
+        np.clip(byte - start, 0, 4))
+    chars = np.where((cut == 0) & (byte >= start) & (byte < 11), prefix, 0)
+    chars = np.where((byte == 10 + cut) & (cut >= 1) & (nd > cut), ord("."),
+                     chars)
+    e = 1 - dp
+    for k, c in enumerate((ord("e"), ord("-"), 48 + e // 10, 48 + e % 10)):
+        chars = np.where((byte == 11 + nd + k) & (dp <= -4), c, chars)
+    chars = np.where(byte == start - 1 - sign, ord(","), chars)
+    chars = np.where((byte == start - 1) & (sign == 1), ord("-"), chars)
+    shape = (26, 18, 2, 32)
+    return tuple(
+        np.ascontiguousarray(np.broadcast_to(a, shape), np.uint8)
+        .view("<u8").reshape(-1, 4).T.astype(_U)
+        for a in (np.where(first, 255, 0), np.where(second, 255, 0), chars))
 
 
 _QUADS = _ascii_quads()
 _POW5 = _U(5) ** np.arange(27, dtype=_U)
-_FIELD_WORDS = _float_field_words()
+_POW5_FLOAT = np.array([float(5**q) for q in range(27)])
+_FIRST, _SECOND, _FIXED = _float_field_words()
 #: _LEAD_MASK[c] keeps the last c bytes of a little-endian word
 _LEAD_MASK = np.array([2**64 - 2**(64 - 8 * c) for c in range(9)], _U)
 _POW10 = _I(10) ** np.arange(1, 19, dtype=_I)
 
 
-def _scaled(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+class _CsvScratch:
+    """The arrays one thread's CSV kernels work in, made once and reused:
+    six uint64 registers, a float64 values array and two bool flags of
+    ``size`` elements each, viewed ``[:n]`` for a partial block and written
+    with ufunc ``out=``, so that formatting a block allocates nothing of its
+    size.  The same bytes later hold the block's zero-byte mask, which fits:
+    a row takes 56 bytes a value here, and in the block 32 a value and at
+    most 24 for its index.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._words = np.empty(7 * size, _U)
+        self._flags = np.empty((2, size), bool)
+
+    def registers(self, n: int) -> list[np.ndarray]:
+        return [self._words[k * self.size:k * self.size + n]
+                for k in range(6)]
+
+    def values(self, n: int) -> np.ndarray:
+        """The kernels' input, which they only read."""
+        return self._words[6 * self.size:6 * self.size + n].view(np.float64)
+
+    def flags(self, n: int) -> list[np.ndarray]:
+        return [f[:n] for f in self._flags]
+
+    def mask(self, n: int) -> np.ndarray:
+        return self._words.view(bool)[:n]
+
+
+def _scaled(flat: np.ndarray, scratch: _CsvScratch) -> tuple[np.ndarray, ...]:
     """Each float64 v of flat as v' = |v| 10**q = I + R / 2**t exactly.
 
     |v| = m 2**e, q = 16 - floor(log10 |v|) puts v' in [1e16, 1e17), and
-    I and R come from the 128-bit product m 5**q shifted by t = -(e + q).
+    I and R come from the 128-bit product P = m 5**q shifted by t = -(e + q).
     Returns ``ok`` (False where the guard sends v to ``repr``), q, I, 2R,
-    t + 1 and 5**q: an integer C rounds to |v| iff
-    |(C - I) 2**(t+1) - 2R| < 5**q.  The two sides are never equal, one
-    even and one odd, so parsing's round-half-to-even never decides.
+    t + 1 and 5**q, in ``scratch``'s first flag and registers 0-4: an
+    integer C rounds to |v| iff |(C - I) 2**(t+1) - 2R| < 5**q.  The two
+    sides are never equal, one even and one odd, so parsing's
+    round-half-to-even never decides.
+
+    P's low word is the wrapped uint64 product.  Its high word is the
+    nearest integer to (fl(m fl(5**q)) - fl(low)) / 2**64: P < 2**113.4, so
+    the float product misses P by under 2**61.4 and the difference rounds
+    by under 2**60, together less than 0.2 of 2**64.
 
     The guard: 0, subnormals, inf and nan; a power-of-two mantissa, whose
     rounding interval is not symmetric; q outside [1, 26], so that 5**q
@@ -393,100 +442,181 @@ def _scaled(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     or 2**(t-1), a tie (every integral v has R = 0); and a log10 that
     missed the decade.  Then t <= 60, and every integer fits in int64.
     """
+    r0, r1, r2, r3, r4, _ = scratch.registers(flat.size)
+    ok, flag = scratch.flags(flat.size)
     bits = flat.view(_U)
-    biased = (bits >> _U(52)) & _U(0x7FF)
-    frac = bits & _U((1 << 52) - 1)
-    ok = (biased - _U(1) < _U(0x7FE)) & (frac != _U(0))
-    q = _I(16) - np.floor(np.log10(np.abs(np.where(ok, flat, 1.0)))).astype(_I)
-    t = _I(1075) - biased.astype(_I) - q
-    ok &= (q >= 1) & (q <= 26) & (t >= 1)
-    q = np.where(ok, q, _I(16))
-    t = np.where(ok, t, _I(36)).astype(_U)
-    # the 128-bit product m 5**q from 32-bit limbs
-    m = frac | _U(1 << 52)
-    p5 = _POW5.take(q)
-    m_hi, m_lo = m >> _U(32), m & _U(0xFFFFFFFF)
-    p_hi, p_lo = p5 >> _U(32), p5 & _U(0xFFFFFFFF)
-    mid = m_hi * p_lo + m_lo * p_hi
-    lo = m_lo * p_lo
-    low = lo + (mid << _U(32))
-    high = m_hi * p_hi + (mid >> _U(32)) + (low < lo)
-    whole = (high << (_U(64) - t)) | (low >> t)
-    rest = low & ((_U(1) << t) - _U(1))
-    ok &= ((whole >= _U(10**16)) & (whole < _U(10**17)) & (rest != _U(0))
-           & (rest != _U(1) << (t - _U(1))))
-    return (ok, q, whole.astype(_I), (rest << _U(1)).astype(_I),
-            t.astype(_I) + _I(1), p5.astype(_I))
+    biased = np.right_shift(bits, _U(52), out=r0)
+    biased &= _U(0x7FF)
+    m = np.bitwise_and(bits, _U((1 << 52) - 1), out=r1)
+    np.less(np.subtract(biased, _U(1), out=r2), _U(0x7FE), out=ok)
+    ok &= np.not_equal(m, _U(0), out=flag)
+    # the guard discards q and t where ok is already False
+    log = r2.view(np.float64)
+    q = r3.view(_I)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log10(np.abs(flat, out=log), out=log)
+        np.subtract(16.0, np.floor(log, out=log), out=q, casting="unsafe")
+    t = np.subtract(_I(1075), biased.view(_I), out=r2.view(_I))
+    t -= q
+    # 1 <= q <= 26 as q - 1 < 26 unsigned
+    ok &= np.less(np.subtract(r3, _U(1), out=r0), _U(26), out=flag)
+    ok &= np.greater_equal(t, _I(1), out=flag)
+    np.logical_not(ok, out=flag)
+    np.copyto(q, _I(16), where=flag)
+    np.copyto(t, _I(36), where=flag)
+    t = r2
+    m |= _U(1 << 52)
+    low = np.multiply(m, np.take(_POW5, q, out=r0, mode="clip"), out=r0)
+    estimate = r4.view(np.float64)
+    np.multiply(m, np.take(_POW5_FLOAT, q, out=estimate, mode="clip"),
+                out=estimate)
+    estimate -= low
+    estimate *= 2.0 ** -64
+    high = np.rint(estimate, out=r1, casting="unsafe")
+    whole = high
+    whole <<= np.subtract(_U(64), t, out=r4)
+    whole |= np.right_shift(low, t, out=r4)
+    rest = low
+    rest &= np.subtract(np.left_shift(_U(1), t, out=r4), _U(1), out=r4)
+    # 1e16 <= whole < 1e17 as whole - 1e16 < 9e16 unsigned
+    ok &= np.less(np.subtract(whole, _U(10**16), out=r4), _U(9 * 10**16),
+                  out=flag)
+    ok &= np.not_equal(rest, _U(0), out=flag)
+    half = np.left_shift(_U(1), np.subtract(t, _U(1), out=r4), out=r4)
+    ok &= np.not_equal(rest, half, out=flag)
+    rest <<= _U(1)
+    t += _U(1)
+    p5 = np.take(_POW5, q, out=r4, mode="clip")
+    return ok, q, whole.view(_I), rest.view(_I), t.view(_I), p5.view(_I)
 
 
-def _shortest(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+def _shortest(flat: np.ndarray, scratch: _CsvScratch
+              ) -> tuple[np.ndarray, ...]:
     """repr's digits of each float64 of flat: ``ok`` and q of ``_scaled``,
-    the digits as a 17-digit integer and the count of significant ones.
+    the digits as a 17-digit integer and the count of significant ones, in
+    ``scratch`` (registers 3, 0 and 1).
 
     They are the nearest multiple of 10**j to v' for the largest j at which
     that multiple still rounds to |v|.
     """
-    ok, q, whole, r2, shift, p5 = _scaled(flat)
+    ok, q, whole, two_r, shift, p5 = _scaled(flat, scratch)
+    _, r1, r2, _, _, r5 = (r.view(_I) for r in scratch.registers(flat.size))
+    _, flag = scratch.flags(flat.size)
     # the integers that round to |v| are up - span .. up
-    above = (r2 + p5) >> shift
-    span = above + ((p5 - r2) >> shift)
-    up = whole + above
+    above = np.add(two_r, p5, out=r5)
+    above >>= shift
+    span = p5
+    span -= two_r
+    span >>= shift
+    span += above
+    up = np.add(whole, above, out=r5)
     # j = 0: the nearest integer, always inside since 2**(e-1) 10**q > 1/2
-    dec = whole + (r2 >> (shift - _I(1)))
-    nd = np.full(flat.size, 17, _I)
+    dec = two_r
+    shift -= _I(1)
+    dec >>= shift
+    dec += whole
     # j = 1: the nearest multiple of 10, when some multiple is inside
-    ten = up - up // _I(10) * _I(10) <= span
-    last = whole - whole // _I(10) * _I(10)
-    dec = np.where(ten, whole - last + (last >= 5) * _I(10), dec)
-    nd -= ten
+    last = _mod(whole, _I(10), r2)
+    whole -= last
+    np.add(whole, _I(10), out=whole,
+           where=np.greater_equal(last, _I(5), out=flag))
+    ten = np.less_equal(_mod(up, _I(10), r2), span, out=flag)
+    np.copyto(dec, whole, where=ten)
+    nd = np.subtract(_I(17), ten, out=r1)
     # j >= 2: at most one multiple of 10**j is inside, as span < 2 * 11.2,
-    # and it is up rounded down; count the j in 2..16 that have one
-    many = np.flatnonzero(up - up // _I(100) * _I(100) <= span)
-    u = up.take(many)
-    j = 1 + (u[:, None] % _POW10[1:16] <= span.take(many)[:, None]).sum(1)
-    dec[many] = u - u % _POW10.take(j - 1)
-    nd[many] = 17 - j
-    return ok & (dec < _I(10**17)), q, dec, nd
+    # and it is up rounded down; only the ups with a multiple of 1000 inside
+    # can have j > 2
+    many = np.flatnonzero(np.less_equal(_mod(up, _I(100), r2), span,
+                                        out=flag))
+    if many.size:
+        u, s = up.take(many), span.take(many)
+        j = np.full(many.size, 2, _I)
+        deep = np.flatnonzero(u % _I(1000) <= s)
+        j[deep] = 1 + (u.take(deep)[:, None] % _POW10[1:16]
+                       <= s.take(deep)[:, None]).sum(1)
+        dec[many] = u - u % _POW10.take(j - 1)
+        nd[many] = 17 - j
+    ok &= np.less(dec, _I(10**17), out=flag)
+    return ok, q, dec, nd
 
 
-def _csv_float_fields(x: np.ndarray, out: np.ndarray) -> int:
-    """Write ',' and ``repr(float(v))`` for each v of the float64 array x
-    into the 48-byte field ``out[idx]`` (six little-endian words, shape
-    ``x.shape + (6,)``), leaving zero bytes between the runs of text, and
-    return how many values took the guard's ``repr`` (see ``_scaled``).
+def _mod(x: np.ndarray, d: np.int64, out: np.ndarray) -> np.ndarray:
+    """x - x // d * d into out: three passes that divide by a constant,
+    faster than one ``%``."""
+    np.floor_divide(x, d, out=out)
+    out *= d
+    return np.subtract(x, out, out=out)
+
+
+def _csv_float_fields(x: np.ndarray, out: np.ndarray,
+                      scratch: _CsvScratch) -> int:
+    """Write ',' and ``repr(float(v))`` for each v of the C-contiguous
+    float64 array x into the 32-byte field ``out[idx]`` (four little-endian
+    words, shape ``x.shape + (4,)``), leaving zero bytes between the runs of
+    text, and return how many values took the guard's ``repr`` (see
+    ``_scaled``).  The work arrays are ``scratch``'s, of at least x.size
+    elements; x may be its ``values``.  Each word of out is written once,
+    from the registers.
     """
-    flat = x.ravel()
-    ok, q, dec, nd = _shortest(flat)
-    # the 17 digits as '000' + 1 + 4 + 4 + 4 + 4, in three words
-    head = dec // _I(10**8)
-    tail = dec - head * _I(10**8)
-    top = head // _I(10**4)
-    lead = top // _I(10**4)
-    q0, q1, q2, q3, q4 = (_QUADS.take(g) for g in (
-        lead, top - lead * _I(10**4), head - top * _I(10**4),
-        tail // _I(10**4), tail % _I(10**4)))
-    digits = (q0 | (q1 << _U(32)), q2 | (q3 << _U(32)), q4)
-    row = (_I(26) - q) * _I(18) + nd
-    for w, (mask, chars) in enumerate(_FIELD_WORDS):
-        word = digits[w % 3] & mask.take(row)
-        if chars is not None:
-            word |= chars.take(row)
-        if w == 0:
-            word |= (flat.view(_U) >> _U(63)) * _U(ord("-") << 8)
-        out[..., w] = word.reshape(x.shape)
+    flat = x.reshape(-1)
+    ok, q, dec, nd = _shortest(flat, scratch)
+    r0, r1, r2, r3, r4, r5 = (r.view(_I) for r in
+                              scratch.registers(flat.size))
+    # the tables' row: 2 * ((dp + 9) * 18 + nd) + s for the sign bit s
+    row = np.subtract(_I(26), q, out=r3)
+    row *= _I(36)
+    row += nd
+    row += nd
+    row += np.right_shift(flat.view(_U), _U(63), out=r1.view(_U)).view(_I)
+    # the 17 digits as '000' + 1 + 4 + 4 + 4 + 4, quads i0 .. i4 of dec,
+    # in three words: i0 and i1, i2 and i3, i4
+    a = np.floor_divide(dec, _I(10**12), out=r1)
+    b = np.floor_divide(a, _I(10**4), out=r2)                     # i0
+    word0 = np.take(_QUADS, b, out=r4.view(_U), mode="clip")
+    a -= np.multiply(b, _I(10**4), out=r2)                        # i1
+    word0 |= np.left_shift(np.take(_QUADS, a, out=r2.view(_U), mode="clip"),
+                           _U(32), out=r2.view(_U))
+    a = np.floor_divide(dec, _I(10**4), out=r1)
+    b = np.floor_divide(a, _I(10**4), out=r2)
+    a -= np.multiply(b, _I(10**4), out=r5)                        # i3
+    b -= np.multiply(np.floor_divide(b, _I(10**4), out=r5), _I(10**4),
+                     out=r5)                                      # i2
+    word1 = np.take(_QUADS, b, out=r5.view(_U), mode="clip")
+    word1 |= np.left_shift(np.take(_QUADS, a, out=r2.view(_U), mode="clip"),
+                           _U(32), out=r2.view(_U))
+    dec -= np.multiply(np.floor_divide(dec, _I(10**4), out=r1), _I(10**4),
+                       out=r1)                                    # i4
+    word2 = np.take(_QUADS, dec, out=r2.view(_U), mode="clip")
+    digits = (word0, word1, word2)
+    part, chars = r0.view(_U), r1.view(_U)
+    # field word w: the first copy of digit word w (w < 3), the second of
+    # w - 1 (w > 0) and the fixed bytes
+    for w in range(4):
+        np.take(_FIXED[w], row, out=part, mode="clip")
+        if w < 3:
+            np.take(_FIRST[w], row, out=chars, mode="clip")
+            chars &= digits[w]
+            part |= chars
+        if w > 0:
+            np.take(_SECOND[w], row, out=chars, mode="clip")
+            chars &= digits[w - 1]
+            part |= chars
+        out[..., w] = part.reshape(x.shape)
+    if ok.all():
+        return 0
     fallback = np.flatnonzero(~ok)
-    if fallback.size:
-        text = np.zeros((fallback.size, 48), np.uint8)
-        text[:, 0] = ord(",")
-        text[:, 1:] = np.array([repr(v) for v in flat.take(fallback).tolist()],
-                               "S47").view(np.uint8).reshape(-1, 47)
-        out[np.unravel_index(fallback, x.shape)] = text.view("<u8")
+    text = np.zeros((fallback.size, 32), np.uint8)
+    text[:, 0] = ord(",")
+    text[:, 1:] = np.array([repr(v) for v in flat.take(fallback).tolist()],
+                           "S31").view(np.uint8).reshape(-1, 31)
+    out[np.unravel_index(fallback, x.shape)] = text.view("<u8")
     return fallback.size
 
 
-def _csv_row_starts(k: np.ndarray, n_words: int) -> np.ndarray:
-    """'\\n' and the decimal of each k, right-aligned in n_words words."""
-    out = np.empty((k.size, n_words), _U)
+def _csv_row_starts(k: np.ndarray, out: np.ndarray) -> None:
+    """Write '\\n' and the decimal of each k, right-aligned in the words of
+    its row of out, shape (k.size, words)."""
+    n_words = out.shape[1]
     n_digits = np.searchsorted(_POW10, k, side="right") + 1
     for w in range(n_words - 1, -1, -1):
         k, eight = k // _I(10**8), k % _I(10**8)
@@ -495,15 +625,19 @@ def _csv_row_starts(k: np.ndarray, n_words: int) -> np.ndarray:
         out[:, w] &= _LEAD_MASK.take(
             np.clip(n_digits - 8 * (n_words - 1 - w), 0, 8))
     out[:, 0] |= _U(ord("\n"))
-    return out
 
 
 def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
     """The bytes of ``episode_to_csv``'s text in order: the header, each
     block of ``_CSV_BLOCK_ROWS`` rows, then the final '\\n'.
 
-    ``_workers.in_order`` formats the blocks on every usable CPU.  Each
-    thread fills its own buffers, so the bytes never depend on the CPUs.
+    ``_workers.in_order`` formats the blocks on every usable CPU, the pool
+    running ahead of the thread that takes and writes them.  A block of
+    2,048 rows makes one kernel call per run of signals, of some 130 numpy
+    calls, each a GIL handoff, for 2,048 rows' values.  Each thread formats
+    into its own block and ``_CsvScratch``, made at its first block of this
+    call and viewed ``[:n]`` for a last, partial block, so the bytes never
+    depend on the CPUs and a block allocates only its text.
     """
     if episode.x_A.ndim != 1:
         raise ParamError("episode_to_csv writes one episode, got a batch of "
@@ -525,30 +659,32 @@ def _episode_csv_parts(episode: AnalogEpisode) -> Iterator:
                 runs.append([i, i + 1])
     m = episode.m_A
     rows = min(_CSV_BLOCK_ROWS, m)
-    # a row: '\n' ending the line before, the index, then 48-byte fields
+    width = 2 * len(signals)   # float fields per row
+    # a row: '\n' ending the line before, the index, then 32-byte fields
     n_start = (len(str(m - 1)) + 8) // 8
-    local = threading.local()   # each thread's block and values buffers
+    local = threading.local()   # each thread's buffers
 
     def block_bytes(lo: int) -> np.ndarray:
         bufs = getattr(local, "bufs", None)
         if bufs is None:
-            block = np.zeros((rows, 8 * n_start + 96 * len(signals)), np.uint8)
+            block = np.zeros((rows, 8 * n_start + 32 * width), np.uint8)
             words = block.view("<u8")
-            fields = words[:, n_start:].reshape(rows, 2 * len(signals), 6)
+            fields = words[:, n_start:].reshape(rows, width, 4)
             fields[..., 0] = ord(",")  # an empty field
             bufs = local.bufs = (block, words, fields,
-                                 np.empty((rows, 2 * len(signals))))
-        block, words, fields, values = bufs
+                                 _CsvScratch(rows * width))
+        block, words, fields, scratch = bufs
         n = min(rows, m - lo)
         for a, b in runs:
+            # the run's values as n rows of b - a complex
+            x = scratch.values(2 * (b - a) * n).reshape(n, 2 * (b - a))
+            z = x.view(complex)
             for i in range(a, b):
-                values[:n, 2 * i] = signals[i].real[lo:lo + n]
-                values[:n, 2 * i + 1] = signals[i].imag[lo:lo + n]
-            _csv_float_fields(values[:n, 2 * a:2 * b], fields[:n, 2 * a:2 * b])
-        words[:n, :n_start] = _csv_row_starts(np.arange(lo, lo + n, dtype=_I),
-                                              n_start)
-        flat = block[:n].ravel()
-        return flat[flat != 0]
+                z[:, i - a] = signals[i][lo:lo + n]
+            _csv_float_fields(x, fields[:n, 2 * a:2 * b], scratch)
+        _csv_row_starts(np.arange(lo, lo + n, dtype=_I), words[:n, :n_start])
+        flat = block[:n].reshape(-1)
+        return flat[np.not_equal(flat, 0, out=scratch.mask(flat.size))]
 
     yield from _workers.in_order(block_bytes, range(0, m, _CSV_BLOCK_ROWS),
                                  _workers.usable_cpus())
@@ -565,9 +701,13 @@ def episode_to_csv(episode: AnalogEpisode) -> str:
     a value that arithmetic cannot certify (0, inf, nan, subnormals, an
     integral value or a tie, a power-of-two mantissa, |v| below about 1e-10
     or from 2**52) is formatted by ``repr`` itself.  The blocks are
-    formatted on the CPUs the process may use; the text never depends on
-    how many there are.  Every field is an int, a repr float or empty, so
-    none ever needs CSV quoting; the text is ASCII with '\\n' line ends.  A
-    batch episode has no row layout and raises ``ParamError``.
+    formatted on the CPUs the process may use, each thread in its own work
+    arrays, reused from block to block; the text never depends on how many
+    CPUs there are.  A block is ``_CSV_BLOCK_ROWS`` (2,048) rows, so that
+    each numpy call, and with it each handoff of the GIL between the
+    formatting threads, covers 2,048 rows.  Every field is an int, a repr
+    float or empty, so none ever needs CSV quoting; the text is ASCII with
+    '\\n' line ends.  A batch episode has no row layout and raises
+    ``ParamError``.
     """
     return b"".join(_episode_csv_parts(episode)).decode("ascii")

@@ -10,6 +10,7 @@ import stat
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -451,8 +452,15 @@ def _reference_episode_csv(episode):
     return buf.getvalue()
 
 
-# m_A on both sides of the 1024-row block, and a partial last block
-@pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500])
+#: the rows of a CSV block, and episode sizes at each edge of one
+_B = channel._CSV_BLOCK_ROWS
+_BLOCK_EDGES = [pytest.param(_B - 1, id="B-1"), pytest.param(_B, id="B"),
+                pytest.param(_B + 1, id="B+1"),
+                pytest.param(2 * _B + 1, id="2B+1")]
+
+
+# m_A at fixed sizes, and on both sides of a block with a partial last block
+@pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500, *_BLOCK_EDGES])
 @pytest.mark.parametrize("n_E", [1, 3])
 @pytest.mark.parametrize("complete", [True, False])
 def test_episode_csv_matches_reference(m_A, n_E, complete):
@@ -461,6 +469,24 @@ def test_episode_csv_matches_reference(m_A, n_E, complete):
     ep = (simulate_episode(p, seed) if complete
           else run_probing(p, sample_channels(p, seed), seed))
     assert episode_to_csv(ep) == _reference_episode_csv(ep)
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_episode_csv_partial_block_follows_a_full_one(monkeypatch, complete):
+    # one CPU: the calling thread formats a full block and then, in the same
+    # buffers, a partial one whose values and fields are views of them
+    _use_cpus(monkeypatch, 1)
+    p = dataclasses.replace(SystemParams(), m_A=_B + _B // 3, n_E=3)
+    ep = (simulate_episode(p, 11) if complete
+          else run_probing(p, sample_channels(p, 11), 11))
+    kernel = _KernelCalls(monkeypatch)
+    assert episode_to_csv(ep) == _reference_episode_csv(ep)
+    # the floats per row of each run: without the echo, x_A and y_B are one
+    # run and e_A another
+    widths = [2 * (6 + 3)] if complete else [2 * 2, 2 * 3]
+    sizes = [size for _, _, size in kernel.calls]
+    assert sizes == [w * n for n in (_B, _B // 3) for w in widths]
+    assert kernel.pool_calls() == 0
 
 
 def test_cli_simulate_analog_csv_pinned(tmp_path, capsys):
@@ -488,14 +514,14 @@ class _KernelCalls:
         self.pool_started = threading.Event()
         monkeypatch.setattr(channel, "_csv_float_fields", self)
 
-    def __call__(self, x, out):
+    def __call__(self, x, out, scratch):
         in_pool = threading.current_thread().name.startswith("steeplab-pool")
         if in_pool:
             self.pool_started.set()
         elif self.hold:
             self.hold = False
             self.pool_started.wait(timeout=30)
-        fallbacks = self.kernel(x, out)
+        fallbacks = self.kernel(x, out, scratch)
         self.calls.append((in_pool, fallbacks, x.size))
         return fallbacks
 
@@ -503,7 +529,8 @@ class _KernelCalls:
         return sum(in_pool for in_pool, _, _ in self.calls)
 
 
-@pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500, 20000])
+@pytest.mark.parametrize("m_A", [1, 1023, 1024, 1025, 2500, 20000,
+                                 *_BLOCK_EDGES])
 def test_episode_csv_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, m_A):
     p = dataclasses.replace(SystemParams(), m_A=m_A)
     seed = 7 * m_A
@@ -515,7 +542,7 @@ def test_episode_csv_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, m_A):
         _use_cpus(monkeypatch, cpus)
         # the pool formats blocks exactly when there are two or more CPUs
         # and two or more blocks
-        pooled = kernel.hold = cpus > 1 and m_A > 1024
+        pooled = kernel.hold = cpus > 1 and m_A > _B
         kernel.calls.clear()
         kernel.pool_started.clear()
         for name, ep in episodes.items():
@@ -547,7 +574,7 @@ def test_episode_csv_keeps_the_bytes_of_repr_heavy_blocks(monkeypatch):
         kernel.pool_started.clear()
         same = episode_to_csv(ep) == want
         assert same, cpus
-        assert len(kernel.calls) == 5
+        assert len(kernel.calls) == -(-p.m_A // _B)
         assert all(fallbacks == size for _, fallbacks, size in kernel.calls)
         assert (kernel.pool_calls() > 0) == (cpus > 1), cpus
 
@@ -565,7 +592,7 @@ def test_episode_csv_does_not_wait_for_a_busy_pool(monkeypatch):
         release.set()
     busy.result(timeout=60)
     assert same
-    assert len(kernel.calls) == 5 and kernel.pool_calls() == 0
+    assert len(kernel.calls) == -(-5000 // _B) and kernel.pool_calls() == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -618,10 +645,10 @@ def test_cli_simulate_analog_leaves_no_partial_output(tmp_path, monkeypatch,
     calls = itertools.count(1)
     kernel = channel._csv_float_fields
 
-    def failing(x, out):
+    def failing(x, out, scratch):
         if next(calls) == 3:
             raise boom
-        return kernel(x, out)
+        return kernel(x, out, scratch)
 
     monkeypatch.setattr(channel, "_csv_float_fields", failing)
     out = tmp_path / "ep.csv"
@@ -693,8 +720,9 @@ def _kernel_reprs(x):
     texts, fallbacks = [], 0
     for lo in range(0, x.size, 1 << 15):
         chunk = x[lo:lo + (1 << 15)]
-        out = np.zeros(chunk.shape + (6,), "<u8")
-        fallbacks += _csv_float_fields(chunk, out)
+        out = np.zeros(chunk.shape + (4,), "<u8")
+        fallbacks += _csv_float_fields(chunk, out,
+                                       channel._CsvScratch(chunk.size))
         flat = out.view(np.uint8).ravel()
         texts += flat[flat != 0].tobytes().decode("ascii").split(",")[1:]
     return texts, fallbacks
@@ -764,6 +792,25 @@ def test_float_fields_guard_catches_a_missed_decade():
     assert fallbacks > 0
 
 
+def test_scaled_splits_each_value_exactly():
+    # |v| 10**q = I + R / 2**t, with P = m 5**q's high word taken from a
+    # float estimate; the largest products come at q = 26 and m near 2**53
+    rng = np.random.default_rng(7)
+    n = 20_000
+    x = np.ldexp(rng.random(n) + 0.5, rng.integers(-34, 53, n))
+    x[:2000] = np.nextafter(10.0 ** rng.integers(-9, 16, 2000), 0)
+    x[2000:4000] = np.ldexp(1 - 2.0 ** -53 * rng.integers(1, 1000, 2000),
+                            rng.integers(-33, -30, 2000))
+    x[::2] *= -1
+    ok, q, whole, two_r, shift, p5 = channel._scaled(
+        x, channel._CsvScratch(n))
+    assert ok.mean() > 0.8
+    for v, qq, i, r2, s1, p in zip(*(a[ok].tolist() for a in (
+            x, q, whole, two_r, shift, p5))):
+        assert Fraction(abs(v)) * 10**qq == i + Fraction(r2, 2**s1)
+        assert p == 5**qq and 10**16 <= i < 10**17
+
+
 def test_float_fields_need_no_guard_on_gaussians():
     x = np.random.default_rng(1).standard_normal(320_000)
     texts, fallbacks = _kernel_reprs(x)
@@ -774,6 +821,8 @@ def test_float_fields_need_no_guard_on_gaussians():
 def test_csv_row_starts_past_one_word():
     # from 10**7 rows on, the line break and the index take two words
     k = np.array([0, 7, 10**7 - 1, 10**7, 12345678, 10**15 - 1], np.int64)
-    starts = _csv_row_starts(k, 2).astype("<u8").view(np.uint8)
+    starts = np.zeros((len(k), 2), "<u8")
+    _csv_row_starts(k, starts)
+    starts = starts.view(np.uint8)
     assert [bytes(r[r != 0]).decode() for r in starts.reshape(len(k), -1)] \
         == ["\n" + str(v) for v in k.tolist()]

@@ -1,5 +1,6 @@
 """The shared pool's ordered map, ``_workers.in_order``."""
 import threading
+import time
 
 import pytest
 
@@ -61,9 +62,35 @@ def test_in_order_raises_a_pool_error_at_its_item(monkeypatch):
     assert raised.value.args == (3,) and raised_on == [True]
 
 
+@pytest.mark.parametrize("w", [2, 3])
+def test_in_order_runs_the_pool_ahead_of_a_slow_consumer(monkeypatch, w):
+    # the pool's items are handed out up to 3w past the one due: it starts
+    # item 2w + 1 while the consumer still holds item 0, and never one
+    # further ahead than that limit
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: w)
+    taken = []
+    lead = []   # per pool item, how far past the next item taken it started
+    started = threading.Event()
+
+    def fn(item):
+        if _on_pool():
+            lead.append(item - len(taken))
+            if item == 2 * w + 1:
+                started.set()
+        return item
+
+    for item in _workers.in_order(fn, range(8 * w), w):
+        if item == 0:
+            assert started.wait(timeout=30)
+        time.sleep(0.002)   # a slow consumer, such as a writer
+        taken.append(item)
+    assert taken == list(range(8 * w))
+    assert max(lead) <= 3 * w - 1
+
+
 def test_in_order_leaves_no_job_when_closed(monkeypatch):
-    # 3 CPUs: a pool of two threads, one kept busy, so of the two items
-    # handed out ahead one runs and the other waits
+    # 3 CPUs: a pool of two threads, one kept busy, so of the six items
+    # handed out ahead (items 1 to 8 but 3 and 6) one runs and five wait
     monkeypatch.setattr(_workers, "usable_cpus", lambda: 3)
     release = threading.Event()
     busy = _workers.pool().submit(release.wait, 30)
@@ -90,7 +117,7 @@ def test_in_order_leaves_no_job_when_closed(monkeypatch):
     timer = threading.Timer(0.05, release.set)
     timer.start()
     results.close()   # cancels the job not started, waits for the other
-    assert len(jobs) == 2 and all(job.done() for job in jobs)
-    assert [job.cancelled() for job in jobs] == [False, True]
+    assert len(jobs) == 6 and all(job.done() for job in jobs)
+    assert [job.cancelled() for job in jobs] == [False] + [True] * 5
     timer.join()
     assert busy.result(timeout=30)
