@@ -101,8 +101,9 @@ def _cnormal_rows(keys: np.ndarray, batched: bool,
     ``out[k]`` when given, else a new one.  Once its last row is filled, a
     buffer leaves ``normals`` and is composed straight into its array, each
     part one product with sqrt(var/2): the bits of sqrt(var/2) * (re + 1j *
-    im).  So one seed holds the normals of one array at a time
-    (``np.empty`` commits no memory before a fill)."""
+    im).  So with one seed, array k is composed before buffer k + 1 fills,
+    and the buffers may be views of one scratch (``_channel_gains``); a
+    batch of T > 1 seeds fills every buffer before composing any."""
     scale = np.sqrt(var / 2.0)
     if out is None:
         out = [np.empty((b.shape[0], *b.shape[2:]), complex) for b in normals]
@@ -139,15 +140,26 @@ def _channel_gains(params: SystemParams, keys: np.ndarray, draws: tuple
     stream of each seed, keyed by its row of ``keys`` as in
     ``_cnormal_rows``, draws h_AB, w, g_A and g_B, all CN(0, 1), and h_BA =
     conj(rho) h_AB + sqrt(1-|rho|^2) w, formed in w's slot, gives
-    E{h_AB conj(h_BA)} = rho exactly."""
+    E{h_AB conj(h_BA)} = rho exactly.
+
+    One seed (``sample_channel_batch``) fills and composes the gains one at
+    a time in one normals scratch the size of Eve's (2 n n_E floats, 3.2 MB
+    at 10^5 draws and n_E 2); T > 1 seeds keep a normals buffer per gain,
+    since each seed's stream draws all four gains in turn."""
     t, h, g = len(keys), draws, (*draws, params.n_E)
     n = t * math.prod(h)
     gains = [part.reshape(t, *shape) for part, shape in zip(
         np.split(np.empty((2 + 2 * params.n_E) * n, complex),
                  [n, 2 * n, (2 + params.n_E) * n]), (h, h, g, g))]
-    h_AB, w, g_A, g_B = _cnormal_rows(
-        keys, True, [np.empty((t, 2, *shape)) for shape in (h, h, g, g)],
-        1.0, gains)
+    if t == 1:
+        # freed with the last of its views
+        scratch = np.empty(2 * math.prod(g))
+        normals = [scratch[:2 * math.prod(shape)].reshape(1, 2, *shape)
+                   for shape in (h, h, g, g)]
+        del scratch
+    else:
+        normals = [np.empty((t, 2, *shape)) for shape in (h, h, g, g)]
+    h_AB, w, g_A, g_B = _cnormal_rows(keys, True, normals, 1.0, gains)
     rho = complex(params.rho)
     np.multiply(np.sqrt(1.0 - abs(rho) ** 2), w, out=w)
     np.add(np.conj(rho) * h_AB, w, out=w)

@@ -137,7 +137,7 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
         h_AB, h_BA, g_A, g_B = (np.expand_dims(a, 0)
                                 for a in (h_AB, h_BA, g_A, g_B))
         xnorm2 = None if xnorm2 is None else np.expand_dims(xnorm2, 0)
-    terms = _power_terms(params, *map(_power, (h_AB, h_BA, g_A, g_B)),
+    terms = _power_terms(params, [*map(_power, (h_AB, h_BA, g_A, g_B))],
                          xnorm2)
     return {name: a[0] for name, a in terms.items()} if one else terms
 
@@ -148,28 +148,40 @@ def _power(gain) -> np.ndarray:
     return np.square(power, out=power)
 
 
-def _power_terms(params: SystemParams, hh_AB: np.ndarray, hh_BA: np.ndarray,
-                 gg_A: np.ndarray, gg_B: np.ndarray,
-                 xnorm2) -> dict[str, np.ndarray]:
-    """``draw_terms`` of a batch from the squared gain magnitudes, which it
-    takes over: ``hh_BA`` and ``hh_AB`` become main_BA and main_AB."""
+def _power_terms(params: SystemParams, powers: list[np.ndarray], xnorm2,
+                 names=None) -> dict[str, np.ndarray]:
+    """``draw_terms`` of a batch from its squared gain magnitudes, the list
+    ``powers`` of |h_AB|^2, |h_BA|^2, |g_A|^2 and |g_B|^2, which it takes
+    over and empties: |h_BA|^2 and |h_AB|^2 become main_BA and main_AB, and
+    Eve's squared gains of a direction are dropped once summed.
+
+    With ``names`` it returns only those terms, each with its bits in the
+    full set, and builds a step over the array of an unnamed term that no
+    later step reads: eve -> eve + 1 -> 1 + phi -> xi and main -> phi in
+    each direction, and snr_EB over the denominator of xi_BA_prime.
+    xi_bar_BA, which no other term needs, is built only when named.
+    """
+    def named(name):
+        return names is None or name in names
+
     terms: dict[str, np.ndarray] = {}
-    for side, p, main, power, var_main, var_eve in (
-            ("BA", params.p_A, hh_BA, gg_A, params.sigma_B2, params.sigma_EA2),
-            ("AB", params.p_B, hh_AB, gg_B, params.sigma_A2, params.sigma_EB2)):
+
+    for side, i, j, p, var_main, var_eve in (
+            ("BA", 1, 2, params.p_A, params.sigma_B2, params.sigma_EA2),
+            ("AB", 0, 3, params.p_B, params.sigma_A2, params.sigma_EB2)):
+        main, eve = powers[i], _row_sum(powers[j])
+        powers[i] = powers[j] = None
         np.multiply(p, main, out=main)
         np.divide(main, var_main, out=main)
-        eve = _row_sum(power)
         np.multiply(p, eve, out=eve)
         np.divide(eve, var_eve, out=eve)
-        eve_1 = eve + 1.0
-        phi_ = main / eve_1
-        xi = np.add(1.0, phi_)
+        terms[f"main_{side}"], terms[f"eve_{side}"] = main, eve
+        eve_1 = np.add(eve, 1.0, out=None if named(f"eve_{side}") else eve)
         gamma = np.add(main, 1.0)
         np.divide(gamma, eve_1, out=gamma)
-        terms[f"main_{side}"] = main
-        terms[f"eve_{side}"] = eve
-        terms[f"phi_{side}"] = phi_
+        phi_ = terms[f"phi_{side}"] = np.divide(
+            main, eve_1, out=None if named(f"main_{side}") else main)
+        xi = np.add(1.0, phi_, out=eve_1)
         terms[f"xi_{side}"] = np.log2(xi, out=xi)
         terms[f"gamma_{side}"] = np.log2(gamma, out=gamma)
     phi_ba = terms["phi_BA"]
@@ -180,11 +192,13 @@ def _power_terms(params: SystemParams, hh_AB: np.ndarray, hh_BA: np.ndarray,
     prime /= rest
     prime += 1.0
     terms["xi_BA_prime"] = np.log2(prime, out=prime)
-    bar = np.multiply(t / (t + 1.0), phi_ba, out=rest)
-    bar += 1.0
-    terms["xi_bar_BA"] = np.log2(bar, out=bar)
+    if named("xi_bar_BA"):
+        bar = np.multiply(t / (t + 1.0), phi_ba, out=rest)
+        bar += 1.0
+        terms["xi_bar_BA"] = np.log2(bar, out=bar)
+        rest = None
     terms["snr_AB"] = np.full(np.shape(phi_ba), t)
-    snr_eb = phi_ba + 1.0
+    snr_eb = np.add(phi_ba, 1.0, out=rest)
     terms["snr_EB"] = np.divide(t, snr_eb, out=snr_eb)
     if xnorm2 is not None:
         u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2)
@@ -193,7 +207,9 @@ def _power_terms(params: SystemParams, hh_AB: np.ndarray, hh_BA: np.ndarray,
         u += 1.0
         ratio /= u
         terms["alpha_prime"] = np.log2(ratio, out=ratio)
-    return terms
+    if names is None:
+        return terms
+    return {name: terms[name] for name in names if name in terms}
 
 
 @dataclass(frozen=True)
@@ -268,17 +284,25 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     Entries: phi_BA, xi_BA, xi_AB, gamma_BA, gamma_AB, xi_BA_prime, snr_AB,
     snr_EB and, when m_A >= 1, alpha_prime: the energy of m_A i.i.d.
     CN(0, p_A) probes is (p_A / 2) chi^2 with 2 m_A degrees of freedom.
-    Each call samples afresh and returns writable arrays: a bound's ``terms``.
+    Each call samples afresh and returns writable arrays, no two sharing
+    memory: a bound's ``terms``.
+
+    Memory: the one-seed batch of ``sample_channel_batch`` (one complex
+    buffer of (2 + 2 n_E) n values and one normals scratch of 2 n n_E
+    floats), then its squared magnitudes, after which the complex buffer is
+    freed; ``_power_terms`` builds the nine terms over those magnitudes and
+    a few new arrays of n floats.  At 10^5 draws and n_E 2 the peak is the
+    complex batch with its magnitudes, 14.4 MB.
     """
     # the kernel reads only squared magnitudes; the complex batch goes first
     powers = [_power(a) for a in sample_channel_batch(params, rng_seed,
                                                        n_draws)]
     xnorm2 = None
     if params.m_A >= 1:
-        xnorm2 = 0.5 * params.p_A * stream(rng_seed, "xnorm").chisquare(
-            2 * params.m_A, size=n_draws)
-    terms = _power_terms(params, *powers, xnorm2)
-    return {name: terms[name] for name in _SHARED_TERMS if name in terms}
+        xnorm2 = stream(rng_seed, "xnorm").chisquare(2 * params.m_A,
+                                                      size=n_draws)
+        np.multiply(0.5 * params.p_A, xnorm2, out=xnorm2)
+    return _power_terms(params, powers, xnorm2, _SHARED_TERMS)
 
 
 def _draws_of(params, n_draws, rng_seed, terms) -> dict[str, np.ndarray]:

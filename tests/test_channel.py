@@ -59,7 +59,8 @@ def _reference_channel_batch(params, rng_seed, n):
                                       (0.8, 9)])
 def test_channel_batch_layout(rho, n_E):
     p = SystemParams(rho=rho, n_E=n_E)
-    for seed, n in ((0, 1), (3, 17), ((1 << 64) - 1, 1000)):
+    # 4097 draws at n_E 9: the one-seed scratch is sized by Eve's gains
+    for seed, n in ((0, 1), (3, 17), ((1 << 64) - 1, 1000), (5, 4097)):
         got = sample_channel_batch(p, seed, n)
         for a, b in zip(got, _reference_channel_batch(p, seed, n)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()

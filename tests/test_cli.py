@@ -963,8 +963,8 @@ def _xfail_until(item):
 # ROADMAP item meant to catch them
 _MUTANTS = [
     pytest.param("rates.py",
-                 "gg_A, params.sigma_B2, params.sigma_EA2)",
-                 "gg_A, params.sigma_B2, params.sigma_EB2)",
+                 "params.p_A, params.sigma_B2, params.sigma_EA2)",
+                 "params.p_A, params.sigma_B2, params.sigma_EB2)",
                  id="M1-eve-BA-snr-divides-by-sigma_EB2"),
     pytest.param("rates.py",
                  "    t = params.sigma_s2 / params.sigma_B2\n    prime",
@@ -989,8 +989,8 @@ _MUTANTS = [
                  id="M6-alice-s-mse-uses-eps_E",
                  marks=_xfail_until("item 2")),
     pytest.param("rates.py",
-                 '("BA", params.p_A, hh_BA',
-                 '("BA", params.p_B, hh_BA',
+                 '("BA", 1, 2, params.p_A',
+                 '("BA", 1, 2, params.p_B',
                  id="M7-BA-probing-snr-uses-p_B"),
     pytest.param("channel.py",
                  "((m,), params.sigma_s2)",

@@ -2,6 +2,7 @@
 independent quadrature cross-checks of the Monte Carlo expectations."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from steeplab import (ChannelRealization, ParamError, SystemParams, alpha,
 from steeplab import rates
 from steeplab.channel import sample_channel_batch
 from steeplab.rates import theorem1_draw_terms
+from steeplab.seeds import stream
 
 BASE = SystemParams()
 
@@ -357,6 +359,49 @@ def test_draw_terms_are_writable_and_resampled_with_the_same_bits():
     # each call samples the batch afresh, with the same bits
     again = theorem1_draw_terms(BASE, 500, 3)
     assert np.array_equal(2 * again["xi_BA"], terms["xi_BA"])
+
+
+# the CI's generic point: no two powers, variances or return noises equal
+GENERIC = dict(p_A=1.3, p_B=0.7, sigma_A2=0.6, sigma_B2=1.1, sigma_EA2=0.8,
+               sigma_EB2=1.7, sigma_s2=2.3, eps_A=0.4, eps_E=0.9)
+
+
+@pytest.mark.parametrize("params", [
+    BASE, SystemParams(**GENERIC), SystemParams(n_E=1, rho=0.3 + 0.4j),
+    SystemParams(n_E=9, rho=0.7, **GENERIC)],
+    ids=["default", "generic", "n_E_1", "n_E_9"])
+def test_shared_terms_built_in_place_are_the_full_kernels_terms(params):
+    # the terms a report reads are built over intermediates it does not
+    # read; each keeps the bits of draw_terms on the same batch, and each
+    # is an array of its own
+    seed, n = 11, 3000
+    terms = theorem1_draw_terms(params, n, seed)
+    xnorm2 = 0.5 * params.p_A * stream(seed, "xnorm").chisquare(
+        2 * params.m_A, size=n)
+    full = rates.draw_terms(params, *sample_channel_batch(params, seed, n),
+                            xnorm2=xnorm2)
+    assert set(terms) == {"phi_BA", "xi_BA", "xi_AB", "gamma_BA", "gamma_AB",
+                          "xi_BA_prime", "snr_AB", "snr_EB", "alpha_prime"}
+    for name, arr in terms.items():
+        assert arr.tobytes() == full[name].tobytes(), name
+    arrays = list(terms.values())
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_shared_terms_peak_memory_is_the_batch_and_its_powers():
+    # one 10^5-draw report at n_E 2 peaks at its complex batch (9.6 MB)
+    # and their squared magnitudes (4.8 MB); a normals buffer per gain,
+    # all made before the first fill, takes it to 19.2 MB
+    p = SystemParams(rho=0.7, m_A=8)
+    theorem1_draw_terms(p, 10, 3)
+    tracemalloc.start()
+    try:
+        theorem1_draw_terms(p, 100_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, peak
 
 
 def _outputs(result):
