@@ -462,6 +462,7 @@ def pack_bit_record(bits: np.ndarray | None) -> bytes:
 
 def unpack_bit_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray | None, int]:
     """Inverse of ``pack_bit_record``; returns (bits, next_offset)."""
+    offset = _integer("offset", offset, 0)
     if offset >= len(buf):
         raise ParamError("truncated bit record: missing presence byte")
     flag = buf[offset]

@@ -100,7 +100,7 @@ def validate_bsc(bsc: BscParams) -> BscParams:
 def binary_entropy(p):
     """f(p) = -p log2 p - (1-p) log2 (1-p), elementwise, with f(0)=f(1)=0."""
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):   # NaN fails too
         raise ParamError("binary_entropy needs probabilities in [0, 1]")
     inner = np.where((arr > 0.0) & (arr < 1.0), arr, 0.5)
     out = np.where(

@@ -38,7 +38,7 @@ Bounds computed here:
   mutual information term of the bracket.
 
 * ``corollary1_capacity`` - with one-way probing (m_B = 0 or m_A = 0) the
-  bracket closes: C_key = alpha + m_A xi_BA (resp. alpha + m_B xi_AB).
+  bracket closes: C_key = C_E, the mean of its per-draw total, either way.
 
 * ``theorem2_lower_bound`` / ``theorem3_lower_bound`` - achievable secrecy
   rates of the echo protocol itself (Bob embeds a secret sequence of power
@@ -121,7 +121,6 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
         gamma_XY         log2((main + 1) / (eve + 1))
         xi_BA_prime      log2(1 + phi_BA t / (1 + phi_BA + t)), the echo
                          rate xi~ = log2(1 + snr_AB) - log2(1 + snr_EB)
-        xi_bar_BA        log2(1 + eta_s phi_BA), eta_s = t / (t + 1)
         snr_AB, snr_EB   secret SNRs after the echo: t at Alice,
                          t / (phi_BA + 1) at Eve
         alpha_prime      log2((u + 1 / (1 - |rho|^2)) / (u + 1)),
@@ -159,7 +158,6 @@ def _power_terms(params: SystemParams, powers: list[np.ndarray], xnorm2,
     full set, and builds a step over the array of an unnamed term that no
     later step reads: eve -> eve + 1 -> 1 + phi -> xi and main -> phi in
     each direction, and snr_EB over the denominator of xi_BA_prime.
-    xi_bar_BA, which no other term needs, is built only when named.
     """
     def named(name):
         return names is None or name in names
@@ -192,11 +190,6 @@ def _power_terms(params: SystemParams, powers: list[np.ndarray], xnorm2,
     prime /= rest
     prime += 1.0
     terms["xi_BA_prime"] = np.log2(prime, out=prime)
-    if named("xi_bar_BA"):
-        bar = np.multiply(t / (t + 1.0), phi_ba, out=rest)
-        bar += 1.0
-        terms["xi_bar_BA"] = np.log2(bar, out=bar)
-        rest = None
     terms["snr_AB"] = np.full(np.shape(phi_ba), t)
     snr_eb = np.add(phi_ba, 1.0, out=rest)
     terms["snr_EB"] = np.divide(t, snr_eb, out=snr_eb)
@@ -226,7 +219,6 @@ class PerRealizationRates:
     xi_AB_term: float
     gamma_BA_term: float     # log2((snr_BA + 1) / (snr_EA + 1))
     gamma_AB_term: float
-    xi_bar_BA_term: float    # log2(1 + eta_s phi_BA), eta_s = t/(t+1)
     xi_prime_BA_term: float  # log2(1 + phi_BA t / (1 + phi_BA + t))
     snr_AB: float            # secret-to-noise ratio at Alice after echo
     snr_EB: float            # same at Eve, discounted by phi_BA + 1
@@ -245,13 +237,17 @@ def _realization_terms(params: SystemParams,
                       realization.g_A, realization.g_B)
 
 
+def _one_draw(caller: str, realization: ChannelRealization) -> None:
+    """Raise ParamError unless ``realization`` is one draw, not a batch."""
+    if np.ndim(realization.h_BA) != 0:
+        raise ParamError(f"{caller} takes one channel draw, not a batch")
+
+
 def per_realization_rates(params: SystemParams,
                           realization: ChannelRealization) -> PerRealizationRates:
     """All closed-form log terms for one channel draw: ``draw_terms`` on a
     single draw, the batch shape ()."""
-    if np.ndim(realization.h_BA) != 0:
-        raise ParamError("per_realization_rates takes one channel draw, "
-                         "not a batch")
+    _one_draw("per_realization_rates", realization)
     terms = _realization_terms(params, realization)
     # field names are the kernel's, with a "_term" suffix on the integrands
     renamed = {"xi_prime_BA_term": "xi_BA_prime", "xi_tilde": "xi_BA_prime"}
@@ -328,6 +324,15 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(dev.sum() / (n - 1)) / math.sqrt(n))
 
 
+def _session_total(a, m_1, x_1, m_2, x_2) -> np.ndarray:
+    """Per draw, the session total a + m_1 x_1 + m_2 x_2 of every report,
+    summed left to right in place."""
+    total = np.multiply(m_1, x_1)
+    np.add(a, total, out=total)
+    total += np.multiply(m_2, x_2)
+    return total
+
+
 # =====================================================================
 # Two-way probing bracket (ideal public discussion)
 # =====================================================================
@@ -350,15 +355,11 @@ def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
         values[name], stderr[name] = _mean_se(terms[name])
 
     m_A, m_B = params.m_A, params.m_B
-    # each total is a + m_1 x_1 + m_2 x_2, summed left to right in place
-    total, addend = np.empty_like(terms["xi_BA"]), np.empty_like(terms["xi_BA"])
     for name, m_1, x_1, m_2, x_2 in (("C_A", m_B, "xi_AB", m_A, "gamma_BA"),
                                      ("C_B", m_A, "xi_BA", m_B, "gamma_AB"),
                                      ("C_E", m_A, "xi_BA", m_B, "xi_AB")):
-        np.multiply(m_1, terms[x_1], out=total)
-        np.add(a, total, out=total)
-        total += np.multiply(m_2, terms[x_2], out=addend)
-        values[name], stderr[name] = _mean_se(total)
+        values[name], stderr[name] = _mean_se(
+            _session_total(a, m_1, terms[x_1], m_2, terms[x_2]))
 
     notes = []
     if m_A > 0 and m_B > 0:
@@ -375,22 +376,17 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
     """Exact key capacity under one-way probing, bits per session.
 
     With probes in only one direction the bracket of ``theorem1_bounds``
-    closes: the capacity equals alpha + m_A E log2(1 + phi_BA) (Alice
-    probing) or alpha + m_B E log2(1 + phi_AB) (Bob probing).  Uses the same
-    channel batch as ``theorem1_bounds`` for a shared seed, or the same
-    ``terms``, so the two agree draw for draw.
+    closes at C_E = alpha + m_A E log2(1 + phi_BA) + m_B E log2(1 + phi_AB),
+    one of whose two addends is zero.  It is the mean of C_E's per-draw
+    total in ``theorem1_bounds``, the same batch for a shared seed or the
+    same ``terms``, so the two agree bit for bit.
     """
     if (params.m_A == 0) == (params.m_B == 0):
         raise ParamError("one-way probing required: exactly one of m_A, m_B "
                          "must be zero")
     terms = _draws_of(params, n_draws, rng_seed, terms)
-    # same per-draw combination as theorem1_bounds so the results agree
-    # bit for bit, not just statistically
-    if params.m_B == 0:
-        draws = np.multiply(params.m_A, terms["xi_BA"])
-    else:
-        draws = np.multiply(params.m_B, terms["xi_AB"])
-    return _mean_se(np.add(alpha(params), draws, out=draws))[0]
+    return _mean_se(_session_total(alpha(params), params.m_A, terms["xi_BA"],
+                                   params.m_B, terms["xi_AB"]))[0]
 
 
 # =====================================================================
@@ -481,6 +477,7 @@ def power_budget(params: SystemParams,
         sigma_s2 = |h_BA|^2 p_A, makes the echo spend about half its power
         on the secret: p_r ~ 2 sigma_s2 once sigma_B2 is negligible.
     """
+    _one_draw("power_budget", realization)
     recv = np.square(np.abs(realization.h_BA)) * params.p_A
     p_r = recv + params.sigma_B2 + params.sigma_s2
     return float(p_r), float(recv)

@@ -172,10 +172,10 @@ def discrete_mi_enumerate(pmf: np.ndarray, groups) -> float:
     all_axes = sorted(axes_u + axes_v)
     if all_axes != list(range(pmf.ndim)) or set(axes_u) & set(axes_v):
         raise ParamError("groups must partition the pmf axes")
-    if np.any(pmf < 0.0):
+    if not np.all(pmf >= 0.0):   # NaN fails too
         raise ParamError("pmf entries must be nonnegative")
     total = float(pmf.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ParamError(f"pmf must sum to 1, got {total!r}")
     p_u = pmf.sum(axis=axes_v, keepdims=True)
     p_v = pmf.sum(axis=axes_u, keepdims=True)

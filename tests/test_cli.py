@@ -1023,11 +1023,6 @@ _MUTANTS = [
                  id="D5-eve-folds-with-alices-probes",
                  marks=_xfail_until("item 21 step 2")),
     pytest.param("rates.py",
-                 "t / (t + 1.0), phi_ba",
-                 "1.0 / (t + 1.0), phi_ba",
-                 id="R1-xi_bar_BA-uses-1-over-t-plus-1",
-                 marks=_xfail_until("item 26")),
-    pytest.param("rates.py",
                  "params.eps_E / params.eps_A",
                  "params.eps_A / params.eps_E",
                  id="R2-eta-is-eps_A-over-eps_E",

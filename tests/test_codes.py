@@ -774,6 +774,12 @@ def test_bit_record_truncation_errors():
         unpack_bit_record(b"")
 
 
+@pytest.mark.parametrize("offset", [-1, True, 1.0])
+def test_bit_record_rejects_a_bad_offset(offset):
+    with pytest.raises(ParamError, match="offset must be"):
+        unpack_bit_record(b"\x01\x00", offset)
+
+
 def test_hexdump_format():
     text = hexdump(bytes(range(40)), width=16)
     lines = text.splitlines()

@@ -45,6 +45,11 @@ def test_binary_entropy_domain():
         binary_entropy(-0.01)
     with pytest.raises(ParamError):
         binary_entropy(1.01)
+    # NaN compares false with everything, so it must fail the range check
+    with pytest.raises(ParamError):
+        binary_entropy(math.nan)
+    with pytest.raises(ParamError):
+        binary_entropy(np.array([0.1, math.nan, 0.5]))
 
 
 @given(p=st.floats(min_value=0.0, max_value=1.0))

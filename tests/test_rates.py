@@ -93,8 +93,6 @@ def test_per_realization_frozen_values():
     assert rates.xi_BA_term == pytest.approx(math.log2(21 / 11), abs=1e-12)
     # equal main and eavesdropper SNR kills the second-phase gamma term
     assert rates.gamma_BA_term == pytest.approx(0.0, abs=1e-12)
-    # eta_s = t/(t+1) = 1/2 at equal secret and noise power
-    assert rates.xi_bar_BA_term == pytest.approx(math.log2(16 / 11), abs=1e-12)
     # phi t / (1 + phi + t) = 10/32
     assert rates.xi_prime_BA_term == pytest.approx(math.log2(1 + 10 / 32),
                                                    abs=1e-12)
@@ -116,12 +114,11 @@ def test_xi_tilde_frozen_value():
        t=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=200)
 def test_rate_chain_ordering(habs2, gnorm2, t):
-    # xi' <= xi_bar <= xi on every realization, and never negative
+    # 0 <= xi' <= xi on every realization
     p = validate(dataclasses.replace(BASE, sigma_s2=t))
     r = make_realization(habs2_ba=habs2, gnorm2_a=gnorm2)
     rates = per_realization_rates(p, r)
-    assert 0.0 <= rates.xi_prime_BA_term <= rates.xi_bar_BA_term + 1e-12
-    assert rates.xi_bar_BA_term <= rates.xi_BA_term + 1e-12
+    assert 0.0 <= rates.xi_prime_BA_term <= rates.xi_BA_term + 1e-12
     # the second phase can only help the eavesdropper relative to xi
     assert rates.gamma_BA_term <= rates.xi_BA_term + 1e-12
 
@@ -145,6 +142,14 @@ def test_power_budget_recommended_split():
     p2 = dataclasses.replace(BASE, sigma_s2=reco, sigma_B2=1e-4)
     p_r2, _ = power_budget(p2, r)
     assert p_r2 / reco == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("one_draw", [per_realization_rates, effective_snrs,
+                                      xi_tilde_analog, power_budget])
+def test_one_draw_functions_reject_a_batch(one_draw):
+    batch = sample_channels(BASE, [1, 2])
+    with pytest.raises(ParamError, match="takes one channel draw, not a batch"):
+        one_draw(BASE, batch)
 
 
 # ---------------------------------------------------------------- theorem 1
@@ -268,8 +273,9 @@ def test_corollary_rejects_two_way():
 def test_corollary_probing_by_bob():
     p = dataclasses.replace(BASE, m_A=0, m_B=5)
     rep = theorem1_bounds(p, n_draws=3000, rng_seed=2)
-    assert corollary1_capacity(p, n_draws=3000, rng_seed=2) \
-        == rep.values["C_A"]
+    ckey = corollary1_capacity(p, n_draws=3000, rng_seed=2)
+    assert ckey == rep.values["C_A"]
+    assert ckey == rep.values["C_E"]
 
 
 # ---------------------------------------------------------------- theorems 2/3

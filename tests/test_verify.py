@@ -176,6 +176,10 @@ def test_discrete_mi_validates_pmf():
         discrete_mi_enumerate(np.array([[0.7, 0.7]]), ([0], [1]))
     with pytest.raises(ParamError):
         discrete_mi_enumerate(np.array([[-0.1, 1.1]]), ([0], [1]))
+    # NaN compares false with everything, so it must fail the checks
+    for pmf in ([[0.5, math.nan]], np.full((2, 2), math.nan)):
+        with pytest.raises(ParamError):
+            discrete_mi_enumerate(np.array(pmf), ([0], [1]))
 
 
 def test_discrete_mi_groups_must_partition():
