@@ -24,15 +24,18 @@ axis, and trial t equals the episode of seed t bit for bit, since each seed
 keeps its own role-tagged streams.  An int seed is the batch of one,
 returned without the trial axis.
 
-All complex Gaussians come from one kernel, ``_cnormal_rows``; the gains of
-``sample_channel_batch`` and ``sample_channels`` from one call of it, into
-one complex buffer.  The probing and the echo phase each draw their three
-roles in turn on the calling thread, every seed of a batch in one call.
-Each role reads only its own streams, so an episode has the same bits
-whichever thread runs it.  Only the public functions turn seeds into the
-Philox keys of their roles' streams, with one ``seeds._role_keys`` call,
-which decides how one seed and a batch are keyed; each private stage
-takes its roles' key rows.
+Every complex Gaussian is composed from its standard normals by one
+kernel, ``_compose``, and h_BA from h_AB by another, ``_mix``.  The gains
+of ``sample_channels`` come from one ``_cnormal_rows`` call; those of
+``sample_channel_batch`` from one normals scratch, composed straight into
+their arrays or, for squared magnitudes, a chunk of draws at a time, so
+that no complex batch is held.  The probing and the echo phase each draw
+their three roles in turn on the calling thread, every seed of a batch in
+one call.  Each role reads only its own streams, so an episode has the
+same bits whichever thread runs it.  Only the public functions turn seeds
+into the Philox keys of their roles' streams, with one
+``seeds._role_keys`` call, which decides how one seed and a batch are
+keyed; each private stage takes its roles' key rows.
 """
 from __future__ import annotations
 
@@ -90,29 +93,33 @@ _PROBE_ROLES = ("probe", "noise_ea", "noise_b")
 _ECHO_ROLES = ("secret", "noise_va", "noise_ve")
 
 
+def _compose(re: np.ndarray, im: np.ndarray, var: float,
+             out: np.ndarray) -> np.ndarray:
+    """CN(0, var) samples sqrt(var/2) * (re + 1j * im) of the standard
+    normals ``re`` and ``im`` into the complex array ``out``, each part one
+    product with sqrt(var/2)."""
+    scale = np.sqrt(var / 2.0)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
+
+
 def _cnormal_rows(keys: np.ndarray, batched: bool,
-                  normals: list[np.ndarray | None], var: float,
-                  out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+                  normals: list[np.ndarray | None], var: float
+                  ) -> list[np.ndarray]:
     """CN(0, var) samples for each of the T (T, 2) key rows ``keys`` into
     each buffer of ``normals`` in turn: buffer k, ``np.empty((T, 2,
-    *shape_k))``, gives the (T, *shape_k) array k, row t one fill of the
-    stream keyed by ``keys[t]``, real and then imaginary parts of variance
-    var/2; without ``batched`` it drops its trial axis.  Array k is
-    ``out[k]`` when given, else a new one.  Once its last row is filled, a
-    buffer leaves ``normals`` and is composed straight into its array, each
-    part one product with sqrt(var/2): the bits of sqrt(var/2) * (re + 1j *
-    im).  So with one seed, array k is composed before buffer k + 1 fills,
-    and the buffers may be views of one scratch (``_channel_gains``); a
-    batch of T > 1 seeds fills every buffer before composing any."""
-    scale = np.sqrt(var / 2.0)
-    if out is None:
-        out = [np.empty((b.shape[0], *b.shape[2:]), complex) for b in normals]
+    *shape_k))``, gives the new (T, *shape_k) array k, row t one fill of
+    the stream keyed by ``keys[t]``, real and then imaginary parts
+    (``_compose``); without ``batched`` it drops its trial axis.  Once its
+    last row is filled, a buffer leaves ``normals`` and is composed into
+    its array, so a caller that passes its only reference frees it."""
+    out = [np.empty((b.shape[0], *b.shape[2:]), complex) for b in normals]
     for t, rng in enumerate(_streams(keys), 1):
         for k, z in enumerate(out):
             rng.standard_normal(out=normals[k][t - 1])
             if t == len(keys):
-                np.multiply(normals[k][:, 0], scale, out=z.real)
-                np.multiply(normals[k][:, 1], scale, out=z.imag)
+                _compose(normals[k][:, 0], normals[k][:, 1], var, z)
                 normals[k] = None
     return out if batched else [z[0] for z in out]
 
@@ -133,37 +140,16 @@ def _phase_signals(keys: np.ndarray, batched: bool,
 # Channel sampling
 # =====================================================================
 
-def _channel_gains(params: SystemParams, keys: np.ndarray, draws: tuple
-                   ) -> tuple[np.ndarray, ...]:
-    """h_AB, h_BA, g_A, g_B of each seed, (T, *draws) and (T, *draws, n_E)
-    for ``draws`` (n,) or (), views of one complex buffer.  The "channels"
-    stream of each seed, keyed by its row of ``keys`` as in
-    ``_cnormal_rows``, draws h_AB, w, g_A and g_B, all CN(0, 1), and h_BA =
-    conj(rho) h_AB + sqrt(1-|rho|^2) w, formed in w's slot, gives
-    E{h_AB conj(h_BA)} = rho exactly.
+#: draws of a squared batch composed per step (``_batch_gains``)
+_CHUNK = 16_384
 
-    One seed (``sample_channel_batch``) fills and composes the gains one at
-    a time in one normals scratch the size of Eve's (2 n n_E floats, 3.2 MB
-    at 10^5 draws and n_E 2); T > 1 seeds keep a normals buffer per gain,
-    since each seed's stream draws all four gains in turn."""
-    t, h, g = len(keys), draws, (*draws, params.n_E)
-    n = t * math.prod(h)
-    gains = [part.reshape(t, *shape) for part, shape in zip(
-        np.split(np.empty((2 + 2 * params.n_E) * n, complex),
-                 [n, 2 * n, (2 + params.n_E) * n]), (h, h, g, g))]
-    if t == 1:
-        # freed with the last of its views
-        scratch = np.empty(2 * math.prod(g))
-        normals = [scratch[:2 * math.prod(shape)].reshape(1, 2, *shape)
-                   for shape in (h, h, g, g)]
-        del scratch
-    else:
-        normals = [np.empty((t, 2, *shape)) for shape in (h, h, g, g)]
-    h_AB, w, g_A, g_B = _cnormal_rows(keys, True, normals, 1.0, gains)
-    rho = complex(params.rho)
+
+def _mix(rho: complex, h_AB: np.ndarray, w: np.ndarray) -> None:
+    """h_BA = conj(rho) h_AB + sqrt(1-|rho|^2) w of the CN(0, 1) gains
+    h_AB and w, formed in w's slot: E{h_AB conj(h_BA)} = rho exactly."""
+    rho = complex(rho)
     np.multiply(np.sqrt(1.0 - abs(rho) ** 2), w, out=w)
     np.add(np.conj(rho) * h_AB, w, out=w)
-    return h_AB, w, g_A, g_B
 
 
 def sample_channels(params: SystemParams,
@@ -181,28 +167,88 @@ def sample_channels(params: SystemParams,
 
 def _sample_channels(params: SystemParams, keys: np.ndarray, batched: bool
                      ) -> ChannelRealization:
-    """``sample_channels`` of the seeds, keyed as in ``_channel_gains``."""
-    gains = _channel_gains(params, keys, ())
+    """``sample_channels`` of the seeds keyed by the (T, 2) rows ``keys``
+    of their "channels" streams.  Each stream draws h_AB, w, g_A and g_B,
+    all CN(0, 1), and h_BA is ``_mix``'s; each seed draws all four gains
+    in turn, so each gain keeps a normals buffer of every seed."""
+    normals = [np.empty((len(keys), 2, *shape))
+               for shape in ((), (), (params.n_E,), (params.n_E,))]
+    gains = _cnormal_rows(keys, True, normals, 1.0)
+    _mix(params.rho, gains[0], gains[1])
     if batched:
         return ChannelRealization(*gains)
     h_AB, h_BA, g_A, g_B = (g[0] for g in gains)
     return ChannelRealization(complex(h_AB), complex(h_BA), g_A, g_B)
 
 
-def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
+def _batch_gains(params: SystemParams, keys: np.ndarray, n: int,
+                 squared: bool) -> list[np.ndarray]:
+    """h_AB, h_BA, g_A and g_B of n draws of the seed whose "channels"
+    stream is keyed by ``keys`` (one row): (n,), (n,), (n, n_E) and (n,
+    n_E) complex arrays, or with ``squared`` float arrays of their squared
+    magnitudes, np.square(np.abs(gain)) bit for bit.
+
+    The stream draws the gains in the order of ``_sample_channels``, one
+    whole fill each, into one normals scratch of max(2 n n_E, 4 n) floats
+    (3.2 MB at 10^5 draws and n_E 2): h_AB's and w's side by side, since
+    ``_mix`` reads both, then g_A's and then g_B's, each fill composed
+    (``_compose``) before the next.  Complex gains are composed straight
+    into their arrays.  Squared ones are composed ``_CHUNK`` draws at a
+    time into one complex work buffer and squared from there, so no
+    complex batch is held."""
+    shapes = ((n,), (n,), (n, params.n_E), (n, params.n_E))
+    gains = [np.empty(shape, float if squared else complex)
+             for shape in shapes]
+    scratch = np.empty(max(2 * n * params.n_E, 4 * n))
+    step = min(n, _CHUNK) if squared else n
+    work = np.empty(step * max(2, params.n_E), complex) if squared else None
+    rng = next(_streams(keys))
+    for group in ((0, 1), (2,), (3,)):
+        normals = []
+        for k in group:
+            size = 2 * math.prod(shapes[k])
+            normals.append(scratch[len(normals) * size:][:size]
+                           .reshape(2, *shapes[k]))
+            rng.standard_normal(out=normals[-1])
+        for a in range(0, n, step):
+            zs = []
+            for buf, k in zip(normals, group):
+                out = gains[k][a:a + step]
+                if squared:
+                    size = out.size
+                    out = work[len(zs) * size:][:size].reshape(out.shape)
+                zs.append(_compose(buf[0, a:a + step], buf[1, a:a + step],
+                                   1.0, out))
+            if len(zs) == 2:
+                _mix(params.rho, *zs)
+            if squared:
+                for z, k in zip(zs, group):
+                    power = np.abs(z, out=gains[k][a:a + step])
+                    np.square(power, out=power)
+    return gains
+
+
+def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int,
+                         squared: bool = False):
     """Vectorized channel draws for Monte Carlo averaging.
 
-    h_AB ~ CN(0,1) and h_BA from it as in ``_channel_gains``; Eve's gains
-    g_A, g_B are i.i.d. CN(0,1).
+    h_AB ~ CN(0,1) and h_BA from it as in ``_sample_channels``; Eve's
+    gains g_A, g_B are i.i.d. CN(0,1).
 
     Returns:
         tuple ``(h_AB, h_BA, g_A, g_B)`` with shapes (n,), (n,), (n, n_E),
         (n, n_E).  The batch for a given ``(params, rng_seed, n_draws)`` is
-        deterministic.
+        deterministic.  With ``squared`` True the tuple holds the float
+        squared magnitudes |h_AB|^2, |h_BA|^2, |g_A|^2 and |g_B|^2 of that
+        batch instead, each ``np.square(np.abs(gain))`` bit for bit,
+        built without holding the complex batch (``_batch_gains``).  A
+        ``squared`` that is not a bool raises ``ParamError``.
     """
     n_draws = _integer("n_draws", n_draws, 1)
+    if not isinstance(squared, bool):
+        raise ParamError(f"squared must be a bool, got {squared!r}")
     keys = _role_keys([rng_seed], _CHANNEL_ROLES)[0]
-    return tuple(g[0] for g in _channel_gains(params, keys, (n_draws,)))
+    return tuple(_batch_gains(params, keys, n_draws, squared))
 
 
 # =====================================================================

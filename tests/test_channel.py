@@ -66,6 +66,23 @@ def test_channel_batch_layout(rho, n_E):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n_E", [1, 2, 3])
+@pytest.mark.parametrize("rho", [0.7, 0.6 + 0.3j, 0])
+def test_squared_batch_is_the_squared_magnitude_of_the_complex_one(rho, n_E):
+    # squared gains are composed chunk by chunk, never as a complex batch:
+    # each is np.square(np.abs(gain)) of the complex return, byte for byte,
+    # on either side of a chunk boundary
+    p = SystemParams(rho=rho, n_E=n_E)
+    chunk = channel._CHUNK
+    for n in (1, chunk - 1, chunk, chunk + 1, 100_000):
+        for seed in (0, 20231):
+            squared = sample_channel_batch(p, seed, n, True)
+            for a, z in zip(squared, sample_channel_batch(p, seed, n)):
+                want = np.square(np.abs(z))
+                assert a.dtype == want.dtype and a.shape == want.shape
+                assert a.tobytes() == want.tobytes()
+
+
 def test_sample_channels_deterministic():
     p = SystemParams()
     a = sample_channels(p, 42)
@@ -118,6 +135,12 @@ def test_batch_shapes():
 def test_batch_rejects_bad_draw_count():
     with pytest.raises(ParamError, match="n_draws"):
         sample_channel_batch(SystemParams(), 0, 0)
+
+
+@pytest.mark.parametrize("squared", [1, 0, "yes", None, np.True_])
+def test_batch_rejects_a_squared_that_is_not_a_bool(squared):
+    with pytest.raises(ParamError, match="squared must be a bool"):
+        sample_channel_batch(SystemParams(), 0, 10, squared)
 
 
 # ---------------------------------------------------------------- episodes

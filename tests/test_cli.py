@@ -70,6 +70,8 @@ def test_run_rates_samples_one_channel_batch(monkeypatch):
     assert len(calls) == 1
     rates.theorem1_draw_terms(*key)
     assert len(calls) == 2
+    # the report reads only squared gain magnitudes, so it asks for them
+    assert calls[0] == calls[1] == (key[0], 41, 700, True)
 
 
 @pytest.mark.parametrize("workers, n_points", [(2, 4), (4, 16)])
@@ -93,6 +95,7 @@ def test_parallel_sweep_samples_one_batch_per_point(monkeypatch, workers,
         sys.setswitchinterval(interval)
     # a point whose bounds sampled their own batches would count more
     assert len(calls) == n_points
+    assert all(args[2:] == (2000, True) for args in calls)
     assert rows == run_sweep(spec, workers=1)
 
 
