@@ -25,17 +25,17 @@ keeps its own role-tagged streams.  An int seed is the batch of one,
 returned without the trial axis.
 
 Every complex Gaussian is composed from its standard normals by one
-kernel, ``_compose``, and h_BA from h_AB by another, ``_mix``.  The gains
-of ``sample_channels`` come from one ``_cnormal_rows`` call; those of
-``sample_channel_batch`` from one normals scratch, composed straight into
-their arrays or, for squared magnitudes, a chunk of draws at a time, so
-that no complex batch is held.  The probing and the echo phase each draw
-their three roles in turn on the calling thread, every seed of a batch in
-one call.  Each role reads only its own streams, so an episode has the
-same bits whichever thread runs it.  Only the public functions turn seeds
-into the Philox keys of their roles' streams, with one
-``seeds._role_keys`` call, which decides how one seed and a batch are
-keyed; each private stage takes its roles' key rows.
+kernel, ``_compose``, and h_BA from h_AB by another, ``_mix``.  Complex
+gains come only from ``_cnormal_rows``; ``sample_channel_batch`` returns
+the squared magnitudes every bound reads, composed a chunk of draws at a
+time from one normals scratch, so that no complex batch is held.  The
+probing and the echo phase each draw their three roles in turn on the
+calling thread, every seed of a batch in one call.  Each role reads only
+its own streams, so an episode has the same bits whichever thread runs
+it.  Only the public functions turn seeds into the Philox keys of their
+roles' streams, with one ``seeds._role_keys`` call, which decides how
+one seed and a batch are keyed; each private stage takes its roles' key
+rows.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ def _phase_signals(keys: np.ndarray, batched: bool,
 # Channel sampling
 # =====================================================================
 
-#: draws of a squared batch composed per step (``_batch_gains``)
+#: draws composed per step of a batch (``_batch_powers``)
 _CHUNK = 16_384
 
 
@@ -154,8 +154,8 @@ def _mix(rho: complex, h_AB: np.ndarray, w: np.ndarray) -> None:
 
 def sample_channels(params: SystemParams,
                     rng_seed: int | Sequence[int]) -> ChannelRealization:
-    """Draw one joint realization of every channel gain: the single draw of
-    ``sample_channel_batch(params, rng_seed, 1)``.
+    """Draw one joint realization of every channel gain, complex; squared,
+    the draw of a seed is ``sample_channel_batch(params, seed, 1)``.
 
     A sequence of T seeds gives a batch realization of T such draws:
     h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).
@@ -181,27 +181,24 @@ def _sample_channels(params: SystemParams, keys: np.ndarray, batched: bool
     return ChannelRealization(complex(h_AB), complex(h_BA), g_A, g_B)
 
 
-def _batch_gains(params: SystemParams, keys: np.ndarray, n: int,
-                 squared: bool) -> list[np.ndarray]:
-    """h_AB, h_BA, g_A and g_B of n draws of the seed whose "channels"
-    stream is keyed by ``keys`` (one row): (n,), (n,), (n, n_E) and (n,
-    n_E) complex arrays, or with ``squared`` float arrays of their squared
-    magnitudes, np.square(np.abs(gain)) bit for bit.
+def _batch_powers(params: SystemParams, keys: np.ndarray, n: int
+                  ) -> list[np.ndarray]:
+    """|h_AB|^2, |h_BA|^2, |g_A|^2 and |g_B|^2 of n draws of the seed whose
+    "channels" stream is keyed by ``keys`` (one row): (n,), (n,), (n, n_E)
+    and (n, n_E) float arrays, np.square(np.abs(gain)) of the gains of
+    ``_sample_channels`` bit for bit.
 
     The stream draws the gains in the order of ``_sample_channels``, one
     whole fill each, into one normals scratch of max(2 n n_E, 4 n) floats
     (3.2 MB at 10^5 draws and n_E 2): h_AB's and w's side by side, since
-    ``_mix`` reads both, then g_A's and then g_B's, each fill composed
-    (``_compose``) before the next.  Complex gains are composed straight
-    into their arrays.  Squared ones are composed ``_CHUNK`` draws at a
-    time into one complex work buffer and squared from there, so no
-    complex batch is held."""
+    ``_mix`` reads both, then g_A's and then g_B's.  Each fill is composed
+    (``_compose``) ``_CHUNK`` draws at a time into one complex work buffer
+    and squared from there, so no complex batch is held."""
     shapes = ((n,), (n,), (n, params.n_E), (n, params.n_E))
-    gains = [np.empty(shape, float if squared else complex)
-             for shape in shapes]
+    powers = [np.empty(shape) for shape in shapes]
     scratch = np.empty(max(2 * n * params.n_E, 4 * n))
-    step = min(n, _CHUNK) if squared else n
-    work = np.empty(step * max(2, params.n_E), complex) if squared else None
+    step = min(n, _CHUNK)
+    work = np.empty(step * max(2, params.n_E), complex)
     rng = next(_streams(keys))
     for group in ((0, 1), (2,), (3,)):
         normals = []
@@ -213,42 +210,34 @@ def _batch_gains(params: SystemParams, keys: np.ndarray, n: int,
         for a in range(0, n, step):
             zs = []
             for buf, k in zip(normals, group):
-                out = gains[k][a:a + step]
-                if squared:
-                    size = out.size
-                    out = work[len(zs) * size:][:size].reshape(out.shape)
+                out = powers[k][a:a + step]
+                out = work[len(zs) * out.size:][:out.size].reshape(out.shape)
                 zs.append(_compose(buf[0, a:a + step], buf[1, a:a + step],
                                    1.0, out))
             if len(zs) == 2:
                 _mix(params.rho, *zs)
-            if squared:
-                for z, k in zip(zs, group):
-                    power = np.abs(z, out=gains[k][a:a + step])
-                    np.square(power, out=power)
-    return gains
+            for z, k in zip(zs, group):
+                power = np.abs(z, out=powers[k][a:a + step])
+                np.square(power, out=power)
+    return powers
 
 
-def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int,
-                         squared: bool = False):
-    """Vectorized channel draws for Monte Carlo averaging.
+def sample_channel_batch(params: SystemParams, rng_seed: int, n_draws: int):
+    """Vectorized channel draws for Monte Carlo averaging, as the squared
+    gain magnitudes that every bound reads.
 
     h_AB ~ CN(0,1) and h_BA from it as in ``_sample_channels``; Eve's
     gains g_A, g_B are i.i.d. CN(0,1).
 
     Returns:
-        tuple ``(h_AB, h_BA, g_A, g_B)`` with shapes (n,), (n,), (n, n_E),
-        (n, n_E).  The batch for a given ``(params, rng_seed, n_draws)`` is
-        deterministic.  With ``squared`` True the tuple holds the float
-        squared magnitudes |h_AB|^2, |h_BA|^2, |g_A|^2 and |g_B|^2 of that
-        batch instead, each ``np.square(np.abs(gain))`` bit for bit,
-        built without holding the complex batch (``_batch_gains``).  A
-        ``squared`` that is not a bool raises ``ParamError``.
+        tuple ``(|h_AB|^2, |h_BA|^2, |g_A|^2, |g_B|^2)`` of float64 arrays
+        with shapes (n,), (n,), (n, n_E), (n, n_E).  The batch for a given
+        ``(params, rng_seed, n_draws)`` is deterministic, and its draws
+        are built without holding the complex batch (``_batch_powers``).
     """
     n_draws = _integer("n_draws", n_draws, 1)
-    if not isinstance(squared, bool):
-        raise ParamError(f"squared must be a bool, got {squared!r}")
     keys = _role_keys([rng_seed], _CHANNEL_ROLES)[0]
-    return tuple(_batch_gains(params, keys, n_draws, squared))
+    return tuple(_batch_powers(params, keys, n_draws))
 
 
 # =====================================================================

@@ -110,10 +110,11 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
     Gains ``h_AB``, ``h_BA`` have the batch shape, (n,) or () for one
     draw, and ``g_A``, ``g_B`` that shape plus (n_E,); only magnitudes
     enter.  ``alpha_prime`` needs ``xnorm2``, the energy ||x_A||^2 of
-    Alice's probe sequence in each draw.  Returns arrays of the batch
-    shape, numpy scalars for one draw; t = sigma_s2 / sigma_B2 and XY is a
-    probing direction (BA: Alice's probes at Bob and Eve; AB swaps every
-    role):
+    Alice's probe sequence in each draw, of the batch shape; it is read,
+    never written.  Shapes that disagree with each other or with n_E
+    raise ``ParamError``.  Returns arrays of the batch shape, numpy
+    scalars for one draw; t = sigma_s2 / sigma_B2 and XY is a probing
+    direction (BA: Alice's probes at Bob and Eve; AB swaps every role):
 
         main_XY, eve_XY  probing SNRs p_A |h_BA|^2 / sigma_B2 (Bob) and
                          p_A ||g_A||^2 / sigma_EA2 (Eve)
@@ -131,13 +132,15 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
     ``_row_sum``'s.  One draw runs as the batch of one, so it gets its
     draw's bits in any batch.
     """
+    ChannelRealization(h_AB, h_BA, g_A, g_B).check_for(params)
+    if xnorm2 is not None:
+        if np.shape(xnorm2) != np.shape(h_BA):
+            raise ParamError(f"xnorm2 must have shape {np.shape(h_BA)}")
+        xnorm2 = np.array(xnorm2, dtype=float, ndmin=1)   # ours to write
     one = np.ndim(h_BA) == 0
-    if one:
-        h_AB, h_BA, g_A, g_B = (np.expand_dims(a, 0)
-                                for a in (h_AB, h_BA, g_A, g_B))
-        xnorm2 = None if xnorm2 is None else np.expand_dims(xnorm2, 0)
-    terms = _power_terms(params, [*map(_power, (h_AB, h_BA, g_A, g_B))],
-                         xnorm2)
+    powers = [_power(np.expand_dims(a, 0) if one else a)
+              for a in (h_AB, h_BA, g_A, g_B)]
+    terms = _power_terms(params, powers, xnorm2)
     return {name: a[0] for name, a in terms.items()} if one else terms
 
 
@@ -152,12 +155,14 @@ def _power_terms(params: SystemParams, powers: list[np.ndarray], xnorm2,
     """``draw_terms`` of a batch from its squared gain magnitudes, the list
     ``powers`` of |h_AB|^2, |h_BA|^2, |g_A|^2 and |g_B|^2, which it takes
     over and empties: |h_BA|^2 and |h_AB|^2 become main_BA and main_AB, and
-    Eve's squared gains of a direction are dropped once summed.
+    Eve's squared gains of a direction are dropped once summed; ``xnorm2``
+    it writes over with alpha_prime's u.
 
     With ``names`` it returns only those terms, each with its bits in the
-    full set, and builds a step over the array of an unnamed term that no
-    later step reads: eve -> eve + 1 -> 1 + phi -> xi and main -> phi in
-    each direction, and snr_EB over the denominator of xi_BA_prime.
+    full set, builds a step over the array of an unnamed term that no
+    later step reads (eve -> eve + 1 -> 1 + phi -> xi and main -> phi in
+    each direction, snr_EB over the denominator of xi_BA_prime), and
+    drops the unnamed probing terms, phi_AB among them, once built.
     """
     def named(name):
         return names is None or name in names
@@ -183,6 +188,9 @@ def _power_terms(params: SystemParams, powers: list[np.ndarray], xnorm2,
         terms[f"xi_{side}"] = np.log2(xi, out=xi)
         terms[f"gamma_{side}"] = np.log2(gamma, out=gamma)
     phi_ba = terms["phi_BA"]
+    # unasked probing terms go, with the loop's last references to them
+    terms = {name: a for name, a in terms.items() if named(name)}
+    del main, phi_
     t = params.sigma_s2 / params.sigma_B2
     prime = phi_ba * t
     rest = np.add(1.0, phi_ba)
@@ -194,7 +202,7 @@ def _power_terms(params: SystemParams, powers: list[np.ndarray], xnorm2,
     snr_eb = np.add(phi_ba, 1.0, out=rest)
     terms["snr_EB"] = np.divide(t, snr_eb, out=snr_eb)
     if xnorm2 is not None:
-        u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2)
+        u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2, out=xnorm2)
         leak = 1.0 / (1.0 - abs(complex(params.rho)) ** 2)
         ratio = u + leak
         u += 1.0
@@ -232,7 +240,6 @@ class PerRealizationRates:
 def _realization_terms(params: SystemParams,
                        realization: ChannelRealization) -> dict[str, np.ndarray]:
     """``draw_terms`` of one realization or of a batch realization."""
-    realization.check_for(params)
     return draw_terms(params, realization.h_AB, realization.h_BA,
                       realization.g_A, realization.g_B)
 
@@ -284,14 +291,12 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     memory: a bound's ``terms``.
 
     Memory: the squared gain magnitudes of ``sample_channel_batch``, four
-    float arrays of (2 + 2 n_E) n values, built through one normals
-    scratch of max(2 n n_E, 4 n) floats and a complex work buffer of
-    16,384 draws, so the complex batch is never held; ``_power_terms``
-    builds the nine terms over those magnitudes and a few new arrays of n
-    floats.  At 10^5 draws and n_E 2 sampling peaks at 8.8 MB and the
-    call at 9.6 MB, while the terms are built (``tracemalloc``).
+    float arrays of (2 + 2 n_E) n values sampled without a complex batch,
+    over which ``_power_terms`` builds the nine terms with the probe
+    energies and a few new arrays of n floats.  At 10^5 draws and n_E 2
+    the call peaks at 8.8 MB, while sampling (``tracemalloc``).
     """
-    powers = [*sample_channel_batch(params, rng_seed, n_draws, True)]
+    powers = [*sample_channel_batch(params, rng_seed, n_draws)]
     xnorm2 = None
     if params.m_A >= 1:
         xnorm2 = stream(rng_seed, "xnorm").chisquare(2 * params.m_A,
@@ -300,13 +305,15 @@ def theorem1_draw_terms(params: SystemParams, n_draws: int,
     return _power_terms(params, powers, xnorm2, _SHARED_TERMS)
 
 
-def _draws_of(params, n_draws, rng_seed, terms) -> dict[str, np.ndarray]:
-    """The given ``terms``, of ``n_draws`` draws, or a batch sampled anew."""
+def _draws_of(params, n_draws, rng_seed, terms, names) -> dict:
+    """The given ``terms``, or a batch sampled anew; a given ``terms``
+    must hold each of the ``names`` a bound reads as ``n_draws`` draws."""
     n_draws = _integer("n_draws", n_draws, 1)
     if terms is None:
         return theorem1_draw_terms(params, n_draws, rng_seed)
-    if len(terms["xi_BA"]) != n_draws:
-        raise ParamError(f"terms do not hold n_draws = {n_draws} draws")
+    for name in names:
+        if np.shape(terms.get(name)) != (n_draws,):
+            raise ParamError(f"terms lack n_draws = {n_draws} draws of {name}")
     return terms
 
 
@@ -346,7 +353,8 @@ def theorem1_bounds(params: SystemParams, n_draws: int = 10_000,
     caps what any scheme can distill.  A given ``terms``, the
     ``theorem1_draw_terms`` of these arguments, is reduced, not resampled.
     """
-    terms = _draws_of(params, n_draws, rng_seed, terms)
+    terms = _draws_of(params, n_draws, rng_seed, terms,
+                      ("xi_BA", "xi_AB", "gamma_BA", "gamma_AB"))
     a = alpha(params)
     values: dict[str, float] = {"alpha": a}
     stderr: dict[str, float] = {}
@@ -383,7 +391,7 @@ def corollary1_capacity(params: SystemParams, n_draws: int = 10_000,
     if (params.m_A == 0) == (params.m_B == 0):
         raise ParamError("one-way probing required: exactly one of m_A, m_B "
                          "must be zero")
-    terms = _draws_of(params, n_draws, rng_seed, terms)
+    terms = _draws_of(params, n_draws, rng_seed, terms, ("xi_BA", "xi_AB"))
     return _mean_se(_session_total(alpha(params), params.m_A, terms["xi_BA"],
                                    params.m_B, terms["xi_AB"]))[0]
 
@@ -401,7 +409,8 @@ def theorem3_lower_bound(params: SystemParams, n_draws: int = 10_000,
     """
     if params.m_A < 1:
         raise ParamError("echo-protocol bounds need m_A >= 1")
-    terms = _draws_of(params, n_draws, rng_seed, terms)
+    terms = _draws_of(params, n_draws, rng_seed, terms,
+                      ("alpha_prime", "xi_BA_prime"))
     values: dict[str, float] = {}
     stderr: dict[str, float] = {}
     for name in ("alpha_prime", "xi_BA_prime"):

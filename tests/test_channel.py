@@ -27,13 +27,13 @@ from steeplab.seeds import _state, stream, subseed
 
 
 def test_gain_variance_split():
-    # every gain is CN(0, 1): real and imaginary parts each of variance 1/2
+    # every gain is CN(0, 1), so |z|^2 is Exp(1): E|z|^2 = 1, and E|z|^4 = 2
+    # holds only when the real and imaginary parts each have variance 1/2
+    # (uncorrelated parts of variances a and 1 - a give 3 - 4a(1 - a))
     p = dataclasses.replace(SystemParams(), rho=0.3 + 0.4j)
-    for z in sample_channel_batch(p, 0, 100_000):
-        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
-        assert abs(np.var(z.real) - 0.5) < 0.015
-        assert abs(np.var(z.imag) - 0.5) < 0.015
-        assert abs(np.mean(z)) < 0.02
+    for power in sample_channel_batch(p, 0, 100_000):
+        assert abs(np.mean(power) - 1.0) < 0.02
+        assert abs(np.mean(power ** 2) - 2.0) < 0.08
 
 
 def _reference_cn(rng, shape, var):
@@ -58,29 +58,37 @@ def _reference_channel_batch(params, rng_seed, n):
 @pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2),
                                       (0.8, 9)])
 def test_channel_batch_layout(rho, n_E):
+    # the batch is four float64 arrays of their own, C-ordered and
+    # writable, which a rate report builds its terms over in place
     p = SystemParams(rho=rho, n_E=n_E)
-    # 4097 draws at n_E 9: the one-seed scratch is sized by Eve's gains
     for seed, n in ((0, 1), (3, 17), ((1 << 64) - 1, 1000), (5, 4097)):
         got = sample_channel_batch(p, seed, n)
-        for a, b in zip(got, _reference_channel_batch(p, seed, n)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [a.shape for a in got] == [(n,), (n,), (n, n_E), (n, n_E)]
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous
+                   and a.flags.writeable for a in got)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(got) for b in got[i + 1:])
+        again = sample_channel_batch(p, seed, n)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, again))
 
 
 @pytest.mark.parametrize("n_E", [1, 2, 3])
 @pytest.mark.parametrize("rho", [0.7, 0.6 + 0.3j, 0])
 def test_squared_batch_is_the_squared_magnitude_of_the_complex_one(rho, n_E):
-    # squared gains are composed chunk by chunk, never as a complex batch:
-    # each is np.square(np.abs(gain)) of the complex return, byte for byte,
-    # on either side of a chunk boundary
+    # the batch is composed chunk by chunk, never as a complex batch: each
+    # array is np.square(np.abs(gain)) of the complex reference batch, byte
+    # for byte, on either side of a chunk boundary; from n_E 3 on the
+    # one-seed scratch is sized by Eve's gains
     p = SystemParams(rho=rho, n_E=n_E)
     chunk = channel._CHUNK
-    for n in (1, chunk - 1, chunk, chunk + 1, 100_000):
-        for seed in (0, 20231):
-            squared = sample_channel_batch(p, seed, n, True)
-            for a, z in zip(squared, sample_channel_batch(p, seed, n)):
-                want = np.square(np.abs(z))
-                assert a.dtype == want.dtype and a.shape == want.shape
-                assert a.tobytes() == want.tobytes()
+    for seed, n in ((0, 1), (3, 17), ((1 << 64) - 1, 1000), (5, 4097),
+                    (0, chunk - 1), (20231, chunk), (0, chunk + 1),
+                    (20231, 100_000)):
+        got = sample_channel_batch(p, seed, n)
+        for a, z in zip(got, _reference_channel_batch(p, seed, n)):
+            want = np.square(np.abs(z))
+            assert a.dtype == want.dtype and a.shape == want.shape
+            assert a.tobytes() == want.tobytes()
 
 
 def test_sample_channels_deterministic():
@@ -95,25 +103,31 @@ def test_sample_channels_deterministic():
 @pytest.mark.parametrize("n_E", [1, 3])
 @pytest.mark.parametrize("rho", [0.5, 0.3 + 0.4j, 0.2j])
 def test_sample_channels_is_the_batch_of_one(rho, n_E):
-    # numpy rounds a scalar complex product unlike an array one: a scalar
-    # h_BA formula would differ in the last bit at rho = 0.3+0.4j, seed 2
+    # an int seed's complex draw is row 0 of the reference batch, and its
+    # squared magnitudes are the batch of one; numpy rounds a scalar
+    # complex product unlike an array one, so a scalar h_BA formula would
+    # differ in the last bit at rho = 0.3+0.4j, seed 2
     p = SystemParams(rho=rho, n_E=n_E)
     for seed in range(20):
         r = sample_channels(p, seed)
-        h_ab, h_ba, g_a, g_b = sample_channel_batch(p, seed, 1)
-        assert (r.h_AB, r.h_BA) == (h_ab[0], h_ba[0])
-        assert r.g_A.tobytes() == g_a[0].tobytes()
-        assert r.g_B.tobytes() == g_b[0].tobytes()
+        want = _reference_channel_batch(p, seed, 1)
+        powers = sample_channel_batch(p, seed, 1)
+        for name, z, power in zip(GAINS, want, powers):
+            got = getattr(r, name)
+            assert np.shape(got) == z[0].shape
+            assert np.asarray(got).tobytes() == z[0].tobytes()
+            assert np.square(np.abs(got)).tobytes() == power[0].tobytes()
 
 
 def test_channel_correlation_matches_rho():
-    # E{h_AB conj(h_BA)} = rho under the construction
+    # |E{h_AB conj(h_BA)}| = |rho| under the construction, seen through
+    # E|h_AB|^2 |h_BA|^2 = 1 + |rho|^2; its phase is pinned bit for bit by
+    # the reference batch
     p = dataclasses.replace(SystemParams(), rho=0.3 - 0.4j)
     h_ab, h_ba, _, _ = sample_channel_batch(p, 0, 400_000)
-    corr = np.mean(h_ab * np.conj(h_ba))
-    assert abs(corr - (0.3 - 0.4j)) < 0.01
-    assert abs(np.mean(np.abs(h_ba) ** 2) - 1.0) < 0.01
-    assert abs(np.mean(np.abs(h_ab) ** 2) - 1.0) < 0.01
+    assert abs(np.mean(h_ab * h_ba) - 1.25) < 0.04
+    assert abs(np.mean(h_ba) - 1.0) < 0.01
+    assert abs(np.mean(h_ab) - 1.0) < 0.01
 
 
 @given(rho=st.complex_numbers(max_magnitude=0.95, allow_nan=False,
@@ -122,7 +136,7 @@ def test_channel_correlation_matches_rho():
 def test_channel_unit_variance_any_rho(rho):
     p = validate(dataclasses.replace(SystemParams(), rho=rho))
     _, h_ba, _, _ = sample_channel_batch(p, 7, 100_000)
-    assert abs(np.mean(np.abs(h_ba) ** 2) - 1.0) < 0.02
+    assert abs(np.mean(h_ba) - 1.0) < 0.02
 
 
 def test_batch_shapes():
@@ -135,12 +149,6 @@ def test_batch_shapes():
 def test_batch_rejects_bad_draw_count():
     with pytest.raises(ParamError, match="n_draws"):
         sample_channel_batch(SystemParams(), 0, 0)
-
-
-@pytest.mark.parametrize("squared", [1, 0, "yes", None, np.True_])
-def test_batch_rejects_a_squared_that_is_not_a_bool(squared):
-    with pytest.raises(ParamError, match="squared must be a bool"):
-        sample_channel_batch(SystemParams(), 0, 10, squared)
 
 
 # ---------------------------------------------------------------- episodes
@@ -317,13 +325,14 @@ def test_episode_from_a_pool_job_while_the_pool_is_held(monkeypatch):
 @pytest.mark.parametrize("rho, n_E", [(0.5, 1), (0.3 + 0.4j, 3), (-0.6j, 2)])
 def test_channel_draws_are_single_draws_of_the_batch_sampler(rho, n_E):
     # sample_channels draws all seeds of a batch through one re-keyed
-    # Philox; each draw stays sample_channel_batch(p, seed, 1)
+    # Philox; each draw stays row 0 of the reference batch, the draw whose
+    # squared magnitudes sample_channel_batch(p, seed, 1) returns
     p = SystemParams(rho=rho, n_E=n_E)
     seeds = [subseed(29, "draw", t) for t in range(300)] + [0, (1 << 64) - 1]
     batch = sample_channels(p, seeds)
     for t, seed in enumerate(seeds):
         one = sample_channels(p, seed)
-        for name, want in zip(GAINS, sample_channel_batch(p, seed, 1)):
+        for name, want in zip(GAINS, _reference_channel_batch(p, seed, 1)):
             assert getattr(batch, name)[t].tobytes() == want[0].tobytes()
             assert np.asarray(getattr(one, name)).tobytes() == \
                 want[0].tobytes()

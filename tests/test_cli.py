@@ -70,8 +70,7 @@ def test_run_rates_samples_one_channel_batch(monkeypatch):
     assert len(calls) == 1
     rates.theorem1_draw_terms(*key)
     assert len(calls) == 2
-    # the report reads only squared gain magnitudes, so it asks for them
-    assert calls[0] == calls[1] == (key[0], 41, 700, True)
+    assert calls[0] == calls[1] == (key[0], 41, 700)
 
 
 @pytest.mark.parametrize("workers, n_points", [(2, 4), (4, 16)])
@@ -95,7 +94,7 @@ def test_parallel_sweep_samples_one_batch_per_point(monkeypatch, workers,
         sys.setswitchinterval(interval)
     # a point whose bounds sampled their own batches would count more
     assert len(calls) == n_points
-    assert all(args[2:] == (2000, True) for args in calls)
+    assert all(args[2:] == (2000,) for args in calls)
     assert rows == run_sweep(spec, workers=1)
 
 
@@ -974,8 +973,10 @@ _MUTANTS = [
                  "    t = params.sigma_s2 / params.sigma_A2\n    prime",
                  id="M2-t-over-sigma_A2"),
     pytest.param("rates.py",
-                 "u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2)",
-                 "u = np.divide(xnorm2, params.sigma_s2 + params.sigma_A2)",
+                 "u = np.divide(xnorm2, params.sigma_s2 + params.sigma_B2, "
+                 "out=xnorm2)",
+                 "u = np.divide(xnorm2, params.sigma_s2 + params.sigma_A2, "
+                 "out=xnorm2)",
                  id="M3-alpha-prime-u-uses-sigma_A2",
                  marks=_xfail_until("item 2")),
     pytest.param("channel.py",

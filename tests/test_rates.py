@@ -17,6 +17,7 @@ from steeplab import rates
 from steeplab.channel import sample_channel_batch
 from steeplab.rates import theorem1_draw_terms
 from steeplab.seeds import stream
+from test_channel import _reference_channel_batch
 
 BASE = SystemParams()
 
@@ -345,7 +346,7 @@ def test_batch_terms_equal_per_draw_terms():
               ("snr_EB", "snr_EB"))
     for seed in (1, 2, 3):
         terms = theorem1_draw_terms(p, 5000, seed)
-        gains = sample_channel_batch(p, seed, 5000)
+        gains = _reference_channel_batch(p, seed, 5000)
         draws = [ChannelRealization(h_AB=complex(h_ab), h_BA=complex(h_ba),
                                     g_A=g_a, g_B=g_b)
                  for h_ab, h_ba, g_a, g_b in zip(*gains)]
@@ -355,7 +356,8 @@ def test_batch_terms_equal_per_draw_terms():
             assert np.array_equal(terms[batch_name], one), (seed, draw_name)
         # the received probe power of the echo budget follows the same rule
         recv = np.array([power_budget(p, r)[1] for r in draws])
-        assert np.array_equal(recv, np.square(np.abs(gains[1])) * p.p_A)
+        powers = sample_channel_batch(p, seed, 5000)
+        assert np.array_equal(recv, powers[1] * p.p_A)
 
 
 def test_draw_terms_are_writable_and_resampled_with_the_same_bits():
@@ -384,8 +386,8 @@ def test_shared_terms_built_in_place_are_the_full_kernels_terms(params):
     terms = theorem1_draw_terms(params, n, seed)
     xnorm2 = 0.5 * params.p_A * stream(seed, "xnorm").chisquare(
         2 * params.m_A, size=n)
-    full = rates.draw_terms(params, *sample_channel_batch(params, seed, n),
-                            xnorm2=xnorm2)
+    gains = _reference_channel_batch(params, seed, n)
+    full = rates.draw_terms(params, *gains, xnorm2=xnorm2)
     assert set(terms) == {"phi_BA", "xi_BA", "xi_AB", "gamma_BA", "gamma_AB",
                           "xi_BA_prime", "snr_AB", "snr_EB", "alpha_prime"}
     for name, arr in terms.items():
@@ -397,9 +399,10 @@ def test_shared_terms_built_in_place_are_the_full_kernels_terms(params):
 
 def test_shared_terms_peak_memory_holds_no_complex_batch():
     # one 10^5-draw report at n_E 2 samples squared gain magnitudes (4.8
-    # MB) through a normals scratch (3.2 MB) and peaks at 9.6 MB while its
-    # terms are built; the complex batch (9.6 MB) with its magnitudes took
-    # it to 14.4 MB
+    # MB) through a normals scratch (3.2 MB) and peaks at 8.79 MB while
+    # sampling; building its terms stays below that (9.6 MB when phi_AB
+    # and a new u for alpha_prime were held too), and the complex batch
+    # (9.6 MB) with its magnitudes took it to 14.4 MB
     p = SystemParams(rho=0.7, m_A=8)
     theorem1_draw_terms(p, 10, 1)
     tracemalloc.start()
@@ -408,7 +411,7 @@ def test_shared_terms_peak_memory_holds_no_complex_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6, peak
+    assert peak < 9e6, peak
 
 
 def _outputs(result):
@@ -433,9 +436,8 @@ def test_bound_reduces_given_terms_without_sampling(monkeypatch, bound):
     before = {name: arr.copy() for name, arr in terms.items()}
     other = theorem1_draw_terms(BASE, 599, 9)
     want = _outputs(bound(*key))
-    # each batch sampled is one call for squared gains
-    assert [args[1:] for args in calls] == [(9, 600, True), (9, 599, True),
-                                            (9, 600, True)]
+    # each batch sampled is one call
+    assert [args[1:] for args in calls] == [(9, 600), (9, 599), (9, 600)]
     assert _outputs(bound(*key, terms=terms)) == want
     assert len(calls) == 3
     # the bounds of one report share the batch, so none may write to it
@@ -481,10 +483,61 @@ def test_row_sum_of_a_view_is_the_sum_of_its_contiguous_copy(k):
 @pytest.mark.parametrize("n_E", [1, 9, 130])
 def test_eve_snr_is_the_sum_over_antennas(n_E):
     p = SystemParams(n_E=n_E, p_A=1.7, sigma_EA2=0.3)
-    h_AB, h_BA, g_A, g_B = sample_channel_batch(p, 6, 500)
+    # complex gains: squared ones would pass too, as both sides square them
+    h_AB, h_BA, g_A, g_B = _reference_channel_batch(p, 6, 500)
     terms = rates.draw_terms(p, h_AB, h_BA, g_A, g_B)
     want = p.p_A * np.square(np.abs(g_A)).sum(axis=-1) / p.sigma_EA2
     assert terms["eve_BA"].tobytes() == want.tobytes()
+
+
+def test_draw_terms_rejects_gains_that_disagree():
+    # each of these once ran: terms of two lengths, five columns taken for
+    # five antennas at n_E 2, a 7-long alpha_prime for a 3-draw batch
+    p = SystemParams(n_E=2)
+    h_ab, h_ba, g_a, g_b = _reference_channel_batch(p, 4, 3)
+    cases = {"h_BA": ((h_ab, np.append(h_ba, 1.0), g_a, g_b), None),
+             "g_A": ((h_ab, h_ba, np.ones((3, 5)), g_b), None),
+             "g_B": ((h_ab, h_ba, g_a, g_b[:2]), None),
+             "xnorm2": ((h_ab, h_ba, g_a, g_b), np.ones(7))}
+    for name, (gains, xnorm2) in cases.items():
+        with pytest.raises(ParamError, match=name):
+            rates.draw_terms(p, *gains, xnorm2=xnorm2)
+    with pytest.raises(ParamError, match="xnorm2"):
+        rates.draw_terms(p, h_ab[0], h_ba[0], g_a[0], g_b[0], np.ones(1))
+
+
+def test_draw_terms_never_writes_to_xnorm2():
+    p = SystemParams(n_E=2)
+    gains = _reference_channel_batch(p, 4, 3)
+    xnorm2 = np.array([0.5, 2.0, 7.0])
+    want = rates.draw_terms(p, *gains, xnorm2=xnorm2.copy())["alpha_prime"]
+    assert rates.draw_terms(p, *gains, xnorm2)["alpha_prime"].tobytes() == \
+        want.tobytes()
+    assert xnorm2.tolist() == [0.5, 2.0, 7.0]
+    one = np.array(3.0)   # a 0-d array, which one draw's batch of one views
+    rates.draw_terms(p, *(g[0] for g in gains), xnorm2=one)
+    assert one == 3.0
+
+
+@pytest.mark.parametrize("bound, name", [
+    (theorem1_bounds, "gamma_BA"), (theorem1_bounds, "xi_AB"),
+    (corollary1_capacity, "xi_AB"), (theorem2_lower_bound, "alpha_prime"),
+    (theorem3_lower_bound, "xi_BA_prime")],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_bound_rejects_terms_missing_or_short_of_a_name_it_reads(bound,
+                                                                 name):
+    # a one-draw gamma_BA used to broadcast: C_A read -2.846 for -1.170
+    p = SystemParams(m_B=0 if bound is corollary1_capacity else 2)
+    terms = theorem1_draw_terms(p, 10, 1)
+    for bad in (terms[name][:1], terms[name][:9], terms[name][:, None],
+                None):
+        given = dict(terms)
+        if bad is None:
+            del given[name]
+        else:
+            given[name] = bad
+        with pytest.raises(ParamError, match=f"n_draws = 10 draws of {name}"):
+            bound(p, 10, 1, terms=given)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100_001])
