@@ -11,9 +11,12 @@ caller formats or writes the items it has.
 ``in_order`` may be called inside an item of another ``in_order``, as the
 decoder is inside a reconciliation, and from a pool job: an item the busy
 pool has not started when it is due runs in the calling thread, so no
-thread waits on a job queued behind itself."""
+thread waits on a job queued behind itself.  A pool job runs in a copy of
+its caller's context, so numpy's error state (``np.errstate``) holds in
+it as in the caller."""
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
@@ -90,7 +93,8 @@ def in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
         for i, item in enumerate(items):
             while ahead < min(i + _AHEAD * w, len(items)):
                 if ahead % w:
-                    pending[ahead] = pool().submit(fn, items[ahead])
+                    pending[ahead] = pool().submit(
+                        contextvars.copy_context().run, fn, items[ahead])
                 ahead += 1
             job = pending.pop(i, None)
             if job is None or job.cancel():   # not started: run it here

@@ -158,7 +158,9 @@ def sample_channels(params: SystemParams,
     the draw of a seed is ``sample_channel_batch(params, seed, 1)``.
 
     A sequence of T seeds gives a batch realization of T such draws:
-    h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).
+    h_AB and h_BA of shape (T,), g_A and g_B of shape (T, n_E).  An int
+    seed gives the one row of its batch of one: h_AB and h_BA are
+    ``np.complex128`` scalars, which are Python complex numbers too.
     """
     seeds, batched = _seeds(rng_seed)
     return _sample_channels(params, _role_keys(seeds, _CHANNEL_ROLES)[0],
@@ -170,15 +172,13 @@ def _sample_channels(params: SystemParams, keys: np.ndarray, batched: bool
     """``sample_channels`` of the seeds keyed by the (T, 2) rows ``keys``
     of their "channels" streams.  Each stream draws h_AB, w, g_A and g_B,
     all CN(0, 1), and h_BA is ``_mix``'s; each seed draws all four gains
-    in turn, so each gain keeps a normals buffer of every seed."""
+    in turn, so each gain keeps a normals buffer of every seed.  Without
+    ``batched`` the realization is the batch's row 0."""
     normals = [np.empty((len(keys), 2, *shape))
                for shape in ((), (), (params.n_E,), (params.n_E,))]
     gains = _cnormal_rows(keys, True, normals, 1.0)
     _mix(params.rho, gains[0], gains[1])
-    if batched:
-        return ChannelRealization(*gains)
-    h_AB, h_BA, g_A, g_B = (g[0] for g in gains)
-    return ChannelRealization(complex(h_AB), complex(h_BA), g_A, g_B)
+    return ChannelRealization(*(gains if batched else (g[0] for g in gains)))
 
 
 def _batch_powers(params: SystemParams, keys: np.ndarray, n: int

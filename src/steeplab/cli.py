@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -108,8 +109,10 @@ class SweepSpec:
 
     ``base`` may be analog ``SystemParams`` (rows carry every rate from
     ``run_rates``) or digital ``BscParams`` (rows carry the digital rates).
-    A digital point outside the secrecy formula's regime (P_E|B = 1/2)
-    keeps its row, with a ``status`` naming the reason and no rates.
+    A point of either model whose rates fail, an analog one with a rate
+    that is not finite or a digital one outside the secrecy formula's
+    regime (P_E|B = 1/2), keeps its row, with a ``status`` naming the
+    reason and no rates.
     """
 
     base: SystemParams | BscParams
@@ -151,26 +154,20 @@ def _sweep_point(spec: SweepSpec,
     index, point = item
     seed = subseed(spec.rng_seed, "sweep", index)
     row: dict = {"field": spec.field_name, "value": float(spec.grid[index])}
-    if isinstance(point, SystemParams):
-        report = run_rates(point, spec.n_draws, seed)
-        row.update({k: float(v) for k, v in sorted(report.values.items())})
-        row.update({f"{k}_stderr": float(v)
-                    for k, v in sorted(report.stderr.items())})
-    else:
-        try:
+    try:
+        if isinstance(point, SystemParams):
+            report = run_rates(point, spec.n_draws, seed)
+            row.update({k: float(v) for k, v in sorted(report.values.items())})
+            row.update({f"{k}_stderr": float(v)
+                        for k, v in sorted(report.stderr.items())})
+        else:
             xi = xi_digital(point)
-        except ParamError as exc:  # a valid point outside the formula's regime
-            row["status"] = str(exc)
-            return row
-        p_ab, p_eb = effective_error_rates(point)
-        xi_l, xi_u = mac_bounds_digital(point)
-        row.update({
-            "P_A_given_B": p_ab,
-            "P_E_given_B": p_eb,
-            "xi_digital": xi,
-            "xi_lower": xi_l,
-            "xi_upper": xi_u,
-        })
+            p_ab, p_eb = effective_error_rates(point)
+            xi_l, xi_u = mac_bounds_digital(point)
+            row.update({"P_A_given_B": p_ab, "P_E_given_B": p_eb,
+                        "xi_digital": xi, "xi_lower": xi_l, "xi_upper": xi_u})
+    except ParamError as exc:   # a valid point whose rates fail
+        row["status"] = str(exc)
     return row
 
 
@@ -330,8 +327,13 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _print_json(payload: dict) -> None:
-    _print(json.dumps(payload, indent=2, sort_keys=True))
+def _json_text(payload: dict) -> str:
+    """A flat summary as strict JSON; a value that is not finite raises
+    ``ParamError`` naming its key, as ``RateReport.check`` does."""
+    for key, val in payload.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ParamError(f"summary value {key} is not finite: {val!r}")
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
@@ -386,8 +388,6 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
     params = _build(SystemParams, args)
     _check_out_paths(args.out)
     episode = simulate_episode(params, args.seed)
-    if args.out:
-        _write_parts(args.out, _episode_csv_parts(episode))
     realization = episode.realization
     p_r, _ = power_budget(params, realization)
     payload = {
@@ -406,7 +406,10 @@ def _cmd_simulate_analog(args: argparse.Namespace) -> int:
             params.sigma_B2 + params.eps_A)
     if args.out:
         payload["episode_csv"] = str(args.out)
-    _print_json(payload)
+    text = _json_text(payload)   # checked before the episode is written
+    if args.out:
+        _write_parts(args.out, _episode_csv_parts(episode))
+    _print(text)
     return 0
 
 
@@ -446,9 +449,11 @@ def _cmd_simulate_digital(args: argparse.Namespace) -> int:
         payload["keys_agree"] = False
         payload["note"] = "no distillable key at this operating point"
     if args.transcript_out:
-        _write_parts(args.transcript_out, [episode.to_bytes()])
         payload["transcript"] = str(args.transcript_out)
-    _print_json(payload)
+    text = _json_text(payload)   # checked before the transcript is written
+    if args.transcript_out:
+        _write_parts(args.transcript_out, [episode.to_bytes()])
+    _print(text)
     return 0
 
 
@@ -549,7 +554,10 @@ def _parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        code = args.func(args)
+        # a float overflow at an extreme point warns nowhere: the check of
+        # its report or summary names the value in the one error line
+        with np.errstate(all="ignore"):
+            code = args.func(args)
     except (ParamError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

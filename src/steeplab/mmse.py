@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import AnalogEpisode, SimulationError
 from .params import ParamError, SystemParams
-from .rates import _realization_terms, phi
+from .rates import draw_terms, phi
 
 __all__ = [
     "EstimateResult",
@@ -183,7 +183,7 @@ def eve_estimate_s(episode: AnalogEpisode, params: SystemParams, *,
     c = params.sigma_s2 / (params.sigma_s2 + noise)
     estimate = c[..., None] * (
         episode.y_EB - np.expand_dims(h, -1) * xr.estimate)
-    p = _realization_terms(params, episode.realization)["phi_BA"]
+    p = draw_terms(params, episode.realization)["phi_BA"]
     t = params.sigma_s2 / params.sigma_B2
     closed = params.sigma_s2 * (p + 1.0) / (t + p + 1.0)
     empirical = np.mean(np.abs(estimate - episode.s) ** 2, axis=-1)

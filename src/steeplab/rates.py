@@ -103,16 +103,17 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
+def draw_terms(params: SystemParams, realization: ChannelRealization,
                xnorm2=None) -> dict[str, np.ndarray]:
     """Every per-draw term of the bounds, for a batch of channel draws.
 
-    Gains ``h_AB``, ``h_BA`` have the batch shape, (n,) or () for one
-    draw, and ``g_A``, ``g_B`` that shape plus (n_E,); only magnitudes
-    enter.  ``alpha_prime`` needs ``xnorm2``, the energy ||x_A||^2 of
-    Alice's probe sequence in each draw, of the batch shape; it is read,
-    never written.  Shapes that disagree with each other or with n_E
-    raise ``ParamError``.  Returns arrays of the batch shape, numpy
+    ``realization`` is a batch realization, ``h_AB`` and ``h_BA`` of the
+    batch shape (n,) and ``g_A``, ``g_B`` of (n, n_E), or one draw, the
+    batch shape (); only magnitudes enter.  ``alpha_prime`` needs
+    ``xnorm2``, the energy ||x_A||^2 of Alice's probe sequence in each
+    draw, of the batch shape; it is read, never written.  Shapes that
+    disagree with each other or with n_E raise ``ParamError``
+    (``realization.check_for``).  Returns arrays of the batch shape, numpy
     scalars for one draw; t = sigma_s2 / sigma_B2 and XY is a probing
     direction (BA: Alice's probes at Bob and Eve; AB swaps every role):
 
@@ -132,14 +133,15 @@ def draw_terms(params: SystemParams, h_AB, h_BA, g_A, g_B,
     ``_row_sum``'s.  One draw runs as the batch of one, so it gets its
     draw's bits in any batch.
     """
-    ChannelRealization(h_AB, h_BA, g_A, g_B).check_for(params)
+    r = realization.check_for(params)
+    batch = np.shape(r.h_BA)
     if xnorm2 is not None:
-        if np.shape(xnorm2) != np.shape(h_BA):
-            raise ParamError(f"xnorm2 must have shape {np.shape(h_BA)}")
+        if np.shape(xnorm2) != batch:
+            raise ParamError(f"xnorm2 must have shape {batch}")
         xnorm2 = np.array(xnorm2, dtype=float, ndmin=1)   # ours to write
-    one = np.ndim(h_BA) == 0
+    one = batch == ()
     powers = [_power(np.expand_dims(a, 0) if one else a)
-              for a in (h_AB, h_BA, g_A, g_B)]
+              for a in (r.h_AB, r.h_BA, r.g_A, r.g_B)]
     terms = _power_terms(params, powers, xnorm2)
     return {name: a[0] for name, a in terms.items()} if one else terms
 
@@ -237,13 +239,6 @@ class PerRealizationRates:
     eve_AB: float
 
 
-def _realization_terms(params: SystemParams,
-                       realization: ChannelRealization) -> dict[str, np.ndarray]:
-    """``draw_terms`` of one realization or of a batch realization."""
-    return draw_terms(params, realization.h_AB, realization.h_BA,
-                      realization.g_A, realization.g_B)
-
-
 def _one_draw(caller: str, realization: ChannelRealization) -> None:
     """Raise ParamError unless ``realization`` is one draw, not a batch."""
     if np.ndim(realization.h_BA) != 0:
@@ -255,7 +250,7 @@ def per_realization_rates(params: SystemParams,
     """All closed-form log terms for one channel draw: ``draw_terms`` on a
     single draw, the batch shape ()."""
     _one_draw("per_realization_rates", realization)
-    terms = _realization_terms(params, realization)
+    terms = draw_terms(params, realization)
     # field names are the kernel's, with a "_term" suffix on the integrands
     renamed = {"xi_prime_BA_term": "xi_BA_prime", "xi_tilde": "xi_BA_prime"}
     return PerRealizationRates(**{

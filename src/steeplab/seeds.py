@@ -131,17 +131,6 @@ def _state(words: list[np.ndarray]) -> list[np.ndarray]:
     return [_hashmix(pool[i], consts, i) for i in range(_POOL_SIZE)]
 
 
-def _int_words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian uint32
-    words, and one word for zero."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
 def _one_value(value) -> bool:
     """Whether a seed or tag argument is one value, not one per row: a
     string, anything that is not iterable, such as a float seed, or a 0-d
@@ -159,12 +148,12 @@ def _column(value, to_int) -> int | np.ndarray:
     return np.array([to_int(v) for v in value], dtype=np.uint64)
 
 
-def _hash_keys(values: list[int | np.ndarray]) -> np.ndarray:
-    """The (T, 2) keys of T rows of checked entropy values, each an int in
-    [0, 2**64) shared by every row or a uint64 array of T of them: the
-    hash core of ``_keys``.  Rows whose values take different numbers of
+def _hash_keys(values: list[np.ndarray]) -> np.ndarray:
+    """The (T, 2) keys of T rows of checked entropy values, each a uint64
+    array of T ints in [0, 2**64), one per row: the hash core of ``_keys``
+    and ``_role_keys``.  Rows whose values take different numbers of
     uint32 words are hashed in separate groups."""
-    lengths = {v.size for v in values if isinstance(v, np.ndarray)}
+    lengths = {v.size for v in values}
     if len(lengths) != 1 or 0 in lengths:
         raise ParamError("a batch needs at least one row and one length for "
                          f"every sequence, got lengths {sorted(lengths)}")
@@ -172,8 +161,7 @@ def _hash_keys(values: list[int | np.ndarray]) -> np.ndarray:
     # bit k of a row's group is set when its k-th value takes two words
     group = np.zeros(n_rows, dtype=np.int64)
     for k, v in enumerate(values):
-        if isinstance(v, np.ndarray):
-            group |= (v > _MASK32).astype(np.int64) << k
+        group |= (v > _MASK32).astype(np.int64) << k
     keys = np.empty((n_rows, 2), dtype=np.uint64)
     # a set, not np.unique: its sort maps numpy's sort kernels into memory,
     # 1.6 MB of resident pages on first use
@@ -181,10 +169,6 @@ def _hash_keys(values: list[int | np.ndarray]) -> np.ndarray:
         rows = np.flatnonzero(group == g)
         words: list[np.ndarray] = []
         for k, v in enumerate(values):
-            if not isinstance(v, np.ndarray):
-                words += [np.full(rows.size, w, dtype=np.uint32)
-                          for w in _int_words(v)]
-                continue
             v = v[rows]
             words.append((v & _MASK32).astype(np.uint32))
             if g >> k & 1:
@@ -203,11 +187,18 @@ def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
     np.uint64)`` of each row.
 
     ``seed`` and each tag are one value shared by every row or a sequence
-    of T ints, one per row.  Every seed and tag is checked before any key
-    is derived.
+    of T ints, one per row; a shared value is broadcast to a column of T,
+    so it takes the words SeedSequence gives it: one below 2**32, two from
+    2**32 up.  Every seed and tag is checked before any key is derived,
+    and a call without rows, or with sequences of two lengths, raises
+    ``ParamError``.
     """
-    return _hash_keys([_column(seed, _seed_int)]
-                      + [_column(t, _tag_int) for t in tags])
+    columns = [_column(seed, _seed_int)] + [_column(t, _tag_int) for t in tags]
+    n_rows = max((c.size for c in columns if isinstance(c, np.ndarray)),
+                 default=0)
+    return _hash_keys([c if isinstance(c, np.ndarray)
+                       else np.full(n_rows, c, dtype=np.uint64)
+                       for c in columns])
 
 
 def _role_keys(seeds: Sequence[int], roles: Sequence[int | str]

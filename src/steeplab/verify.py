@@ -41,8 +41,8 @@ from .digital import (BscParams, _exact_rates, _xi_of_rates, binary_entropy,
                       bsc_convolve)
 from .mmse import alice_estimate_s, eve_estimate_s, eve_estimate_xA
 from .params import ChannelRealization, ParamError, SystemParams, _integer
-from .rates import (_realization_terms, _row_sum, alpha,
-                    per_realization_rates, power_budget, theorem1_draw_terms)
+from .rates import (_row_sum, alpha, draw_terms, effective_snrs, power_budget,
+                    theorem1_draw_terms)
 from .seeds import _seed_int, _subseeds, subseed
 
 __all__ = [
@@ -320,7 +320,7 @@ def theorem1_term_oracles(params: SystemParams,
     n_draws = np.size(batch.h_BA)
     if n_draws == 0:
         raise ParamError("theorem1_term_oracles needs at least one realization")
-    terms = _realization_terms(params, batch)
+    terms = draw_terms(params, batch)
 
     tol = 1e-9
     # (name, closed form per draw, oracle per draw, tolerance)
@@ -460,7 +460,7 @@ def _echo_group(params: SystemParams, rng_seed: int) -> list[OracleReport]:
     10^5-probe episode, then the echo rate's high-secret-power limit."""
     snr_params = dc_replace(_regime(params), m_A=100_000)
     episode = simulate_episode(snr_params, subseed(rng_seed, "snr"))
-    terms = per_realization_rates(snr_params, episode.realization)
+    snr_ab, snr_eb = effective_snrs(snr_params, episode.realization)
     h_ba = episode.realization.h_BA
     # each residual is freed once its SNR is fitted: the MMSE trials run
     # beside this group, so its peak adds to theirs
@@ -470,8 +470,8 @@ def _echo_group(params: SystemParams, rng_seed: int) -> list[OracleReport]:
     reports = [OracleReport.build(label, want, got, 0.03 * want,
                                   n_samples=snr_params.m_A)
                for label, want, got in (
-                   ("Alice residual SNR", terms.snr_AB, snr_a),
-                   ("Eve residual SNR", terms.snr_EB, snr_e))]
+                   ("Alice residual SNR", snr_ab, snr_a),
+                   ("Eve residual SNR", snr_eb, snr_e))]
 
     p_r, _ = power_budget(snr_params, episode.realization)
     reports.append(OracleReport.build(

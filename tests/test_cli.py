@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -694,6 +695,69 @@ def test_cli_sweep_digital_keeps_rows_outside_regime(capsys):
     assert rows[1]["xi_digital"] == rows[1]["xi_lower"] == ""
     assert rows[0]["status"] == rows[2]["status"] == ""
     assert float(rows[0]["xi_digital"]) < float(rows[2]["xi_digital"])
+
+
+def test_cli_sweep_analog_keeps_the_row_of_a_failing_point(tmp_path, capsys):
+    # sigma_s2 = 1e300 overflows snr_EB's variance; the point's row stays,
+    # with a status, as a digital point's does, and the other rows are
+    # written in full
+    argv = ("sweep", "--field", "sigma_s2", "--grid", "1,1e300,2",
+            "--n-draws", "50")
+    error = ("error: sigma_s2 = 1e+300: report value snr_EB is not "
+             "finite: inf\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == error
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 4 and "status" in header
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["value"] for r in rows] == ["1.0", "1e+300", "2.0"]
+    assert rows[1]["status"] == "report value snr_EB is not finite: inf"
+    assert rows[1]["C_E"] == rows[1]["alpha"] == ""
+    assert rows[0]["status"] == rows[2]["status"] == ""
+    assert all(math.isfinite(float(r["C_E"])) for r in (rows[0], rows[2]))
+    csv_out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, *argv, "--workers", "2", "--out",
+                           str(csv_out))
+    assert code == 1 and err == error
+    assert csv_out.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("rates", "--n-draws", "100", "--sigma_s2", "1e300"),
+    ("rates", "--n-draws", "100", "--sigma_B2", "1e-300"),
+    ("rates", "--n-draws", "100", "--p_A", "1e308"),
+    # failing points at --workers 2, where the pool's thread may run some
+    # (test_workers pins the error state a pool job runs in)
+    ("sweep", "--field", "sigma_s2", "--grid", "1e300,1,1e299,1e300",
+     "--n-draws", "50", "--workers", "2"),
+    ("simulate-analog", "--m_A", "1000", "--p_A", "1e300"),
+])
+def test_cli_extreme_point_fails_with_error_lines_and_no_warning(capsys,
+                                                                 argv):
+    # numpy's overflow warnings once printed above the error line; the
+    # check of the report or summary names the value instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and err
+    assert all(line.startswith("error: ") and "not finite" in line
+               for line in err.splitlines())
+
+
+@pytest.mark.parametrize("flag, value", [("--p_A", "1e300"),
+                                         ("--sigma_s2", "1e300")])
+def test_cli_simulate_analog_rejects_a_summary_that_is_not_finite(
+        tmp_path, capsys, flag, value):
+    # the summary was printed with a bare Infinity, which is not JSON, after
+    # the episode CSV was written, and the command exited 0
+    out = tmp_path / "episode.csv"
+    code, text, err = run_cli(capsys, "simulate-analog", "--m_A", "1000",
+                              flag, value, "--out", str(out))
+    assert code == 1 and text == ""
+    assert err == ("error: summary value snr_alice_empirical is not "
+                   "finite: inf\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_sweep_plot_with_no_row_in_regime(capsys):

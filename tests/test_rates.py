@@ -387,7 +387,7 @@ def test_shared_terms_built_in_place_are_the_full_kernels_terms(params):
     xnorm2 = 0.5 * params.p_A * stream(seed, "xnorm").chisquare(
         2 * params.m_A, size=n)
     gains = _reference_channel_batch(params, seed, n)
-    full = rates.draw_terms(params, *gains, xnorm2=xnorm2)
+    full = rates.draw_terms(params, ChannelRealization(*gains), xnorm2=xnorm2)
     assert set(terms) == {"phi_BA", "xi_BA", "xi_AB", "gamma_BA", "gamma_AB",
                           "xi_BA_prime", "snr_AB", "snr_EB", "alpha_prime"}
     for name, arr in terms.items():
@@ -485,7 +485,7 @@ def test_eve_snr_is_the_sum_over_antennas(n_E):
     p = SystemParams(n_E=n_E, p_A=1.7, sigma_EA2=0.3)
     # complex gains: squared ones would pass too, as both sides square them
     h_AB, h_BA, g_A, g_B = _reference_channel_batch(p, 6, 500)
-    terms = rates.draw_terms(p, h_AB, h_BA, g_A, g_B)
+    terms = rates.draw_terms(p, ChannelRealization(h_AB, h_BA, g_A, g_B))
     want = p.p_A * np.square(np.abs(g_A)).sum(axis=-1) / p.sigma_EA2
     assert terms["eve_BA"].tobytes() == want.tobytes()
 
@@ -501,21 +501,24 @@ def test_draw_terms_rejects_gains_that_disagree():
              "xnorm2": ((h_ab, h_ba, g_a, g_b), np.ones(7))}
     for name, (gains, xnorm2) in cases.items():
         with pytest.raises(ParamError, match=name):
-            rates.draw_terms(p, *gains, xnorm2=xnorm2)
+            rates.draw_terms(p, ChannelRealization(*gains), xnorm2=xnorm2)
     with pytest.raises(ParamError, match="xnorm2"):
-        rates.draw_terms(p, h_ab[0], h_ba[0], g_a[0], g_b[0], np.ones(1))
+        rates.draw_terms(p, ChannelRealization(h_ab[0], h_ba[0], g_a[0],
+                                               g_b[0]), np.ones(1))
 
 
 def test_draw_terms_never_writes_to_xnorm2():
     p = SystemParams(n_E=2)
     gains = _reference_channel_batch(p, 4, 3)
+    batch = ChannelRealization(*gains)
     xnorm2 = np.array([0.5, 2.0, 7.0])
-    want = rates.draw_terms(p, *gains, xnorm2=xnorm2.copy())["alpha_prime"]
-    assert rates.draw_terms(p, *gains, xnorm2)["alpha_prime"].tobytes() == \
+    want = rates.draw_terms(p, batch, xnorm2=xnorm2.copy())["alpha_prime"]
+    assert rates.draw_terms(p, batch, xnorm2)["alpha_prime"].tobytes() == \
         want.tobytes()
     assert xnorm2.tolist() == [0.5, 2.0, 7.0]
     one = np.array(3.0)   # a 0-d array, which one draw's batch of one views
-    rates.draw_terms(p, *(g[0] for g in gains), xnorm2=one)
+    rates.draw_terms(p, ChannelRealization(*(g[0] for g in gains)),
+                     xnorm2=one)
     assert one == 3.0
 
 

@@ -131,11 +131,11 @@ def test_ba_main_check_catches_a_relative_1e_8_error_at_high_snr(monkeypatch):
     assert clean.passed, clean.abs_dev
 
     def scaled(params, realization):
-        terms = dict(rates._realization_terms(params, realization))
+        terms = dict(rates.draw_terms(params, realization))
         terms["main_BA"] = terms["main_BA"] * (1.0 + 1e-8)
         return terms
 
-    monkeypatch.setattr(verify, "_realization_terms", scaled)
+    monkeypatch.setattr(verify, "draw_terms", scaled)
     bad = {rep.name: rep for rep in theorem1_term_oracles(p, r)}[name]
     assert not bad.passed and bad.abs_dev > 1e-8, bad.abs_dev
 

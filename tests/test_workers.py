@@ -2,6 +2,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from steeplab import _workers
@@ -60,6 +61,24 @@ def test_in_order_raises_a_pool_error_at_its_item(monkeypatch):
             got.append(result)
     assert got == [0, 10, 20]
     assert raised.value.args == (3,) and raised_on == [True]
+
+
+def test_pool_jobs_run_in_the_callers_numpy_error_state(monkeypatch):
+    # numpy keeps np.errstate in a context variable, which a pool thread
+    # does not inherit; item 0 waits here until the pool has run item 1
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
+    started = threading.Event()
+
+    def fn(item):
+        if item == 0:
+            assert started.wait(timeout=30)
+        else:
+            started.set()
+        return _on_pool(), np.geterr()["over"]
+
+    with np.errstate(over="ignore"):
+        got = list(_workers.in_order(fn, [0, 1], 2))
+    assert got == [(False, "ignore"), (True, "ignore")]
 
 
 @pytest.mark.parametrize("w", [2, 3])
