@@ -13,13 +13,15 @@ counter-based stream, so
 The stream of ``(seed, *tags)`` is ``Philox`` keyed by numpy's
 ``SeedSequence((seed, *tags))``.  Philox is counter-based, so its 128-bit
 key sets the whole stream.  A batch of streams derives all its keys in one
-pass of the ``SeedSequence`` hash over uint32 arrays (``_keys``), instead
-of building one ``SeedSequence`` and one ``Philox`` per seed.  A pass costs
-about the same at 1 row as at a few hundred, so the streams of several
-roles of one batch take one pass too.  ``_role_keys`` alone decides how
-keys are derived: one ``SeedSequence`` per role for one seed, which costs
-less than a pass, and one pass for a batch.  ``_streams`` only re-keys a
-generator from the key rows it is given.
+pass of the ``SeedSequence`` hash over uint32 arrays (``_hash_keys``),
+instead of building one ``SeedSequence`` and one ``Philox`` per seed.  The
+hash takes only per-row uint64 columns of one length.  A pass costs about
+the same at 1 row as at a few hundred, so the streams of several roles of
+one batch take one pass too.  ``_role_keys`` alone decides how stream keys
+are derived: one ``SeedSequence`` per role for one seed, which costs less
+than a pass, and one pass for a batch.  ``_subseeds(seed, tag, rows)``
+derives the child seeds of one seed and tag, one per row tag, in one pass.
+``_streams`` only re-keys a generator from the key rows it is given.
 """
 from __future__ import annotations
 
@@ -140,19 +142,11 @@ def _one_value(value) -> bool:
             or isinstance(value, np.ndarray) and value.ndim == 0)
 
 
-def _column(value, to_int) -> int | np.ndarray:
-    """One checked seed or tag argument: an int shared by every row, or a
-    uint64 array of one int per row."""
-    if _one_value(value):
-        return to_int(value)
-    return np.array([to_int(v) for v in value], dtype=np.uint64)
-
-
 def _hash_keys(values: list[np.ndarray]) -> np.ndarray:
     """The (T, 2) keys of T rows of checked entropy values, each a uint64
-    array of T ints in [0, 2**64), one per row: the hash core of ``_keys``
-    and ``_role_keys``.  Rows whose values take different numbers of
-    uint32 words are hashed in separate groups."""
+    array of T ints in [0, 2**64), one per row: the hash core of
+    ``_role_keys`` and ``_subseeds``.  Rows whose values take different
+    numbers of uint32 words are hashed in separate groups."""
     lengths = {v.size for v in values}
     if len(lengths) != 1 or 0 in lengths:
         raise ParamError("a batch needs at least one row and one length for "
@@ -180,35 +174,14 @@ def _hash_keys(values: list[np.ndarray]) -> np.ndarray:
     return keys
 
 
-def _keys(seed: int | Sequence[int], *tags: int | str | Sequence[int]
-          ) -> np.ndarray:
-    """The (T, 2) uint64 Philox keys of ``stream(seed, *tags)`` for T rows:
-    bit for bit ``SeedSequence((seed, *tags)).generate_state(2,
-    np.uint64)`` of each row.
-
-    ``seed`` and each tag are one value shared by every row or a sequence
-    of T ints, one per row; a shared value is broadcast to a column of T,
-    so it takes the words SeedSequence gives it: one below 2**32, two from
-    2**32 up.  Every seed and tag is checked before any key is derived,
-    and a call without rows, or with sequences of two lengths, raises
-    ``ParamError``.
-    """
-    columns = [_column(seed, _seed_int)] + [_column(t, _tag_int) for t in tags]
-    n_rows = max((c.size for c in columns if isinstance(c, np.ndarray)),
-                 default=0)
-    return _hash_keys([c if isinstance(c, np.ndarray)
-                       else np.full(n_rows, c, dtype=np.uint64)
-                       for c in columns])
-
-
 def _role_keys(seeds: Sequence[int], roles: Sequence[int | str]
                ) -> np.ndarray:
     """The (R, T, 2) Philox keys of R roles for T seeds: row [r, t] is the
     key of ``stream(seeds[t], roles[r])``.  Each seed and each role tag is
     checked once.  One seed takes one ``SeedSequence`` per role, which
     costs less than a hash pass; a batch takes one pass for all R * T."""
-    seeds = _column(seeds, _seed_int)
-    tags = _column(roles, _tag_int)
+    seeds = np.array([_seed_int(s) for s in seeds], dtype=np.uint64)
+    tags = np.array([_tag_int(t) for t in roles], dtype=np.uint64)
     if seeds.size == 1:
         return np.array([[np.random.SeedSequence((seeds.item(), tag))
                           .generate_state(2, np.uint64)]
@@ -217,10 +190,15 @@ def _role_keys(seeds: Sequence[int], roles: Sequence[int | str]
     return keys.reshape(tags.size, seeds.size, 2)
 
 
-def _subseeds(seed: int | Sequence[int], *tags: int | str | Sequence[int]
+def _subseeds(seed: int, tag: int | str, rows: Iterable[int | str]
               ) -> list[int]:
-    """``subseed`` of each row, with rows as in ``_keys``."""
-    return _keys(seed, *tags)[:, 0].tolist()
+    """``subseed(seed, tag, row)`` of each row, from one hash pass; the
+    seed, the tag and every row are checked before any key is derived."""
+    seed, tag = _seed_int(seed), _tag_int(tag)
+    rows = np.array([_tag_int(t) for t in rows], dtype=np.uint64)
+    return _hash_keys([np.full(rows.size, seed, dtype=np.uint64),
+                       np.full(rows.size, tag, dtype=np.uint64),
+                       rows])[:, 0].tolist()
 
 
 @functools.cache
@@ -232,9 +210,9 @@ def _philox_seed() -> np.random.SeedSequence:
 
 
 def _streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """The generator of each of the (T, 2) key rows in turn, as ``_keys``
-    or one role of ``_role_keys`` gives them: the streams of their seeds
-    and tags, with no key derived and no seed checked again.
+    """The generator of each of the (T, 2) key rows in turn, as one role of
+    ``_role_keys`` gives them: the streams of their seeds and tags, with no
+    key derived and no seed checked again.
 
     One ``Philox`` is re-keyed through its public state (the key, counter
     0, an empty buffer), so a yielded generator draws its row's stream

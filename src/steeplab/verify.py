@@ -83,7 +83,9 @@ class OracleReport:
             name=name, closed_form=float(closed_form), oracle=float(oracle),
             abs_dev=float(abs_dev), rel_dev=float(rel_dev),
             n_samples=n_samples, tolerance=float(tolerance),
-            passed=bool(abs_dev <= tolerance),
+            # an infinite tolerance, as from the standard error of an
+            # overflowing MSE, passes nothing
+            passed=bool(abs_dev <= tolerance < math.inf),
         )
 
 

@@ -341,8 +341,9 @@ def test_cli_rates_stdout_and_json(tmp_path, capsys):
                              "--seed", "3", "--json-out", str(out_json))
     assert code == 0 and err == ""
     assert "C_key_one_way" in out
-    rep = RateReport.from_json(out_json.read_text())
-    assert rep.params == SystemParams()
+    report = json.loads(out_json.read_text())
+    assert report["params"] == json.loads(
+        RateReport(params=SystemParams()).to_json())["params"]
 
 
 def test_cli_rates_flag_overrides(tmp_path, capsys):
@@ -350,8 +351,8 @@ def test_cli_rates_flag_overrides(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "rates", "--rho", "0.8", "--m_A", "2",
                          "--n-draws", "300", "--json-out", str(out_json))
     assert code == 0
-    rep = RateReport.from_json(out_json.read_text())
-    assert rep.params.rho == 0.8 and rep.params.m_A == 2
+    params = json.loads(out_json.read_text())["params"]
+    assert complex(params["rho"]) == 0.8 and params["m_A"] == 2
 
 
 def test_cli_rates_reads_config(tmp_path, capsys):
@@ -362,9 +363,9 @@ def test_cli_rates_reads_config(tmp_path, capsys):
                          "--m_A", "5", "--n-draws", "300",
                          "--json-out", str(out_json))
     assert code == 0
-    rep = RateReport.from_json(out_json.read_text())
+    params = json.loads(out_json.read_text())["params"]
     # flags win over the config file
-    assert rep.params.rho == 0.7 and rep.params.m_A == 5
+    assert complex(params["rho"]) == 0.7 and params["m_A"] == 5
 
 
 def test_cli_rejects_invalid_params(capsys):
@@ -995,6 +996,17 @@ def test_cli_verify_bounds_without_probes(capsys):
                            "--n-realizations", "5")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_verify_bounds_fails_the_overflowing_mse_checks(capsys):
+    # at p_A 1e300 each trial's MSE overflows and its standard error is inf;
+    # the MSE rows used to read PASS with tol=inf
+    code, out, _ = run_cli(capsys, "verify-bounds", "--p_A", "1e300",
+                           "--n-realizations", "5")
+    assert code == 2
+    mse_rows = [line for line in out.splitlines() if "MSE" in line]
+    assert len(mse_rows) == 3
+    assert all(line.startswith("FAIL") for line in mse_rows)
 
 
 def test_cli_verify_bounds(capsys):

@@ -156,49 +156,11 @@ def test_config_round_trip(p_A, sigma_B2, sigma_s2, rho, n_E, m_A):
 
 # ---------------------------------------------------------------- report
 
-def test_rate_report_json_round_trip():
-    rep = RateReport(params=SystemParams(), values={"alpha": 0.5},
-                     stderr={"alpha": 0.01}, notes=["n"])
-    back = RateReport.from_json(rep.to_json())
-    assert back.values == rep.values
-    assert back.stderr == rep.stderr
-    assert back.notes == rep.notes
-    assert back.params == rep.params
-
-
-def test_rate_report_json_round_trip_complex_rho():
-    p = dataclasses.replace(SystemParams(), rho=0.3 - 0.4j)
-    rep = RateReport(params=p, values={"a": 1.0}, stderr={}, notes=[])
-    assert RateReport.from_json(rep.to_json()).params == p
-
-
 def test_rate_report_json_is_plain_json():
     rep = RateReport(params=SystemParams(), values={"x": 1.0},
                      stderr={}, notes=[])
     payload = json.loads(rep.to_json())
     assert payload["values"]["x"] == 1.0
-
-
-def test_rate_report_from_json_rejects_nonfinite():
-    with pytest.raises(ParamError, match="report value C_A is not finite"):
-        RateReport.from_json('{"params": {}, "values": {"C_A": NaN}}')
-
-
-@pytest.mark.parametrize("text, match", [
-    ("{}", r"KeyError\('params'\)"),
-    ("[]", "TypeError.*list indices"),
-    ("nope", "JSONDecodeError"),
-    ('{"params": {}, "values": [1]}', "'list' object has no attribute"),
-    ('{"params": {}, "values": {"a": "x"}}', "could not convert .*'x'"),
-    ('{"params": {}, "notes": 5}', "'int' object is not iterable"),
-    ('{"params": {}, "notes": "ab"}', "notes must be a list, got 'ab'"),
-    ('{"params": {}, "values": {"x": true}}', "must be numbers, got True"),
-    ('{"params": {}, "notes": {"a": 1}}', r"notes must be a list, got \{"),
-    ('{"params": {}, "stderr": {"x": "1.5"}}', "must be numbers, got '1.5'"),
-])
-def test_rate_report_from_json_rejects_malformed_input(text, match):
-    with pytest.raises(ParamError, match=match):
-        RateReport.from_json(text)
 
 
 def test_rate_report_check_rejects_nonfinite():
@@ -228,20 +190,6 @@ def test_rate_report_to_json_bytes_pinned():
         '    "sigma_A2": 1.0,\n    "sigma_B2": 1.0,\n    "sigma_EA2": 1.0,\n'
         '    "sigma_EB2": 1.0,\n    "sigma_s2": 0.1\n  },\n'
         '  "stderr": {},\n  "values": {}\n}')
-
-
-def test_rate_report_from_json_rejects_unknown_params_key():
-    payload = json.loads(RateReport(params=SystemParams()).to_json())
-    payload["params"]["bogus"] = 1.0
-    with pytest.raises(ParamError, match="unknown config key 'bogus'"):
-        RateReport.from_json(json.dumps(payload))
-
-
-def test_rate_report_from_json_validates_params():
-    payload = json.loads(RateReport(params=SystemParams()).to_json())
-    payload["params"]["rho"] = 1.5
-    with pytest.raises(ParamError, match=r"\|rho\| must be < 1"):
-        RateReport.from_json(json.dumps(payload))
 
 
 # --------------------------------------------------------- argument rules

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steeplab import ParamError
-from steeplab.seeds import (_keys, _role_keys, _streams, _subseeds, _tag_int,
-                            stream, subseed)
+from steeplab.seeds import (_hash_keys, _role_keys, _seed_int, _streams,
+                            _subseeds, _tag_int, stream, subseed)
 
 
 def test_stream_deterministic_per_tag():
@@ -59,6 +59,13 @@ def _reference_key(seed, *tags):
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
+def _columns(seeds, *tags):
+    """The hash's per-row columns: the seeds, then each tag repeated."""
+    return ([np.array([_seed_int(s) for s in seeds], dtype=np.uint64)]
+            + [np.full(len(seeds), _tag_int(t), dtype=np.uint64)
+               for t in tags])
+
+
 _EDGE_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
 _seeds = st.lists(st.one_of(st.sampled_from(_EDGE_SEEDS),
                             st.integers(0, (1 << 32) - 1),
@@ -74,7 +81,7 @@ def test_batch_keys_are_seed_sequence_keys(seeds, tags):
     # seeds of one and two words mix in one batch; int tags of two words
     # lengthen the entropy past the four-word pool
     want = np.array([_reference_key(s, *tags) for s in seeds])
-    np.testing.assert_array_equal(_keys(seeds, *tags), want)
+    np.testing.assert_array_equal(_hash_keys(_columns(seeds, *tags)), want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -82,20 +89,20 @@ def test_batch_keys_are_seed_sequence_keys(seeds, tags):
        rows=st.lists(st.integers(0, (1 << 64) - 1), min_size=1,
                      max_size=8))
 def test_batch_keys_with_a_tag_per_row(seed, rows):
-    want = np.array([_reference_key(seed, "oracle", t) for t in rows])
-    np.testing.assert_array_equal(_keys(seed, "oracle", rows), want)
-    assert _subseeds(seed, "oracle", rows) == [subseed(seed, "oracle", t)
-                                               for t in rows]
+    want = [int(_reference_key(seed, "oracle", t)[0]) for t in rows]
+    assert _subseeds(seed, "oracle", rows) == want
+    assert want == [subseed(seed, "oracle", t) for t in rows]
 
 
 def test_batch_streams_draw_what_each_stream_draws():
     seeds = _EDGE_SEEDS + [12345, 7 << 40]
     for tags in [(), ("probe",), ("sweep", 3, 1 << 50)]:
-        got = [rng.standard_normal(9) for rng in _streams(_keys(seeds, *tags))]
+        got = [rng.standard_normal(9)
+               for rng in _streams(_hash_keys(_columns(seeds, *tags)))]
         want = [stream(s, *tags).standard_normal(9) for s in seeds]
         np.testing.assert_array_equal(got, want)
     got = [(rng.standard_normal(3), rng.random(2))
-           for rng in _streams(_keys(seeds, "mixed"))]
+           for rng in _streams(_role_keys(seeds, ["mixed"])[0])]
     for (normals, uniforms), seed in zip(got, seeds):
         rng = stream(seed, "mixed")
         np.testing.assert_array_equal(normals, rng.standard_normal(3))
@@ -115,11 +122,11 @@ _EPISODE_ROLES = ("channels", "probe", "noise_ea", "noise_b", "secret",
                       min_size=1, max_size=7))
 def test_role_keys_are_each_roles_keys(seeds, roles):
     # one pass over roles x seeds, seeds and int roles of one and two words
-    # mixed, gives each role the keys of its own pass
+    # mixed, gives each role its own streams' keys
     got = _role_keys(seeds, roles)
     assert got.shape == (len(roles), len(seeds), 2)
-    for keys, role in zip(got, roles):
-        np.testing.assert_array_equal(keys, _keys(seeds, role))
+    want = [[_reference_key(seed, role) for seed in seeds] for role in roles]
+    np.testing.assert_array_equal(got, want)
     got = [rng.standard_normal(3) for rng in _streams(got[0])]
     want = [stream(seed, roles[0]).standard_normal(3) for seed in seeds]
     np.testing.assert_array_equal(got, want)
@@ -144,24 +151,31 @@ def test_role_keys_check_every_seed_and_role(seeds, roles, match):
 
 
 def test_batch_subseeds_equal_subseed():
-    seeds = _EDGE_SEEDS + [99]
-    assert _subseeds(seeds, "ldpc") == [subseed(s, "ldpc") for s in seeds]
-    assert all(type(s) is int for s in _subseeds(seeds, "ldpc"))
+    rows = _EDGE_SEEDS + [99]
+    for seed in (0, 7, (1 << 64) - 1):
+        got = _subseeds(seed, "ldpc", rows)
+        assert got == [subseed(seed, "ldpc", r) for r in rows]
+        assert all(type(s) is int for s in got)
 
 
 @pytest.mark.parametrize("bad", [-1, 1 << 64])
 def test_one_bad_seed_in_a_batch_raises_before_any_draw(bad):
-    with pytest.raises(ParamError, match="seed must be in"):
-        _streams(_keys([3, 4, bad], "probe"))
-    with pytest.raises(ParamError, match="seed must be in"):
-        _subseeds([3, bad, 4], "ldpc")
+    with mock.patch("steeplab.seeds._state") as state:
+        with pytest.raises(ParamError, match="seed must be in"):
+            _role_keys([3, 4, bad], ["probe"])
+        with pytest.raises(ParamError, match="seed must be in"):
+            _subseeds(bad, "ldpc", [3, 4])
+    assert state.call_count == 0
 
 
 def test_batch_rows_must_agree():
     with pytest.raises(ParamError, match="at least one row"):
-        _keys([], "probe")
+        _role_keys([], ["probe"])
+    with pytest.raises(ParamError, match="at least one row"):
+        _subseeds(1, "probe", [])
     with pytest.raises(ParamError, match="lengths"):
-        _keys([1, 2], "probe", [1, 2, 3])
+        _hash_keys([np.arange(2, dtype=np.uint64),
+                    np.arange(3, dtype=np.uint64)])
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.array(3)])
@@ -173,15 +187,17 @@ def test_bool_seed_or_tag_is_rejected(flag):
     with pytest.raises(ParamError, match="seed must be an integer"):
         subseed(flag, "a")
     with pytest.raises(ParamError, match="seed must be an integer"):
-        _keys([1, flag], "a")
+        _role_keys([1, flag], ["a"])
     with pytest.raises(ParamError, match="seed must be an integer"):
-        _keys(flag, "a", [1, 2])
+        _subseeds(flag, "a", [1, 2])
     with pytest.raises(ParamError, match="stream tag must be an integer"):
         stream(1, flag)
     with pytest.raises(ParamError, match="stream tag must be an integer"):
-        _keys([1, 2], "a", [0, flag])
+        _role_keys([1, 2], ["a", flag])
     with pytest.raises(ParamError, match="stream tag must be an integer"):
-        _keys([1, 2], "a", flag)
+        _subseeds(1, flag, [1, 2])
+    with pytest.raises(ParamError, match="stream tag must be an integer"):
+        _subseeds(1, "a", [0, flag])
 
 
 @pytest.mark.parametrize("tag, why", [
@@ -198,6 +214,8 @@ def test_tag_outside_the_seed_rule_is_rejected(tag, why):
     with pytest.raises(ParamError, match=match):
         subseed(1, tag)
     with pytest.raises(ParamError, match=match):
-        _keys([1, 2], "a", [0, tag])
+        _role_keys([1, 2], ["a", tag])
+    with pytest.raises(ParamError, match=match):
+        _subseeds(1, tag, [3])
     with pytest.raises(ParamError, match=match):
         _subseeds(1, "oracle", [tag, 3])

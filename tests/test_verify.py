@@ -655,6 +655,15 @@ def test_alpha_oracle_checks_the_shipped_alpha(monkeypatch):
     assert not alpha_row().passed
 
 
+def test_a_check_with_no_finite_bound_fails():
+    # max(3 se, floor) is inf when the trials' MSEs overflow; such a check
+    # used to pass whatever its deviation
+    assert not OracleReport.build("x", 1.0, 2.0, math.inf).passed
+    assert not OracleReport.build("x", 1.0, math.inf, math.inf).passed
+    assert not OracleReport.build("x", 1.0, math.nan, 1.0).passed
+    assert OracleReport.build("x", 1.0, 2.0, 1.0).passed
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_oracle_suite_rejects_no_realizations(n):
     # zero draws used to drop the ten per-realization checks and still pass
